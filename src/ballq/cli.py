@@ -1,9 +1,9 @@
 """Command-line interface: batch certification and the exact solvers.
 
 Exit codes: 0 all checks passed, 1 at least one certification check
-failed, 2 usage error, 3 I/O error.  Range verification may fan out over
-worker processes; output is ordered by n and byte-identical regardless of
-the parallelism.
+failed or a level could not be built, 2 usage error, 3 I/O error.  Range
+verification may fan out over worker processes; output is ordered by n and
+byte-identical regardless of the parallelism.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
+def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
+    """Worker count: the requested one (flag, else environment), capped by
+    the number of levels and the number of CPUs."""
     if args.jobs is not None:
         jobs = args.jobs
     else:
@@ -51,12 +53,17 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
             raise UsageError(f"{JOBS_ENV_VAR} must be an integer") from exc
     if jobs < 1:
         raise UsageError("jobs must be at least 1")
-    return jobs
+    return min(jobs, levels, os.cpu_count() or 1)
 
 
-def _report_dict(task: tuple[str, int]) -> dict[str, object]:
+def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object] | None, str | None]:
+    """(report document, None) for a level, or (None, error text) when
+    building it raised; the error names the level and the exception."""
     family, n = task
-    return families.build_family(family, n).to_json_dict()
+    try:
+        return families.build_family(family, n).to_json_dict(), None
+    except Exception as exc:
+        return None, f"{family} n={n}: {type(exc).__name__}: {exc}"
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -74,21 +81,25 @@ def _emit(text: str, out_path: str | None) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_n_range(args.n)
-    jobs = _resolve_jobs(args)
     tasks = [(args.family, n) for n in ns]
-    if jobs > 1 and len(tasks) > 1:
+    jobs = _resolve_jobs(args, len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            docs = list(pool.map(_report_dict, tasks))
+            results = list(pool.map(_report_dict, tasks))
     else:
-        docs = [_report_dict(task) for task in tasks]
+        results = [_report_dict(task) for task in tasks]
+    docs = [doc for doc, _ in results if doc is not None]
+    errors = [error for _, error in results if error is not None]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
     if args.format == "json":
         lines = [json.dumps(doc) for doc in docs]
     else:
         lines = [families.render_markdown(doc) for doc in docs]
-    status = _emit("\n".join(lines) + "\n", args.out)
+    status = _emit("".join(line + "\n" for line in lines), args.out)
     if status:
         return status
-    return 0 if all(doc["passed"] for doc in docs) else 1
+    return 0 if not errors and all(doc["passed"] for doc in docs) else 1
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -142,7 +153,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     try:
         first = _parse_curve_spec(args.first, torus)
         second = _parse_curve_spec(args.second, torus)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     if isinstance(first, GraphCurve) and isinstance(second, GraphCurve):
         doc = intersect_graphs(first, second).to_json()
@@ -219,9 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -472,30 +472,42 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
                  pair_counts)
 
 
+def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber]
+               ) -> dict[str, dict[str, int]]:
+    """Multiplicity table {point name: {curve name: 1}} of the given curves
+    through the intersection points, each entry an exact contains_point test.
+
+    Graph curves are tested at every point.  Vertical fibers are bucketed
+    by the canonical key of z0 (all curves live on core.torus, so keys are
+    coordinates in one z-lattice basis); a point is tested only against the
+    fibers in the bucket of its own z, which keeps the pass linear.
+    """
+    graphs: list[tuple[str, GraphCurve]] = []
+    fibers_over: dict[tuple, list[tuple[str, VerticalFiber]]] = {}
+    for name, curve in curves.items():
+        if isinstance(curve, VerticalFiber):
+            fibers_over.setdefault(curve.z0.key, []).append((name, curve))
+        else:
+            graphs.append((name, curve))
+    table: dict[str, dict[str, int]] = {}
+    for p in core.points:
+        candidates = graphs + fibers_over.get(p.z.key, [])
+        table[core.point_names[p.key]] = {
+            name: 1 for name, curve in candidates if curve.contains_point(p)
+        }
+    return table
+
+
 def _quotient_and_blowup(core: _Core, extra_curves: dict[str, GraphCurve | VerticalFiber],
                          extra_orbits: dict[str, tuple[str, ...]],
                          pairwise: dict[tuple[str, str], int],
-                         chk: _Checks) -> tuple[SurfaceModel, SurfaceModel, list[str]]:
+                         chk: _Checks) -> tuple[SurfaceModel, SurfaceModel]:
     """Assemble the upstairs model, push it through the deck quotient and
-    blow up the triple points.  Returns (quotient, blown_up, point_names)."""
+    blow up the triple points.  Returns (quotient, blown_up)."""
     n = core.n
-    curves: dict[str, CurveRecord] = {}
-    for name in _SLOPE_NAMES:
-        curves[name] = CurveRecord(0, SMOOTH_ELLIPTIC)
-    for name in extra_curves:
-        curves[name] = CurveRecord(0, SMOOTH_ELLIPTIC)
-
-    points: dict[str, dict[str, int]] = {}
-    slope_by_name = dict(zip(_SLOPE_NAMES, core.slopes))
-    for p in core.points:
-        mults: dict[str, int] = {}
-        for name, curve in slope_by_name.items():
-            if curve.contains_point(p):
-                mults[name] = 1
-        for name, curve in extra_curves.items():
-            if curve.contains_point(p):
-                mults[name] = 1
-        points[core.point_names[p.key]] = mults
+    upstairs_curves = {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra_curves}
+    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in upstairs_curves}
+    points = _incidence(core, upstairs_curves)
     chk.expect("all_slope_curves_through_every_point", True,
                all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES)
                    for m in points.values()))
@@ -517,14 +529,13 @@ def _quotient_and_blowup(core: _Core, extra_curves: dict[str, GraphCurve | Verti
     chk.expect("quotient_core_triple_points", [3] * n,
                [quotient.point_multiplicity(f"q{j}", CORE_CURVE) for j in range(n)])
 
-    blown = quotient
-    for j in range(n):
-        blown = blow_up(blown, f"q{j}", exceptional_name=f"exc{j + 1}")
+    blown = blow_up(quotient, [f"q{j}" for j in range(n)],
+                    exceptional_name=[f"exc{j + 1}" for j in range(n)])
     chk.expect("chi", n, blown.chi_top)
     chk.expect("k2", -n, blown.k2)
     chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC,
                blown.curves[CORE_CURVE].kind)
-    return quotient, blown, [f"q{j}" for j in range(n)]
+    return quotient, blown
 
 
 def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
@@ -533,10 +544,7 @@ def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
     chk.expect("boundary_self_intersections", expected_self, actual_self)
     chk.expect("boundary_self_intersections_negative", True,
                all(v < 0 for v in actual_self.values()))
-    disjoint = all(
-        blown.pairwise_int(a, b) == 0
-        for i, a in enumerate(boundary) for b in boundary[i + 1:]
-    )
+    disjoint = not any(value for _, _, value in blown.pairs_among(boundary))
     chk.expect("boundary_pairwise_disjoint", True, disjoint)
     try:
         pair = LogPair(blown, boundary)
@@ -573,19 +581,28 @@ def _certify_pair(pair: LogPair, n: int, expected_cusps: int,
 
 def _exceptional_ledger(blown: SurfaceModel, n: int, fiber_names: list[str] | None,
                         chk: _Checks) -> None:
+    """Each exc{j} is a smooth rational (-1)-curve meeting the core curve
+    3 times and fiber{j} once; it misses every other fiber and every other
+    exceptional curve.  Those vanishing entries are read off the sparse
+    pairwise table, where any nonzero entry among them fails the ledger."""
+    excs = {f"exc{j}": j for j in range(1, n + 1)}
+    fibers = {name: i for i, name in enumerate(fiber_names or (), start=1)}
     ok = True
-    for j in range(1, n + 1):
-        exc = f"exc{j}"
+    for exc, j in excs.items():
         rec = blown.curves[exc]
         ok = ok and rec.self_int == -1 and rec.kind == "smooth-rational"
         ok = ok and blown.pairwise_int(exc, CORE_CURVE) == 3
         if fiber_names is not None:
-            for i, fiber in enumerate(fiber_names, start=1):
-                expected = 1 if i == j else 0
-                ok = ok and blown.pairwise_int(exc, fiber) == expected
-        for k in range(1, n + 1):
-            if k != j:
-                ok = ok and blown.pairwise_int(exc, f"exc{k}") == 0
+            ok = ok and blown.pairwise_int(exc, fiber_names[j - 1]) == 1
+    for (a, b), value in blown.pairwise.items():
+        if not value or (a not in excs and b not in excs):
+            continue
+        if a in excs and b in excs:
+            ok = False
+            continue
+        j, other = (excs[a], b) if a in excs else (excs[b], a)
+        if fibers.get(other, j) != j:
+            ok = False
     chk.expect("exceptional_curve_ledger", True, ok)
 
 
@@ -662,6 +679,21 @@ _TOWER_FLAG = (
 )
 
 
+def _vertical_fibers(core: _Core) -> tuple[dict[str, VerticalFiber],
+                                           dict[str, tuple[str, ...]]]:
+    """The three vertical fibers vert{j}_k over the members of the j-th point
+    orbit, and their deck orbits fiber{j}; the images are the Albanese
+    fibers through the triple points."""
+    curves: dict[str, VerticalFiber] = {}
+    orbits: dict[str, tuple[str, ...]] = {}
+    for j, orbit in enumerate(core.orbits, start=1):
+        names = tuple(f"vert{j}_{k}" for k in range(3))
+        for name, point in zip(names, orbit):
+            curves[name] = VerticalFiber(core.torus, point.z)
+        orbits[f"fiber{j}"] = names
+    return curves, orbits
+
+
 def build_gamma_family(n: int) -> ConstructionReport:
     """Build and certify the (n+1)-cusped family member at level n.
 
@@ -677,20 +709,9 @@ def build_gamma_family(n: int) -> ConstructionReport:
         raise ValueError("n must be a positive integer")
     chk = _Checks()
     core = _shared_geometry(n, chk)
-    torus = core.torus
 
-    # The three vertical fibers over each point orbit are themselves one
-    # deck orbit; their images are the Albanese fibers through the triple
-    # points.
-    extra_curves: dict[str, VerticalFiber] = {}
-    extra_orbits: dict[str, tuple[str, ...]] = {}
-    fiber_names: list[str] = []
-    for j, orbit in enumerate(core.orbits, start=1):
-        names = tuple(f"vert{j}_{k}" for k in range(3))
-        for name, point in zip(names, orbit):
-            extra_curves[name] = VerticalFiber(torus, point.z)
-        extra_orbits[f"fiber{j}"] = names
-        fiber_names.append(f"fiber{j}")
+    extra_curves, extra_orbits = _vertical_fibers(core)
+    fiber_names = list(extra_orbits)
     vertical_names = list(extra_curves)
     chk.expect("vertical_fibers_distinct", 3 * n,
                len({extra_curves[name].z0.key for name in vertical_names}))
@@ -703,8 +724,8 @@ def build_gamma_family(n: int) -> ConstructionReport:
         for slope_name in _SLOPE_NAMES:
             pairwise[(slope_name, name)] = 1
 
-    quotient, blown, _ = _quotient_and_blowup(core, extra_curves, extra_orbits,
-                                              pairwise, chk)
+    quotient, blown = _quotient_and_blowup(core, extra_curves, extra_orbits,
+                                           pairwise, chk)
     chk.expect("quotient_fiber_self_intersections", [0] * n,
                [quotient.curves[f].self_int for f in fiber_names])
     chk.expect("quotient_core_meets_each_fiber", [3] * n,
@@ -842,8 +863,8 @@ def build_lambda_family(n: int) -> ConstructionReport:
             pairwise[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = core.pair_counts[(i, j)]
     pairwise.update(mixed_results)
 
-    quotient, blown, _ = _quotient_and_blowup(core, extra_curves, extra_orbits,
-                                              pairwise, chk)
+    quotient, blown = _quotient_and_blowup(core, extra_curves, extra_orbits,
+                                           pairwise, chk)
     chk.expect("quotient_level_self_intersection", 0,
                quotient.curves[LEVEL_CURVE].self_int)
     chk.expect("quotient_core_meets_level", 3 * n,

@@ -11,6 +11,7 @@ integer computations on this data.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -103,6 +104,14 @@ class SurfaceModel:
     def point_multiplicity(self, point: str, curve: str) -> int:
         return self.points[point].get(curve, 0)
 
+    def pairs_among(self, names: Iterable[str]) -> list[tuple[str, str, int]]:
+        """The stored pairwise entries (a, b, value) with both curves in
+        names, read off the sparse table in one pass; every pair of names
+        not listed meets in 0 points, exactly as pairwise_int reports."""
+        inside = set(names)
+        return [(a, b, value) for (a, b), value in self.pairwise.items()
+                if a in inside and b in inside]
+
 
 @dataclass(frozen=True)
 class QuotientOrbits:
@@ -153,93 +162,127 @@ def etale_quotient(model: SurfaceModel, group_order: int,
             raise ValueError(f"{what} does not divide by the group order")
         return total // g
 
+    # One pass over the sparse pairwise table: an entry inside an orbit
+    # counts twice towards (sum O)^2, an entry across two orbits once
+    # towards their image pair, recorded as (later image, earlier image).
     image_names = list(orbits.curve_orbits)
+    position = {image: i for i, image in enumerate(image_names)}
+    image_of = {name: image for image, orbit in orbits.curve_orbits.items()
+                for name in orbit}
+    self_totals = {image: sum(model.curves[name].self_int for name in orbit)
+                   for image, orbit in orbits.curve_orbits.items()}
+    cross_totals: dict[str, dict[str, int]] = {image: {} for image in image_names}
+    for (a, b), value in model.pairwise.items():
+        ia, ib = image_of[a], image_of[b]
+        if ia == ib:
+            self_totals[ia] += 2 * value
+            continue
+        if position[ia] < position[ib]:
+            ia, ib = ib, ia
+        row = cross_totals[ia]
+        row[ib] = row.get(ib, 0) + value
+
     new_curves: dict[str, CurveRecord] = {}
     new_pairwise: dict[tuple[str, str], int] = {}
-
-    for i, image in enumerate(image_names):
+    for image in image_names:
         orbit = orbits.curve_orbits[image]
-        total = sum(model.pairwise_int(a, b) for a in orbit for b in orbit)
-        self_int = pushed(total, f"(sum of orbit {image!r})^2")
-        for other in image_names[:i]:
-            other_orbit = orbits.curve_orbits[other]
-            cross = sum(model.pairwise_int(a, b) for a in orbit for b in other_orbit)
-            value = pushed(cross, f"intersection of orbits {image!r} and {other!r}")
+        self_int = pushed(self_totals[image], f"(sum of orbit {image!r})^2")
+        row = cross_totals[image]
+        for other in sorted(row, key=position.__getitem__):
+            value = pushed(row[other], f"intersection of orbits {image!r} and {other!r}")
             if value:
                 new_pairwise[_pair_key(image, other)] = value
         new_curves[image] = CurveRecord(self_int, model.curves[orbit[0]].kind)
 
+    # Branch counts per orbit member, from each point's nonzero
+    # multiplicities only; every member of an orbit must agree.
     new_points: dict[str, dict[str, int]] = {}
     for image_point, orbit in orbits.point_orbits.items():
-        branch_counts: dict[str, int] = {}
-        for image, curve_orbit in orbits.curve_orbits.items():
-            per_member = {
-                sum(model.point_multiplicity(p, c) for c in curve_orbit) for p in orbit
-            }
-            if len(per_member) != 1:
-                raise ValueError(f"branch count at {image_point!r} differs across the orbit")
-            count = per_member.pop()
-            if count:
-                branch_counts[image] = count
-        new_points[image_point] = branch_counts
+        per_member = []
+        for p in orbit:
+            counts: dict[str, int] = {}
+            for curve, mult in model.points[p].items():
+                if mult:
+                    image = image_of[curve]
+                    counts[image] = counts.get(image, 0) + mult
+            per_member.append(counts)
+        if any(counts != per_member[0] for counts in per_member[1:]):
+            raise ValueError(f"branch count at {image_point!r} differs across the orbit")
+        new_points[image_point] = per_member[0]
 
     # A curve acquiring a point of multiplicity >= 2 downstairs is singular;
     # its normalization is the common smooth kind of the orbit members.
-    for image in image_names:
-        worst = max((m.get(image, 0) for m in new_points.values()), default=0)
-        if worst >= 2:
-            rec = new_curves[image]
-            new_curves[image] = CurveRecord(rec.self_int, SINGULAR, resolved_kind=rec.kind)
+    multiple = {image for counts in new_points.values()
+                for image, count in counts.items() if count >= 2}
+    for image in multiple:
+        rec = new_curves[image]
+        new_curves[image] = CurveRecord(rec.self_int, SINGULAR, resolved_kind=rec.kind)
 
     return SurfaceModel.build(model.chi_top // g, model.k2 // g,
                               new_curves, new_pairwise, new_points)
 
 
-def blow_up(model: SurfaceModel, point: str,
-            exceptional_name: str | None = None) -> SurfaceModel:
-    """Blow up one marked point.
+def blow_up(model: SurfaceModel, points: str | Sequence[str],
+            exceptional_name: str | Sequence[str] | None = None) -> SurfaceModel:
+    """Blow up one marked point, or several distinct marked points at once.
 
-    Euler number rises by 1, K^2 drops by 1, each curve through the point
-    with multiplicity m loses m^2 from its self-intersection and meets the
-    new exceptional (-1)-curve in m points; pairwise numbers drop by the
-    product of multiplicities.  A singular curve whose last multiple point
-    this was becomes its resolved kind.
+    points is one point name or a sequence of distinct names, and
+    exceptional_name correspondingly one name or a sequence of names
+    (default exc_<point>).  Euler number rises by 1 and K^2 drops by 1 per
+    point; each curve through a point with multiplicity m loses m^2 from
+    its self-intersection and meets that point's new exceptional
+    (-1)-curve in m points; pairwise numbers drop by the product of
+    multiplicities.  A singular curve with no multiple point left becomes
+    its resolved kind.  Blowing up several points gives the same model as
+    blowing them up one at a time, with a single rebuild.
     """
-    if point not in model.points:
-        raise ValueError(f"unknown marked point {point!r}")
-    mults = model.points[point]
-    exc = exceptional_name or f"exc_{point}"
-    if exc in model.curves:
-        raise ValueError(f"exceptional name {exc!r} already in use")
+    points = (points,) if isinstance(points, str) else tuple(points)
+    if exceptional_name is None:
+        excs = tuple(f"exc_{point}" for point in points)
+    elif isinstance(exceptional_name, str):
+        excs = (exceptional_name,)
+    else:
+        excs = tuple(exceptional_name)
+    if not points or len(set(points)) != len(points):
+        raise ValueError("need one or more distinct points to blow up")
+    if len(excs) != len(points) or len(set(excs)) != len(excs):
+        raise ValueError("need one distinct exceptional name per point")
+    for point, exc in zip(points, excs):
+        if point not in model.points:
+            raise ValueError(f"unknown marked point {point!r}")
+        if exc in model.curves:
+            raise ValueError(f"exceptional name {exc!r} already in use")
+
+    chosen = set(points)
+    still_multiple = {name for point, mults in model.points.items() if point not in chosen
+                      for name, m in mults.items() if m >= 2}
+    drops: dict[str, int] = {}
+    new_pairwise = dict(model.pairwise)
+    for point, exc in zip(points, excs):
+        mults = model.points[point]
+        # Only curves actually through the point change any pairwise number.
+        through = [name for name, m in mults.items() if m]
+        for i, a in enumerate(through):
+            m = mults[a]
+            if m >= 2 and model.curves[a].kind != SINGULAR:
+                raise ValueError(f"smooth curve {a!r} cannot have multiplicity {m}")
+            drops[a] = drops.get(a, 0) + m * m
+            for b in through[i + 1:]:
+                key = _pair_key(a, b)
+                new_pairwise[key] = new_pairwise.get(key, 0) - m * mults[b]
+            new_pairwise[_pair_key(a, exc)] = m
 
     new_curves: dict[str, CurveRecord] = {}
     for name, rec in model.curves.items():
-        m = mults.get(name, 0)
-        if m >= 2 and rec.kind != SINGULAR:
-            raise ValueError(f"smooth curve {name!r} cannot have multiplicity {m}")
         kind, resolved = rec.kind, rec.resolved_kind
-        if rec.kind == SINGULAR:
-            still_multiple = any(
-                other_mults.get(name, 0) >= 2
-                for other_point, other_mults in model.points.items()
-                if other_point != point
-            )
-            if not still_multiple:
-                kind, resolved = rec.resolved_kind, None
-        new_curves[name] = CurveRecord(rec.self_int - m * m, kind, resolved)
-    new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
+        if kind == SINGULAR and name not in still_multiple:
+            kind, resolved = resolved, None
+        new_curves[name] = CurveRecord(rec.self_int - drops.get(name, 0), kind, resolved)
+    for exc in excs:
+        new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
 
-    # Only curves actually through the point change any pairwise number.
-    new_pairwise = dict(model.pairwise)
-    through = [name for name, m in mults.items() if m]
-    for i, a in enumerate(through):
-        for b in through[i + 1:]:
-            key = _pair_key(a, b)
-            new_pairwise[key] = new_pairwise.get(key, 0) - mults[a] * mults[b]
-        new_pairwise[_pair_key(a, exc)] = mults[a]
-
-    new_points = {p: dict(m) for p, m in model.points.items() if p != point}
-    return SurfaceModel.build(model.chi_top + 1, model.k2 - 1,
+    new_points = {p: dict(m) for p, m in model.points.items() if p not in chosen}
+    return SurfaceModel.build(model.chi_top + len(points), model.k2 - len(points),
                               new_curves, new_pairwise, new_points)
 
 
@@ -273,10 +316,9 @@ class LogPair:
                 raise ValueError(f"boundary curve {name!r} is not smooth elliptic")
             if rec.self_int >= 0:
                 raise ValueError(f"boundary curve {name!r} has nonnegative self-intersection")
-        for i, a in enumerate(self.boundary):
-            for b in self.boundary[i + 1:]:
-                if self.surface.pairwise_int(a, b) != 0:
-                    raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
+        for a, b, value in self.surface.pairs_among(self.boundary):
+            if value:
+                raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
 
 
 def log_chern(pair: LogPair) -> tuple[int, int]:
@@ -291,10 +333,8 @@ def log_chern(pair: LogPair) -> tuple[int, int]:
     c1 = surface.k2
     for name in pair.boundary:
         c1 += 2 * k_dot(surface, name) + surface.curves[name].self_int
-    names = pair.boundary
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            c1 += 2 * surface.pairwise_int(a, b)
+    for _, _, value in surface.pairs_among(pair.boundary):
+        c1 += 2 * value
     return c1, c2
 
 
@@ -322,12 +362,11 @@ class NefReport:
 def nef_numerical_check(pair: LogPair) -> NefReport:
     surface = pair.surface
     c1, _ = log_chern(pair)
-    pairings = {}
-    for name in pair.boundary:
-        value = k_dot(surface, name) + surface.curves[name].self_int
-        value += sum(surface.pairwise_int(name, other)
-                     for other in pair.boundary if other != name)
-        pairings[name] = value
+    pairings = {name: k_dot(surface, name) + surface.curves[name].self_int
+                for name in pair.boundary}
+    for a, b, value in surface.pairs_among(pair.boundary):
+        pairings[a] += value
+        pairings[b] += value
     return NefReport(c1, pairings)
 
 

@@ -1,8 +1,11 @@
 """Exit codes, output formats and determinism of the command line tool."""
 
+import argparse
 import json
 import subprocess
 import sys
+
+import pytest
 
 from ballq import cli, families
 
@@ -214,3 +217,62 @@ def test_spectrum_out_file(tmp_path, capsys):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["saturates_volume_spectrum"] is True
+
+
+def test_build_error_is_reported_with_exit_one(capsys, monkeypatch):
+    def broken(core, members, chk):
+        raise ValueError("seeded fault")
+
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "_generic_fiber_rows", broken)
+    code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "error: gamma n=3: ValueError: seeded fault" in err
+    assert "usage error" not in err
+
+
+def test_build_error_keeps_other_levels(capsys, monkeypatch):
+    original = families._generic_fiber_rows
+
+    def broken_at_three(core, members, chk):
+        if core.n == 3:
+            raise ValueError("seeded fault")
+        return original(core, members, chk)
+
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "_generic_fiber_rows", broken_at_three)
+    code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4")
+    assert code == 1
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [2, 4]
+    assert err.strip() == "error: gamma n=3: ValueError: seeded fault"
+
+
+def test_intersect_zero_denominator_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "intersect", "graph:1/0,0", "graph:1,0", "--n", "1")
+    assert code == 2
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("requested, env, levels, cpus, expected", [
+    (8, None, 20, 2, 2),
+    (8, None, 1, 4, 1),
+    (2, None, 5, 4, 2),
+    (3, None, 5, None, 1),
+    (None, "3", 10, 8, 3),
+    (None, None, 10, 8, 1),
+])
+def test_resolve_jobs_is_bounded(monkeypatch, requested, env, levels, cpus, expected):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    if env is None:
+        monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.JOBS_ENV_VAR, env)
+    args = argparse.Namespace(jobs=requested)
+    assert cli._resolve_jobs(args, levels) == expected
+
+
+def test_resolve_jobs_rejects_nonpositive(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    with pytest.raises(cli.UsageError):
+        cli._resolve_jobs(argparse.Namespace(jobs=0), 5)

@@ -6,9 +6,16 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from ballq.curves import GraphCurve, VerticalFiber
 from ballq.eisenstein import RHO
 
 from ballq.families import (
+    _LEVEL_NAMES,
+    _SLOPE_NAMES,
+    _Checks,
+    _incidence,
+    _shared_geometry,
+    _vertical_fibers,
     BdFInvalid,
     BdFType,
     GAMMA,
@@ -24,6 +31,7 @@ from ballq.families import (
     build_lambda_family,
     covering_report,
     fiber_report,
+    level_curves,
     level_lattice,
     render_markdown,
 )
@@ -319,3 +327,42 @@ def test_deck_classification_multiplier_branches():
 def test_fiber_report_rejects_bad_family():
     with pytest.raises(ValueError):
         fiber_report("nope", 1)
+
+
+def _incidence_inputs(family, n):
+    core = _shared_geometry(n, _Checks())
+    if family == GAMMA:
+        extra, _ = _vertical_fibers(core)
+    else:
+        extra = dict(zip(_LEVEL_NAMES, level_curves(core.torus)))
+    return core, {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra}
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_keyed_incidence_equals_brute_force(family):
+    for n in range(1, 9):
+        core, curves = _incidence_inputs(family, n)
+        brute = {
+            core.point_names[p.key]: {name: 1 for name, curve in curves.items()
+                                      if curve.contains_point(p)}
+            for p in core.points
+        }
+        assert _incidence(core, curves) == brute
+
+
+def test_gamma_incidence_tests_grow_linearly(monkeypatch):
+    calls = [0]
+
+    def counting(method):
+        def wrapper(self, p):
+            calls[0] += 1
+            return method(self, p)
+        return wrapper
+
+    for cls in (GraphCurve, VerticalFiber):
+        monkeypatch.setattr(cls, "contains_point", counting(cls.contains_point))
+    n = 40
+    assert build_gamma_family(n).passed
+    # 3n points, each tested against the 3 slope curves and the one
+    # vertical fiber over its own z
+    assert calls[0] <= 12 * n, calls[0]

@@ -88,6 +88,91 @@ def test_quotient_rejects_partial_partition():
         etale_quotient(model, 3, broken)
 
 
+def dense_quotient_numbers(model, g, orbits):
+    """Reference for etale_quotient: every orbit pair and every point
+    orbit against every curve orbit, through pairwise_int and
+    point_multiplicity.  Returns (self-intersections, pairwise, points)."""
+    def pushed(total, what):
+        if total % g:
+            raise ValueError(f"{what} does not divide by the group order")
+        return total // g
+
+    images = list(orbits.curve_orbits)
+    self_ints, pairwise = {}, {}
+    for i, image in enumerate(images):
+        orbit = orbits.curve_orbits[image]
+        self_ints[image] = pushed(sum(model.pairwise_int(a, b)
+                                      for a in orbit for b in orbit),
+                                  f"(sum of orbit {image!r})^2")
+        for other in images[:i]:
+            cross = sum(model.pairwise_int(a, b)
+                        for a in orbit for b in orbits.curve_orbits[other])
+            value = pushed(cross, f"intersection of orbits {image!r} and {other!r}")
+            if value:
+                pairwise[tuple(sorted((image, other)))] = value
+    points = {}
+    for q, orbit in orbits.point_orbits.items():
+        counts = {}
+        for image, curve_orbit in orbits.curve_orbits.items():
+            per_member = {sum(model.point_multiplicity(p, c) for c in curve_orbit)
+                          for p in orbit}
+            if len(per_member) != 1:
+                raise ValueError(f"branch count at {q!r} differs across the orbit")
+            if per_member != {0}:
+                counts[image] = per_member.pop()
+        points[q] = counts
+    return self_ints, pairwise, points
+
+
+def random_orbit_model(rng):
+    """Curve orbits of size 1 or 3 and point orbits of size 3 with sparse
+    random numbers, so that some quotients exist and some must fail."""
+    curve_orbits, curves = {}, {}
+    for i in range(rng.randint(1, 4)):
+        names = tuple(f"c{i}_{k}" for k in range(rng.choice((1, 3))))
+        curve_orbits[f"img{i}"] = names
+        self_int = rng.choice((0, 0, 0, 3, -3, 1))
+        for name in names:
+            curves[name] = CurveRecord(self_int, SMOOTH_ELLIPTIC)
+    names = list(curves)
+    pairwise = {(a, b): rng.choice((0, 1, 3, 3))
+                for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.4}
+    point_orbits, points = {}, {}
+    for j in range(rng.randint(0, 2)):
+        members = tuple(f"p{j}_{k}" for k in range(3))
+        point_orbits[f"q{j}"] = members
+        base = {name: rng.randint(0, 1) for name in names}
+        for member in members:
+            mults = dict(base)
+            if rng.random() < 0.15:
+                flip = rng.choice(names)
+                mults[flip] = 1 - mults[flip]
+            points[member] = mults
+    model = SurfaceModel.build(0, 0, curves, pairwise, points)
+    return model, QuotientOrbits(curve_orbits, point_orbits)
+
+
+def test_quotient_matches_dense_reference():
+    rng = random.Random(2024)
+    outcomes = {"quotient": 0, "error": 0}
+    for _ in range(400):
+        model, orbits = random_orbit_model(rng)
+        try:
+            expected = dense_quotient_numbers(model, 3, orbits)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                etale_quotient(model, 3, orbits)
+            assert str(raised.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        image = etale_quotient(model, 3, orbits)
+        got = ({name: rec.self_int for name, rec in image.curves.items()},
+               image.pairwise, image.points)
+        assert got == expected
+        outcomes["quotient"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def build_blown_gamma(n):
     """Quotient of the slope orbit plus n fiber orbits, then n blow-ups."""
     names = ("s0", "s1", "s2")
@@ -248,26 +333,41 @@ def test_volume_json_tags_decimal_as_display_only():
     assert "approx_display_only" in doc
 
 
+def random_blowup_model(rng, point_names=("p",)):
+    """A random model of up to four curves with the given marked points.
+    Singular curves pass through the first point with multiplicity 2 or 3
+    and through later points with multiplicity 0 to 3; smooth curves pass
+    through each point with multiplicity 0 or 1."""
+    k = rng.randint(1, 4)
+    names = [f"c{i}" for i in range(k)]
+    curves = {}
+    for name in names:
+        mult = rng.randint(0, 3)
+        kind = SINGULAR if mult >= 2 else rng.choice(
+            (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL))
+        resolved = SMOOTH_ELLIPTIC if kind == SINGULAR else None
+        curves[name] = CurveRecord(rng.randint(-5, 5), kind, resolved)
+    points = {}
+    for i, point in enumerate(point_names):
+        mults = {}
+        for name in names:
+            if curves[name].kind == SINGULAR:
+                mults[name] = rng.randint(2, 3) if i == 0 else rng.randint(0, 3)
+            else:
+                mults[name] = rng.randint(0, 1)
+        points[point] = mults
+    pairwise = {(a, b): rng.randint(0, 4)
+                for i, a in enumerate(names) for b in names[i + 1:]}
+    return SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
+                              curves, pairwise, points)
+
+
 def test_blow_up_deltas_random_models():
     rng = random.Random(777)
     for _ in range(120):
-        k = rng.randint(1, 4)
-        names = [f"c{i}" for i in range(k)]
-        curves = {}
-        for name in names:
-            mult = rng.randint(0, 3)
-            kind = SINGULAR if mult >= 2 else rng.choice(
-                (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL))
-            resolved = SMOOTH_ELLIPTIC if kind == SINGULAR else None
-            curves[name] = CurveRecord(rng.randint(-5, 5), kind, resolved)
-        mults = {}
-        for name in names:
-            rec = curves[name]
-            mults[name] = rng.randint(2, 3) if rec.kind == SINGULAR else rng.randint(0, 1)
-        pairwise = {(a, b): rng.randint(0, 4)
-                    for i, a in enumerate(names) for b in names[i + 1:]}
-        model = SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
-                                   curves, pairwise, {"p": mults})
+        model = random_blowup_model(rng)
+        curves, mults = model.curves, model.points["p"]
+        names = list(curves)
         blown = blow_up(model, "p", exceptional_name="exc")
         assert blown.chi_top == model.chi_top + 1
         assert blown.k2 == model.k2 - 1
@@ -279,6 +379,66 @@ def test_blow_up_deltas_random_models():
             for b in names[i + 1:]:
                 assert (blown.pairwise_int(a, b)
                         == model.pairwise_int(a, b) - mults[a] * mults[b])
+
+
+def assert_same_model(got, expected):
+    assert got.chi_top == expected.chi_top
+    assert got.k2 == expected.k2
+    assert got.curves == expected.curves
+    assert got.pairwise == expected.pairwise
+    assert got.points == expected.points
+
+
+def test_multi_point_blow_up_equals_folded_single_blow_ups():
+    rng = random.Random(778)
+    resolved = kept_singular = 0
+    for _ in range(200):
+        names = [f"p{i}" for i in range(rng.randint(1, 4))]
+        model = random_blowup_model(rng, names)
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        excs = [f"e_{point}" for point in chosen]
+        folded = model
+        for point, exc in zip(chosen, excs):
+            folded = blow_up(folded, point, exceptional_name=exc)
+        assert_same_model(blow_up(model, chosen, exceptional_name=excs), folded)
+
+        folded_default = model
+        for point in chosen:
+            folded_default = blow_up(folded_default, point)
+        assert_same_model(blow_up(model, chosen), folded_default)
+
+        for name, rec in model.curves.items():
+            if rec.kind == SINGULAR:
+                if folded.curves[name].kind == SINGULAR:
+                    kept_singular += 1
+                else:
+                    resolved += 1
+    # both outcomes for singular curves are exercised
+    assert resolved and kept_singular
+
+
+def test_multi_point_blow_up_of_gamma_quotient():
+    for n in (1, 3, 4):
+        image, folded = build_blown_gamma(n)
+        batched = blow_up(image, [f"q{m}" for m in range(n)],
+                          exceptional_name=[f"e{m + 1}" for m in range(n)])
+        assert_same_model(batched, folded)
+
+
+def test_multi_point_blow_up_rejects_bad_input():
+    model = upstairs_model(1)
+    with pytest.raises(ValueError):
+        blow_up(model, [])
+    with pytest.raises(ValueError):
+        blow_up(model, ["p0_0", "p0_0"])
+    with pytest.raises(ValueError):
+        blow_up(model, ["p0_0", "nope"])
+    with pytest.raises(ValueError):
+        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e"])
+    with pytest.raises(ValueError):
+        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e", "e"])
+    with pytest.raises(ValueError):
+        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e", "s0"])
 
 
 def test_curve_record_validation():
