@@ -7,7 +7,7 @@ invariants, log-Chern equality, exact hyperbolic volumes, cusp counts and
 betti-number constraints.
 """
 
-from .eisenstein import ONE, RHO, RHO2, ZERO, EisensteinNumber, Rational, eis
+from .eisenstein import ONE, RHO, RHO2, ZERO, EisensteinNumber, eis
 from .lattices import (
     IntegerMatrix2x2,
     Lattice,
@@ -56,16 +56,17 @@ from .homology import (
     mv_tables,
 )
 from .families import (
+    GAMMA,
+    LAMBDA,
     BdFInvalid,
     BdFType,
+    BuildError,
     ConstructionReport,
     albanese_data,
     bdf_catalog,
     bdf_classify,
-    build_gamma_family,
-    build_lambda_family,
+    build_family,
     covering_report,
-    fiber_report,
 )
 
 __version__ = "0.1.0"

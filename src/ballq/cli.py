@@ -56,14 +56,15 @@ def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
     return min(jobs, levels, os.cpu_count() or 1)
 
 
-def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object] | None, str | None]:
-    """(report document, None) for a level, or (None, error text) when
-    building it raised; the error names the level and the exception."""
+def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
+    """(report document, None) for a level, or (failed report document,
+    error text) when building it raised; the failed report names the step
+    and the error text names the level and the exception."""
     family, n = task
     try:
         return families.build_family(family, n).to_json_dict(), None
-    except Exception as exc:
-        return None, f"{family} n={n}: {type(exc).__name__}: {exc}"
+    except families.BuildError as exc:
+        return exc.to_json_dict(), str(exc)
 
 
 def _emit(text: str, out_path: str | None) -> int:
@@ -88,10 +89,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             results = list(pool.map(_report_dict, tasks))
     else:
         results = [_report_dict(task) for task in tasks]
-    docs = [doc for doc, _ in results if doc is not None]
-    errors = [error for _, error in results if error is not None]
-    for error in errors:
-        print(f"error: {error}", file=sys.stderr)
+    docs = [doc for doc, _ in results]
+    for _, error in results:
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
     if args.format == "json":
         lines = [json.dumps(doc) for doc in docs]
     else:
@@ -99,7 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     status = _emit("".join(line + "\n" for line in lines), args.out)
     if status:
         return status
-    return 0 if not errors and all(doc["passed"] for doc in docs) else 1
+    return 0 if all(doc["passed"] for doc in docs) else 1
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:

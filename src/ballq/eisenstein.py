@@ -12,10 +12,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Canonical exact rational type.  fractions.Fraction already guarantees the
-# reduced form gcd(numerator, denominator) == 1 with denominator > 0.
-Rational = Fraction
-
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _RHO_SUFFIXES = ("ρ", "r")
 
@@ -163,11 +159,6 @@ class EisensteinNumber:
     def to_json(self) -> list[str]:
         """JSON form: pair of rational strings [a, b] for a + b*rho."""
         return [str(self.re_part), str(self.rho_part)]
-
-    @classmethod
-    def from_json(cls, data: list[str]) -> "EisensteinNumber":
-        a, b = data
-        return cls(Fraction(a), Fraction(b))
 
 
 def _promote(value: object) -> EisensteinNumber | None:

@@ -1,4 +1,4 @@
-"""End-to-end builders for the two families of ball-quotient compactifications.
+"""End-to-end builder for the two families of ball-quotient compactifications.
 
 Both families start from the same geometry: the product of the hexagonal
 elliptic curve C/Z[rho] with the level-n curve C/Z[n, 1-rho], three graph
@@ -8,13 +8,15 @@ to n triple points of an irreducible curve on the bielliptic quotient.
 Blowing the triple points up yields the compactifying surface; the two
 families differ only in the boundary divisor added to the resolved triple
 curve: the n fiber transforms (n+1 cusps) or the single resolved orbit of
-constant graphs (2 cusps).  Every numerical claim is recomputed exactly
-and recorded in a ConstructionReport.
+constant graphs (2 cusps).  build_family runs that one pipeline, and a
+small record per family supplies only what differs.  Every numerical claim
+is recomputed exactly and recorded in a ConstructionReport.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -362,10 +364,25 @@ class ConstructionReport:
         return render_markdown(self.to_json_dict())
 
 
+class BuildError(Exception):
+    """A step of build_family raised; the original exception is the cause."""
+
+    def __init__(self, family: str, n: int, stage: str, error: Exception) -> None:
+        super().__init__(f"{family} n={n}: {type(error).__name__}: {error}")
+        self.family, self.n, self.stage, self.error = family, n, stage, error
+
+    def to_json_dict(self) -> dict[str, object]:
+        """The failed report of the level: no values or checks, and an
+        error naming the step, the exception type and its message."""
+        failed = ConstructionReport(self.family, self.n, False, {}, (), (), ())
+        return {**failed.to_json_dict(), "error": {
+            "stage": self.stage, "type": type(self.error).__name__, "message": str(self.error)}}
+
+
 def render_markdown(doc: dict[str, object]) -> str:
     """Human-readable rendering of a report JSON document; numbers are the
-    same ones the JSON carries.  Reports of failed builds may lack the
-    later pipeline values, so every field falls back to n/a."""
+    same ones the JSON carries.  Reports of failed or crashed builds may
+    lack the later pipeline values, so every field falls back to n/a."""
     values = doc["values"]
     volume = values.get("volume") or {}
     volume_line = "n/a"
@@ -406,6 +423,10 @@ def render_markdown(doc: dict[str, object]) -> str:
     if doc["flags"]:
         lines += ["", "## Flags", ""]
         lines += [f"- {item}" for item in doc["flags"]]
+    if "error" in doc:
+        error = doc["error"]
+        lines += ["", "## Error", "",
+                  f"- {error['stage']}: {error['type']}: {error['message']}"]
     return "\n".join(lines)
 
 
@@ -424,7 +445,7 @@ class _Core:
     point_names: dict[tuple, str]
     orbits: list[list[ProductPoint]]
     closed_keys: frozenset
-    pair_counts: dict[tuple[int, int], int]
+    pair_counts: dict[tuple[str, str], int]
 
 
 def _shared_geometry(n: int, chk: _Checks) -> _Core:
@@ -448,11 +469,11 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
     chk.expect("closed_form_size", 3 * n, len(closed_keys))
 
     base_points: list[ProductPoint] = []
-    pair_counts: dict[tuple[int, int], int] = {}
+    pair_counts: dict[tuple[str, str], int] = {}
     for i in range(3):
         for j in range(i + 1, 3):
             result = intersect_graphs(slopes[i], slopes[j])
-            pair_counts[(i, j)] = result.count
+            pair_counts[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = result.count
             chk.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
             chk.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
                        True, result.keys() == closed_keys)
@@ -498,14 +519,14 @@ def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber]
     return table
 
 
-def _quotient_and_blowup(core: _Core, extra_curves: dict[str, GraphCurve | VerticalFiber],
-                         extra_orbits: dict[str, tuple[str, ...]],
+def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | VerticalFiber],
+                         curve_orbits: dict[str, tuple[str, ...]],
                          pairwise: dict[tuple[str, str], int],
                          chk: _Checks) -> tuple[SurfaceModel, SurfaceModel]:
-    """Assemble the upstairs model, push it through the deck quotient and
-    blow up the triple points.  Returns (quotient, blown_up)."""
+    """Assemble the upstairs model of all curves, push it through the deck
+    quotient with the given curve orbits and blow up the triple points.
+    Returns (quotient, blown_up)."""
     n = core.n
-    upstairs_curves = {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra_curves}
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in upstairs_curves}
     points = _incidence(core, upstairs_curves)
     chk.expect("all_slope_curves_through_every_point", True,
@@ -513,9 +534,6 @@ def _quotient_and_blowup(core: _Core, extra_curves: dict[str, GraphCurve | Verti
                    for m in points.values()))
 
     upstairs = SurfaceModel.build(0, 0, curves, pairwise, points)
-
-    curve_orbits: dict[str, tuple[str, ...]] = {CORE_CURVE: _SLOPE_NAMES}
-    curve_orbits.update(extra_orbits)
     point_orbits = {
         f"q{j}": tuple(core.point_names[p.key] for p in orbit)
         for j, orbit in enumerate(core.orbits)
@@ -679,11 +697,33 @@ _TOWER_FLAG = (
 )
 
 
-def _vertical_fibers(core: _Core) -> tuple[dict[str, VerticalFiber],
-                                           dict[str, tuple[str, ...]]]:
+# ----------------------------------------------------------------------
+# the two families: what each adds to the shared construction
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What one family adds to the shared construction.  upstairs returns
+    the extra curves, their deck orbits (the extra boundary components)
+    and their pairwise entries with the slope curves; fiber_section returns
+    the asserted singular-fiber puncture count (or None) and its flags.
+    Each callable records its own checks."""
+
+    upstairs: Callable[[_Core, _Checks], tuple[dict, dict, dict]]
+    quotient_checks: Callable[[SurfaceModel, int, _Checks], None]
+    orbit_self_intersection: Callable[[int], int]
+    cusps: Callable[[int], int]
+    pair_checks: Callable[[SurfaceModel, int, _Checks], None]
+    ledger_pairs_fibers: bool
+    fiber_section: Callable[[SurfaceModel, int, int, _Checks], tuple[int | None, list[str]]]
+    albanese_checks: tuple[str, ...]
+
+
+def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
     """The three vertical fibers vert{j}_k over the members of the j-th point
-    orbit, and their deck orbits fiber{j}; the images are the Albanese
-    fibers through the triple points."""
+    orbit, each meeting every slope curve once, and their deck orbits
+    fiber{j}; the images are the Albanese fibers through the triple points."""
     curves: dict[str, VerticalFiber] = {}
     orbits: dict[str, tuple[str, ...]] = {}
     for j, orbit in enumerate(core.orbits, start=1):
@@ -691,134 +731,44 @@ def _vertical_fibers(core: _Core) -> tuple[dict[str, VerticalFiber],
         for name, point in zip(names, orbit):
             curves[name] = VerticalFiber(core.torus, point.z)
         orbits[f"fiber{j}"] = names
-    return curves, orbits
+    chk.expect("vertical_fibers_distinct", 3 * core.n,
+               len({curve.z0.key for curve in curves.values()}))
+    pairwise = {(slope, name): 1 for name in curves for slope in _SLOPE_NAMES}
+    return curves, orbits, pairwise
 
 
-def build_gamma_family(n: int) -> ConstructionReport:
-    """Build and certify the (n+1)-cusped family member at level n.
-
-    Pipeline: slope curves and the free order-3 deck map, exact pairwise
-    intersections against the closed-form 3n-point locus, the degree-3
-    quotient carrying the three vertical fibers through each point orbit,
-    n blow-ups, and the boundary made of the resolved triple curve plus
-    the n fiber transforms.  Certifies chi = n, K^2 = -n, boundary
-    self-intersections (-3n, -1, ..., -1), log-Chern equality 3n = 3*n,
-    n+1 cusps and volume coefficient 8n/3.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    chk = _Checks()
-    core = _shared_geometry(n, chk)
-
-    extra_curves, extra_orbits = _vertical_fibers(core)
-    fiber_names = list(extra_orbits)
-    vertical_names = list(extra_curves)
-    chk.expect("vertical_fibers_distinct", 3 * n,
-               len({extra_curves[name].z0.key for name in vertical_names}))
-
-    pairwise: dict[tuple[str, str], int] = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pairwise[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = core.pair_counts[(i, j)]
-    for name in vertical_names:
-        for slope_name in _SLOPE_NAMES:
-            pairwise[(slope_name, name)] = 1
-
-    quotient, blown = _quotient_and_blowup(core, extra_curves, extra_orbits,
-                                           pairwise, chk)
+def _gamma_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
+    fibers = [f"fiber{j}" for j in range(1, n + 1)]
     chk.expect("quotient_fiber_self_intersections", [0] * n,
-               [quotient.curves[f].self_int for f in fiber_names])
+               [quotient.curves[f].self_int for f in fibers])
     chk.expect("quotient_core_meets_each_fiber", [3] * n,
-               [quotient.pairwise_int(CORE_CURVE, f) for f in fiber_names])
-
-    boundary = (CORE_CURVE, *fiber_names)
-    expected_self = {CORE_CURVE: -3 * n, **{f: -1 for f in fiber_names}}
-    pair = _boundary_checks(blown, boundary, expected_self, chk)
-
-    bdf = classify_deck_action(core.deck, 3)
-    chk.expect("bdf_type", 5, bdf.index if isinstance(bdf, BdFType) else bdf.to_json())
-
-    values: dict[str, object] = {
-        "chi": blown.chi_top,
-        "k2": blown.k2,
-        "boundary": [
-            {"name": name, "self_intersection": blown.curves[name].self_int,
-             "kind": blown.curves[name].kind}
-            for name in boundary
-        ],
-        "intersection": {
-            "points_per_pair": core.pair_counts[(0, 1)],
-            "triple_points_downstairs": len(core.orbits),
-        },
-        "bdf_type": bdf.index if isinstance(bdf, BdFType) else None,
-    }
-
-    if pair is not None:
-        values.update(_certify_pair(pair, n, n + 1, chk))
-        _exceptional_ledger(blown, n, fiber_names, chk)
-
-        rows = _generic_fiber_rows(
-            core,
-            {CORE_CURVE: list(core.slopes),
-             **{f: [extra_curves[v] for v in extra_orbits[f]] for f in fiber_names}},
-            chk,
-        )
-        # Vertical fibers over distinct base points are disjoint, so each
-        # image fiber row vanishes and the generic fiber meets the boundary
-        # only in the core curve.
-        generic_punctures = sum(rows.get(name, 0) for name in boundary)
-        chk.expect("generic_fiber_punctures", 3, generic_punctures)
-        singular_punctures = [
-            blown.pairwise_int(f"exc{j}", CORE_CURVE)
-            + blown.pairwise_int(f"exc{j}", f"fiber{j}")
-            for j in range(1, n + 1)
-        ]
-        chk.expect("singular_fiber_count", n, len(singular_punctures))
-        chk.expect("singular_fiber_punctures", [4] * n, singular_punctures)
-        values["fiber"] = {
-            "generic_fiber_boundary_rows": {name: rows.get(name, 0) for name in boundary},
-            "generic_fiber_punctures": generic_punctures,
-            "singular_fiber_count": n,
-            "singular_fiber_punctures": 4,
-        }
-
-        albanese = albanese_data(n)
-        chk.expect("albanese_index", 3, albanese.index)
-        chk.expect("albanese_shift_order", 3, albanese.shift_order)
-        chk.expect("albanese_base_point_count", n, len(albanese.base_points))
-        values["albanese"] = albanese.to_json()
-        values["homology"] = _homology_section(n, n + 1, chk)
-        values["tower"] = _tower_section(n)
-
-    return ConstructionReport(
-        family=GAMMA,
-        n=n,
-        passed=chk.all_passed,
-        values=values,
-        checks=tuple(chk.results),
-        assumptions=(_NEATNESS_ASSUMPTION,),
-        flags=(_TOWER_FLAG,),
-    )
+               [quotient.pairwise_int(CORE_CURVE, f) for f in fibers])
 
 
-def build_lambda_family(n: int) -> ConstructionReport:
-    """Build and certify the 2-cusped family member at level n.
+def _gamma_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
+                         chk: _Checks) -> tuple[int | None, list[str]]:
+    # Vertical fibers over distinct base points are disjoint, so each
+    # image fiber row vanishes and the generic fiber meets the boundary
+    # only in the core curve.
+    chk.expect("generic_fiber_punctures", 3, generic_punctures)
+    singular_punctures = [
+        blown.pairwise_int(f"exc{j}", CORE_CURVE) + blown.pairwise_int(f"exc{j}", f"fiber{j}")
+        for j in range(1, n + 1)
+    ]
+    chk.expect("singular_fiber_count", n, len(singular_punctures))
+    chk.expect("singular_fiber_punctures", [4] * n, singular_punctures)
+    return 4, []
 
-    Same geometry through the quotient and the n blow-ups, but the boundary
-    pairs the resolved triple curve with the image of the three constant
-    graphs w = 2/3 + l*shift.  Additionally verifies the two reduction
-    identities 2/3 + shift = 2*rho/3 and 2/3 + 2*shift = 2*rho^2/3 modulo
-    the hexagonal lattice, pairwise disjointness of the constant graphs,
-    and that the two image curves meet exactly in the n triple points.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    chk = _Checks()
-    core = _shared_geometry(n, chk)
-    torus = core.torus
+
+def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
+    """The three constant graphs w = 2/3 + l*shift: one deck orbit of
+    pairwise disjoint curves whose crossings with the slope curves all lie
+    in the closed-form locus, so downstairs the two image curves meet
+    exactly in the n triple points.  Also verifies the reduction identities
+    2/3 + shift = 2*rho/3 and 2/3 + 2*shift = 2*rho^2/3 modulo the
+    hexagonal lattice."""
     base = base_lattice()
-
-    levels = level_curves(torus)
+    levels = level_curves(core.torus)
     two_thirds = eis(Fraction(2, 3))
     chk.expect("shift_identity_first", True,
                TorusPoint(two_thirds + ORDER3_SHIFT, base)
@@ -840,31 +790,20 @@ def build_lambda_family(n: int) -> ConstructionReport:
     )
     chk.expect("level_curves_pairwise_disjoint", True, disjoint)
 
-    # Every slope-level crossing lies in the closed-form triple-point locus,
-    # so downstairs the two image curves meet exactly in the n triple points.
     mixed_keys: set = set()
-    mixed_counts = []
-    mixed_results: dict[tuple[str, str], int] = {}
+    pairwise: dict[tuple[str, str], int] = {}
     for slope_name, slope_curve in zip(_SLOPE_NAMES, core.slopes):
         for level_name, level_curve in zip(_LEVEL_NAMES, levels):
             result = intersect_graphs(slope_curve, level_curve)
-            mixed_counts.append(result.count)
             mixed_keys.update(result.keys())
-            mixed_results[(slope_name, level_name)] = result.count
-    chk.expect("slope_level_crossing_counts", [n] * 9, mixed_counts)
+            pairwise[(slope_name, level_name)] = result.count
+    chk.expect("slope_level_crossing_counts", [core.n] * 9, list(pairwise.values()))
     chk.expect("mixed_intersections_at_triple_points", True,
                frozenset(mixed_keys) == core.closed_keys)
+    return dict(zip(_LEVEL_NAMES, levels)), {LEVEL_CURVE: _LEVEL_NAMES}, pairwise
 
-    extra_curves = dict(zip(_LEVEL_NAMES, levels))
-    extra_orbits = {LEVEL_CURVE: _LEVEL_NAMES}
-    pairwise: dict[tuple[str, str], int] = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pairwise[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = core.pair_counts[(i, j)]
-    pairwise.update(mixed_results)
 
-    quotient, blown = _quotient_and_blowup(core, extra_curves, extra_orbits,
-                                           pairwise, chk)
+def _lambda_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
     chk.expect("quotient_level_self_intersection", 0,
                quotient.curves[LEVEL_CURVE].self_int)
     chk.expect("quotient_core_meets_level", 3 * n,
@@ -872,69 +811,152 @@ def build_lambda_family(n: int) -> ConstructionReport:
     chk.expect("level_multiplicity_one_at_triple_points", [1] * n,
                [quotient.point_multiplicity(f"q{j}", LEVEL_CURVE) for j in range(n)])
 
-    boundary = (CORE_CURVE, LEVEL_CURVE)
-    expected_self = {CORE_CURVE: -3 * n, LEVEL_CURVE: -n}
-    pair = _boundary_checks(blown, boundary, expected_self, chk)
 
-    bdf = classify_deck_action(core.deck, 3)
-    chk.expect("bdf_type", 5, bdf.index if isinstance(bdf, BdFType) else bdf.to_json())
+def _lambda_pair_checks(blown: SurfaceModel, n: int, chk: _Checks) -> None:
+    chk.expect("same_compactification_numbers_as_other_family",
+               [n, -n], [blown.chi_top, blown.k2])
+    chk.expect("cusp_count_differs_from_other_family_for_n_ge_2",
+               True, n == 1 or 2 != n + 1)
 
-    values: dict[str, object] = {
-        "chi": blown.chi_top,
-        "k2": blown.k2,
-        "boundary": [
-            {"name": name, "self_intersection": blown.curves[name].self_int,
-             "kind": blown.curves[name].kind}
-            for name in boundary
-        ],
-        "intersection": {
-            "points_per_pair": core.pair_counts[(0, 1)],
-            "triple_points_downstairs": len(core.orbits),
-        },
-        "bdf_type": bdf.index if isinstance(bdf, BdFType) else None,
-    }
 
-    flags = [_TOWER_FLAG]
-    if pair is not None:
-        values.update(_certify_pair(pair, n, 2, chk))
-        chk.expect("same_compactification_numbers_as_other_family",
-                   [n, -n], [blown.chi_top, blown.k2])
-        chk.expect("cusp_count_differs_from_other_family_for_n_ge_2",
-                   True, n == 1 or 2 != n + 1)
-        _exceptional_ledger(blown, n, None, chk)
-
-        rows = _generic_fiber_rows(
-            core,
-            {CORE_CURVE: core.slopes, LEVEL_CURVE: levels},
-            chk,
-        )
-        generic_punctures = sum(rows.get(name, 0) for name in boundary)
-        values["fiber"] = {
-            "generic_fiber_boundary_rows": {name: rows.get(name, 0) for name in boundary},
-            "generic_fiber_punctures": generic_punctures,
-            "singular_fiber_count": n,
-            "singular_fiber_punctures": None,
-        }
+def _lambda_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
+                          chk: _Checks) -> tuple[int | None, list[str]]:
+    flags = [
+        "the generic Albanese fiber meets the boundary in"
+        f" {generic_punctures} points by push-pull; the advertised"
+        " three-or-four puncture dichotomy does not identify this"
+        " fibration, so the computed value is reported without assertion"
+    ]
+    if n == 1:
         flags.append(
-            "the generic Albanese fiber meets the boundary in"
-            f" {generic_punctures} points by push-pull; the advertised"
-            " three-or-four puncture dichotomy does not identify this"
-            " fibration, so the computed value is reported without assertion"
+            "both families have two cusps at n = 1; they are distinguished"
+            " by arguments outside this artifact's scope"
         )
-        if n == 1:
-            flags.append(
-                "both families have two cusps at n = 1; they are distinguished"
-                " by arguments outside this artifact's scope"
-            )
+    return None, flags
 
-        albanese = albanese_data(n)
-        chk.expect("albanese_index", 3, albanese.index)
-        values["albanese"] = albanese.to_json()
-        values["homology"] = _homology_section(n, 2, chk)
-        values["tower"] = _tower_section(n)
+
+_FAMILIES = {
+    # (n+1)-cusped: the boundary adds the n fiber transforms, each a (-1)-curve.
+    GAMMA: _Family(
+        upstairs=_gamma_upstairs,
+        quotient_checks=_gamma_quotient_checks,
+        orbit_self_intersection=lambda n: -1,
+        cusps=lambda n: n + 1,
+        pair_checks=lambda blown, n, chk: None,
+        ledger_pairs_fibers=True,
+        fiber_section=_gamma_fiber_section,
+        albanese_checks=("albanese_index", "albanese_shift_order",
+                         "albanese_base_point_count"),
+    ),
+    # 2-cusped: the boundary adds the resolved orbit of the constant graphs.
+    LAMBDA: _Family(
+        upstairs=_lambda_upstairs,
+        quotient_checks=_lambda_quotient_checks,
+        orbit_self_intersection=lambda n: -n,
+        cusps=lambda n: 2,
+        pair_checks=_lambda_pair_checks,
+        ledger_pairs_fibers=False,
+        fiber_section=_lambda_fiber_section,
+        albanese_checks=("albanese_index",),
+    ),
+}
+
+
+def build_family(family: str, n: int) -> ConstructionReport:
+    """Build and certify the member of a family at level n.
+
+    Pipeline, shared by both families: slope curves and the free order-3
+    deck map, exact pairwise intersections against the closed-form
+    3n-point locus, the family's extra curves, the degree-3 quotient, n
+    blow-ups, and the boundary made of the resolved triple curve plus the
+    images of the extra orbits.  Certifies chi = n, K^2 = -n, the boundary
+    self-intersections, log-Chern equality 3n = 3*n, the cusp count (n+1
+    for gamma, 2 for lambda) and volume coefficient 8n/3.  An exception in
+    any step is raised as a BuildError naming that step.
+    """
+    spec = _FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    chk = _Checks()
+    flags = [_TOWER_FLAG]
+    stage = "geometry"
+    try:
+        core = _shared_geometry(n, chk)
+        stage = "upstairs"
+        extra_curves, extra_orbits, extra_pairwise = spec.upstairs(core, chk)
+        curves = {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra_curves}
+        orbits = {CORE_CURVE: _SLOPE_NAMES, **extra_orbits}
+        stage = "quotient"
+        quotient, blown = _quotient_and_blowup(core, curves, orbits,
+                                               {**core.pair_counts, **extra_pairwise}, chk)
+        spec.quotient_checks(quotient, n, chk)
+
+        stage = "boundary"
+        boundary = tuple(orbits)
+        expected_self = {CORE_CURVE: -3 * n,
+                         **dict.fromkeys(extra_orbits, spec.orbit_self_intersection(n))}
+        pair = _boundary_checks(blown, boundary, expected_self, chk)
+        bdf = classify_deck_action(core.deck, 3)
+        chk.expect("bdf_type", 5, bdf.index if isinstance(bdf, BdFType) else bdf.to_json())
+        values: dict[str, object] = {
+            "chi": blown.chi_top,
+            "k2": blown.k2,
+            "boundary": [
+                {"name": name, "self_intersection": blown.curves[name].self_int,
+                 "kind": blown.curves[name].kind}
+                for name in boundary
+            ],
+            "intersection": {
+                "points_per_pair": core.pair_counts[(_SLOPE_NAMES[0], _SLOPE_NAMES[1])],
+                "triple_points_downstairs": len(core.orbits),
+            },
+            "bdf_type": bdf.index if isinstance(bdf, BdFType) else None,
+        }
+
+        if pair is not None:
+            stage = "certify"
+            values.update(_certify_pair(pair, n, spec.cusps(n), chk))
+            spec.pair_checks(blown, n, chk)
+            stage = "ledger"
+            _exceptional_ledger(blown, n, list(extra_orbits) if spec.ledger_pairs_fibers
+                                else None, chk)
+
+            stage = "fiber"
+            members = {image: [curves[name] for name in names]
+                       for image, names in orbits.items()}
+            rows = _generic_fiber_rows(core, members, chk)
+            generic_punctures = sum(rows.values())
+            singular_punctures, fiber_flags = spec.fiber_section(blown, generic_punctures,
+                                                                 n, chk)
+            flags += fiber_flags
+            values["fiber"] = {
+                "generic_fiber_boundary_rows": rows,
+                "generic_fiber_punctures": generic_punctures,
+                "singular_fiber_count": n,
+                "singular_fiber_punctures": singular_punctures,
+            }
+
+            stage = "albanese"
+            albanese = albanese_data(n)
+            albanese_checks = {
+                "albanese_index": (3, albanese.index),
+                "albanese_shift_order": (3, albanese.shift_order),
+                "albanese_base_point_count": (n, len(albanese.base_points)),
+            }
+            for name in spec.albanese_checks:
+                chk.expect(name, *albanese_checks[name])
+            values["albanese"] = albanese.to_json()
+            stage = "homology"
+            values["homology"] = _homology_section(n, spec.cusps(n), chk)
+            stage = "tower"
+            values["tower"] = _tower_section(n)
+    except Exception as exc:
+        raise BuildError(family, n, stage, exc) from exc
 
     return ConstructionReport(
-        family=LAMBDA,
+        family=family,
         n=n,
         passed=chk.all_passed,
         values=values,
@@ -942,14 +964,6 @@ def build_lambda_family(n: int) -> ConstructionReport:
         assumptions=(_NEATNESS_ASSUMPTION,),
         flags=tuple(flags),
     )
-
-
-def build_family(family: str, n: int) -> ConstructionReport:
-    if family == GAMMA:
-        return build_gamma_family(n)
-    if family == LAMBDA:
-        return build_lambda_family(n)
-    raise ValueError(f"unknown family {family!r}")
 
 
 # ----------------------------------------------------------------------
@@ -1040,12 +1054,3 @@ def albanese_data(n: int) -> AlbaneseReport:
     return AlbaneseReport(n, target.to_json(), contained, index, shift_order,
                           tuple(base_points))
 
-
-def fiber_report(family: str, n: int) -> dict[str, object]:
-    """Puncture bookkeeping of the fibration over the Albanese elliptic
-    curve, extracted from a passing construction report."""
-    report = build_family(family, n)
-    if not report.passed:
-        raise ValueError(f"{family} family at n = {n} failed certification: "
-                         f"{report.failing_checks()}")
-    return report.values["fiber"]

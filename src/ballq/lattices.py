@@ -49,9 +49,6 @@ class IntegerMatrix2x2:
     def is_unimodular(self) -> bool:
         return abs(self.det()) == 1
 
-    def is_diagonal(self) -> bool:
-        return self.b == 0 and self.c == 0
-
     def __matmul__(self, other: "IntegerMatrix2x2") -> "IntegerMatrix2x2":
         return IntegerMatrix2x2(
             self.a * other.a + self.b * other.c,
@@ -182,9 +179,6 @@ class Lattice:
     def scaled(self, factor: EisensteinNumber) -> "Lattice":
         return Lattice(factor * self.gen1, factor * self.gen2)
 
-    def reduce(self, x: EisensteinNumber) -> "TorusPoint":
-        return TorusPoint(x, self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
@@ -194,11 +188,6 @@ class Lattice:
 
     def to_json(self) -> dict[str, str]:
         return {"gen1": str(self.gen1), "gen2": str(self.gen2)}
-
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> "Lattice":
-        return cls(EisensteinNumber.from_string(data["gen1"]),
-                   EisensteinNumber.from_string(data["gen2"]))
 
 
 def coset_representatives(sub: Lattice, sup: Lattice) -> list[EisensteinNumber]:
@@ -257,9 +246,6 @@ class TorusPoint:
             return False
         return self.lattice.contains(self.value - other.value) is not None
 
-    def shifted(self, delta: EisensteinNumber) -> "TorusPoint":
-        return TorusPoint(self.value + delta, self.lattice)
-
     def order(self, max_order: int = 64) -> int:
         """Least k >= 1 with k*value in the lattice."""
         acc = self.value
@@ -274,9 +260,3 @@ class TorusPoint:
             "lattice": self.lattice.to_json(),
             "coords": [str(self.coords[0]), str(self.coords[1])],
         }
-
-    @classmethod
-    def from_json(cls, data: dict[str, object]) -> "TorusPoint":
-        lattice = Lattice.from_json(data["lattice"])
-        s, t = (Fraction(c) for c in data["coords"])
-        return cls(lattice.from_coordinates(s, t), lattice)

@@ -19,8 +19,7 @@ from ballq.families import (
     BdFInvalid,
     bdf_catalog,
     bdf_classify,
-    build_gamma_family,
-    build_lambda_family,
+    build_family,
     deck_automorphism,
     level_curves,
     product_torus,
@@ -47,10 +46,9 @@ _build_seconds: dict[str, float] = {}
 def reports(family):
     cache = _reports[family]
     if not cache:
-        builder = build_gamma_family if family == "gamma" else build_lambda_family
         start = time.perf_counter()
         for n in range(1, N_MAX + 1):
-            cache[n] = builder(n)
+            cache[n] = build_family(family, n)
         _build_seconds[family] = time.perf_counter() - start
     return cache
 

@@ -56,9 +56,9 @@ def test_usage_error_on_unknown_flag(capsys):
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     from ballq.families import CheckResult, ConstructionReport
 
-    def broken(n):
+    def broken(family, n):
         return ConstructionReport(
-            family="gamma", n=n, passed=False,
+            family=family, n=n, passed=False,
             values={"chi": 0, "k2": 0, "boundary": [], "log_c1_squared": 0,
                     "log_c2": 0, "bmy": "Violation", "cusps": 0, "bdf_type": None,
                     "volume": {"pi_squared_coefficient": "0", "text": "(0)·π²",
@@ -67,7 +67,7 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
             assumptions=(), flags=(),
         )
 
-    monkeypatch.setattr(families, "build_gamma_family", broken)
+    monkeypatch.setattr(families, "build_family", broken)
     code, out, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1")
     assert code == 1
     assert json.loads(out.strip())["passed"] is False
@@ -227,12 +227,16 @@ def test_build_error_is_reported_with_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(families, "_generic_fiber_rows", broken)
     code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "3")
     assert code == 1
-    assert out == ""
+    assert json.loads(out) == {
+        "schema_version": 1, "family": "gamma", "n": 3, "passed": False,
+        "values": {}, "checks": [], "assumptions": [], "flags": [],
+        "error": {"stage": "fiber", "type": "ValueError", "message": "seeded fault"},
+    }
     assert "error: gamma n=3: ValueError: seeded fault" in err
     assert "usage error" not in err
 
 
-def test_build_error_keeps_other_levels(capsys, monkeypatch):
+def verify_with_fault_at_three(capsys, monkeypatch, jobs):
     original = families._generic_fiber_rows
 
     def broken_at_three(core, members, chk):
@@ -240,12 +244,44 @@ def test_build_error_keeps_other_levels(capsys, monkeypatch):
             raise ValueError("seeded fault")
         return original(core, members, chk)
 
+    # --jobs workers are forked, so they inherit the patched module.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "_generic_fiber_rows", broken_at_three)
-    code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4")
+    return run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4", "--jobs", jobs)
+
+
+def test_build_error_keeps_other_levels(capsys, monkeypatch):
+    code, out, err = verify_with_fault_at_three(capsys, monkeypatch, "1")
     assert code == 1
-    assert [json.loads(line)["n"] for line in out.splitlines()] == [2, 4]
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [doc["n"] for doc in docs] == [2, 3, 4]
+    assert [doc["passed"] for doc in docs] == [True, False, True]
+    assert docs[1]["error"] == {"stage": "fiber", "type": "ValueError",
+                                "message": "seeded fault"}
+    assert "error" not in docs[0] and "error" not in docs[2]
     assert err.strip() == "error: gamma n=3: ValueError: seeded fault"
+
+
+def test_build_error_output_same_with_jobs(capsys, monkeypatch):
+    serial = verify_with_fault_at_three(capsys, monkeypatch, "1")
+    parallel = verify_with_fault_at_three(capsys, monkeypatch, "2")
+    assert parallel == serial
+    assert len(serial[1].splitlines()) == 3
+
+
+def test_failed_level_renders_as_markdown(capsys, monkeypatch):
+    def broken(core, members, chk):
+        raise ValueError("seeded fault")
+
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "_generic_fiber_rows", broken)
+    code, out, _ = run_cli(capsys, "verify", "--family", "lambda", "--n", "2",
+                           "--format", "markdown")
+    assert code == 1
+    assert "- passed: NO" in out
+    assert "- chi: n/a" in out
+    assert "- fiber: ValueError: seeded fault" in out
 
 
 def test_intersect_zero_denominator_is_usage_error(capsys):

@@ -96,11 +96,6 @@ def test_string_round_trip(x):
     assert EisensteinNumber.from_string(str(x)) == x
 
 
-@given(numbers)
-def test_json_round_trip(x):
-    assert EisensteinNumber.from_json(x.to_json()) == x
-
-
 @given(numbers, numbers, numbers)
 def test_field_axioms(x, y, z):
     assert x + y == y + x

@@ -10,12 +10,11 @@ from ballq.curves import GraphCurve, VerticalFiber
 from ballq.eisenstein import RHO
 
 from ballq.families import (
-    _LEVEL_NAMES,
+    _FAMILIES,
     _SLOPE_NAMES,
     _Checks,
     _incidence,
     _shared_geometry,
-    _vertical_fibers,
     BdFInvalid,
     BdFType,
     GAMMA,
@@ -27,11 +26,7 @@ from ballq.families import (
     bdf_catalog,
     bdf_classify,
     build_family,
-    build_gamma_family,
-    build_lambda_family,
     covering_report,
-    fiber_report,
-    level_curves,
     level_lattice,
     render_markdown,
 )
@@ -78,19 +73,19 @@ REPORT_SCHEMA = {
 
 
 def test_gamma_small_members():
-    r1 = build_gamma_family(1)
+    r1 = build_family(GAMMA, 1)
     assert r1.passed
     assert r1.values["chi"] == 1
     assert r1.values["cusps"] == 2
     assert r1.values["volume"]["pi_squared_coefficient"] == "8/3"
     assert r1.values["bmy"] == "Equality"
 
-    r5 = build_gamma_family(5)
+    r5 = build_family(GAMMA, 5)
     assert r5.passed
     assert r5.values["cusps"] == 6
     assert r5.values["volume"]["pi_squared_coefficient"] == "40/3"
 
-    r3 = build_gamma_family(3)
+    r3 = build_family(GAMMA, 3)
     assert r3.passed
     boundary = {b["name"]: b["self_intersection"] for b in r3.values["boundary"]}
     assert boundary["slope_orbit"] == -9
@@ -99,12 +94,12 @@ def test_gamma_small_members():
 
 
 def test_lambda_small_members():
-    r1 = build_lambda_family(1)
+    r1 = build_family(LAMBDA, 1)
     assert r1.passed
     assert r1.values["cusps"] == 2
     assert r1.values["volume"]["pi_squared_coefficient"] == "8/3"
 
-    r4 = build_lambda_family(4)
+    r4 = build_family(LAMBDA, 4)
     assert r4.passed
     boundary = {b["name"]: b["self_intersection"] for b in r4.values["boundary"]}
     assert boundary == {"slope_orbit": -12, "level_orbit": -4}
@@ -113,8 +108,8 @@ def test_lambda_small_members():
 
 def test_families_share_compactification_numbers():
     for n in (1, 2, 6):
-        g = build_gamma_family(n)
-        l = build_lambda_family(n)
+        g = build_family(GAMMA, n)
+        l = build_family(LAMBDA, n)
         assert (g.values["chi"], g.values["k2"]) == (l.values["chi"], l.values["k2"])
         assert g.values["volume"] == l.values["volume"]
         assert g.values["cusps"] == n + 1
@@ -123,26 +118,26 @@ def test_families_share_compactification_numbers():
 
 def test_invalid_level_rejected():
     with pytest.raises(ValueError):
-        build_gamma_family(0)
+        build_family(GAMMA, 0)
     with pytest.raises(ValueError):
-        build_lambda_family(-2)
+        build_family(LAMBDA, -2)
     with pytest.raises(ValueError):
         build_family("nope", 1)
 
 
 def test_report_json_schema():
-    for report in (build_gamma_family(2), build_lambda_family(3)):
+    for report in (build_family(GAMMA, 2), build_family(LAMBDA, 3)):
         doc = json.loads(report.to_json())
         jsonschema.validate(doc, REPORT_SCHEMA)
 
 
 def test_report_is_deterministic():
-    assert build_gamma_family(2).to_json() == build_gamma_family(2).to_json()
-    assert build_lambda_family(2).to_json() == build_lambda_family(2).to_json()
+    assert build_family(GAMMA, 2).to_json() == build_family(GAMMA, 2).to_json()
+    assert build_family(LAMBDA, 2).to_json() == build_family(LAMBDA, 2).to_json()
 
 
 def test_markdown_contains_headline_numbers():
-    report = build_gamma_family(3)
+    report = build_family(GAMMA, 3)
     md = report.to_markdown()
     assert "cusps: 4" in md
     assert "chi: 3" in md
@@ -222,8 +217,8 @@ def test_bdf_classify_invalid_cases():
 
 def test_every_quotient_is_type_five():
     for n in (1, 2, 3, 8):
-        assert build_gamma_family(n).values["bdf_type"] == 5
-        assert build_lambda_family(n).values["bdf_type"] == 5
+        assert build_family(GAMMA, n).values["bdf_type"] == 5
+        assert build_family(LAMBDA, n).values["bdf_type"] == 5
 
 
 def test_albanese_data():
@@ -242,15 +237,15 @@ def test_albanese_lattice_contains_level():
 
 
 def test_fiber_reports():
-    gamma2 = fiber_report(GAMMA, 2)
+    gamma2 = build_family(GAMMA, 2).values["fiber"]
     assert gamma2["generic_fiber_punctures"] == 3
     assert gamma2["singular_fiber_count"] == 2
     assert gamma2["singular_fiber_punctures"] == 4
 
-    gamma1 = fiber_report(GAMMA, 1)
+    gamma1 = build_family(GAMMA, 1).values["fiber"]
     assert gamma1["singular_fiber_count"] == 1
 
-    lambda2 = fiber_report(LAMBDA, 2)
+    lambda2 = build_family(LAMBDA, 2).values["fiber"]
     rows = lambda2["generic_fiber_boundary_rows"]
     assert rows == {"slope_orbit": 3, "level_orbit": 3}
     assert lambda2["generic_fiber_punctures"] == 6
@@ -258,20 +253,20 @@ def test_fiber_reports():
 
 
 def test_lambda_flags_fiber_discrepancy():
-    report = build_lambda_family(2)
+    report = build_family(LAMBDA, 2)
     assert any("fiber" in flag for flag in report.flags)
 
 
 def test_tower_section():
-    doc = build_gamma_family(6).values["tower"]
+    doc = build_family(GAMMA, 6).values["tower"]
     assert [c["base_level"] for c in doc["covers_levels"]] == [1, 2, 3, 6]
     assert [c["degree"] for c in doc["covers_levels"]] == [6, 3, 2, 1]
     assert doc["consecutive_cover_exists"] is False
-    assert build_gamma_family(2).values["tower"]["consecutive_cover_exists"] is True
+    assert build_family(GAMMA, 2).values["tower"]["consecutive_cover_exists"] is True
 
 
 def test_homology_section_embedded():
-    doc = build_gamma_family(4).values["homology"]
+    doc = build_family(GAMMA, 4).values["homology"]
     assert doc["open_manifold"]["b1"] == 2
     assert doc["open_manifold"]["b3_lower_bound"] == 4
     assert doc["compactification_betti"] == [1, 2, 6, 2, 1]
@@ -280,15 +275,15 @@ def test_homology_section_embedded():
 
 
 def test_volume_strings():
-    assert build_gamma_family(1).values["volume"]["text"] == "(8/3)·π²"
-    assert build_gamma_family(3).values["volume"]["text"] == "(8)·π²"
-    coefficient = Fraction(build_gamma_family(7).values["volume"]["pi_squared_coefficient"])
+    assert build_family(GAMMA, 1).values["volume"]["text"] == "(8/3)·π²"
+    assert build_family(GAMMA, 3).values["volume"]["text"] == "(8)·π²"
+    coefficient = Fraction(build_family(GAMMA, 7).values["volume"]["pi_squared_coefficient"])
     assert coefficient == Fraction(56, 3)
 
 
 def test_volume_spectrum_saturation():
     seen = {
-        Fraction(build_gamma_family(n).values["volume"]["pi_squared_coefficient"])
+        Fraction(build_family(GAMMA, n).values["volume"]["pi_squared_coefficient"])
         for n in range(1, 7)
     }
     assert seen == {Fraction(8, 3) * k for k in range(1, 7)}
@@ -324,17 +319,9 @@ def test_deck_classification_multiplier_branches():
     assert isinstance(impure, BdFInvalid) and impure.constraint == "multiplier"
 
 
-def test_fiber_report_rejects_bad_family():
-    with pytest.raises(ValueError):
-        fiber_report("nope", 1)
-
-
 def _incidence_inputs(family, n):
     core = _shared_geometry(n, _Checks())
-    if family == GAMMA:
-        extra, _ = _vertical_fibers(core)
-    else:
-        extra = dict(zip(_LEVEL_NAMES, level_curves(core.torus)))
+    extra, _, _ = _FAMILIES[family].upstairs(core, _Checks())
     return core, {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra}
 
 
@@ -362,7 +349,7 @@ def test_gamma_incidence_tests_grow_linearly(monkeypatch):
     for cls in (GraphCurve, VerticalFiber):
         monkeypatch.setattr(cls, "contains_point", counting(cls.contains_point))
     n = 40
-    assert build_gamma_family(n).passed
+    assert build_family(GAMMA, n).passed
     # 3n points, each tested against the 3 slope curves and the one
     # vertical fiber over its own z
     assert calls[0] <= 12 * n, calls[0]

@@ -10,7 +10,7 @@ from ballq.homology import (
     free_rank_of_punctured_surface,
     mv_tables,
 )
-from ballq.families import build_gamma_family, build_lambda_family
+from ballq.families import GAMMA, LAMBDA, build_family
 
 
 def test_tables_k1():
@@ -80,7 +80,7 @@ def test_free_rank_of_punctured_surface():
 
 
 def test_fibration_report_from_gamma():
-    report = build_gamma_family(2)
+    report = build_family(GAMMA, 2)
     record = fibration_sequence_report(report)
     assert record.base_rank == 2
     assert record.generic_fiber_free_rank == 4
@@ -89,6 +89,6 @@ def test_fibration_report_from_gamma():
 
 
 def test_fibration_report_rejects_other_family():
-    report = build_lambda_family(1)
+    report = build_family(LAMBDA, 1)
     with pytest.raises(ValueError):
         fibration_sequence_report(report)

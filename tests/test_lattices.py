@@ -153,13 +153,6 @@ def test_reduce_shift_identities():
             == TorusPoint(RHO * RHO * Fraction(2, 3), base))
 
 
-def test_torus_point_json_round_trip():
-    point = TorusPoint(eis(Fraction(5, 3), Fraction(-7, 2)), level_lattice(4))
-    again = TorusPoint.from_json(point.to_json())
-    assert again == point
-    assert Lattice.from_json(level_lattice(4).to_json()) == level_lattice(4)
-
-
 def test_reduction_properties_random():
     import random
 
@@ -208,12 +201,6 @@ def test_coset_size_matches_index_random():
 def test_inverse_unimodular_rejects_singular():
     with pytest.raises(ValueError):
         IntegerMatrix2x2(2, 0, 0, 2).inverse_unimodular()
-
-
-def test_lattice_reduce_method():
-    base = base_lattice()
-    point = base.reduce(eis(Fraction(7, 3), Fraction(-5, 2)))
-    assert point.coords == (Fraction(1, 3), Fraction(1, 2))
 
 
 def test_torus_point_order_cap():

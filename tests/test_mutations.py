@@ -1,0 +1,90 @@
+"""Mutation probes: a fault seeded into one layer must flip `passed` to
+false, or make the build raise, for some level n <= 5 of each family.  The
+family-only probes show that each family's record is wired into the
+pipeline."""
+
+import dataclasses
+
+import pytest
+
+from ballq import curves, families
+from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
+from ballq.eisenstein import ONE, RHO
+from ballq.families import GAMMA, LAMBDA, ORDER3_SHIFT, BuildError, build_family
+from ballq.surfaces import CurveRecord, SurfaceModel
+
+
+def log_chern_off_by_one(monkeypatch):
+    original = families.log_chern
+
+    def faulty(pair):
+        c1, c2 = original(pair)
+        return c1, c2 + 1
+
+    monkeypatch.setattr(families, "log_chern", faulty)
+
+
+def coset_representative_dropped(monkeypatch):
+    original = curves.coset_representatives
+    monkeypatch.setattr(curves, "coset_representatives",
+                        lambda sub, sup: original(sub, sup)[:-1])
+
+
+def deck_shift_doubled(monkeypatch):
+    monkeypatch.setattr(families, "deck_automorphism", lambda torus: TorusAutomorphism(
+        torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
+
+
+def blow_up_bumps_exceptional(monkeypatch):
+    original = families.blow_up
+
+    def faulty(model, points, exceptional_name=None):
+        blown = original(model, points, exceptional_name)
+        curves = dict(blown.curves)
+        curves["exc1"] = CurveRecord(curves["exc1"].self_int - 1, curves["exc1"].kind)
+        return SurfaceModel.build(blown.chi_top, blown.k2, curves, blown.pairwise,
+                                  blown.points)
+
+    monkeypatch.setattr(families, "blow_up", faulty)
+
+
+def vertical_fiber_over_wrong_z(monkeypatch):
+    spec = families._FAMILIES[GAMMA]
+
+    def faulty(core, chk):
+        curves, orbits, pairwise = spec.upstairs(core, chk)
+        moved = curves["vert1_0"].z0.value + ORDER3_SHIFT / 2
+        return {**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise
+
+    monkeypatch.setitem(families._FAMILIES, GAMMA, dataclasses.replace(spec, upstairs=faulty))
+
+
+def level_curves_wrong_offset(monkeypatch):
+    monkeypatch.setattr(families, "level_curves", lambda torus: [
+        GraphCurve(torus, 0, ONE / 3 + ORDER3_SHIFT * l) for l in range(3)])
+
+
+SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, deck_shift_doubled,
+                 blow_up_bumps_exceptional]
+PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
+    (GAMMA, vertical_fiber_over_wrong_z),
+    (LAMBDA, level_curves_wrong_offset),
+]
+
+
+def flips(family):
+    for n in range(1, 6):
+        try:
+            if not build_family(family, n).passed:
+                return True
+        except BuildError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("family, fault", PROBES,
+                         ids=[f"{family}-{fault.__name__}" for family, fault in PROBES])
+def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
+    assert not flips(family)
+    fault(monkeypatch)
+    assert flips(family)
