@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one certification check
 failed or a level could not be built, 2 usage error, 3 I/O error.  Range
-verification may fan out over worker processes; output is ordered by n and
-byte-identical regardless of the parallelism.
+verification may fan out over worker processes; each report line is written
+as its level finishes, ordered by n and byte-identical regardless of the
+parallelism.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 from . import families
 from .eisenstein import EisensteinNumber
-from .curves import GraphCurve, VerticalFiber, intersect_graph_fiber, intersect_graphs
+from .curves import (EMPTY, IDENTICAL, POINTS, GraphCurve, Intersection, VerticalFiber,
+                     intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
 
 JOBS_ENV_VAR = "BALLQ_JOBS"
+# Most levels one verify or spectrum run may ask for.
+MAX_LEVELS = 10_000
 
 
 class UsageError(Exception):
@@ -38,6 +43,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"cannot parse n or range {text!r}") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= first <= last in range, got {text!r}")
+    if hi - lo >= MAX_LEVELS:
+        raise UsageError(f"a range may hold at most {MAX_LEVELS} levels, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -67,45 +74,36 @@ def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
         return exc.to_json_dict(), str(exc)
 
 
-def _emit(text: str, out_path: str | None) -> int:
+@contextmanager
+def _output(out_path: str | None):
+    """The stream a subcommand writes to: stdout, or out_path opened for
+    writing (an OSError here is reported by main with exit code 3)."""
     if out_path is None:
-        sys.stdout.write(text)
-        return 0
-    try:
+        yield sys.stdout
+    else:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+            yield handle
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ns = _parse_n_range(args.n)
-    tasks = [(args.family, n) for n in ns]
+    tasks = [(args.family, n) for n in _parse_n_range(args.n)]
     jobs = _resolve_jobs(args, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_report_dict, tasks))
-    else:
-        results = [_report_dict(task) for task in tasks]
-    docs = [doc for doc, _ in results]
-    for _, error in results:
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-    if args.format == "json":
-        lines = [json.dumps(doc) for doc in docs]
-    else:
-        lines = [families.render_markdown(doc) for doc in docs]
-    status = _emit("".join(line + "\n" for line in lines), args.out)
-    if status:
-        return status
-    return 0 if all(doc["passed"] for doc in docs) else 1
+    render = json.dumps if args.format == "json" else families.render_markdown
+    passed = True
+    with (_output(args.out) as out,
+          ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
+        for doc, error in (pool.map if jobs > 1 else map)(_report_dict, tasks):
+            if error is not None:
+                print(f"error: {error}", file=sys.stderr)
+            out.write(render(doc) + "\n")
+            out.flush()
+            passed = passed and doc["passed"]
+    return 0 if passed else 1
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise UsageError("count must be at least 1")
+    if not 1 <= args.count <= MAX_LEVELS:
+        raise UsageError(f"count must be between 1 and {MAX_LEVELS}")
     rows = []
     for n in range(1, args.count + 1):
         volume = volume_from_chi(n)
@@ -127,9 +125,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         lines.append("")
         lines.append(f"saturates volume spectrum up to cutoff: {saturated}")
         text = "\n".join(lines) + "\n"
-    status = _emit(text, args.out)
-    if status:
-        return status
+    with _output(args.out) as out:
+        out.write(text)
     return 0 if saturated else 1
 
 
@@ -156,18 +153,17 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
         second = _parse_curve_spec(args.second, torus)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
-    if isinstance(first, GraphCurve) and isinstance(second, GraphCurve):
-        doc = intersect_graphs(first, second).to_json()
-    elif isinstance(first, GraphCurve) and isinstance(second, VerticalFiber):
-        point = intersect_graph_fiber(first, second)
-        doc = {"kind": "points", "count": 1, "points": [point.to_json()]}
-    elif isinstance(first, VerticalFiber) and isinstance(second, GraphCurve):
-        point = intersect_graph_fiber(second, first)
-        doc = {"kind": "points", "count": 1, "points": [point.to_json()]}
+    if isinstance(first, VerticalFiber) and isinstance(second, GraphCurve):
+        first, second = second, first
+    if isinstance(second, GraphCurve):
+        result = intersect_graphs(first, second)
+    elif isinstance(first, GraphCurve):
+        result = Intersection(POINTS, (intersect_graph_fiber(first, second),))
     else:
-        same = first.z0 == second.z0
-        doc = {"kind": "identical" if same else "empty"}
-    return _emit(json.dumps(doc) + "\n", args.out)
+        result = Intersection(IDENTICAL if first.z0 == second.z0 else EMPTY)
+    with _output(args.out) as out:
+        out.write(json.dumps(result.to_json()) + "\n")
+    return 0
 
 
 _CLI_MULTIPLIERS = {"neg": "-1", "-1": "-1", "i": "i", "rho": "rho", "zeta": "zeta"}
@@ -178,7 +174,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if multiplier is None:
         raise UsageError(f"unknown multiplier {args.multiplier!r}")
     result = families.bdf_classify(args.order, multiplier, args.translation_order)
-    return _emit(json.dumps(result.to_json()) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(result.to_json()) + "\n")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
 
 

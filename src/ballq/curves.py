@@ -97,10 +97,6 @@ class GraphCurve:
         return (self.ambient == other.ambient and self.slope == other.slope
                 and self.offset == other.offset)
 
-    def point_at(self, z: object) -> ProductPoint:
-        z = _as_eisenstein(z)
-        return self.ambient.point(self.slope * z + self.offset.value, z)
-
     def contains_point(self, p: ProductPoint) -> bool:
         diff = self.slope * p.z.value + self.offset.value - p.w.value
         return self.ambient.lattice_w.contains(diff) is not None
@@ -180,14 +176,6 @@ class TorusAutomorphism:
             self.lambda_z * other.lambda_z,
             self.lambda_z * other.trans_z + self.trans_z,
         )
-
-    def power(self, k: int) -> "TorusAutomorphism":
-        if k < 0:
-            raise ValueError("negative powers are not needed here")
-        result = TorusAutomorphism(self.ambient, ONE, 0, ONE, 0)
-        for _ in range(k):
-            result = self.compose(result)
-        return result
 
     def is_identity(self) -> bool:
         lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
@@ -306,12 +294,19 @@ def _power_has_fixed_point(g: TorusAutomorphism) -> bool:
 
 
 def is_free(f: TorusAutomorphism, max_order: int = 64) -> bool:
-    """True iff no nontrivial power of f fixes a point of the torus."""
-    order = automorphism_order(f, max_order)
-    for k in range(1, order):
-        if _power_has_fixed_point(f.power(k)):
+    """True iff no nontrivial power of f fixes a point of the torus.
+
+    Walks f, f**2, ... once and stops at the identity or at the first power
+    with a fixed point; raises ValueError if neither turns up within
+    max_order powers."""
+    g = f
+    for _ in range(max_order):
+        if g.is_identity():
+            return True
+        if _power_has_fixed_point(g):
             return False
-    return True
+        g = f.compose(g)
+    raise ValueError(f"order exceeds {max_order}")
 
 
 def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,

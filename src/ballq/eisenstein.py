@@ -156,10 +156,6 @@ class EisensteinNumber:
                 re_acc += Fraction(term)
         return cls(re_acc, rho_acc)
 
-    def to_json(self) -> list[str]:
-        """JSON form: pair of rational strings [a, b] for a + b*rho."""
-        return [str(self.re_part), str(self.rho_part)]
-
 
 def _promote(value: object) -> EisensteinNumber | None:
     if isinstance(value, EisensteinNumber):

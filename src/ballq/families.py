@@ -33,7 +33,6 @@ from .curves import (
     VerticalFiber,
     apply_auto_to_curve,
     automorphism_order,
-    intersect_graph_fiber,
     intersect_graphs,
     is_free,
     orbit_of_curves,
@@ -128,14 +127,6 @@ LAMBDA_I = "i"
 LAMBDA_RHO = "rho"
 LAMBDA_RHO_WITH_ZETA = "rho-with-zeta"
 
-_MULTIPLIER_ORDERS = {"-1": 2, "i": 4, "rho": 3, "zeta": 6}
-_MULTIPLIER_LAMBDA = {
-    "-1": LAMBDA_ANY,
-    "i": LAMBDA_I,
-    "rho": LAMBDA_RHO,
-    "zeta": LAMBDA_RHO_WITH_ZETA,
-}
-
 
 @dataclass(frozen=True)
 class BdFType:
@@ -213,11 +204,14 @@ def bdf_classify(group_order: int, multiplier: str,
     the first factor is known, lattice_multiplier ("rho" or "i") is checked
     against the entry's lambda constraint.
     """
-    if multiplier not in _MULTIPLIER_ORDERS:
+    # The cyclic entry of a multiplier gives its order and lambda constraint.
+    cyclic = next((entry for entry in _CATALOG if entry.multiplier == multiplier
+                   and entry.translation_order is None), None)
+    if cyclic is None:
         return BdFInvalid("multiplier", f"unknown multiplicative action {multiplier!r}")
     if translation_order is not None and translation_order < 2:
         return BdFInvalid("translation", "an extra translation generator must have order >= 2")
-    mult_order = _MULTIPLIER_ORDERS[multiplier]
+    mult_order = cyclic.group_order
     expected_order = mult_order * (translation_order or 1)
     if group_order != expected_order:
         return BdFInvalid(
@@ -226,7 +220,7 @@ def bdf_classify(group_order: int, multiplier: str,
             f"with translation factor {translation_order or 1} the group order must be "
             f"{expected_order}, not {group_order}",
         )
-    required = _MULTIPLIER_LAMBDA[multiplier]
+    required = cyclic.lambda_constraint
     if lattice_multiplier is not None and required != LAMBDA_ANY:
         needed = "rho" if required == LAMBDA_RHO_WITH_ZETA else required
         if lattice_multiplier != needed:
@@ -356,12 +350,6 @@ class ConstructionReport:
             "assumptions": list(self.assumptions),
             "flags": list(self.flags),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_markdown(self) -> str:
-        return render_markdown(self.to_json_dict())
 
 
 class BuildError(Exception):
@@ -640,14 +628,11 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     for image, curve_list in members.items():
         total = 0
         for curve in curve_list:
-            for vertical in verticals:
-                if isinstance(curve, VerticalFiber):
-                    if curve.z0 == vertical.z0:
-                        raise ValueError("generic fiber is not generic: it hits "
-                                         "a special vertical fiber")
-                else:
-                    intersect_graph_fiber(curve, vertical)
-                    total += 1
+            if not isinstance(curve, VerticalFiber):
+                total += len(verticals)
+            elif any(curve.z0 == vertical.z0 for vertical in verticals):
+                raise ValueError("generic fiber is not generic: it hits "
+                                 "a special vertical fiber")
         if total % 3:
             raise ValueError("generic fiber row does not push forward integrally")
         rows[image] = total // 3

@@ -254,9 +254,3 @@ class TorusPoint:
                 return k
             acc = acc + self.value
         raise ValueError(f"order exceeds {max_order}")
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "lattice": self.lattice.to_json(),
-            "coords": [str(self.coords[0]), str(self.coords[1])],
-        }

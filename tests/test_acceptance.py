@@ -11,6 +11,9 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+
 from ballq.curves import GraphCurve, POINTS, apply_auto_to_curve, automorphism_order, \
     intersect_graphs, is_free
 from ballq.eisenstein import ONE, RHO, eis
@@ -233,6 +236,9 @@ def test_criterion_8_property_suites():
             assert d.b == 0 and d.c == 0
             assert d.a >= 0 and d.d >= 0
             assert (d.d % d.a == 0) if d.a else (d.d == 0)
+            # Independent oracle: sympy's invariant factors, up to sign.
+            oracle = sympy_smith_normal_form(Matrix([[m.a, m.b], [m.c, m.d]]), domain=ZZ)
+            assert (d.a, d.d) == (abs(oracle[0, 0]), abs(oracle[1, 1]))
 
         for _ in range(200):
             l1 = random_lattice(rng)

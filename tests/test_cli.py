@@ -83,12 +83,62 @@ def test_verify_write_to_file(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_verify_io_error(tmp_path, capsys):
+def test_verify_io_error(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = families.build_family
+
+    def recording(family, n):
+        calls.append(n)
+        return original(family, n)
+
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "build_family", recording)
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
-    code, _, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1",
-                           "--out", str(missing_dir))
+    code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..2",
+                             "--out", str(missing_dir))
     assert code == 3
     assert "cannot write" in err
+    # --out is opened before any level is built.
+    assert out == "" and calls == []
+
+
+def test_verify_streams_each_level_to_out(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.jsonl"
+    original = families.build_family
+    seen = {}
+
+    def recording(family, n):
+        seen[n] = target.read_text() if target.exists() else None
+        return original(family, n)
+
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "build_family", recording)
+    code, _, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..2",
+                         "--out", str(target))
+    assert code == 0
+    assert seen[1] == ""
+    assert [json.loads(line)["n"] for line in seen[2].splitlines()] == [1]
+
+
+def test_verify_level_count_is_bounded(capsys, monkeypatch):
+    calls = []
+    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
+    monkeypatch.setattr(families, "build_family", lambda family, n: calls.append(n))
+    code, out, err = run_cli(capsys, "verify", "--family", "gamma",
+                             "--n", f"1..{cli.MAX_LEVELS + 1}")
+    assert code == 2
+    assert "usage error" in err
+    assert out == "" and calls == []
+    assert len(cli._parse_n_range(f"5..{cli.MAX_LEVELS + 4}")) == cli.MAX_LEVELS
+
+
+def test_spectrum_count_is_bounded(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "volume_from_chi", calls.append)
+    code, out, err = run_cli(capsys, "spectrum", "--count", str(cli.MAX_LEVELS + 1))
+    assert code == 2
+    assert "usage error" in err
+    assert out == "" and calls == []
 
 
 def test_jobs_env_fallback(capsys, monkeypatch):
@@ -155,6 +205,9 @@ def test_intersect_with_fiber(capsys):
     doc = json.loads(out)
     assert doc["count"] == 1
     assert doc["points"][0]["w"] == "2/3+1/3ρ"
+    code, swapped, _ = run_cli(capsys, "intersect", "fiber:0", "graph:r,-1/3+1/3r",
+                               "--n", "1")
+    assert code == 0 and swapped == out
 
 
 def test_intersect_parse_error(capsys):

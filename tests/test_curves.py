@@ -170,6 +170,12 @@ def test_rotation_is_not_free():
     rotation = TorusAutomorphism(torus, RHO, 0, 1, 0)
     assert automorphism_order(rotation) == 3
     assert not is_free(rotation)
+    # The first power with a fixed point decides, even past max_order.
+    assert not is_free(rotation, max_order=2)
+    # No fixed point itself, but its square fixes w = 0.
+    shifted = TorusAutomorphism(torus, -RHO, 0, 1, 1)
+    assert automorphism_order(shifted) == 6
+    assert not is_free(shifted)
 
 
 def test_lattice_translation_is_identity():
@@ -230,7 +236,8 @@ def test_image_points_land_on_image_curve():
         for _ in range(10):
             z = eis(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            assert image.contains_point(deck.apply(curve.point_at(z)))
+            point = torus.point(curve.slope * z + curve.offset.value, z)
+            assert image.contains_point(deck.apply(point))
 
 
 def test_intersection_commutes_with_deck():
@@ -287,12 +294,6 @@ def test_orbit_of_curves_cap():
     e1 = slope_curves(torus)[0]
     with pytest.raises(ValueError):
         orbit_of_curves(creep, e1, max_order=3)
-
-
-def test_negative_power_rejected():
-    torus = product_torus(1)
-    with pytest.raises(ValueError):
-        deck_automorphism(torus).power(-1)
 
 
 def test_intersection_json_forms():

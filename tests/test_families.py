@@ -127,24 +127,21 @@ def test_invalid_level_rejected():
 
 def test_report_json_schema():
     for report in (build_family(GAMMA, 2), build_family(LAMBDA, 3)):
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_json_dict()))
         jsonschema.validate(doc, REPORT_SCHEMA)
 
 
 def test_report_is_deterministic():
-    assert build_family(GAMMA, 2).to_json() == build_family(GAMMA, 2).to_json()
-    assert build_family(LAMBDA, 2).to_json() == build_family(LAMBDA, 2).to_json()
+    for family in (GAMMA, LAMBDA):
+        assert (json.dumps(build_family(family, 2).to_json_dict())
+                == json.dumps(build_family(family, 2).to_json_dict()))
 
 
 def test_markdown_contains_headline_numbers():
-    report = build_family(GAMMA, 3)
-    md = report.to_markdown()
+    md = render_markdown(build_family(GAMMA, 3).to_json_dict())
     assert "cusps: 4" in md
     assert "chi: 3" in md
     assert "(8)·π²" in md
-    # same numbers as the JSON document
-    doc = report.to_json_dict()
-    assert render_markdown(doc) == md
 
 
 def test_failed_check_is_named():
