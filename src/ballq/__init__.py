@@ -36,7 +36,6 @@ from .surfaces import (
     ExactVolume,
     LogPair,
     NefReport,
-    QuotientOrbits,
     SurfaceModel,
     blow_up,
     bmy_classify,

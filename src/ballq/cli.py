@@ -23,7 +23,6 @@ from .curves import (EMPTY, IDENTICAL, POINTS, GraphCurve, Intersection, Vertica
                      intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
 
-JOBS_ENV_VAR = "BALLQ_JOBS"
 # Most levels one verify or spectrum run may ask for.
 MAX_LEVELS = 10_000
 
@@ -49,18 +48,11 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
-    """Worker count: the requested one (flag, else environment), capped by
-    the number of levels and the number of CPUs."""
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        try:
-            jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
-        except ValueError as exc:
-            raise UsageError(f"{JOBS_ENV_VAR} must be an integer") from exc
-    if jobs < 1:
+    """Worker count: the requested one, capped by the number of levels and
+    the number of CPUs."""
+    if args.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    return min(jobs, levels, os.cpu_count() or 1)
+    return min(args.jobs, levels, os.cpu_count() or 1)
 
 
 def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
@@ -193,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a single level or an inclusive range a..b")
     verify.add_argument("--format", choices=("json", "markdown"), default="json")
     verify.add_argument("--out", default=None, help="output path (default stdout)")
-    verify.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
+    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     verify.set_defaults(handler=_cmd_verify)
 
     spectrum = sub.add_parser("spectrum", help="tabulate exact volumes up to a cutoff")

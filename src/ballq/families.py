@@ -42,8 +42,8 @@ from .surfaces import (
     BMYClass,
     CurveRecord,
     LogPair,
-    QuotientOrbits,
     SMOOTH_ELLIPTIC,
+    SMOOTH_RATIONAL,
     SurfaceModel,
     blow_up,
     bmy_classify,
@@ -336,9 +336,6 @@ class ConstructionReport:
     assumptions: tuple[str, ...]
     flags: tuple[str, ...]
 
-    def failing_checks(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -526,7 +523,7 @@ def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | Ve
         f"q{j}": tuple(core.point_names[p.key] for p in orbit)
         for j, orbit in enumerate(core.orbits)
     }
-    quotient = etale_quotient(upstairs, 3, QuotientOrbits(curve_orbits, point_orbits))
+    quotient = etale_quotient(upstairs, 3, curve_orbits, point_orbits)
 
     chk.expect("quotient_chi", 0, quotient.chi_top)
     chk.expect("quotient_k2", 0, quotient.k2)
@@ -535,8 +532,7 @@ def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | Ve
     chk.expect("quotient_core_triple_points", [3] * n,
                [quotient.point_multiplicity(f"q{j}", CORE_CURVE) for j in range(n)])
 
-    blown = blow_up(quotient, [f"q{j}" for j in range(n)],
-                    exceptional_name=[f"exc{j + 1}" for j in range(n)])
+    blown = blow_up(quotient, {f"q{j}": f"exc{j + 1}" for j in range(n)})
     chk.expect("chi", n, blown.chi_top)
     chk.expect("k2", -n, blown.k2)
     chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC,
@@ -550,8 +546,7 @@ def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
     chk.expect("boundary_self_intersections", expected_self, actual_self)
     chk.expect("boundary_self_intersections_negative", True,
                all(v < 0 for v in actual_self.values()))
-    disjoint = not any(value for _, _, value in blown.pairs_among(boundary))
-    chk.expect("boundary_pairwise_disjoint", True, disjoint)
+    chk.expect("boundary_pairwise_disjoint", True, not blown.pairs_among(boundary))
     try:
         pair = LogPair(blown, boundary)
     except ValueError as exc:
@@ -585,30 +580,20 @@ def _certify_pair(pair: LogPair, n: int, expected_cusps: int,
     }
 
 
-def _exceptional_ledger(blown: SurfaceModel, n: int, fiber_names: list[str] | None,
+def _exceptional_ledger(quotient: SurfaceModel, blown: SurfaceModel, n: int,
                         chk: _Checks) -> None:
-    """Each exc{j} is a smooth rational (-1)-curve meeting the core curve
-    3 times and fiber{j} once; it misses every other fiber and every other
-    exceptional curve.  Those vanishing entries are read off the sparse
-    pairwise table, where any nonzero entry among them fails the ledger."""
-    excs = {f"exc{j}": j for j in range(1, n + 1)}
-    fibers = {name: i for i, name in enumerate(fiber_names or (), start=1)}
-    ok = True
-    for exc, j in excs.items():
-        rec = blown.curves[exc]
-        ok = ok and rec.self_int == -1 and rec.kind == "smooth-rational"
-        ok = ok and blown.pairwise_int(exc, CORE_CURVE) == 3
-        if fiber_names is not None:
-            ok = ok and blown.pairwise_int(exc, fiber_names[j - 1]) == 1
+    """Each exc{j} is a smooth rational (-1)-curve whose row of nonzero
+    intersection numbers is the multiplicity table of the point q{j-1} it
+    replaces: it meets each curve through that point once per branch and
+    misses every other curve, every other exceptional curve included."""
+    rows: dict[str, dict[str, int]] = {f"exc{j}": {} for j in range(1, n + 1)}
     for (a, b), value in blown.pairwise.items():
-        if not value or (a not in excs and b not in excs):
-            continue
-        if a in excs and b in excs:
-            ok = False
-            continue
-        j, other = (excs[a], b) if a in excs else (excs[b], a)
-        if fibers.get(other, j) != j:
-            ok = False
+        if a in rows:
+            rows[a][b] = value
+        if b in rows:
+            rows[b][a] = value
+    ok = all(blown.curves[exc] == CurveRecord(-1, SMOOTH_RATIONAL)
+             and row == quotient.points[f"q{j}"] for j, (exc, row) in enumerate(rows.items()))
     chk.expect("exceptional_curve_ledger", True, ok)
 
 
@@ -700,7 +685,6 @@ class _Family:
     orbit_self_intersection: Callable[[int], int]
     cusps: Callable[[int], int]
     pair_checks: Callable[[SurfaceModel, int, _Checks], None]
-    ledger_pairs_fibers: bool
     fiber_section: Callable[[SurfaceModel, int, int, _Checks], tuple[int | None, list[str]]]
     albanese_checks: tuple[str, ...]
 
@@ -828,7 +812,6 @@ _FAMILIES = {
         orbit_self_intersection=lambda n: -1,
         cusps=lambda n: n + 1,
         pair_checks=lambda blown, n, chk: None,
-        ledger_pairs_fibers=True,
         fiber_section=_gamma_fiber_section,
         albanese_checks=("albanese_index", "albanese_shift_order",
                          "albanese_base_point_count"),
@@ -840,7 +823,6 @@ _FAMILIES = {
         orbit_self_intersection=lambda n: -n,
         cusps=lambda n: 2,
         pair_checks=_lambda_pair_checks,
-        ledger_pairs_fibers=False,
         fiber_section=_lambda_fiber_section,
         albanese_checks=("albanese_index",),
     ),
@@ -905,8 +887,7 @@ def build_family(family: str, n: int) -> ConstructionReport:
             values.update(_certify_pair(pair, n, spec.cusps(n), chk))
             spec.pair_checks(blown, n, chk)
             stage = "ledger"
-            _exceptional_ledger(blown, n, list(extra_orbits) if spec.ledger_pairs_fibers
-                                else None, chk)
+            _exceptional_ledger(quotient, blown, n, chk)
 
             stage = "fiber"
             members = {image: [curves[name] for name in names]
@@ -962,18 +943,6 @@ class CoveringReport:
     cover_level: int
     contained: bool
     degree: int | None
-    statement: str
-    caveat: str
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "base_level": self.base_level,
-            "cover_level": self.cover_level,
-            "contained": self.contained,
-            "degree": self.degree,
-            "statement": self.statement,
-            "caveat": self.caveat,
-        }
 
 
 def covering_report(m: int, n: int) -> CoveringReport:
@@ -984,17 +953,7 @@ def covering_report(m: int, n: int) -> CoveringReport:
     sub = level_lattice(n)
     sup = level_lattice(m)
     contained = sub.is_sublattice_of(sup)
-    degree = sub.index_in(sup) if contained else None
-    if contained:
-        statement = (f"the level-{n} surface covers the level-{m} surface "
-                     f"with degree {degree}")
-    else:
-        statement = (f"the level-{n} period lattice is not contained in the "
-                     f"level-{m} one (containment requires {m} | {n})")
-    caveat = ("containment holds exactly when the base level divides the"
-              " cover level; a chain through all consecutive levels is not"
-              " available")
-    return CoveringReport(m, n, contained, degree, statement, caveat)
+    return CoveringReport(m, n, contained, sub.index_in(sup) if contained else None)
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ class IntegerMatrix2x2:
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
-
     def __matmul__(self, other: "IntegerMatrix2x2") -> "IntegerMatrix2x2":
         return IntegerMatrix2x2(
             self.a * other.a + self.b * other.c,

@@ -11,7 +11,7 @@ integer computations on this data.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,9 +60,10 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 class SurfaceModel:
     """Immutable numerical model of a projective surface.
 
-    pairwise maps sorted name pairs to intersection numbers (absent pairs
-    meet in 0 points); points maps point names to sparse multiplicity
-    tables (absent curves pass with multiplicity 0).
+    pairwise maps sorted name pairs to nonzero intersection numbers
+    (absent pairs meet in 0 points); points maps point names to tables of
+    nonzero multiplicities (absent curves pass with multiplicity 0).  build
+    stores no zeros, so two models with the same numbers compare equal.
     """
 
     chi_top: int
@@ -93,8 +94,10 @@ class SurfaceModel:
                     raise ValueError(f"point {point!r} references unknown curve {name!r}")
                 if mult < 0:
                     raise ValueError("multiplicities must be nonnegative")
-        return SurfaceModel(chi_top, k2, dict(curves), table,
-                            {p: dict(m) for p, m in points.items()})
+        return SurfaceModel(chi_top, k2, dict(curves),
+                            {key: value for key, value in table.items() if value},
+                            {p: {name: m for name, m in mults.items() if m}
+                             for p, mults in points.items()})
 
     def pairwise_int(self, a: str, b: str) -> int:
         if a == b:
@@ -113,18 +116,13 @@ class SurfaceModel:
                 if a in inside and b in inside]
 
 
-@dataclass(frozen=True)
-class QuotientOrbits:
-    """Orbit decomposition feeding an etale quotient: image name -> the
-    tuple of source names forming one orbit."""
-
-    curve_orbits: dict[str, tuple[str, ...]]
-    point_orbits: dict[str, tuple[str, ...]]
-
-
 def etale_quotient(model: SurfaceModel, group_order: int,
-                   orbits: QuotientOrbits) -> SurfaceModel:
+                   curve_orbits: dict[str, tuple[str, ...]],
+                   point_orbits: dict[str, tuple[str, ...]]) -> SurfaceModel:
     """Push a surface model through a free quotient of the given degree.
+
+    curve_orbits and point_orbits map each image name to the tuple of
+    source names forming its orbit.
 
     Euler number and canonical self-intersection divide by the degree;
     a curve orbit O maps to a single curve of self-intersection (sum O)^2
@@ -139,20 +137,20 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     if model.chi_top % g or model.k2 % g:
         raise ValueError("Euler number and K^2 must divide by the group order")
 
-    claimed_curves = [name for orbit in orbits.curve_orbits.values() for name in orbit]
+    claimed_curves = [name for orbit in curve_orbits.values() for name in orbit]
     if sorted(claimed_curves) != sorted(model.curves):
         raise ValueError("curve orbits must partition the curve set")
-    claimed_points = [name for orbit in orbits.point_orbits.values() for name in orbit]
+    claimed_points = [name for orbit in point_orbits.values() for name in orbit]
     if sorted(claimed_points) != sorted(model.points):
         raise ValueError("point orbits must partition the marked points")
 
-    for image, orbit in orbits.curve_orbits.items():
+    for image, orbit in curve_orbits.items():
         if g % len(orbit):
             raise ValueError(f"curve orbit {image!r} has size not dividing {g}")
         kinds = {model.curves[name].kind for name in orbit}
         if len(kinds) != 1 or SINGULAR in kinds:
             raise ValueError(f"curve orbit {image!r} must consist of smooth curves of one kind")
-    for image, orbit in orbits.point_orbits.items():
+    for image, orbit in point_orbits.items():
         if len(orbit) != g:
             raise ValueError(f"point orbit {image!r} has size {len(orbit)}, "
                              f"so the action is not free")
@@ -165,12 +163,12 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     # One pass over the sparse pairwise table: an entry inside an orbit
     # counts twice towards (sum O)^2, an entry across two orbits once
     # towards their image pair, recorded as (later image, earlier image).
-    image_names = list(orbits.curve_orbits)
+    image_names = list(curve_orbits)
     position = {image: i for i, image in enumerate(image_names)}
-    image_of = {name: image for image, orbit in orbits.curve_orbits.items()
+    image_of = {name: image for image, orbit in curve_orbits.items()
                 for name in orbit}
     self_totals = {image: sum(model.curves[name].self_int for name in orbit)
-                   for image, orbit in orbits.curve_orbits.items()}
+                   for image, orbit in curve_orbits.items()}
     cross_totals: dict[str, dict[str, int]] = {image: {} for image in image_names}
     for (a, b), value in model.pairwise.items():
         ia, ib = image_of[a], image_of[b]
@@ -185,26 +183,23 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     new_curves: dict[str, CurveRecord] = {}
     new_pairwise: dict[tuple[str, str], int] = {}
     for image in image_names:
-        orbit = orbits.curve_orbits[image]
+        orbit = curve_orbits[image]
         self_int = pushed(self_totals[image], f"(sum of orbit {image!r})^2")
         row = cross_totals[image]
         for other in sorted(row, key=position.__getitem__):
-            value = pushed(row[other], f"intersection of orbits {image!r} and {other!r}")
-            if value:
-                new_pairwise[_pair_key(image, other)] = value
+            new_pairwise[_pair_key(image, other)] = pushed(
+                row[other], f"intersection of orbits {image!r} and {other!r}")
         new_curves[image] = CurveRecord(self_int, model.curves[orbit[0]].kind)
 
-    # Branch counts per orbit member, from each point's nonzero
-    # multiplicities only; every member of an orbit must agree.
+    # Branch counts per orbit member; every member of an orbit must agree.
     new_points: dict[str, dict[str, int]] = {}
-    for image_point, orbit in orbits.point_orbits.items():
+    for image_point, orbit in point_orbits.items():
         per_member = []
         for p in orbit:
             counts: dict[str, int] = {}
             for curve, mult in model.points[p].items():
-                if mult:
-                    image = image_of[curve]
-                    counts[image] = counts.get(image, 0) + mult
+                image = image_of[curve]
+                counts[image] = counts.get(image, 0) + mult
             per_member.append(counts)
         if any(counts != per_member[0] for counts in per_member[1:]):
             raise ValueError(f"branch count at {image_point!r} differs across the orbit")
@@ -222,46 +217,36 @@ def etale_quotient(model: SurfaceModel, group_order: int,
                               new_curves, new_pairwise, new_points)
 
 
-def blow_up(model: SurfaceModel, points: str | Sequence[str],
-            exceptional_name: str | Sequence[str] | None = None) -> SurfaceModel:
-    """Blow up one marked point, or several distinct marked points at once.
+def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
+    """Blow up distinct marked points at once; exceptional maps each point
+    to the name of its new exceptional (-1)-curve.
 
-    points is one point name or a sequence of distinct names, and
-    exceptional_name correspondingly one name or a sequence of names
-    (default exc_<point>).  Euler number rises by 1 and K^2 drops by 1 per
-    point; each curve through a point with multiplicity m loses m^2 from
-    its self-intersection and meets that point's new exceptional
-    (-1)-curve in m points; pairwise numbers drop by the product of
-    multiplicities.  A singular curve with no multiple point left becomes
-    its resolved kind.  Blowing up several points gives the same model as
-    blowing them up one at a time, with a single rebuild.
+    Euler number rises by 1 and K^2 drops by 1 per point; each curve
+    through a point with multiplicity m loses m^2 from its
+    self-intersection and meets that point's exceptional curve in m
+    points; pairwise numbers drop by the product of multiplicities.  A
+    singular curve with no multiple point left becomes its resolved kind.
+    Blowing up several points gives the same model as blowing them up one
+    at a time, with a single rebuild.
     """
-    points = (points,) if isinstance(points, str) else tuple(points)
-    if exceptional_name is None:
-        excs = tuple(f"exc_{point}" for point in points)
-    elif isinstance(exceptional_name, str):
-        excs = (exceptional_name,)
-    else:
-        excs = tuple(exceptional_name)
-    if not points or len(set(points)) != len(points):
-        raise ValueError("need one or more distinct points to blow up")
-    if len(excs) != len(points) or len(set(excs)) != len(excs):
+    if not exceptional:
+        raise ValueError("need one or more points to blow up")
+    if len(set(exceptional.values())) != len(exceptional):
         raise ValueError("need one distinct exceptional name per point")
-    for point, exc in zip(points, excs):
+    for point, exc in exceptional.items():
         if point not in model.points:
             raise ValueError(f"unknown marked point {point!r}")
         if exc in model.curves:
             raise ValueError(f"exceptional name {exc!r} already in use")
 
-    chosen = set(points)
-    still_multiple = {name for point, mults in model.points.items() if point not in chosen
+    still_multiple = {name for point, mults in model.points.items()
+                      if point not in exceptional
                       for name, m in mults.items() if m >= 2}
     drops: dict[str, int] = {}
     new_pairwise = dict(model.pairwise)
-    for point, exc in zip(points, excs):
+    for point, exc in exceptional.items():
         mults = model.points[point]
-        # Only curves actually through the point change any pairwise number.
-        through = [name for name, m in mults.items() if m]
+        through = list(mults)
         for i, a in enumerate(through):
             m = mults[a]
             if m >= 2 and model.curves[a].kind != SINGULAR:
@@ -278,11 +263,11 @@ def blow_up(model: SurfaceModel, points: str | Sequence[str],
         if kind == SINGULAR and name not in still_multiple:
             kind, resolved = resolved, None
         new_curves[name] = CurveRecord(rec.self_int - drops.get(name, 0), kind, resolved)
-    for exc in excs:
+    for exc in exceptional.values():
         new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
 
-    new_points = {p: dict(m) for p, m in model.points.items() if p not in chosen}
-    return SurfaceModel.build(model.chi_top + len(points), model.k2 - len(points),
+    new_points = {p: mults for p, mults in model.points.items() if p not in exceptional}
+    return SurfaceModel.build(model.chi_top + len(exceptional), model.k2 - len(exceptional),
                               new_curves, new_pairwise, new_points)
 
 
@@ -316,9 +301,8 @@ class LogPair:
                 raise ValueError(f"boundary curve {name!r} is not smooth elliptic")
             if rec.self_int >= 0:
                 raise ValueError(f"boundary curve {name!r} has nonnegative self-intersection")
-        for a, b, value in self.surface.pairs_among(self.boundary):
-            if value:
-                raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
+        for a, b, _ in self.surface.pairs_among(self.boundary):
+            raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
 
 
 def log_chern(pair: LogPair) -> tuple[int, int]:

@@ -71,7 +71,7 @@ def test_criterion_1_gamma_family_certification():
         built = reports("gamma")
         for n in range(1, N_MAX + 1):
             report = built[n]
-            assert report.passed, (n, report.failing_checks())
+            assert report.passed, (n, [c.name for c in report.checks if not c.passed])
             values = report.values
             assert values["chi"] == n
             assert values["k2"] == -n
@@ -93,7 +93,7 @@ def test_criterion_2_lambda_family_certification():
         gamma_built = reports("gamma")
         for n in range(1, N_MAX + 1):
             report = built[n]
-            assert report.passed, (n, report.failing_checks())
+            assert report.passed, (n, [c.name for c in report.checks if not c.passed])
             values = report.values
             assert values["cusps"] == 2
             boundary = {b["name"]: b["self_intersection"] for b in values["boundary"]}
@@ -231,7 +231,7 @@ def test_criterion_8_property_suites():
         for _ in range(1000):
             m = IntegerMatrix2x2(*(rng.randint(-50, 50) for _ in range(4)))
             u, d, v = smith_normal_form(m)
-            assert u.is_unimodular() and v.is_unimodular()
+            assert abs(u.det()) == 1 and abs(v.det()) == 1
             assert (u @ m @ v) == d
             assert d.b == 0 and d.c == 0
             assert d.a >= 0 and d.d >= 0
@@ -263,7 +263,7 @@ def test_criterion_8_property_suites():
                         for i, a in enumerate(names) for b in names[i + 1:]}
             model = SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
                                        curves, pairwise, {"p": mults})
-            blown = blow_up(model, "p")
+            blown = blow_up(model, {"p": "exc"})
             assert blown.chi_top == model.chi_top + 1
             assert blown.k2 == model.k2 - 1
             for name in names:

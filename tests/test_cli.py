@@ -91,7 +91,6 @@ def test_verify_io_error(tmp_path, capsys, monkeypatch):
         calls.append(n)
         return original(family, n)
 
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "build_family", recording)
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
     code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..2",
@@ -111,7 +110,6 @@ def test_verify_streams_each_level_to_out(tmp_path, capsys, monkeypatch):
         seen[n] = target.read_text() if target.exists() else None
         return original(family, n)
 
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "build_family", recording)
     code, _, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..2",
                          "--out", str(target))
@@ -122,7 +120,6 @@ def test_verify_streams_each_level_to_out(tmp_path, capsys, monkeypatch):
 
 def test_verify_level_count_is_bounded(capsys, monkeypatch):
     calls = []
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "build_family", lambda family, n: calls.append(n))
     code, out, err = run_cli(capsys, "verify", "--family", "gamma",
                              "--n", f"1..{cli.MAX_LEVELS + 1}")
@@ -139,16 +136,6 @@ def test_spectrum_count_is_bounded(capsys, monkeypatch):
     assert code == 2
     assert "usage error" in err
     assert out == "" and calls == []
-
-
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    code, out, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..2")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 2
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "zero")
-    code, _, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1")
-    assert code == 2
 
 
 def test_spectrum_markdown(capsys):
@@ -276,7 +263,6 @@ def test_build_error_is_reported_with_exit_one(capsys, monkeypatch):
     def broken(core, members, chk):
         raise ValueError("seeded fault")
 
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "_generic_fiber_rows", broken)
     code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "3")
     assert code == 1
@@ -299,7 +285,6 @@ def verify_with_fault_at_three(capsys, monkeypatch, jobs):
 
     # --jobs workers are forked, so they inherit the patched module.
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "_generic_fiber_rows", broken_at_three)
     return run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4", "--jobs", jobs)
 
@@ -327,7 +312,6 @@ def test_failed_level_renders_as_markdown(capsys, monkeypatch):
     def broken(core, members, chk):
         raise ValueError("seeded fault")
 
-    monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
     monkeypatch.setattr(families, "_generic_fiber_rows", broken)
     code, out, _ = run_cli(capsys, "verify", "--family", "lambda", "--n", "2",
                            "--format", "markdown")
@@ -343,21 +327,17 @@ def test_intersect_zero_denominator_is_usage_error(capsys):
     assert "usage error" in err
 
 
-@pytest.mark.parametrize("requested, env, levels, cpus, expected", [
-    (8, None, 20, 2, 2),
-    (8, None, 1, 4, 1),
-    (2, None, 5, 4, 2),
-    (3, None, 5, None, 1),
-    (None, "3", 10, 8, 3),
-    (None, None, 10, 8, 1),
+@pytest.mark.parametrize("requested, levels, cpus, expected", [
+    (8, 20, 2, 2),
+    (8, 1, 4, 1),
+    (2, 5, 4, 2),
+    (3, 5, None, 1),
+    (None, 10, 8, 1),
 ])
-def test_resolve_jobs_is_bounded(monkeypatch, requested, env, levels, cpus, expected):
+def test_resolve_jobs_is_bounded(monkeypatch, requested, levels, cpus, expected):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    if env is None:
-        monkeypatch.delenv(cli.JOBS_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(cli.JOBS_ENV_VAR, env)
-    args = argparse.Namespace(jobs=requested)
+    flag = [] if requested is None else ["--jobs", str(requested)]
+    args = cli.build_parser().parse_args(["verify", "--family", "gamma", "--n", "1", *flag])
     assert cli._resolve_jobs(args, levels) == expected
 
 

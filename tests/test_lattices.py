@@ -98,7 +98,7 @@ def test_snf_level_coordinate_matrix():
 @given(matrices)
 def test_snf_postconditions(m):
     u, d, v = smith_normal_form(m)
-    assert u.is_unimodular() and v.is_unimodular()
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
     assert (u @ m @ v) == d
     assert d.b == 0 and d.c == 0
     assert d.a >= 0 and d.d >= 0

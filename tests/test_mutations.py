@@ -10,7 +10,8 @@ import pytest
 from ballq import curves, families
 from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
-from ballq.families import GAMMA, LAMBDA, ORDER3_SHIFT, BuildError, build_family
+from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
+                            build_family)
 from ballq.surfaces import CurveRecord, SurfaceModel
 
 
@@ -35,17 +36,40 @@ def deck_shift_doubled(monkeypatch):
         torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
 
 
-def blow_up_bumps_exceptional(monkeypatch):
+def edit_blown_model(monkeypatch, edit):
+    """Make the pipeline's blow_up hand on its model after edit(curves,
+    pairwise) has changed the two tables in place."""
     original = families.blow_up
 
-    def faulty(model, points, exceptional_name=None):
-        blown = original(model, points, exceptional_name)
-        curves = dict(blown.curves)
-        curves["exc1"] = CurveRecord(curves["exc1"].self_int - 1, curves["exc1"].kind)
-        return SurfaceModel.build(blown.chi_top, blown.k2, curves, blown.pairwise,
-                                  blown.points)
+    def faulty(model, exceptional):
+        blown = original(model, exceptional)
+        curves, pairwise = dict(blown.curves), dict(blown.pairwise)
+        edit(curves, pairwise)
+        return SurfaceModel.build(blown.chi_top, blown.k2, curves, pairwise, blown.points)
 
     monkeypatch.setattr(families, "blow_up", faulty)
+
+
+def blow_up_bumps_exceptional(monkeypatch):
+    def edit(curves, pairwise):
+        curves["exc1"] = CurveRecord(curves["exc1"].self_int - 1, curves["exc1"].kind)
+
+    edit_blown_model(monkeypatch, edit)
+
+
+def stray_exceptional_crossing(monkeypatch):
+    def edit(curves, pairwise):
+        if "exc2" in curves:
+            pairwise[("exc1", "exc2")] = 1
+
+    edit_blown_model(monkeypatch, edit)
+
+
+def exceptional_meets_level_orbit_twice(monkeypatch):
+    def edit(curves, pairwise):
+        pairwise[("exc1", LEVEL_CURVE)] = pairwise.get(("exc1", LEVEL_CURVE), 0) + 1
+
+    edit_blown_model(monkeypatch, edit)
 
 
 def vertical_fiber_over_wrong_z(monkeypatch):
@@ -65,10 +89,11 @@ def level_curves_wrong_offset(monkeypatch):
 
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, deck_shift_doubled,
-                 blow_up_bumps_exceptional]
+                 blow_up_bumps_exceptional, stray_exceptional_crossing]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
+    (LAMBDA, exceptional_meets_level_orbit_twice),
 ]
 
 

@@ -9,7 +9,6 @@ from ballq.surfaces import (
     BMYClass,
     CurveRecord,
     LogPair,
-    QuotientOrbits,
     SMOOTH_ELLIPTIC,
     SMOOTH_RATIONAL,
     SINGULAR,
@@ -37,14 +36,15 @@ def upstairs_model(n):
 
 
 def quotient_orbits(n):
+    """(curve orbits, point orbits) of the slope model."""
     curve_orbits = {"core": ("s0", "s1", "s2")}
     point_orbits = {f"q{m}": tuple(f"p{k}_{m}" for k in range(3)) for m in range(n)}
-    return QuotientOrbits(curve_orbits, point_orbits)
+    return curve_orbits, point_orbits
 
 
 def test_quotient_of_slope_orbit():
     for n in (1, 2, 4):
-        image = etale_quotient(upstairs_model(n), 3, quotient_orbits(n))
+        image = etale_quotient(upstairs_model(n), 3, *quotient_orbits(n))
         assert image.chi_top == 0
         assert image.k2 == 0
         core = image.curves["core"]
@@ -57,16 +57,15 @@ def test_quotient_of_disjoint_orbit_keeps_smoothness():
     names = ("h0", "h1", "h2")
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in names}
     model = SurfaceModel.build(0, 0, curves, {}, {})
-    image = etale_quotient(model, 3, QuotientOrbits({"level": names}, {}))
+    image = etale_quotient(model, 3, {"level": names}, {})
     assert image.curves["level"].self_int == 0
     assert image.curves["level"].kind == SMOOTH_ELLIPTIC
 
 
 def test_trivial_quotient_is_identity():
     model = upstairs_model(2)
-    orbits = QuotientOrbits({name: (name,) for name in model.curves},
-                            {p: (p,) for p in model.points})
-    image = etale_quotient(model, 1, orbits)
+    image = etale_quotient(model, 1, {name: (name,) for name in model.curves},
+                           {p: (p,) for p in model.points})
     assert image.chi_top == model.chi_top and image.k2 == model.k2
     assert {n: r.self_int for n, r in image.curves.items()} == {
         n: r.self_int for n, r in model.curves.items()}
@@ -74,21 +73,18 @@ def test_trivial_quotient_is_identity():
 
 def test_quotient_rejects_non_free_point_orbits():
     model = upstairs_model(1)
-    orbits = quotient_orbits(1)
-    broken = QuotientOrbits(orbits.curve_orbits,
-                            {"q0": ("p0_0", "p1_0"), "q1": ("p2_0",)})
+    curve_orbits, _ = quotient_orbits(1)
     with pytest.raises(ValueError):
-        etale_quotient(model, 3, broken)
+        etale_quotient(model, 3, curve_orbits, {"q0": ("p0_0", "p1_0"), "q1": ("p2_0",)})
 
 
 def test_quotient_rejects_partial_partition():
     model = upstairs_model(1)
-    broken = QuotientOrbits({"core": ("s0", "s1")}, quotient_orbits(1).point_orbits)
     with pytest.raises(ValueError):
-        etale_quotient(model, 3, broken)
+        etale_quotient(model, 3, {"core": ("s0", "s1")}, quotient_orbits(1)[1])
 
 
-def dense_quotient_numbers(model, g, orbits):
+def dense_quotient_numbers(model, g, curve_orbits, point_orbits):
     """Reference for etale_quotient: every orbit pair and every point
     orbit against every curve orbit, through pairwise_int and
     point_multiplicity.  Returns (self-intersections, pairwise, points)."""
@@ -97,23 +93,23 @@ def dense_quotient_numbers(model, g, orbits):
             raise ValueError(f"{what} does not divide by the group order")
         return total // g
 
-    images = list(orbits.curve_orbits)
+    images = list(curve_orbits)
     self_ints, pairwise = {}, {}
     for i, image in enumerate(images):
-        orbit = orbits.curve_orbits[image]
+        orbit = curve_orbits[image]
         self_ints[image] = pushed(sum(model.pairwise_int(a, b)
                                       for a in orbit for b in orbit),
                                   f"(sum of orbit {image!r})^2")
         for other in images[:i]:
             cross = sum(model.pairwise_int(a, b)
-                        for a in orbit for b in orbits.curve_orbits[other])
+                        for a in orbit for b in curve_orbits[other])
             value = pushed(cross, f"intersection of orbits {image!r} and {other!r}")
             if value:
                 pairwise[tuple(sorted((image, other)))] = value
     points = {}
-    for q, orbit in orbits.point_orbits.items():
+    for q, orbit in point_orbits.items():
         counts = {}
-        for image, curve_orbit in orbits.curve_orbits.items():
+        for image, curve_orbit in curve_orbits.items():
             per_member = {sum(model.point_multiplicity(p, c) for c in curve_orbit)
                           for p in orbit}
             if len(per_member) != 1:
@@ -149,23 +145,23 @@ def random_orbit_model(rng):
                 mults[flip] = 1 - mults[flip]
             points[member] = mults
     model = SurfaceModel.build(0, 0, curves, pairwise, points)
-    return model, QuotientOrbits(curve_orbits, point_orbits)
+    return model, curve_orbits, point_orbits
 
 
 def test_quotient_matches_dense_reference():
     rng = random.Random(2024)
     outcomes = {"quotient": 0, "error": 0}
     for _ in range(400):
-        model, orbits = random_orbit_model(rng)
+        model, *orbits = random_orbit_model(rng)
         try:
-            expected = dense_quotient_numbers(model, 3, orbits)
+            expected = dense_quotient_numbers(model, 3, *orbits)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                etale_quotient(model, 3, orbits)
+                etale_quotient(model, 3, *orbits)
             assert str(raised.value) == str(exc)
             outcomes["error"] += 1
             continue
-        image = etale_quotient(model, 3, orbits)
+        image = etale_quotient(model, 3, *orbits)
         got = ({name: rec.self_int for name, rec in image.curves.items()},
                image.pairwise, image.points)
         assert got == expected
@@ -194,10 +190,10 @@ def build_blown_gamma(n):
     for m in range(n):
         curve_orbits[f"fiber{m + 1}"] = tuple(f"v{m}_{k}" for k in range(3))
     point_orbits = {f"q{m}": tuple(f"p{k}_{m}" for k in range(3)) for m in range(n)}
-    image = etale_quotient(model, 3, QuotientOrbits(curve_orbits, point_orbits))
+    image = etale_quotient(model, 3, curve_orbits, point_orbits)
     blown = image
     for m in range(n):
-        blown = blow_up(blown, f"q{m}", exceptional_name=f"e{m + 1}")
+        blown = blow_up(blown, {f"q{m}": f"e{m + 1}"})
     return image, blown
 
 
@@ -220,7 +216,7 @@ def test_blow_up_family_invariants():
 def test_blow_up_unknown_point():
     model = upstairs_model(1)
     with pytest.raises(ValueError):
-        blow_up(model, "nope")
+        blow_up(model, {"nope": "e"})
 
 
 def test_blow_up_level_curve_drops_by_point_count():
@@ -230,7 +226,7 @@ def test_blow_up_level_curve_drops_by_point_count():
         points = {f"q{m}": {"level": 1} for m in range(n)}
         model = SurfaceModel.build(0, 0, curves, {}, points)
         for m in range(n):
-            model = blow_up(model, f"q{m}")
+            model = blow_up(model, {f"q{m}": f"e{m}"})
         assert model.curves["level"].self_int == -n
 
 
@@ -366,9 +362,10 @@ def test_blow_up_deltas_random_models():
     rng = random.Random(777)
     for _ in range(120):
         model = random_blowup_model(rng)
-        curves, mults = model.curves, model.points["p"]
+        curves = model.curves
         names = list(curves)
-        blown = blow_up(model, "p", exceptional_name="exc")
+        mults = {name: model.point_multiplicity("p", name) for name in names}
+        blown = blow_up(model, {"p": "exc"})
         assert blown.chi_top == model.chi_top + 1
         assert blown.k2 == model.k2 - 1
         for name in names:
@@ -381,14 +378,6 @@ def test_blow_up_deltas_random_models():
                         == model.pairwise_int(a, b) - mults[a] * mults[b])
 
 
-def assert_same_model(got, expected):
-    assert got.chi_top == expected.chi_top
-    assert got.k2 == expected.k2
-    assert got.curves == expected.curves
-    assert got.pairwise == expected.pairwise
-    assert got.points == expected.points
-
-
 def test_multi_point_blow_up_equals_folded_single_blow_ups():
     rng = random.Random(778)
     resolved = kept_singular = 0
@@ -396,16 +385,11 @@ def test_multi_point_blow_up_equals_folded_single_blow_ups():
         names = [f"p{i}" for i in range(rng.randint(1, 4))]
         model = random_blowup_model(rng, names)
         chosen = rng.sample(names, rng.randint(1, len(names)))
-        excs = [f"e_{point}" for point in chosen]
+        exceptional = {point: f"e_{point}" for point in chosen}
         folded = model
-        for point, exc in zip(chosen, excs):
-            folded = blow_up(folded, point, exceptional_name=exc)
-        assert_same_model(blow_up(model, chosen, exceptional_name=excs), folded)
-
-        folded_default = model
-        for point in chosen:
-            folded_default = blow_up(folded_default, point)
-        assert_same_model(blow_up(model, chosen), folded_default)
+        for point, exc in exceptional.items():
+            folded = blow_up(folded, {point: exc})
+        assert blow_up(model, exceptional) == folded
 
         for name, rec in model.curves.items():
             if rec.kind == SINGULAR:
@@ -420,25 +404,20 @@ def test_multi_point_blow_up_equals_folded_single_blow_ups():
 def test_multi_point_blow_up_of_gamma_quotient():
     for n in (1, 3, 4):
         image, folded = build_blown_gamma(n)
-        batched = blow_up(image, [f"q{m}" for m in range(n)],
-                          exceptional_name=[f"e{m + 1}" for m in range(n)])
-        assert_same_model(batched, folded)
+        batched = blow_up(image, {f"q{m}": f"e{m + 1}" for m in range(n)})
+        assert batched == folded
 
 
 def test_multi_point_blow_up_rejects_bad_input():
     model = upstairs_model(1)
     with pytest.raises(ValueError):
-        blow_up(model, [])
+        blow_up(model, {})
     with pytest.raises(ValueError):
-        blow_up(model, ["p0_0", "p0_0"])
+        blow_up(model, {"p0_0": "e0", "nope": "e1"})
     with pytest.raises(ValueError):
-        blow_up(model, ["p0_0", "nope"])
+        blow_up(model, {"p0_0": "e", "p1_0": "e"})
     with pytest.raises(ValueError):
-        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e"])
-    with pytest.raises(ValueError):
-        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e", "e"])
-    with pytest.raises(ValueError):
-        blow_up(model, ["p0_0", "p1_0"], exceptional_name=["e", "s0"])
+        blow_up(model, {"p0_0": "e", "p1_0": "s0"})
 
 
 def test_curve_record_validation():
@@ -460,24 +439,33 @@ def test_surface_model_validation():
         SurfaceModel.build(0, 0, curves, {}, {"p": {"b": 1}})
     with pytest.raises(ValueError):
         SurfaceModel.build(0, 0, curves, {}, {"p": {"a": -1}})
+    # Zero entries are not stored, yet still read as 0; a zero conflicting
+    # with a nonzero entry for the same pair is still rejected.
+    pair = {**curves, "b": CurveRecord(0, SMOOTH_ELLIPTIC)}
+    model = SurfaceModel.build(0, 0, pair, {("a", "b"): 0}, {"p": {"a": 0, "b": 1}})
+    assert model.pairwise == {} and model.points == {"p": {"b": 1}}
+    assert model.pairwise_int("a", "b") == 0
+    assert model.point_multiplicity("p", "a") == 0
+    assert model == SurfaceModel.build(0, 0, pair, {}, {"p": {"b": 1}})
+    with pytest.raises(ValueError, match="conflicting"):
+        SurfaceModel.build(0, 0, pair, {("a", "b"): 0, ("b", "a"): 2}, {})
 
 
 def test_quotient_divisibility_errors():
     curves = {"a": CurveRecord(1, SMOOTH_ELLIPTIC)}
     model = SurfaceModel.build(0, 0, curves, {}, {})
-    orbits = QuotientOrbits({"img": ("a",)}, {})
     with pytest.raises(ValueError):
-        etale_quotient(model, 3, orbits)  # self-intersection 1 not divisible
+        etale_quotient(model, 3, {"img": ("a",)}, {})  # self-intersection 1 not divisible
     lopsided = SurfaceModel.build(1, 0, {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}, {}, {})
     with pytest.raises(ValueError):
-        etale_quotient(lopsided, 3, orbits)  # chi not divisible
+        etale_quotient(lopsided, 3, {"img": ("a",)}, {})  # chi not divisible
 
 
 def test_blow_up_rejects_multiple_point_on_smooth_curve():
     curves = {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}
     model = SurfaceModel.build(0, 0, curves, {}, {"p": {"a": 2}})
     with pytest.raises(ValueError):
-        blow_up(model, "p")
+        blow_up(model, {"p": "e"})
 
 
 def test_exact_volume_rejects_negative():
