@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
@@ -82,6 +81,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args, len(tasks))
     render = json.dumps if args.format == "json" else families.render_markdown
     passed = True
+    if jobs > 1:
+        # Imported only here, so that serial runs load no multiprocessing,
+        # pickle or socket modules.
+        from concurrent.futures import ProcessPoolExecutor
     with (_output(args.out) as out,
           ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
         for doc, error in (pool.map if jobs > 1 else map)(_report_dict, tasks):

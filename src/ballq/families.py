@@ -431,6 +431,7 @@ class _Core:
     orbits: list[list[ProductPoint]]
     closed_keys: frozenset
     pair_counts: dict[tuple[str, str], int]
+    through: dict[str, frozenset]
 
 
 def _shared_geometry(n: int, chk: _Checks) -> _Core:
@@ -455,13 +456,17 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
 
     base_points: list[ProductPoint] = []
     pair_counts: dict[tuple[str, str], int] = {}
+    through: dict[str, frozenset] = {}
     for i in range(3):
         for j in range(i + 1, 3):
             result = intersect_graphs(slopes[i], slopes[j])
+            keys = result.keys()
             pair_counts[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = result.count
             chk.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
             chk.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
-                       True, result.keys() == closed_keys)
+                       True, keys == closed_keys)
+            if i == 0:
+                through[_SLOPE_NAMES[j]] = keys
             if (i, j) == (0, 1):
                 base_points = list(result.points)
 
@@ -470,50 +475,56 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
 
     points = sorted(base_points, key=lambda p: p.key)
     point_names = {p.key: f"pt{i}" for i, p in enumerate(points)}
+    through[_SLOPE_NAMES[0]] = frozenset(point_names)
     orbits = orbit_of_points(deck, points)
     chk.expect("point_orbit_count", n, len(orbits))
     chk.expect("point_orbit_sizes", [3] * n, [len(o) for o in orbits])
 
     return _Core(n, torus, slopes, deck, points, point_names, orbits, closed_keys,
-                 pair_counts)
+                 pair_counts, through)
 
 
-def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber]
-               ) -> dict[str, dict[str, int]]:
+def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber],
+               through: dict[str, frozenset]) -> dict[str, dict[str, int]]:
     """Multiplicity table {point name: {curve name: 1}} of the given curves
-    through the intersection points, each entry an exact contains_point test.
+    through the intersection points.
 
-    Graph curves are tested at every point.  Vertical fibers are bucketed
-    by the canonical key of z0 (all curves live on core.torus, so keys are
-    coordinates in one z-lattice basis); a point is tested only against the
-    fibers in the bucket of its own z, which keeps the pass linear.
+    Every point lies on slope0, so a graph curve passes through it exactly
+    when its key is in the curve's intersection with slope0, which
+    intersect_graphs has solved exactly: through[name] is that key set (all
+    points for slope0).  Vertical fibers are bucketed by the canonical key
+    of z0 (all curves live on core.torus, so keys are coordinates in one
+    z-lattice basis); a point is tested with contains_point only against
+    the fibers in the bucket of its own z, which keeps the pass linear.
     """
-    graphs: list[tuple[str, GraphCurve]] = []
+    graphs: list[tuple[str, frozenset]] = []
     fibers_over: dict[tuple, list[tuple[str, VerticalFiber]]] = {}
     for name, curve in curves.items():
         if isinstance(curve, VerticalFiber):
             fibers_over.setdefault(curve.z0.key, []).append((name, curve))
         else:
-            graphs.append((name, curve))
+            graphs.append((name, through[name]))
     table: dict[str, dict[str, int]] = {}
     for p in core.points:
-        candidates = graphs + fibers_over.get(p.z.key, [])
-        table[core.point_names[p.key]] = {
-            name: 1 for name, curve in candidates if curve.contains_point(p)
-        }
+        row = {name: 1 for name, keys in graphs if p.key in keys}
+        row.update((name, 1) for name, curve in fibers_over.get(p.z.key, ())
+                   if curve.contains_point(p))
+        table[core.point_names[p.key]] = row
     return table
 
 
 def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | VerticalFiber],
                          curve_orbits: dict[str, tuple[str, ...]],
                          pairwise: dict[tuple[str, str], int],
+                         through: dict[str, frozenset],
                          chk: _Checks) -> tuple[SurfaceModel, SurfaceModel]:
     """Assemble the upstairs model of all curves, push it through the deck
     quotient with the given curve orbits and blow up the triple points.
+    through holds the key set of each graph curve (see _incidence).
     Returns (quotient, blown_up)."""
     n = core.n
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in upstairs_curves}
-    points = _incidence(core, upstairs_curves)
+    points = _incidence(core, upstairs_curves, through)
     chk.expect("all_slope_curves_through_every_point", True,
                all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES)
                    for m in points.values()))
@@ -675,12 +686,13 @@ _TOWER_FLAG = (
 @dataclass(frozen=True)
 class _Family:
     """What one family adds to the shared construction.  upstairs returns
-    the extra curves, their deck orbits (the extra boundary components)
-    and their pairwise entries with the slope curves; fiber_section returns
+    the extra curves, their deck orbits (the extra boundary components),
+    their pairwise entries with the slope curves and the key set of the
+    points each extra graph curve passes through; fiber_section returns
     the asserted singular-fiber puncture count (or None) and its flags.
     Each callable records its own checks."""
 
-    upstairs: Callable[[_Core, _Checks], tuple[dict, dict, dict]]
+    upstairs: Callable[[_Core, _Checks], tuple[dict, dict, dict, dict]]
     quotient_checks: Callable[[SurfaceModel, int, _Checks], None]
     orbit_self_intersection: Callable[[int], int]
     cusps: Callable[[int], int]
@@ -689,7 +701,7 @@ class _Family:
     albanese_checks: tuple[str, ...]
 
 
-def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
+def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     """The three vertical fibers vert{j}_k over the members of the j-th point
     orbit, each meeting every slope curve once, and their deck orbits
     fiber{j}; the images are the Albanese fibers through the triple points."""
@@ -703,7 +715,7 @@ def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
     chk.expect("vertical_fibers_distinct", 3 * core.n,
                len({curve.z0.key for curve in curves.values()}))
     pairwise = {(slope, name): 1 for name in curves for slope in _SLOPE_NAMES}
-    return curves, orbits, pairwise
+    return curves, orbits, pairwise, {}
 
 
 def _gamma_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
@@ -729,7 +741,7 @@ def _gamma_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
     return 4, []
 
 
-def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
+def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     """The three constant graphs w = 2/3 + l*shift: one deck orbit of
     pairwise disjoint curves whose crossings with the slope curves all lie
     in the closed-form locus, so downstairs the two image curves meet
@@ -761,15 +773,19 @@ def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict]:
 
     mixed_keys: set = set()
     pairwise: dict[tuple[str, str], int] = {}
+    through: dict[str, frozenset] = {}
     for slope_name, slope_curve in zip(_SLOPE_NAMES, core.slopes):
         for level_name, level_curve in zip(_LEVEL_NAMES, levels):
             result = intersect_graphs(slope_curve, level_curve)
-            mixed_keys.update(result.keys())
+            keys = result.keys()
+            mixed_keys.update(keys)
             pairwise[(slope_name, level_name)] = result.count
+            if slope_name == _SLOPE_NAMES[0]:
+                through[level_name] = keys
     chk.expect("slope_level_crossing_counts", [core.n] * 9, list(pairwise.values()))
     chk.expect("mixed_intersections_at_triple_points", True,
                frozenset(mixed_keys) == core.closed_keys)
-    return dict(zip(_LEVEL_NAMES, levels)), {LEVEL_CURVE: _LEVEL_NAMES}, pairwise
+    return dict(zip(_LEVEL_NAMES, levels)), {LEVEL_CURVE: _LEVEL_NAMES}, pairwise, through
 
 
 def _lambda_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
@@ -852,12 +868,13 @@ def build_family(family: str, n: int) -> ConstructionReport:
     try:
         core = _shared_geometry(n, chk)
         stage = "upstairs"
-        extra_curves, extra_orbits, extra_pairwise = spec.upstairs(core, chk)
+        extra_curves, extra_orbits, extra_pairwise, extra_through = spec.upstairs(core, chk)
         curves = {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra_curves}
         orbits = {CORE_CURVE: _SLOPE_NAMES, **extra_orbits}
         stage = "quotient"
         quotient, blown = _quotient_and_blowup(core, curves, orbits,
-                                               {**core.pair_counts, **extra_pairwise}, chk)
+                                               {**core.pair_counts, **extra_pairwise},
+                                               {**core.through, **extra_through}, chk)
         spec.quotient_checks(quotient, n, chk)
 
         stage = "boundary"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import lcm
 
 from .eisenstein import EisensteinNumber
 
@@ -28,6 +28,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """(numerators, den) with values[i] == numerators[i] / den and den > 0."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,9 @@ class Lattice:
     """The set {m*gen1 + n*gen2 : m, n integers} for independent generators.
 
     The stored basis is not canonical; lattices compare equal exactly when
-    each contains the other's generators.
+    each contains the other's generators.  The inverse basis and the
+    generators are also kept as integers over one common denominator each,
+    for TorusPoint's reduction.
     """
 
     gen1: EisensteinNumber
@@ -131,6 +139,8 @@ class Lattice:
     _inverse_basis: tuple[Fraction, Fraction, Fraction, Fraction] = field(
         init=False, repr=False, compare=False
     )
+    _inverse_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _gens_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g1, g2 = self.gen1, self.gen2
@@ -139,6 +149,9 @@ class Lattice:
             raise ValueError("lattice generators are R-linearly dependent")
         inv = (g2.rho_part / det, -g2.re_part / det, -g1.rho_part / det, g1.re_part / det)
         object.__setattr__(self, "_inverse_basis", inv)
+        object.__setattr__(self, "_inverse_int", _over_common_denominator(inv))
+        object.__setattr__(self, "_gens_int", _over_common_denominator(
+            (g1.re_part, g1.rho_part, g2.re_part, g2.rho_part)))
 
     def coordinates(self, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
         """Exact rational (s, t) with x = s*gen1 + t*gen2."""
@@ -215,6 +228,11 @@ class TorusPoint:
     The stored value is the unique representative whose coordinates in the
     lattice's own basis lie in [0, 1) x [0, 1); construction reduces any
     input value, so reduction is idempotent by definition.
+
+    The reduction is integer arithmetic (cf. Cohen, GTM 138, section 2.4):
+    with value = a + b*rho and the lattice's inverse basis over its common
+    denominator e, both coordinates are integers over den = e*den(a)*den(b),
+    and reducing them is a remainder modulo den.
     """
 
     value: EisensteinNumber
@@ -222,12 +240,19 @@ class TorusPoint:
     coords: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s, t = self.lattice.coordinates(self.value)
-        rs = s - floor(s)
-        rt = t - floor(t)
-        object.__setattr__(self, "coords", (rs, rt))
+        (i00, i01, i10, i11), e = self.lattice._inverse_int
+        a, b = self.value.re_part, self.value.rho_part
+        ad, bd = a.denominator, b.denominator
+        an, bn = a.numerator * bd, b.numerator * ad
+        den = e * ad * bd
+        s, t = i00 * an + i01 * bn, i10 * an + i11 * bn
+        rs, rt = s % den, t % den
+        object.__setattr__(self, "coords", (Fraction(rs, den), Fraction(rt, den)))
         if rs != s or rt != t:
-            object.__setattr__(self, "value", self.lattice.from_coordinates(rs, rt))
+            (g1a, g1b, g2a, g2b), gd = self.lattice._gens_int
+            vden = den * gd
+            object.__setattr__(self, "value", EisensteinNumber(
+                Fraction(rs * g1a + rt * g2a, vden), Fraction(rs * g1b + rt * g2b, vden)))
 
     @property
     def key(self) -> tuple[Fraction, Fraction]:

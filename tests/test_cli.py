@@ -237,6 +237,13 @@ def test_parallel_output_matches_serial():
     assert serial.stdout == parallel.stdout
 
 
+def test_import_loads_no_process_pool():
+    probe = "import sys, ballq.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
+                            text=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_intersect_two_fibers(capsys):
     code, out, _ = run_cli(capsys, "intersect", "fiber:0", "fiber:0", "--n", "2")
     assert code == 0

@@ -320,42 +320,59 @@ def test_deck_classification_multiplier_branches():
 
 def _upstairs_inputs(family, n):
     """What build_family feeds the quotient: the shared core, all upstairs
-    curves, their deck orbits and their pairwise numbers."""
+    curves, their deck orbits, their pairwise numbers and the key sets of
+    the graph curves."""
     core = _shared_geometry(n, _Checks())
-    extra, extra_orbits, extra_pairwise = _FAMILIES[family].upstairs(core, _Checks())
+    extra, extra_orbits, extra_pairwise, extra_through = _FAMILIES[family].upstairs(
+        core, _Checks())
     return (core, {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra},
             {CORE_CURVE: _SLOPE_NAMES, **extra_orbits},
-            {**core.pair_counts, **extra_pairwise})
+            {**core.pair_counts, **extra_pairwise}, {**core.through, **extra_through})
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_keyed_incidence_equals_brute_force(family):
     for n in range(1, 9):
-        core, curves, _, _ = _upstairs_inputs(family, n)
+        core, curves, _, _, through = _upstairs_inputs(family, n)
         brute = {
             core.point_names[p.key]: {name: 1 for name, curve in curves.items()
                                       if curve.contains_point(p)}
             for p in core.points
         }
-        assert _incidence(core, curves) == brute
+        assert _incidence(core, curves, through) == brute
 
 
-def test_gamma_incidence_tests_grow_linearly(monkeypatch):
-    calls = [0]
+def count_contains_point_calls(monkeypatch):
+    """Patch contains_point on both curve types to count its calls by type."""
+    calls = {GraphCurve: 0, VerticalFiber: 0}
 
-    def counting(method):
+    def counting(cls):
+        method = cls.contains_point
+
         def wrapper(self, p):
-            calls[0] += 1
+            calls[cls] += 1
             return method(self, p)
         return wrapper
 
-    for cls in (GraphCurve, VerticalFiber):
-        monkeypatch.setattr(cls, "contains_point", counting(cls.contains_point))
+    for cls in calls:
+        monkeypatch.setattr(cls, "contains_point", counting(cls))
+    return calls
+
+
+def test_gamma_incidence_tests_grow_linearly(monkeypatch):
+    calls = count_contains_point_calls(monkeypatch)
     n = 40
     assert build_family(GAMMA, n).passed
-    # 3n points, each tested against the 3 slope curves and the one
-    # vertical fiber over its own z
-    assert calls[0] <= 12 * n, calls[0]
+    # graph curves are read off the intersection sets; each of the 3n
+    # points is tested only against the one vertical fiber over its own z
+    assert calls[GraphCurve] == 0
+    assert calls[VerticalFiber] <= 3 * n, calls[VerticalFiber]
+
+
+def test_lambda_incidence_makes_no_point_tests(monkeypatch):
+    calls = count_contains_point_calls(monkeypatch)
+    assert build_family(LAMBDA, 40).passed
+    assert calls == {GraphCurve: 0, VerticalFiber: 0}
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
@@ -365,12 +382,12 @@ def test_both_orders_of_the_calculus_agree(family):
     exceptional curves over the j-th point orbit.  Upstairs, the slope and
     extra curves bound a log pair with three times the downstairs numbers."""
     for n in range(1, 13):
-        core, curves, orbits, pairwise = _upstairs_inputs(family, n)
-        _, blown = _quotient_and_blowup(core, curves, orbits, pairwise, _Checks())
+        core, curves, orbits, pairwise, through = _upstairs_inputs(family, n)
+        _, blown = _quotient_and_blowup(core, curves, orbits, pairwise, through, _Checks())
 
         upstairs = SurfaceModel.build(
             0, 0, {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in curves},
-            pairwise, _incidence(core, curves))
+            pairwise, _incidence(core, curves, through))
         exc_orbits = {f"exc{j}": tuple(f"exc{j}_{k}" for k in range(3))
                       for j in range(1, n + 1)}
         blown_upstairs = blow_up(upstairs, {

@@ -1,13 +1,14 @@
 """Lattice membership, indices, Smith normal form and coset enumeration."""
 
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballq.eisenstein import ONE, RHO, eis
-from ballq.families import ORDER3_SHIFT, base_lattice, level_lattice
+from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
 from ballq.lattices import (
     IntegerMatrix2x2,
     Lattice,
@@ -172,6 +173,43 @@ def test_reduction_properties_random():
         period = lattice.from_coordinates(Fraction(rng.randint(-3, 3)),
                                           Fraction(rng.randint(-3, 3)))
         assert TorusPoint(x + period, lattice) == point
+
+
+def reference_reduction(x, lattice):
+    """The Fraction reduction: floor both coordinates, then rebuild the
+    value from the remainders."""
+    s, t = lattice.coordinates(x)
+    rs, rt = s - floor(s), t - floor(t)
+    return (rs, rt), lattice.from_coordinates(rs, rt)
+
+
+@st.composite
+def lattices_and_values(draw):
+    """A family lattice at a level n <= 60, possibly scaled, and a value
+    whose coefficients have denominators up to 12n."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    lattice = draw(st.sampled_from([level_lattice(n), base_lattice(), albanese_lattice(n)]))
+    if draw(st.booleans()):
+        parts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+        factor = eis(draw(parts), draw(parts))
+        if factor:
+            lattice = lattice.scaled(factor)
+    parts = st.builds(Fraction, st.integers(min_value=-24 * n, max_value=24 * n),
+                      st.integers(min_value=1, max_value=12 * n))
+    return lattice, eis(draw(parts), draw(parts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattices_and_values())
+def test_integer_reduction_matches_fraction_reduction(case):
+    lattice, x = case
+    point = TorusPoint(x, lattice)
+    coords, value = reference_reduction(x, lattice)
+    assert point.coords == coords
+    assert point.value == value
+    assert all(0 <= c < 1 for c in point.coords)
+    again = TorusPoint(point.value, lattice)
+    assert (again.coords, again.value) == (point.coords, point.value)
 
 
 def test_index_multiplicativity_random():

@@ -76,11 +76,23 @@ def vertical_fiber_over_wrong_z(monkeypatch):
     spec = families._FAMILIES[GAMMA]
 
     def faulty(core, chk):
-        curves, orbits, pairwise = spec.upstairs(core, chk)
+        curves, orbits, pairwise, through = spec.upstairs(core, chk)
         moved = curves["vert1_0"].z0.value + ORDER3_SHIFT / 2
-        return {**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise
+        return ({**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise,
+                through)
 
     monkeypatch.setitem(families._FAMILIES, GAMMA, dataclasses.replace(spec, upstairs=faulty))
+
+
+def level_key_set_misses_a_point(monkeypatch):
+    spec = families._FAMILIES[LAMBDA]
+
+    def faulty(core, chk):
+        curves, orbits, pairwise, through = spec.upstairs(core, chk)
+        level0 = through["level0"]
+        return curves, orbits, pairwise, {**through, "level0": level0 - {min(level0)}}
+
+    monkeypatch.setitem(families._FAMILIES, LAMBDA, dataclasses.replace(spec, upstairs=faulty))
 
 
 def level_curves_wrong_offset(monkeypatch):
@@ -94,6 +106,7 @@ PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBD
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
     (LAMBDA, exceptional_meets_level_orbit_twice),
+    (LAMBDA, level_key_set_misses_a_point),
 ]
 
 
