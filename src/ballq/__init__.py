@@ -12,7 +12,7 @@ from .lattices import (
     IntegerMatrix2x2,
     Lattice,
     TorusPoint,
-    coset_representatives,
+    coset_grid,
     smith_normal_form,
 )
 from .curves import (

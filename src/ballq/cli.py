@@ -22,7 +22,10 @@ from .curves import (EMPTY, IDENTICAL, POINTS, GraphCurve, Intersection, Vertica
                      intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
 
-# Most levels one verify or spectrum run may ask for.
+# Largest level n one verify or intersect run may build, most points one
+# intersect run may list, and most rows one spectrum run may tabulate.
+MAX_LEVEL = 2_000
+MAX_POINTS = 20_000
 MAX_LEVELS = 10_000
 
 
@@ -41,8 +44,8 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"cannot parse n or range {text!r}") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= first <= last in range, got {text!r}")
-    if hi - lo >= MAX_LEVELS:
-        raise UsageError(f"a range may hold at most {MAX_LEVELS} levels, got {text!r}")
+    if hi > MAX_LEVEL:
+        raise UsageError(f"levels above {MAX_LEVEL} are not supported, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -140,8 +143,8 @@ def _parse_curve_spec(spec: str, torus) -> GraphCurve | VerticalFiber:
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
+    if not 1 <= args.n <= MAX_LEVEL:
+        raise UsageError(f"n must be between 1 and {MAX_LEVEL}")
     torus = families.product_torus(args.n)
     try:
         first = _parse_curve_spec(args.first, torus)
@@ -151,6 +154,14 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     if isinstance(first, VerticalFiber) and isinstance(second, GraphCurve):
         first, second = second, first
     if isinstance(second, GraphCurve):
+        if first.slope != second.slope:
+            # The point count is the index of (slope difference)*(z-lattice)
+            # in the w-lattice, known before any point is built.
+            count = torus.lattice_z.scaled(first.slope - second.slope).index_in(
+                torus.lattice_w)
+            if count > MAX_POINTS:
+                raise UsageError(f"the curves meet in {count} points; at most "
+                                 f"{MAX_POINTS} are listed")
         result = intersect_graphs(first, second)
     elif isinstance(first, GraphCurve):
         result = Intersection(POINTS, (intersect_graph_fiber(first, second),))

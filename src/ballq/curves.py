@@ -5,7 +5,7 @@ w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  Intersections are solved exactly: for two graphs with
 slope difference M the solution set of M*z = offset difference (mod the
 w-lattice) is a torsor under the finite group (M^-1 * w-lattice)/z-lattice,
-which coset enumeration lists exactly.
+whose Smith normal form grid lists it exactly, in integer coordinates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import ONE, EisensteinNumber
-from .lattices import Lattice, TorusPoint, coset_representatives
+from .lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
 
 
 def _as_eisenstein(value: object) -> EisensteinNumber:
@@ -234,17 +234,35 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
         return Intersection(IDENTICAL if c1.offset == c2.offset else EMPTY)
     lw = c1.ambient.lattice_w
     lz = c1.ambient.lattice_z
-    m = c1.slope - c2.slope
-    m_inv = m.inverse()
-    z_particular = m_inv * (c2.offset.value - c1.offset.value)
-    solution_lattice = lw.scaled(m_inv)
-    points = []
-    for rep in coset_representatives(lz, solution_lattice):
-        z = TorusPoint(z_particular + rep, lz)
-        w = TorusPoint(c1.slope * z.value + c1.offset.value, lw)
-        points.append(ProductPoint(w, z))
-    points.sort(key=lambda p: p.key)
-    return Intersection(POINTS, tuple(points))
+    m_inv = (c1.slope - c2.slope).inverse()
+    d1, d2, b1, b2 = coset_grid(lz, lw.scaled(m_inv))
+    # z side: the solutions z0 + k1*b1 + k2*b2 in z-lattice coordinates,
+    # numerators over one denominator dz.
+    z0 = m_inv * (c2.offset.value - c1.offset.value)
+    (s0, t0, s1, t1, s2, t2), dz = _over_common_denominator(
+        lz.coordinates(z0) + lz.coordinates(b1) + lz.coordinates(b2))
+    # w side: w = slope*z + offset.  z -> slope*z is the integer matrix
+    # (a, b; c, d) from z- to w-lattice coordinates (the curve checked that
+    # slope * z-lattice lies in the w-lattice); the offset's coordinates are
+    # numerators over dw.  Both are then numerators over dz*dw.
+    (a, c), (b, d) = (lw.contains(c1.slope * gen) for gen in (lz.gen1, lz.gen2))
+    (ws0, wt0), dw = _over_common_denominator(c1.offset.coords)
+    dzw = dz * dw
+    ws0, wt0 = ws0 * dz, wt0 * dz
+    # Sorting the integer numerators gives the order of the point keys,
+    # since every key coordinate has one fixed denominator.
+    numerators = []
+    for k1 in range(d1):
+        zs1, zt1 = s0 + k1 * s1, t0 + k1 * t1
+        for k2 in range(d2):
+            zs, zt = (zs1 + k2 * s2) % dz, (zt1 + k2 * t2) % dz
+            numerators.append(((dw * (a * zs + b * zt) + ws0) % dzw,
+                               (dw * (c * zs + d * zt) + wt0) % dzw, zs, zt))
+    numerators.sort()
+    points = tuple(ProductPoint(TorusPoint.from_reduced(ws, wt, dzw, lw),
+                                TorusPoint.from_reduced(zs, zt, dz, lz))
+                   for ws, wt, zs, zt in numerators)
+    return Intersection(POINTS, points)
 
 
 def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> ProductPoint:

@@ -200,25 +200,30 @@ class Lattice:
         return {"gen1": str(self.gen1), "gen2": str(self.gen2)}
 
 
-def coset_representatives(sub: Lattice, sup: Lattice) -> list[EisensteinNumber]:
-    """Representatives of sup/sub, one per class.
+def coset_grid(sub: Lattice, sup: Lattice) -> tuple[int, int, EisensteinNumber,
+                                                   EisensteinNumber]:
+    """(d1, d2, b1, b2) such that the classes of sup/sub are exactly the
+    k1*b1 + k2*b2 for 0 <= k1 < d1 and 0 <= k2 < d2, one per class.
 
     The coordinate matrix M of sub in sup's basis is put in Smith normal
-    form U M V = diag(d1, d2); the classes are k1*b1 + k2*b2 for the
-    adapted basis (b1, b2) = sup-basis * U^{-1} and 0 <= ki < di.
+    form U M V = diag(d1, d2); (b1, b2) = sup-basis * U^{-1} is the adapted
+    basis (Cohen, GTM 138, section 2.4).
     """
     m = sub.coordinate_matrix_in(sup)
     u, d, _ = smith_normal_form(m)
     if d.a == 0 or d.d == 0:
         raise ValueError("sublattice does not have finite index")
     uinv = u.inverse_unimodular()
-    reps = []
-    for k1 in range(d.a):
-        for k2 in range(d.d):
-            y1 = uinv.a * k1 + uinv.b * k2
-            y2 = uinv.c * k1 + uinv.d * k2
-            reps.append(sup.from_coordinates(Fraction(y1), Fraction(y2)))
-    return reps
+    return (d.a, d.d, sup.from_coordinates(Fraction(uinv.a), Fraction(uinv.c)),
+            sup.from_coordinates(Fraction(uinv.b), Fraction(uinv.d)))
+
+
+def _value_at(lattice: Lattice, rs: int, rt: int, den: int) -> EisensteinNumber:
+    """(rs/den)*gen1 + (rt/den)*gen2, from the integer generators."""
+    (g1a, g1b, g2a, g2b), gd = lattice._gens_int
+    vden = den * gd
+    return EisensteinNumber(Fraction(rs * g1a + rt * g2a, vden),
+                            Fraction(rs * g1b + rt * g2b, vden))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +254,19 @@ class TorusPoint:
         rs, rt = s % den, t % den
         object.__setattr__(self, "coords", (Fraction(rs, den), Fraction(rt, den)))
         if rs != s or rt != t:
-            (g1a, g1b, g2a, g2b), gd = self.lattice._gens_int
-            vden = den * gd
-            object.__setattr__(self, "value", EisensteinNumber(
-                Fraction(rs * g1a + rt * g2a, vden), Fraction(rs * g1b + rt * g2b, vden)))
+            object.__setattr__(self, "value", _value_at(self.lattice, rs, rt, den))
+
+    @classmethod
+    def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
+        """The point with coordinates (rs/den, rt/den) in the lattice's basis,
+        for integers 0 <= rs, rt < den; nothing is left to reduce."""
+        if not (0 <= rs < den and 0 <= rt < den):
+            raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
+        point = object.__new__(cls)
+        object.__setattr__(point, "lattice", lattice)
+        object.__setattr__(point, "coords", (Fraction(rs, den), Fraction(rt, den)))
+        object.__setattr__(point, "value", _value_at(lattice, rs, rt, den))
+        return point
 
     @property
     def key(self) -> tuple[Fraction, Fraction]:

@@ -126,7 +126,25 @@ def test_verify_level_count_is_bounded(capsys, monkeypatch):
     assert code == 2
     assert "usage error" in err
     assert out == "" and calls == []
-    assert len(cli._parse_n_range(f"5..{cli.MAX_LEVELS + 4}")) == cli.MAX_LEVELS
+    # Every level is at most MAX_LEVEL, so a range holds at most that many.
+    assert len(cli._parse_n_range(f"1..{cli.MAX_LEVEL}")) == cli.MAX_LEVEL
+
+
+@pytest.mark.parametrize("n_arg", ["5000000", f"{cli.MAX_LEVEL + 1}",
+                                   f"1..{cli.MAX_LEVEL + 1}"])
+def test_verify_level_is_bounded(capsys, monkeypatch, n_arg):
+    calls = []
+    monkeypatch.setattr(families, "build_family", lambda family, n: calls.append(n))
+    code, out, err = run_cli(capsys, "verify", "--family", "lambda", "--n", n_arg)
+    assert code == 2
+    assert "usage error" in err
+    assert out == "" and calls == []
+
+
+def test_level_bound_covers_used_levels():
+    # The benchmark's seeded large levels reach 402.
+    assert cli._parse_n_range("398..402") == [398, 399, 400, 401, 402]
+    assert cli._parse_n_range(str(cli.MAX_LEVEL)) == [cli.MAX_LEVEL]
 
 
 def test_spectrum_count_is_bounded(capsys, monkeypatch):
@@ -256,6 +274,39 @@ def test_intersect_two_fibers(capsys):
 def test_intersect_rejects_bad_level(capsys):
     code, _, _ = run_cli(capsys, "intersect", "graph:1,0", "graph:r,0", "--n", "0")
     assert code == 2
+
+
+def forbid_intersect(monkeypatch):
+    def refuse(c1, c2):
+        raise AssertionError("intersect_graphs was called")
+
+    monkeypatch.setattr(cli, "intersect_graphs", refuse)
+
+
+def test_intersect_level_is_bounded(capsys, monkeypatch):
+    forbid_intersect(monkeypatch)
+    code, out, err = run_cli(capsys, "intersect", "graph:1,0", "graph:r,0",
+                             "--n", str(cli.MAX_LEVEL + 1))
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
+def test_intersect_point_count_is_bounded(capsys, monkeypatch):
+    # N(100000) * 1 = 10^10 points, rejected before any is built.
+    forbid_intersect(monkeypatch)
+    code, out, err = run_cli(capsys, "intersect", "graph:100000,0", "graph:0,0", "--n", "1")
+    assert code == 2
+    assert "10000000000 points" in err and out == ""
+
+
+def test_intersect_point_bound_is_inclusive(capsys, monkeypatch):
+    # Two slope curves at level n meet in 3n points.
+    monkeypatch.setattr(cli, "MAX_POINTS", 6)
+    code, out, _ = run_cli(capsys, "intersect", "graph:1,0", "graph:r,0", "--n", "2")
+    assert code == 0 and json.loads(out)["count"] == 6
+    code, out, err = run_cli(capsys, "intersect", "graph:1,0", "graph:r,0", "--n", "3")
+    assert code == 2
+    assert "9 points" in err and out == ""
 
 
 def test_spectrum_out_file(tmp_path, capsys):

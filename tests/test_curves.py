@@ -250,6 +250,21 @@ def test_intersection_commutes_with_deck():
     assert direct.keys() == frozenset(moved)
 
 
+def assert_matches_oracle(c1, c2):
+    """The solver's points equal the oracle's, in the same order and with the
+    same printed w and z values."""
+    got = intersect_graphs(c1, c2)
+    expected = brute_force_intersection(c1, c2)
+    if isinstance(expected, str):
+        assert got.kind == expected
+    else:
+        assert got.kind == POINTS
+        assert got.count == len(expected)
+        assert [p.key for p in got.points] == [p.key for p in expected]
+        assert ([(str(p.w.value), str(p.z.value)) for p in got.points]
+                == [(str(p.w.value), str(p.z.value)) for p in expected])
+
+
 def test_solver_matches_oracle_small():
     torus = product_torus(2)
     slopes = [ONE, RHO, RHO * RHO, ONE - RHO, eis(2)]
@@ -257,16 +272,22 @@ def test_solver_matches_oracle_small():
     for s1 in slopes[:3]:
         for s2 in slopes:
             for off in offsets:
-                c1 = GraphCurve(torus, s1, 0)
-                c2 = GraphCurve(torus, s2, off)
-                got = intersect_graphs(c1, c2)
-                expected = brute_force_intersection(c1, c2)
-                if isinstance(expected, str):
-                    assert got.kind == expected
-                else:
-                    assert got.kind == POINTS
-                    assert got.keys() == frozenset(p.key for p in expected)
-                    assert got.count == len(expected)
+                assert_matches_oracle(GraphCurve(torus, s1, 0), GraphCurve(torus, s2, off))
+
+
+def test_solver_matches_oracle_seeded():
+    # Units rho^i against each other and against 0 (the level curves), and
+    # the non-units 1 - rho and 2, at levels 1..12 with both offsets over a
+    # denominator q = 1..6.
+    rng = random.Random(909)
+    slopes = [ONE, RHO, RHO * RHO, eis(0), ONE - RHO, eis(2)]
+    pairs = [(s1, s2) for s1 in slopes for s2 in slopes]
+    for index, (s1, s2) in enumerate(pairs):
+        torus = product_torus(1 + 5 * index % 12)
+        q = 1 + index % 6
+        o1, o2 = (eis(Fraction(rng.randint(-2 * q, 2 * q), q),
+                      Fraction(rng.randint(-2 * q, 2 * q), q)) for _ in range(2))
+        assert_matches_oracle(GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2))
 
 
 def test_count_equals_lattice_index():

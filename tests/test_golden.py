@@ -13,8 +13,10 @@ from ballq.families import build_family
 from test_acceptance import N_MAX, reports
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
-# Three factorization types: 199 is prime, 200 = 2^3 * 5^2, 201 = 3 * 67.
-LARGE_LEVELS = (199, 200, 201)
+# Three factorization types near 200 (199 is prime, 200 = 2^3 * 5^2,
+# 201 = 3 * 67) and the benchmark's upper levels (398 = 2 * 199,
+# 400 = 2^4 * 5^2, 402 = 2 * 3 * 67).
+LARGE_LEVELS = (199, 200, 201, 398, 400, 402)
 
 
 def golden_levels():

@@ -1,4 +1,4 @@
-"""Lattice membership, indices, Smith normal form and coset enumeration."""
+"""Lattice membership, indices, Smith normal form and the coset grid."""
 
 from fractions import Fraction
 from math import floor
@@ -13,7 +13,8 @@ from ballq.lattices import (
     IntegerMatrix2x2,
     Lattice,
     TorusPoint,
-    coset_representatives,
+    _over_common_denominator,
+    coset_grid,
     smith_normal_form,
 )
 
@@ -107,6 +108,24 @@ def test_snf_postconditions(m):
         assert d.d % d.a == 0
     else:
         assert d.d == 0
+
+
+def coset_representatives(sub, sup):
+    """Every grid point k1*b1 + k2*b2 of coset_grid(sub, sup), k2 fastest."""
+    d1, d2, b1, b2 = coset_grid(sub, sup)
+    return [k1 * b1 + k2 * b2 for k1 in range(d1) for k2 in range(d2)]
+
+
+def test_coset_grid_is_smith_adapted():
+    for sub, sup in ((level_lattice(6), level_lattice(1)),
+                     (level_lattice(2).scaled(ONE - RHO), base_lattice()),
+                     (base_lattice().scaled(eis(6)), base_lattice())):
+        d1, d2, b1, b2 = coset_grid(sub, sup)
+        assert d2 % d1 == 0 and d1 * d2 == sub.index_in(sup)
+        assert sup.contains(b1) is not None and sup.contains(b2) is not None
+        # d1*b1 and d2*b2 are periods of sub.
+        assert sub.contains(d1 * b1) is not None and sub.contains(d2 * b2) is not None
+    assert coset_grid(base_lattice().scaled(eis(6)), base_lattice())[:2] == (6, 6)
 
 
 def test_coset_representatives_trivial():
@@ -210,6 +229,23 @@ def test_integer_reduction_matches_fraction_reduction(case):
     assert all(0 <= c < 1 for c in point.coords)
     again = TorusPoint(point.value, lattice)
     assert (again.coords, again.value) == (point.coords, point.value)
+    # The same point from its reduced numerators, over a multiple of their
+    # least common denominator.
+    (rs, rt), den = _over_common_denominator(coords)
+    scale = 1 + (rs + rt) % 3
+    built = TorusPoint.from_reduced(rs * scale, rt * scale, den * scale, lattice)
+    assert built.coords == point.coords
+    assert str(built.value) == str(point.value)
+    assert built.key == point.key
+
+
+def test_from_reduced_rejects_unreduced_numerators():
+    lattice = level_lattice(3)
+    expected = TorusPoint(lattice.from_coordinates(Fraction(5, 6), Fraction(1, 6)), lattice)
+    assert TorusPoint.from_reduced(5, 1, 6, lattice) == expected
+    for rs, rt in ((6, 0), (0, 6), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            TorusPoint.from_reduced(rs, rt, 6, lattice)
 
 
 def test_index_multiplicativity_random():

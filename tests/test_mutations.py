@@ -26,9 +26,15 @@ def log_chern_off_by_one(monkeypatch):
 
 
 def coset_representative_dropped(monkeypatch):
-    original = curves.coset_representatives
-    monkeypatch.setattr(curves, "coset_representatives",
-                        lambda sub, sup: original(sub, sup)[:-1])
+    """The intersection kernel's grid loop skips its last k2, dropping one
+    coset representative per k1."""
+    original = curves.coset_grid
+
+    def faulty(sub, sup):
+        d1, d2, b1, b2 = original(sub, sup)
+        return d1, d2 - 1, b1, b2
+
+    monkeypatch.setattr(curves, "coset_grid", faulty)
 
 
 def deck_shift_doubled(monkeypatch):
