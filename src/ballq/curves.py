@@ -10,7 +10,7 @@ whose Smith normal form grid lists it exactly, in integer coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .eisenstein import ONE, EisensteinNumber
@@ -44,14 +44,15 @@ class ProductTorus:
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
-    """A point [w, z] of a product torus, both coordinates reduced."""
+    """A point [w, z] of a product torus, both coordinates reduced.  Its
+    key is the six ints w.key + z.key."""
 
     w: TorusPoint
     z: TorusPoint
+    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self.w.coords + self.z.coords
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self.w.key + self.z.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProductPoint):
@@ -227,7 +228,7 @@ class Intersection:
 
 def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     """All intersection points of two graph curves, canonically reduced
-    and sorted; equal slopes give "identical" or "empty"."""
+    and sorted by coordinates; equal slopes give "identical" or "empty"."""
     if c1.ambient != c2.ambient:
         raise ValueError("curves live on different product tori")
     if c1.slope == c2.slope:
@@ -244,13 +245,13 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     # w side: w = slope*z + offset.  z -> slope*z is the integer matrix
     # (a, b; c, d) from z- to w-lattice coordinates (the curve checked that
     # slope * z-lattice lies in the w-lattice); the offset's coordinates are
-    # numerators over dw.  Both are then numerators over dz*dw.
+    # numerators over dw (its key).  Both are then numerators over dz*dw.
     (a, c), (b, d) = (lw.contains(c1.slope * gen) for gen in (lz.gen1, lz.gen2))
-    (ws0, wt0), dw = _over_common_denominator(c1.offset.coords)
+    ws0, wt0, dw = c1.offset.key
     dzw = dz * dw
     ws0, wt0 = ws0 * dz, wt0 * dz
-    # Sorting the integer numerators gives the order of the point keys,
-    # since every key coordinate has one fixed denominator.
+    # Sorting the integer numerators gives coordinate order, since every
+    # coordinate has one fixed denominator.
     numerators = []
     for k1 in range(d1):
         zs1, zt1 = s0 + k1 * s1, t0 + k1 * t1
@@ -344,8 +345,8 @@ def orbit_of_points(f: TorusAutomorphism,
                     points: list[ProductPoint]) -> list[list[ProductPoint]]:
     """Partition a stable point set into orbits.
 
-    Each orbit is listed starting from its lexicographically least point
-    (by canonical coordinates) and orbits are sorted by that representative.
+    Each orbit is listed starting from its point of least key and orbits
+    are sorted by that representative.
     """
     index = {p.key: p for p in points}
     if len(index) != len(points):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber
 
@@ -237,12 +237,14 @@ class TorusPoint:
     The reduction is integer arithmetic (cf. Cohen, GTM 138, section 2.4):
     with value = a + b*rho and the lattice's inverse basis over its common
     denominator e, both coordinates are integers over den = e*den(a)*den(b),
-    and reducing them is a remainder modulo den.
+    and reducing them is a remainder modulo den.  The point's key is those
+    remainders and den divided by their gcd: the coordinates (rs/den,
+    rt/den) in lowest terms, one int triple per point of the torus.
     """
 
     value: EisensteinNumber
     lattice: Lattice
-    coords: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
+    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (i00, i01, i10, i11), e = self.lattice._inverse_int
@@ -252,41 +254,44 @@ class TorusPoint:
         den = e * ad * bd
         s, t = i00 * an + i01 * bn, i10 * an + i11 * bn
         rs, rt = s % den, t % den
-        object.__setattr__(self, "coords", (Fraction(rs, den), Fraction(rt, den)))
+        g = gcd(rs, rt, den)
+        object.__setattr__(self, "key", (rs // g, rt // g, den // g))
         if rs != s or rt != t:
-            object.__setattr__(self, "value", _value_at(self.lattice, rs, rt, den))
+            object.__setattr__(self, "value", _value_at(self.lattice, *self.key))
 
     @classmethod
     def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
         """The point with coordinates (rs/den, rt/den) in the lattice's basis,
-        for integers 0 <= rs, rt < den; nothing is left to reduce."""
+        for integers 0 <= rs, rt < den; only the gcd is left to divide out."""
         if not (0 <= rs < den and 0 <= rt < den):
             raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
+        g = gcd(rs, rt, den)
+        key = (rs // g, rt // g, den // g)
         point = object.__new__(cls)
         object.__setattr__(point, "lattice", lattice)
-        object.__setattr__(point, "coords", (Fraction(rs, den), Fraction(rt, den)))
-        object.__setattr__(point, "value", _value_at(lattice, rs, rt, den))
+        object.__setattr__(point, "key", key)
+        object.__setattr__(point, "value", _value_at(lattice, *key))
         return point
 
     @property
-    def key(self) -> tuple[Fraction, Fraction]:
-        """Canonical sort/deduplication key within a fixed lattice."""
-        return self.coords
+    def coords(self) -> tuple[Fraction, Fraction]:
+        """The coordinates (s, t) in [0, 1) x [0, 1) in the lattice's basis."""
+        rs, rt, den = self.key
+        return Fraction(rs, den), Fraction(rt, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
         if self.lattice.gen1 == other.lattice.gen1 and self.lattice.gen2 == other.lattice.gen2:
-            return self.coords == other.coords
+            return self.key == other.key
         if self.lattice != other.lattice:
             return False
         return self.lattice.contains(self.value - other.value) is not None
 
     def order(self, max_order: int = 64) -> int:
-        """Least k >= 1 with k*value in the lattice."""
-        acc = self.value
-        for k in range(1, max_order + 1):
-            if self.lattice.contains(acc) is not None:
-                return k
-            acc = acc + self.value
-        raise ValueError(f"order exceeds {max_order}")
+        """Least k >= 1 with k*value in the lattice.  That is the least
+        common denominator of the coordinates, the key's last entry."""
+        den = self.key[2]
+        if den > max_order:
+            raise ValueError(f"order exceeds {max_order}")
+        return den

@@ -45,7 +45,7 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
             if lw.contains(m * z - rhs) is not None:
                 w = TorusPoint(c1.slope * z + c1.offset.value, lw)
                 points.append(ProductPoint(w, TorusPoint(z, lz)))
-    points.sort(key=lambda p: p.key)
+    points.sort(key=lambda p: p.w.coords + p.z.coords)
     return points
 
 

@@ -215,6 +215,18 @@ def test_intersect_with_fiber(capsys):
     assert code == 0 and swapped == out
 
 
+def test_intersect_lists_points_in_coordinate_order(capsys):
+    # Point keys order w = 1/2+1/2ρ, key (1, 1, 2), before w = 1/6+5/6ρ,
+    # key (1, 5, 6); the output keeps the order of the coordinates.
+    code, out, _ = run_cli(capsys, "intersect", "graph:r,0", "graph:1,1/2", "--n", "2")
+    assert code == 0
+    assert [(p["w"], p["z"]) for p in json.loads(out)["points"]] == [
+        ("1/6+5/6ρ", "2/3-1/6ρ"), ("1/6+5/6ρ", "5/3-1/6ρ"),
+        ("1/2+1/2ρ", "1-1/2ρ"), ("1/2+1/2ρ", "2-1/2ρ"),
+        ("5/6+1/6ρ", "4/3-5/6ρ"), ("5/6+1/6ρ", "7/3-5/6ρ"),
+    ]
+
+
 def test_intersect_parse_error(capsys):
     code, _, err = run_cli(capsys, "intersect", "graph:bogus", "graph:1,0", "--n", "1")
     assert code == 2

@@ -1,7 +1,7 @@
 """Lattice membership, indices, Smith normal form and the coset grid."""
 
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +239,37 @@ def test_integer_reduction_matches_fraction_reduction(case):
     assert built.key == point.key
 
 
+@st.composite
+def family_points(draw):
+    """A family lattice at a level n <= 60, two values on it, equal modulo
+    the lattice half of the time, and a scale factor 1..5."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    lattice = draw(st.sampled_from([base_lattice(), level_lattice(n), albanese_lattice(n)]))
+    parts = st.builds(Fraction, st.integers(min_value=-24 * n, max_value=24 * n),
+                      st.integers(min_value=1, max_value=12 * n))
+    x = eis(draw(parts), draw(parts))
+    if draw(st.booleans()):
+        shift = st.integers(min_value=-3, max_value=3)
+        y = x + lattice.from_coordinates(Fraction(draw(shift)), Fraction(draw(shift)))
+    else:
+        y = eis(draw(parts), draw(parts))
+    return lattice, x, y, draw(st.integers(min_value=1, max_value=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_points())
+def test_integer_key_matches_fraction_coordinates(case):
+    lattice, x, y, k = case
+    points = {x: TorusPoint(x, lattice), y: TorusPoint(y, lattice)}
+    for value, point in points.items():
+        rs, rt, den = point.key
+        assert 0 <= rs < den and 0 <= rt < den and gcd(rs, rt, den) == 1
+        assert point.coords == reference_reduction(value, lattice)[0]
+        assert TorusPoint.from_reduced(k * rs, k * rt, k * den, lattice).key == point.key
+    same_coords = reference_reduction(x, lattice)[0] == reference_reduction(y, lattice)[0]
+    assert (points[x].key == points[y].key) == same_coords
+
+
 def test_from_reduced_rejects_unreduced_numerators():
     lattice = level_lattice(3)
     expected = TorusPoint(lattice.from_coordinates(Fraction(5, 6), Fraction(1, 6)), lattice)
@@ -275,6 +306,33 @@ def test_coset_size_matches_index_random():
 def test_inverse_unimodular_rejects_singular():
     with pytest.raises(ValueError):
         IntegerMatrix2x2(2, 0, 0, 2).inverse_unimodular()
+
+
+def addition_loop_order(point, max_order):
+    """Least k <= max_order with k*value in the lattice, by adding the
+    value to itself in Q(rho)."""
+    acc = point.value
+    for k in range(1, max_order + 1):
+        if point.lattice.contains(acc) is not None:
+            return k
+        acc = acc + point.value
+    raise ValueError(f"order exceeds {max_order}")
+
+
+def test_order_matches_addition_loop_random():
+    import random
+
+    rng = random.Random(3141)
+    for _ in range(150):
+        point = TorusPoint(random_eisenstein(rng), random_lattice(rng))
+        for max_order in (8, 200):
+            try:
+                expected = addition_loop_order(point, max_order)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    point.order(max_order)
+            else:
+                assert point.order(max_order) == expected
 
 
 def test_torus_point_order_cap():

@@ -12,6 +12,7 @@ from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
 from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
                             build_family)
+from ballq.lattices import TorusPoint
 from ballq.surfaces import CurveRecord, SurfaceModel
 
 
@@ -35,6 +36,19 @@ def coset_representative_dropped(monkeypatch):
         return d1, d2 - 1, b1, b2
 
     monkeypatch.setattr(curves, "coset_grid", faulty)
+
+
+def from_reduced_skips_gcd(monkeypatch):
+    """The intersection kernel's points keep their numerators over the
+    kernel's denominator, so their keys are no longer in lowest terms."""
+    original = TorusPoint.from_reduced.__func__
+
+    def faulty(cls, rs, rt, den, lattice):
+        point = original(cls, rs, rt, den, lattice)
+        object.__setattr__(point, "key", (rs, rt, den))
+        return point
+
+    monkeypatch.setattr(TorusPoint, "from_reduced", classmethod(faulty))
 
 
 def deck_shift_doubled(monkeypatch):
@@ -106,8 +120,8 @@ def level_curves_wrong_offset(monkeypatch):
         GraphCurve(torus, 0, ONE / 3 + ORDER3_SHIFT * l) for l in range(3)])
 
 
-SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, deck_shift_doubled,
-                 blow_up_bumps_exceptional, stray_exceptional_crossing]
+SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, from_reduced_skips_gcd,
+                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
