@@ -8,13 +8,7 @@ betti-number constraints.
 """
 
 from .eisenstein import ONE, RHO, RHO2, ZERO, EisensteinNumber, eis
-from .lattices import (
-    IntegerMatrix2x2,
-    Lattice,
-    TorusPoint,
-    coset_grid,
-    smith_normal_form,
-)
+from .lattices import Lattice, TorusPoint, coset_grid
 from .curves import (
     GraphCurve,
     Intersection,

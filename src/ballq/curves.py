@@ -5,24 +5,23 @@ w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  Intersections are solved exactly: for two graphs with
 slope difference M the solution set of M*z = offset difference (mod the
 w-lattice) is a torsor under the finite group (M^-1 * w-lattice)/z-lattice,
-whose Smith normal form grid lists it exactly, in integer coordinates.
+which the coset grid of a Hermite basis lists exactly, in integer
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .eisenstein import ONE, EisensteinNumber
+from .eisenstein import ONE, EisensteinNumber, _promote
 from .lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
 
 
 def _as_eisenstein(value: object) -> EisensteinNumber:
-    if isinstance(value, EisensteinNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return EisensteinNumber(Fraction(value))
-    raise TypeError(f"expected an Eisenstein number, got {value!r}")
+    promoted = _promote(value)
+    if promoted is None:
+        raise TypeError(f"expected an Eisenstein number, got {value!r}")
+    return promoted
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,9 @@
 
 A lattice is stored by an ordered pair of R-linearly independent generators
 in Q(rho).  Membership, containment, covering indices and coset enumeration
-are all integer linear algebra on exact coordinates; quotients are
-enumerated through the Smith normal form of 2x2 integer matrices.
+are all integer linear algebra on exact coordinates; a quotient sup/sub is
+enumerated as a box read off a triangular (Hermite) basis of sub, which
+takes one gcd.
 """
 
 from __future__ import annotations
@@ -15,113 +16,10 @@ from math import gcd, lcm
 from .eisenstein import EisensteinNumber
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """(numerators, den) with values[i] == numerators[i] / den and den > 0."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-@dataclass(frozen=True)
-class IntegerMatrix2x2:
-    """Row-major 2x2 integer matrix ((a, b), (c, d))."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @staticmethod
-    def identity() -> "IntegerMatrix2x2":
-        return IntegerMatrix2x2(1, 0, 0, 1)
-
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "IntegerMatrix2x2") -> "IntegerMatrix2x2":
-        return IntegerMatrix2x2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse_unimodular(self) -> "IntegerMatrix2x2":
-        det = self.det()
-        if abs(det) != 1:
-            raise ValueError("matrix is not unimodular")
-        return IntegerMatrix2x2(self.d * det, -self.b * det, -self.c * det, self.a * det)
-
-
-def _clear_lower_left(d: IntegerMatrix2x2, u: IntegerMatrix2x2):
-    if d.c == 0:
-        return d, u
-    if d.a != 0 and d.c % d.a == 0:
-        # Plain elimination keeps the pivot; the xgcd transform below is
-        # reserved for when it strictly shrinks the pivot, which is what
-        # makes the reduction loop terminate.
-        t = IntegerMatrix2x2(1, 0, -(d.c // d.a), 1)
-    else:
-        g, x, y = _xgcd(d.a, d.c)
-        t = IntegerMatrix2x2(x, y, -(d.c // g), d.a // g)
-    return t @ d, t @ u
-
-
-def _clear_upper_right(d: IntegerMatrix2x2, v: IntegerMatrix2x2):
-    if d.b == 0:
-        return d, v
-    if d.a != 0 and d.b % d.a == 0:
-        t = IntegerMatrix2x2(1, -(d.b // d.a), 0, 1)
-    else:
-        g, x, y = _xgcd(d.a, d.b)
-        t = IntegerMatrix2x2(x, -(d.b // g), y, d.a // g)
-    return d @ t, v @ t
-
-
-def smith_normal_form(
-    m: IntegerMatrix2x2,
-) -> tuple[IntegerMatrix2x2, IntegerMatrix2x2, IntegerMatrix2x2]:
-    """Return (U, D, V) with U @ m @ V == D, U and V unimodular,
-    D = diag(d1, d2) with d1, d2 >= 0 and d1 | d2.
-    """
-    u = IntegerMatrix2x2.identity()
-    v = IntegerMatrix2x2.identity()
-    d = m
-    while True:
-        while d.b != 0 or d.c != 0:
-            d, u = _clear_lower_left(d, u)
-            d, v = _clear_upper_right(d, v)
-        if d.a == 0 and d.d != 0:
-            swap = IntegerMatrix2x2(0, 1, 1, 0)
-            d, u, v = swap @ d @ swap, swap @ u, v @ swap
-        if d.a < 0:
-            neg = IntegerMatrix2x2(-1, 0, 0, 1)
-            d, u = neg @ d, neg @ u
-        if d.d < 0:
-            neg = IntegerMatrix2x2(1, 0, 0, -1)
-            d, u = neg @ d, neg @ u
-        if d.a != 0 and d.d % d.a != 0:
-            # Mix the second column into the first and rediagonalize; the
-            # top-left entry strictly drops to gcd(d1, d2), so this ends.
-            mix = IntegerMatrix2x2(1, 0, 1, 1)
-            d, v = d @ mix, v @ mix
-            continue
-        break
-    return u, d, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,18 +71,10 @@ class Lattice:
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return other.contains(self.gen1) is not None and other.contains(self.gen2) is not None
 
-    def coordinate_matrix_in(self, other: "Lattice") -> IntegerMatrix2x2:
-        """Columns are the integer coordinates of this lattice's generators
-        in the other lattice's basis."""
-        c1 = other.contains(self.gen1)
-        c2 = other.contains(self.gen2)
-        if c1 is None or c2 is None:
-            raise ValueError("not a sublattice")
-        return IntegerMatrix2x2(c1[0], c2[0], c1[1], c2[1])
-
     def index_in(self, other: "Lattice") -> int:
         """Covering degree [other : self] for a finite-index sublattice."""
-        return abs(self.coordinate_matrix_in(other).det())
+        p, q, r, t = _coordinates_in(self, other)
+        return abs(p * t - q * r)
 
     def scaled(self, factor: EisensteinNumber) -> "Lattice":
         return Lattice(factor * self.gen1, factor * self.gen2)
@@ -200,22 +90,34 @@ class Lattice:
         return {"gen1": str(self.gen1), "gen2": str(self.gen2)}
 
 
+def _coordinates_in(sub: Lattice, sup: Lattice) -> tuple[int, int, int, int]:
+    """(p, q, r, t) with sub.gen1 = p*sup.gen1 + q*sup.gen2 and
+    sub.gen2 = r*sup.gen1 + t*sup.gen2."""
+    c1, c2 = sup.contains(sub.gen1), sup.contains(sub.gen2)
+    if c1 is None or c2 is None:
+        raise ValueError("not a sublattice")
+    return c1 + c2
+
+
 def coset_grid(sub: Lattice, sup: Lattice) -> tuple[int, int, EisensteinNumber,
                                                    EisensteinNumber]:
     """(d1, d2, b1, b2) such that the classes of sup/sub are exactly the
     k1*b1 + k2*b2 for 0 <= k1 < d1 and 0 <= k2 < d2, one per class.
 
-    The coordinate matrix M of sub in sup's basis is put in Smith normal
-    form U M V = diag(d1, d2); (b1, b2) = sup-basis * U^{-1} is the adapted
-    basis (Cohen, GTM 138, section 2.4).
+    With sub's generators at (p, q) and (r, t) in sup's basis and
+    det = |pt - qr|, column operations give sub the Hermite basis (g, e),
+    (0, det/g) for g = gcd(p, r) (Cohen, GTM 138, section 2.4.2).  So the
+    box g x det/g along (sup.gen1, sup.gen2) meets each class once: a class
+    fixes the first coordinate modulo g, and then the second modulo det/g.
+    The same holds for gcd(q, t) along (sup.gen2, sup.gen1); the box with
+    the smaller first side is returned, which keeps the inner k2 range long.
     """
-    m = sub.coordinate_matrix_in(sup)
-    u, d, _ = smith_normal_form(m)
-    if d.a == 0 or d.d == 0:
-        raise ValueError("sublattice does not have finite index")
-    uinv = u.inverse_unimodular()
-    return (d.a, d.d, sup.from_coordinates(Fraction(uinv.a), Fraction(uinv.c)),
-            sup.from_coordinates(Fraction(uinv.b), Fraction(uinv.d)))
+    p, q, r, t = _coordinates_in(sub, sup)
+    det = abs(p * t - q * r)
+    g1, g2 = gcd(p, r), gcd(q, t)
+    if g2 < g1:
+        return g2, det // g2, sup.gen2, sup.gen1
+    return g1, det // g1, sup.gen1, sup.gen2
 
 
 def _value_at(lattice: Lattice, rs: int, rt: int, den: int) -> EisensteinNumber:

@@ -11,8 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+from sympy import Matrix, Rational, ZZ
+from sympy.matrices.normalforms import invariant_factors
 
 from ballq.curves import GraphCurve, POINTS, apply_auto_to_curve, automorphism_order, \
     intersect_graphs, is_free
@@ -29,7 +29,7 @@ from ballq.families import (
     slope_curves,
 )
 from ballq.homology import betti_of_open, blown_bielliptic_betti, mv_tables
-from ballq.lattices import IntegerMatrix2x2, smith_normal_form
+from ballq.lattices import TorusPoint, coset_grid
 from ballq.surfaces import CurveRecord, SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, SINGULAR, \
     SurfaceModel, blow_up
 
@@ -211,6 +211,13 @@ def test_criterion_7_bagnera_de_franchis():
             assert result.constraint == constraint
 
 
+def real_matrix(lattice):
+    """The generators' (re, rho) parts as the columns of a sympy matrix."""
+    gens = (lattice.gen1, lattice.gen2)
+    return Matrix([[Rational(g.re_part.numerator, g.re_part.denominator) for g in gens],
+                   [Rational(g.rho_part.numerator, g.rho_part.denominator) for g in gens]])
+
+
 def test_criterion_8_property_suites():
     with criterion("8: randomized property suites (exact, seeded)"):
         start = time.perf_counter()
@@ -229,16 +236,19 @@ def test_criterion_8_property_suites():
             assert (x * y).norm() == x.norm() * y.norm()
 
         for _ in range(1000):
-            m = IntegerMatrix2x2(*(rng.randint(-50, 50) for _ in range(4)))
-            u, d, v = smith_normal_form(m)
-            assert abs(u.det()) == 1 and abs(v.det()) == 1
-            assert (u @ m @ v) == d
-            assert d.b == 0 and d.c == 0
-            assert d.a >= 0 and d.d >= 0
-            assert (d.d % d.a == 0) if d.a else (d.d == 0)
-            # Independent oracle: sympy's invariant factors, up to sign.
-            oracle = sympy_smith_normal_form(Matrix([[m.a, m.b], [m.c, m.d]]), domain=ZZ)
-            assert (d.a, d.d) == (abs(oracle[0, 0]), abs(oracle[1, 1]))
+            sup = random_lattice(rng)
+            sub = random_sublattice(rng, sup)
+            d1, d2, b1, b2 = coset_grid(sub, sup)
+            # Independent oracle: sympy solves for sub's coordinates in
+            # sup's basis, and the product of its invariant factors is the
+            # index, up to sign.
+            coordinates = real_matrix(sup).inv() * real_matrix(sub)
+            assert all(entry.is_integer for entry in coordinates)
+            f1, f2 = invariant_factors(coordinates, domain=ZZ)
+            assert d1 * d2 == abs(f1 * f2)
+            keys = {TorusPoint(k1 * b1 + k2 * b2, sub).key
+                    for k1 in range(d1) for k2 in range(d2)}
+            assert len(keys) == d1 * d2
 
         for _ in range(200):
             l1 = random_lattice(rng)

@@ -1,27 +1,19 @@
-"""Lattice membership, indices, Smith normal form and the coset grid."""
+"""Lattice membership, indices and the Hermite coset grid."""
 
 from fractions import Fraction
 from math import floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
-from ballq.lattices import (
-    IntegerMatrix2x2,
-    Lattice,
-    TorusPoint,
-    _over_common_denominator,
-    coset_grid,
-    smith_normal_form,
-)
+from ballq.lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
 
 from conftest import random_eisenstein, random_lattice, random_sublattice
 
-entries = st.integers(min_value=-50, max_value=50)
-matrices = st.builds(IntegerMatrix2x2, entries, entries, entries, entries)
+entries = st.integers(min_value=-12, max_value=12)
 
 
 def test_dependent_generators_rejected():
@@ -79,53 +71,30 @@ def test_lattice_equality_is_mutual_containment():
     assert base_lattice() != level_lattice(2)
 
 
-def test_snf_identity():
-    m = IntegerMatrix2x2.identity()
-    u, d, v = smith_normal_form(m)
-    assert (u, d, v) == (m, m, m)
-
-
-def test_snf_already_diagonal():
-    u, d, v = smith_normal_form(IntegerMatrix2x2(2, 0, 0, 6))
-    assert (d.a, d.d) == (2, 6)
-
-
-def test_snf_level_coordinate_matrix():
-    for n in (1, 2, 5, 7):
-        u, d, v = smith_normal_form(IntegerMatrix2x2(n, 0, 1, -1))
-        assert (d.a, d.d) == (1, n)
-
-
-@settings(max_examples=300)
-@given(matrices)
-def test_snf_postconditions(m):
-    u, d, v = smith_normal_form(m)
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    assert (u @ m @ v) == d
-    assert d.b == 0 and d.c == 0
-    assert d.a >= 0 and d.d >= 0
-    if d.a:
-        assert d.d % d.a == 0
-    else:
-        assert d.d == 0
-
-
 def coset_representatives(sub, sup):
     """Every grid point k1*b1 + k2*b2 of coset_grid(sub, sup), k2 fastest."""
     d1, d2, b1, b2 = coset_grid(sub, sup)
     return [k1 * b1 + k2 * b2 for k1 in range(d1) for k2 in range(d2)]
 
 
-def test_coset_grid_is_smith_adapted():
-    for sub, sup in ((level_lattice(6), level_lattice(1)),
-                     (level_lattice(2).scaled(ONE - RHO), base_lattice()),
-                     (base_lattice().scaled(eis(6)), base_lattice())):
+def test_coset_grid_is_hermite_box():
+    for sub, sup, box in ((level_lattice(6), level_lattice(1), (1, 6)),
+                          (base_lattice().scaled(eis(6)), base_lattice(), (6, 6))):
         d1, d2, b1, b2 = coset_grid(sub, sup)
-        assert d2 % d1 == 0 and d1 * d2 == sub.index_in(sup)
-        assert sup.contains(b1) is not None and sup.contains(b2) is not None
-        # d1*b1 and d2*b2 are periods of sub.
-        assert sub.contains(d1 * b1) is not None and sub.contains(d2 * b2) is not None
-    assert coset_grid(base_lattice().scaled(eis(6)), base_lattice())[:2] == (6, 6)
+        assert (d1, d2) == box
+        assert d1 * d2 == sub.index_in(sup)
+        assert {b1, b2} == {sup.gen1, sup.gen2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries, entries, entries, entries)
+def test_coset_grid_meets_each_class_once(a, b, c, d):
+    assume(a * d - b * c != 0)
+    sup = base_lattice()
+    sub = Lattice(a * sup.gen1 + b * sup.gen2, c * sup.gen1 + d * sup.gen2)
+    reps = coset_representatives(sub, sup)
+    assert len(reps) == sub.index_in(sup) == abs(a * d - b * c)
+    assert len({TorusPoint(r, sub).key for r in reps}) == len(reps)
 
 
 def test_coset_representatives_trivial():
@@ -301,11 +270,6 @@ def test_coset_size_matches_index_random():
         assert len(reps) == sub.index_in(sup)
         keys = {TorusPoint(r, sub).key for r in reps}
         assert len(keys) == len(reps)
-
-
-def test_inverse_unimodular_rejects_singular():
-    with pytest.raises(ValueError):
-        IntegerMatrix2x2(2, 0, 0, 2).inverse_unimodular()
 
 
 def addition_loop_order(point, max_order):

@@ -38,6 +38,18 @@ def coset_representative_dropped(monkeypatch):
     monkeypatch.setattr(curves, "coset_grid", faulty)
 
 
+def coset_grid_axes_swapped(monkeypatch):
+    """The intersection kernel's grid has the right size but runs along the
+    wrong axes, so it repeats some classes and misses others."""
+    original = curves.coset_grid
+
+    def faulty(sub, sup):
+        d1, d2, b1, b2 = original(sub, sup)
+        return d1, d2, b2, b1
+
+    monkeypatch.setattr(curves, "coset_grid", faulty)
+
+
 def from_reduced_skips_gcd(monkeypatch):
     """The intersection kernel's points keep their numerators over the
     kernel's denominator, so their keys are no longer in lowest terms."""
@@ -120,8 +132,9 @@ def level_curves_wrong_offset(monkeypatch):
         GraphCurve(torus, 0, ONE / 3 + ORDER3_SHIFT * l) for l in range(3)])
 
 
-SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, from_reduced_skips_gcd,
-                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing]
+SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
+                 from_reduced_skips_gcd, deck_shift_doubled, blow_up_bumps_exceptional,
+                 stray_exceptional_crossing]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
