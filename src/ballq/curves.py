@@ -6,7 +6,8 @@ fibers z = z0.  Intersections are solved exactly: for two graphs with
 slope difference M the solution set of M*z = offset difference (mod the
 w-lattice) is a torsor under the finite group (M^-1 * w-lattice)/z-lattice,
 which the coset grid of a Hermite basis lists exactly, in integer
-coordinates.
+coordinates.  The contains_point methods read Q(rho) values; they are a
+brute-force check, and the build decides incidence from point keys.
 """
 
 from __future__ import annotations
@@ -78,11 +79,7 @@ class GraphCurve:
     def __init__(self, ambient: ProductTorus, slope: object, offset: object) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "slope", _as_eisenstein(slope))
-        if isinstance(offset, TorusPoint):
-            point = TorusPoint(offset.value, ambient.lattice_w)
-        else:
-            point = TorusPoint(_as_eisenstein(offset), ambient.lattice_w)
-        object.__setattr__(self, "offset", point)
+        object.__setattr__(self, "offset", TorusPoint(_as_eisenstein(offset), ambient.lattice_w))
         lz, lw = ambient.lattice_z, ambient.lattice_w
         for gen in (lz.gen1, lz.gen2):
             if lw.contains(self.slope * gen) is None:
@@ -111,11 +108,7 @@ class VerticalFiber:
 
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
         object.__setattr__(self, "ambient", ambient)
-        if isinstance(z0, TorusPoint):
-            point = TorusPoint(z0.value, ambient.lattice_z)
-        else:
-            point = TorusPoint(_as_eisenstein(z0), ambient.lattice_z)
-        object.__setattr__(self, "z0", point)
+        object.__setattr__(self, "z0", TorusPoint(_as_eisenstein(z0), ambient.lattice_z))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VerticalFiber):
@@ -148,17 +141,6 @@ class TorusAutomorphism:
         object.__setattr__(self, "trans_z", _as_eisenstein(trans_z))
         _check_unit_scaling(self.lambda_w, ambient.lattice_w, "w")
         _check_unit_scaling(self.lambda_z, ambient.lattice_z, "z")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusAutomorphism):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        if self.lambda_w != other.lambda_w or self.lambda_z != other.lambda_z:
-            return False
-        lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
-        return (lw.contains(self.trans_w - other.trans_w) is not None
-                and lz.contains(self.trans_z - other.trans_z) is not None)
 
     def apply(self, p: ProductPoint) -> ProductPoint:
         lw, lz = self.ambient.lattice_w, self.ambient.lattice_z

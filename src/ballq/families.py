@@ -487,30 +487,25 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
 def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber],
                through: dict[str, frozenset]) -> dict[str, dict[str, int]]:
     """Multiplicity table {point name: {curve name: 1}} of the given curves
-    through the intersection points.
+    through the intersection points, filled per curve from a key set.
 
-    Every point lies on slope0, so a graph curve passes through it exactly
-    when its key is in the curve's intersection with slope0, which
+    Every point lies on slope0, so a graph curve passes through a point
+    exactly when its key is in the curve's intersection with slope0, which
     intersect_graphs has solved exactly: through[name] is that key set (all
-    points for slope0).  Vertical fibers are bucketed by the canonical key
-    of z0 (all curves live on core.torus, so keys are coordinates in one
-    z-lattice basis); a point is tested with contains_point only against
-    the fibers in the bucket of its own z, which keeps the pass linear.
+    points for slope0).  A vertical fiber passes through the points whose z
+    has the key of its z0 (all curves live on core.torus, so keys are
+    coordinates in one z-lattice basis), read off an index of the points by
+    z key.
     """
-    graphs: list[tuple[str, frozenset]] = []
-    fibers_over: dict[tuple, list[tuple[str, VerticalFiber]]] = {}
-    for name, curve in curves.items():
-        if isinstance(curve, VerticalFiber):
-            fibers_over.setdefault(curve.z0.key, []).append((name, curve))
-        else:
-            graphs.append((name, through[name]))
-    table: dict[str, dict[str, int]] = {}
+    rows: dict[tuple, dict[str, int]] = {p.key: {} for p in core.points}
+    over_z: dict[tuple, list[tuple]] = {}
     for p in core.points:
-        row = {name: 1 for name, keys in graphs if p.key in keys}
-        row.update((name, 1) for name, curve in fibers_over.get(p.z.key, ())
-                   if curve.contains_point(p))
-        table[core.point_names[p.key]] = row
-    return table
+        over_z.setdefault(p.z.key, []).append(p.key)
+    for name, curve in curves.items():
+        keys = over_z.get(curve.z0.key, ()) if isinstance(curve, VerticalFiber) else through[name]
+        for key in rows.keys() & keys:
+            rows[key][name] = 1
+    return {core.point_names[key]: row for key, row in rows.items()}
 
 
 def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | VerticalFiber],
@@ -710,7 +705,7 @@ def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     for j, orbit in enumerate(core.orbits, start=1):
         names = tuple(f"vert{j}_{k}" for k in range(3))
         for name, point in zip(names, orbit):
-            curves[name] = VerticalFiber(core.torus, point.z)
+            curves[name] = VerticalFiber(core.torus, point.z.value)
         orbits[f"fiber{j}"] = names
     chk.expect("vertical_fibers_distinct", 3 * core.n,
                len({curve.z0.key for curve in curves.values()}))

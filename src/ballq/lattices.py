@@ -1,16 +1,18 @@
 """Rank-2 lattices in C with exact generators and their quotient machinery.
 
 A lattice is stored by an ordered pair of R-linearly independent generators
-in Q(rho).  Membership, containment, covering indices and coset enumeration
-are all integer linear algebra on exact coordinates; a quotient sup/sub is
-enumerated as a box read off a triangular (Hermite) basis of sub, which
-takes one gcd.
+in Q(rho).  Membership, containment, covering indices, coset enumeration
+and torus-point reduction all read one integer coordinate map,
+Lattice.numerators; a quotient sup/sub is enumerated as a box read off a
+triangular (Hermite) basis of sub, which takes one gcd.  A torus point
+stores only its key, its reduced integer coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber
@@ -28,15 +30,11 @@ class Lattice:
 
     The stored basis is not canonical; lattices compare equal exactly when
     each contains the other's generators.  The inverse basis and the
-    generators are also kept as integers over one common denominator each,
-    for TorusPoint's reduction.
+    generators are also kept as integers over one common denominator each.
     """
 
     gen1: EisensteinNumber
     gen2: EisensteinNumber
-    _inverse_basis: tuple[Fraction, Fraction, Fraction, Fraction] = field(
-        init=False, repr=False, compare=False
-    )
     _inverse_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _gens_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
@@ -46,15 +44,24 @@ class Lattice:
         if det == 0:
             raise ValueError("lattice generators are R-linearly dependent")
         inv = (g2.rho_part / det, -g2.re_part / det, -g1.rho_part / det, g1.re_part / det)
-        object.__setattr__(self, "_inverse_basis", inv)
         object.__setattr__(self, "_inverse_int", _over_common_denominator(inv))
         object.__setattr__(self, "_gens_int", _over_common_denominator(
             (g1.re_part, g1.rho_part, g2.re_part, g2.rho_part)))
 
+    def numerators(self, x: EisensteinNumber) -> tuple[int, int, int]:
+        """Integers (s, t, den) with x = (s*gen1 + t*gen2)/den and den > 0:
+        for x = a + b*rho, den is the inverse basis's denominator times
+        den(a)*den(b)."""
+        (i00, i01, i10, i11), e = self._inverse_int
+        a, b = x.re_part, x.rho_part
+        ad, bd = a.denominator, b.denominator
+        an, bn = a.numerator * bd, b.numerator * ad
+        return i00 * an + i01 * bn, i10 * an + i11 * bn, e * ad * bd
+
     def coordinates(self, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
         """Exact rational (s, t) with x = s*gen1 + t*gen2."""
-        i00, i01, i10, i11 = self._inverse_basis
-        return (i00 * x.re_part + i01 * x.rho_part, i10 * x.re_part + i11 * x.rho_part)
+        s, t, den = self.numerators(x)
+        return Fraction(s, den), Fraction(t, den)
 
     def from_coordinates(self, s: Fraction, t: Fraction) -> EisensteinNumber:
         g1, g2 = self.gen1, self.gen2
@@ -63,10 +70,10 @@ class Lattice:
 
     def contains(self, x: EisensteinNumber) -> tuple[int, int] | None:
         """Integer coordinates (m, n) with x = m*gen1 + n*gen2, or None."""
-        s, t = self.coordinates(x)
-        if s.denominator == 1 and t.denominator == 1:
-            return (int(s), int(t))
-        return None
+        s, t, den = self.numerators(x)
+        if s % den or t % den:
+            return None
+        return s // den, t // den
 
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return other.contains(self.gen1) is not None and other.contains(self.gen2) is not None
@@ -120,46 +127,27 @@ def coset_grid(sub: Lattice, sup: Lattice) -> tuple[int, int, EisensteinNumber,
     return g1, det // g1, sup.gen1, sup.gen2
 
 
-def _value_at(lattice: Lattice, rs: int, rt: int, den: int) -> EisensteinNumber:
-    """(rs/den)*gen1 + (rt/den)*gen2, from the integer generators."""
-    (g1a, g1b, g2a, g2b), gd = lattice._gens_int
-    vden = den * gd
-    return EisensteinNumber(Fraction(rs * g1a + rt * g2a, vden),
-                            Fraction(rs * g1b + rt * g2b, vden))
-
-
 @dataclass(frozen=True, eq=False)
 class TorusPoint:
     """A point of the torus C/lattice in canonical reduced form.
 
-    The stored value is the unique representative whose coordinates in the
-    lattice's own basis lie in [0, 1) x [0, 1); construction reduces any
-    input value, so reduction is idempotent by definition.
-
-    The reduction is integer arithmetic (cf. Cohen, GTM 138, section 2.4):
-    with value = a + b*rho and the lattice's inverse basis over its common
-    denominator e, both coordinates are integers over den = e*den(a)*den(b),
-    and reducing them is a remainder modulo den.  The point's key is those
-    remainders and den divided by their gcd: the coordinates (rs/den,
-    rt/den) in lowest terms, one int triple per point of the torus.
+    TorusPoint(x, lattice) reduces x in integers (cf. Cohen, GTM 138,
+    section 2.4): lattice.numerators gives both coordinates over one
+    denominator, and each is taken modulo it, into [0, 1).  The point
+    stores only its key: the reduced coordinates (rs/den, rt/den) in lowest
+    terms, one int triple per point of the torus.  Its value, the
+    representative in Q(rho), is built from the key on first read.
     """
 
-    value: EisensteinNumber
+    x: InitVar[EisensteinNumber]
     lattice: Lattice
-    key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    key: tuple[int, int, int] = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
-        (i00, i01, i10, i11), e = self.lattice._inverse_int
-        a, b = self.value.re_part, self.value.rho_part
-        ad, bd = a.denominator, b.denominator
-        an, bn = a.numerator * bd, b.numerator * ad
-        den = e * ad * bd
-        s, t = i00 * an + i01 * bn, i10 * an + i11 * bn
+    def __post_init__(self, x: EisensteinNumber) -> None:
+        s, t, den = self.lattice.numerators(x)
         rs, rt = s % den, t % den
         g = gcd(rs, rt, den)
         object.__setattr__(self, "key", (rs // g, rt // g, den // g))
-        if rs != s or rt != t:
-            object.__setattr__(self, "value", _value_at(self.lattice, *self.key))
 
     @classmethod
     def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
@@ -168,12 +156,19 @@ class TorusPoint:
         if not (0 <= rs < den and 0 <= rt < den):
             raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
         g = gcd(rs, rt, den)
-        key = (rs // g, rt // g, den // g)
         point = object.__new__(cls)
         object.__setattr__(point, "lattice", lattice)
-        object.__setattr__(point, "key", key)
-        object.__setattr__(point, "value", _value_at(lattice, *key))
+        object.__setattr__(point, "key", (rs // g, rt // g, den // g))
         return point
+
+    @cached_property
+    def value(self) -> EisensteinNumber:
+        """(rs/den)*gen1 + (rt/den)*gen2, from the integer generators."""
+        (g1a, g1b, g2a, g2b), gd = self.lattice._gens_int
+        rs, rt, den = self.key
+        vden = den * gd
+        return EisensteinNumber(Fraction(rs * g1a + rt * g2a, vden),
+                                Fraction(rs * g1b + rt * g2b, vden))
 
     @property
     def coords(self) -> tuple[Fraction, Fraction]:

@@ -1,5 +1,5 @@
-"""Shared helpers: an independent brute-force intersection oracle and
-random generators for property suites."""
+"""Shared helpers: an independent coordinate map and brute-force
+intersection oracle, and random generators for property suites."""
 
 from __future__ import annotations
 
@@ -10,6 +10,16 @@ from math import lcm
 from ballq.curves import GraphCurve, ProductPoint, ProductTorus
 from ballq.eisenstein import EisensteinNumber, eis
 from ballq.lattices import Lattice, TorusPoint
+
+
+def fraction_coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
+    """(s, t) with x = s*gen1 + t*gen2, by Cramer's rule on the real and rho
+    parts of the generators in Fraction arithmetic; independent of
+    Lattice.numerators."""
+    g1, g2 = lattice.gen1, lattice.gen2
+    det = g1.re_part * g2.rho_part - g2.re_part * g1.rho_part
+    return ((x.re_part * g2.rho_part - g2.re_part * x.rho_part) / det,
+            (g1.re_part * x.rho_part - x.re_part * g1.rho_part) / det)
 
 
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
@@ -29,20 +39,20 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
 
     # Index of m*(z-lattice) inside the w-lattice, straight from the
     # determinant of the rational coordinate matrix.
-    a = lw.coordinates(m * lz.gen1)
-    b = lw.coordinates(m * lz.gen2)
+    a = fraction_coordinates(lw, m * lz.gen1)
+    b = fraction_coordinates(lw, m * lz.gen2)
     det = a[0] * b[1] - a[1] * b[0]
     assert det.denominator == 1 and det != 0
     index = abs(int(det))
 
-    s0, t0 = lz.coordinates(rhs / m)
+    s0, t0 = fraction_coordinates(lz, rhs / m)
     qs = lcm(s0.denominator, index)
     qt = lcm(t0.denominator, index)
     points = []
     for i in range(qs):
         for j in range(qt):
             z = lz.from_coordinates(Fraction(i, qs), Fraction(j, qt))
-            if lw.contains(m * z - rhs) is not None:
+            if all(c.denominator == 1 for c in fraction_coordinates(lw, m * z - rhs)):
                 w = TorusPoint(c1.slope * z + c1.offset.value, lw)
                 points.append(ProductPoint(w, TorusPoint(z, lz)))
     points.sort(key=lambda p: p.w.coords + p.z.coords)

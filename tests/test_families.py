@@ -2,12 +2,14 @@
 
 import json
 from fractions import Fraction
+from functools import cached_property
 
 import jsonschema
 import pytest
 
 from ballq.curves import GraphCurve, VerticalFiber
 from ballq.eisenstein import RHO
+from ballq.lattices import TorusPoint
 from ballq.surfaces import (
     SMOOTH_ELLIPTIC,
     BMYClass,
@@ -359,20 +361,34 @@ def count_contains_point_calls(monkeypatch):
     return calls
 
 
-def test_gamma_incidence_tests_grow_linearly(monkeypatch):
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_incidence_makes_no_point_tests(monkeypatch, family):
+    # graph curves are read off the intersection sets and vertical fibers
+    # off the points' z keys
     calls = count_contains_point_calls(monkeypatch)
-    n = 40
-    assert build_family(GAMMA, n).passed
-    # graph curves are read off the intersection sets; each of the 3n
-    # points is tested only against the one vertical fiber over its own z
-    assert calls[GraphCurve] == 0
-    assert calls[VerticalFiber] <= 3 * n, calls[VerticalFiber]
-
-
-def test_lambda_incidence_makes_no_point_tests(monkeypatch):
-    calls = count_contains_point_calls(monkeypatch)
-    assert build_family(LAMBDA, 40).passed
+    assert build_family(family, 40).passed
     assert calls == {GraphCurve: 0, VerticalFiber: 0}
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_build_reads_few_point_values(monkeypatch, family):
+    """A torus point builds its Q(rho) value only when read.  The deck
+    action reads both values of the 3n points (6n) and the Albanese
+    section prints n; the other intersection points are never read.
+    Gamma builds 7n + 5 and lambda 7n + 10."""
+    built = [0]
+    build = vars(TorusPoint)["value"].func
+
+    def counting(point):
+        built[0] += 1
+        return build(point)
+
+    value = cached_property(counting)
+    value.__set_name__(TorusPoint, "value")
+    monkeypatch.setattr(TorusPoint, "value", value)
+    n = 40
+    assert build_family(family, n).passed
+    assert 0 < built[0] <= 8 * n, built[0]
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

@@ -11,7 +11,7 @@ from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
 from ballq.lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
 
-from conftest import random_eisenstein, random_lattice, random_sublattice
+from conftest import fraction_coordinates, random_eisenstein, random_lattice, random_sublattice
 
 entries = st.integers(min_value=-12, max_value=12)
 
@@ -164,9 +164,9 @@ def test_reduction_properties_random():
 
 
 def reference_reduction(x, lattice):
-    """The Fraction reduction: floor both coordinates, then rebuild the
-    value from the remainders."""
-    s, t = lattice.coordinates(x)
+    """The Fraction reduction: floor both coordinates (Cramer's rule, not
+    Lattice.numerators), then rebuild the value from the remainders."""
+    s, t = fraction_coordinates(lattice, x)
     rs, rt = s - floor(s), t - floor(t)
     return (rs, rt), lattice.from_coordinates(rs, rt)
 
@@ -192,7 +192,14 @@ def lattices_and_values(draw):
 def test_integer_reduction_matches_fraction_reduction(case):
     lattice, x = case
     point = TorusPoint(x, lattice)
+    assert "value" not in vars(point)  # a point stores its key; value is built on read
     coords, value = reference_reduction(x, lattice)
+    # The coordinate map against Cramer's rule, on x and on the period x - value.
+    for y in (x, x - value):
+        exact = fraction_coordinates(lattice, y)
+        assert lattice.coordinates(y) == exact
+        integral = all(c.denominator == 1 for c in exact)
+        assert lattice.contains(y) == (tuple(map(int, exact)) if integral else None)
     assert point.coords == coords
     assert point.value == value
     assert all(0 <= c < 1 for c in point.coords)

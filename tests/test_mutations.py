@@ -12,7 +12,7 @@ from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
 from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
                             build_family)
-from ballq.lattices import TorusPoint
+from ballq.lattices import Lattice, TorusPoint
 from ballq.surfaces import CurveRecord, SurfaceModel
 
 
@@ -61,6 +61,18 @@ def from_reduced_skips_gcd(monkeypatch):
         return point
 
     monkeypatch.setattr(TorusPoint, "from_reduced", classmethod(faulty))
+
+
+def numerators_over_twice_the_denominator(monkeypatch):
+    """The one integer coordinate map halves every coordinate, which moves
+    every point, period test and curve offset."""
+    original = Lattice.numerators
+
+    def faulty(self, x):
+        s, t, den = original(self, x)
+        return s, t, 2 * den
+
+    monkeypatch.setattr(Lattice, "numerators", faulty)
 
 
 def deck_shift_doubled(monkeypatch):
@@ -133,8 +145,8 @@ def level_curves_wrong_offset(monkeypatch):
 
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
-                 from_reduced_skips_gcd, deck_shift_doubled, blow_up_bumps_exceptional,
-                 stray_exceptional_crossing]
+                 from_reduced_skips_gcd, numerators_over_twice_the_denominator,
+                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
