@@ -25,24 +25,19 @@ def _as_eisenstein(value: object) -> EisensteinNumber:
     return promoted
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProductTorus:
     """G_w x G_z for G_w = C/lattice_w and G_z = C/lattice_z."""
 
     lattice_w: Lattice
     lattice_z: Lattice
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProductTorus):
-            return NotImplemented
-        return self.lattice_w == other.lattice_w and self.lattice_z == other.lattice_z
-
     def point(self, w: EisensteinNumber, z: EisensteinNumber) -> "ProductPoint":
         return ProductPoint(TorusPoint(_as_eisenstein(w), self.lattice_w),
                             TorusPoint(_as_eisenstein(z), self.lattice_z))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProductPoint:
     """A point [w, z] of a product torus, both coordinates reduced.  Its
     key is the six ints w.key + z.key."""
@@ -54,16 +49,11 @@ class ProductPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", self.w.key + self.z.key)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProductPoint):
-            return NotImplemented
-        return self.w == other.w and self.z == other.z
-
     def to_json(self) -> dict[str, str]:
         return {"w": str(self.w.value), "z": str(self.z.value)}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GraphCurve:
     """The curve {[slope*z + offset, z]} on a product torus.
 
@@ -88,18 +78,12 @@ class GraphCurve:
                     f"slope * {gen} is not a w-period"
                 )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphCurve):
-            return NotImplemented
-        return (self.ambient == other.ambient and self.slope == other.slope
-                and self.offset == other.offset)
-
     def contains_point(self, p: ProductPoint) -> bool:
         diff = self.slope * p.z.value + self.offset.value - p.w.value
         return self.ambient.lattice_w.contains(diff) is not None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VerticalFiber:
     """The curve {z = z0} on a product torus."""
 
@@ -109,11 +93,6 @@ class VerticalFiber:
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "z0", TorusPoint(_as_eisenstein(z0), ambient.lattice_z))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VerticalFiber):
-            return NotImplemented
-        return self.ambient == other.ambient and self.z0 == other.z0
 
     def contains_point(self, p: ProductPoint) -> bool:
         return p.z == self.z0

@@ -18,11 +18,10 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from . import homology
-from .eisenstein import ONE, RHO, EisensteinNumber, eis
+from .eisenstein import ONE, RHO, eis
 from .lattices import Lattice, TorusPoint
 from .curves import (
     EMPTY,
@@ -273,18 +272,9 @@ def classify_deck_action(deck: TorusAutomorphism, order: int) -> BdFType | BdFIn
 
 
 def _plain(value: object) -> object:
-    """Coerce to JSON-serializable data with exact values as strings."""
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, EisensteinNumber):
-        return str(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
+    """Copy a check value into JSON data: tuples become lists and dict keys
+    strings.  Exact values arrive already written as strings."""
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -542,7 +532,7 @@ def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | Ve
     chk.expect("chi", n, blown.chi_top)
     chk.expect("k2", -n, blown.k2)
     chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC,
-               blown.curves[CORE_CURVE].kind)
+               blown.kind(CORE_CURVE))
     return quotient, blown
 
 
@@ -884,7 +874,7 @@ def build_family(family: str, n: int) -> ConstructionReport:
             "k2": blown.k2,
             "boundary": [
                 {"name": name, "self_intersection": blown.curves[name].self_int,
-                 "kind": blown.curves[name].kind}
+                 "kind": blown.kind(name)}
                 for name in boundary
             ],
             "intersection": {

@@ -185,10 +185,7 @@ class TorusPoint:
             return False
         return self.lattice.contains(self.value - other.value) is not None
 
-    def order(self, max_order: int = 64) -> int:
+    def order(self) -> int:
         """Least k >= 1 with k*value in the lattice.  That is the least
         common denominator of the coordinates, the key's last entry."""
-        den = self.key[2]
-        if den > max_order:
-            raise ValueError(f"order exceeds {max_order}")
-        return den
+        return self.key[2]

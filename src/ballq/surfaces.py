@@ -2,10 +2,12 @@
 
 A surface model is pure bookkeeping: the topological Euler number, the
 self-intersection of the canonical class, a named table of curves with
-their pairwise intersection numbers, and named marked points carrying the
-multiplicity of each curve through them.  Etale quotients, blow-ups,
-log-Chern numbers and the Bogomolov-Miyaoka-Yau comparison are all exact
-integer computations on this data.
+their pairwise intersection numbers and normalization kinds, and named
+marked points carrying the multiplicity of each curve through them.  A
+curve is singular exactly when some marked point carries it with
+multiplicity >= 2; that is read off the point table, never stored.  Etale
+quotients, blow-ups, log-Chern numbers and the Bogomolov-Miyaoka-Yau
+comparison are all exact integer computations on this data.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 SMOOTH_ELLIPTIC = "smooth-elliptic"
 SMOOTH_RATIONAL = "smooth-rational"
 SINGULAR = "singular"
 
-_KINDS = (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, SINGULAR)
+_KINDS = (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL)
 
 
 class BMYClass(str, Enum):
@@ -32,24 +35,16 @@ class BMYClass(str, Enum):
 
 @dataclass(frozen=True)
 class CurveRecord:
-    """Numerical record of one curve: self-intersection and smoothness kind.
-
-    Singular curves carry the kind they acquire once every multiple point
-    has been blown up (their normalization type).
-    """
+    """Numerical record of one curve: self-intersection and the kind of
+    its normalization, smooth elliptic or smooth rational.  Whether the
+    curve itself is singular is SurfaceModel.kind's to say."""
 
     self_int: int
     kind: str
-    resolved_kind: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == SINGULAR:
-            if self.resolved_kind not in (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL):
-                raise ValueError("singular curves need a smooth resolved kind")
-        elif self.resolved_kind is not None:
-            raise ValueError("resolved_kind only applies to singular curves")
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -64,6 +59,8 @@ class SurfaceModel:
     (absent pairs meet in 0 points); points maps point names to tables of
     nonzero multiplicities (absent curves pass with multiplicity 0).  build
     stores no zeros, so two models with the same numbers compare equal.
+    A curve that some marked point carries with multiplicity >= 2 is
+    singular.
     """
 
     chi_top: int
@@ -99,6 +96,18 @@ class SurfaceModel:
                             {p: {name: m for name, m in mults.items() if m}
                              for p, mults in points.items()})
 
+    @cached_property
+    def singular_curves(self) -> frozenset[str]:
+        """The curves with a multiple point: one scan of the point table
+        per model, however often kind is asked."""
+        return frozenset(name for mults in self.points.values()
+                         for name, m in mults.items() if m >= 2)
+
+    def kind(self, name: str) -> str:
+        """SINGULAR for a curve with a multiple point, else the kind of its
+        record."""
+        return SINGULAR if name in self.singular_curves else self.curves[name].kind
+
     def pairwise_int(self, a: str, b: str) -> int:
         if a == b:
             return self.curves[a].self_int
@@ -129,7 +138,10 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     divided by the degree, and pairwise numbers push forward the same way.
     Point orbits (which must have full size, i.e. the action is free on
     them) become single marked points whose multiplicity on an image curve
-    is the number of branches upstairs through any one orbit member.
+    is the number of branches upstairs through any one orbit member; an
+    image curve with two or more branches there is singular downstairs,
+    and its record keeps the orbit members' smooth kind as its
+    normalization.
     """
     g = group_order
     if g < 1:
@@ -147,7 +159,7 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     for image, orbit in curve_orbits.items():
         if g % len(orbit):
             raise ValueError(f"curve orbit {image!r} has size not dividing {g}")
-        kinds = {model.curves[name].kind for name in orbit}
+        kinds = {model.kind(name) for name in orbit}
         if len(kinds) != 1 or SINGULAR in kinds:
             raise ValueError(f"curve orbit {image!r} must consist of smooth curves of one kind")
     for image, orbit in point_orbits.items():
@@ -205,14 +217,6 @@ def etale_quotient(model: SurfaceModel, group_order: int,
             raise ValueError(f"branch count at {image_point!r} differs across the orbit")
         new_points[image_point] = per_member[0]
 
-    # A curve acquiring a point of multiplicity >= 2 downstairs is singular;
-    # its normalization is the common smooth kind of the orbit members.
-    multiple = {image for counts in new_points.values()
-                for image, count in counts.items() if count >= 2}
-    for image in multiple:
-        rec = new_curves[image]
-        new_curves[image] = CurveRecord(rec.self_int, SINGULAR, resolved_kind=rec.kind)
-
     return SurfaceModel.build(model.chi_top // g, model.k2 // g,
                               new_curves, new_pairwise, new_points)
 
@@ -224,10 +228,11 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
     Euler number rises by 1 and K^2 drops by 1 per point; each curve
     through a point with multiplicity m loses m^2 from its
     self-intersection and meets that point's exceptional curve in m
-    points; pairwise numbers drop by the product of multiplicities.  A
-    singular curve with no multiple point left becomes its resolved kind.
-    Blowing up several points gives the same model as blowing them up one
-    at a time, with a single rebuild.
+    points; pairwise numbers drop by the product of multiplicities.  The
+    blown-up points leave the point table, so a curve whose multiple
+    points were all among them is smooth afterwards.  Blowing up several
+    points gives the same model as blowing them up one at a time, with a
+    single rebuild.
     """
     if not exceptional:
         raise ValueError("need one or more points to blow up")
@@ -239,9 +244,6 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
         if exc in model.curves:
             raise ValueError(f"exceptional name {exc!r} already in use")
 
-    still_multiple = {name for point, mults in model.points.items()
-                      if point not in exceptional
-                      for name, m in mults.items() if m >= 2}
     drops: dict[str, int] = {}
     new_pairwise = dict(model.pairwise)
     for point, exc in exceptional.items():
@@ -249,20 +251,14 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
         through = list(mults)
         for i, a in enumerate(through):
             m = mults[a]
-            if m >= 2 and model.curves[a].kind != SINGULAR:
-                raise ValueError(f"smooth curve {a!r} cannot have multiplicity {m}")
             drops[a] = drops.get(a, 0) + m * m
             for b in through[i + 1:]:
                 key = _pair_key(a, b)
                 new_pairwise[key] = new_pairwise.get(key, 0) - m * mults[b]
             new_pairwise[_pair_key(a, exc)] = m
 
-    new_curves: dict[str, CurveRecord] = {}
-    for name, rec in model.curves.items():
-        kind, resolved = rec.kind, rec.resolved_kind
-        if kind == SINGULAR and name not in still_multiple:
-            kind, resolved = resolved, None
-        new_curves[name] = CurveRecord(rec.self_int - drops.get(name, 0), kind, resolved)
+    new_curves = {name: CurveRecord(rec.self_int - drops.get(name, 0), rec.kind)
+                  for name, rec in model.curves.items()}
     for exc in exceptional.values():
         new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
 
@@ -274,11 +270,11 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
 def k_dot(model: SurfaceModel, curve: str) -> int:
     """Intersection of the canonical class with a smooth curve, from
     adjunction: -C^2 for elliptic curves, -C^2 - 2 for rational ones."""
-    rec = model.curves[curve]
-    if rec.kind == SMOOTH_ELLIPTIC:
-        return -rec.self_int
-    if rec.kind == SMOOTH_RATIONAL:
-        return -rec.self_int - 2
+    kind, self_int = model.kind(curve), model.curves[curve].self_int
+    if kind == SMOOTH_ELLIPTIC:
+        return -self_int
+    if kind == SMOOTH_RATIONAL:
+        return -self_int - 2
     raise ValueError(f"curve {curve!r} is singular; blow up its multiple points first")
 
 
@@ -297,7 +293,7 @@ class LogPair:
             rec = self.surface.curves.get(name)
             if rec is None:
                 raise ValueError(f"unknown boundary curve {name!r}")
-            if rec.kind != SMOOTH_ELLIPTIC:
+            if self.surface.kind(name) != SMOOTH_ELLIPTIC:
                 raise ValueError(f"boundary curve {name!r} is not smooth elliptic")
             if rec.self_int >= 0:
                 raise ValueError(f"boundary curve {name!r} has nonnegative self-intersection")

@@ -259,16 +259,9 @@ def test_criterion_8_property_suites():
         for _ in range(200):
             count = rng.randint(1, 4)
             names = [f"c{i}" for i in range(count)]
-            curves, mults = {}, {}
-            for name in names:
-                mult = rng.randint(0, 3)
-                if mult >= 2:
-                    curves[name] = CurveRecord(rng.randint(-5, 5), SINGULAR,
-                                               resolved_kind=SMOOTH_ELLIPTIC)
-                else:
-                    curves[name] = CurveRecord(rng.randint(-5, 5), rng.choice(
-                        (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL)))
-                mults[name] = mult
+            curves = {name: CurveRecord(rng.randint(-5, 5), rng.choice(
+                (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL))) for name in names}
+            mults = {name: rng.randint(0, 3) for name in names}
             pairwise = {(a, b): rng.randint(0, 4)
                         for i, a in enumerate(names) for b in names[i + 1:]}
             model = SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
@@ -279,6 +272,9 @@ def test_criterion_8_property_suites():
             for name in names:
                 delta = mults[name] ** 2
                 assert blown.curves[name].self_int == curves[name].self_int - delta
+                assert model.kind(name) == (SINGULAR if mults[name] >= 2
+                                            else curves[name].kind)
+                assert blown.kind(name) == curves[name].kind
 
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, elapsed

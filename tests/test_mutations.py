@@ -116,6 +116,21 @@ def exceptional_meets_level_orbit_twice(monkeypatch):
     edit_blown_model(monkeypatch, edit)
 
 
+def blow_up_keeps_a_triple_point(monkeypatch):
+    """The pipeline's blow_up hands on its model with the last blown-up
+    point's row put back into the point table, so the core curve keeps a
+    triple point and stays singular."""
+    original = families.blow_up
+
+    def faulty(model, exceptional):
+        blown = original(model, exceptional)
+        last = list(exceptional)[-1]
+        return SurfaceModel.build(blown.chi_top, blown.k2, blown.curves, blown.pairwise,
+                                  {**blown.points, last: model.points[last]})
+
+    monkeypatch.setattr(families, "blow_up", faulty)
+
+
 def vertical_fiber_over_wrong_z(monkeypatch):
     spec = families._FAMILIES[GAMMA]
 
@@ -146,7 +161,8 @@ def level_curves_wrong_offset(monkeypatch):
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
                  from_reduced_skips_gcd, numerators_over_twice_the_denominator,
-                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing]
+                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing,
+                 blow_up_keeps_a_triple_point]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
     (LAMBDA, level_curves_wrong_offset),
@@ -171,3 +187,10 @@ def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
     assert not flips(family)
     fault(monkeypatch)
     assert flips(family)
+
+
+def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
+    blow_up_keeps_a_triple_point(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        failed = {check.name for check in build_family(family, 1).checks if not check.passed}
+        assert {"core_resolved_to_smooth_elliptic", "boundary_pair_valid"} <= failed

@@ -49,7 +49,8 @@ def test_quotient_of_slope_orbit():
         assert image.k2 == 0
         core = image.curves["core"]
         assert core.self_int == 6 * n
-        assert core.kind == SINGULAR and core.resolved_kind == SMOOTH_ELLIPTIC
+        assert core.kind == SMOOTH_ELLIPTIC
+        assert image.kind("core") == SINGULAR
         assert all(image.point_multiplicity(f"q{m}", "core") == 3 for m in range(n))
 
 
@@ -235,9 +236,9 @@ def test_k_dot_values():
         "t0": CurveRecord(-9, SMOOTH_ELLIPTIC),
         "e": CurveRecord(-1, SMOOTH_RATIONAL),
         "flat": CurveRecord(0, SMOOTH_ELLIPTIC),
-        "node": CurveRecord(6, SINGULAR, resolved_kind=SMOOTH_ELLIPTIC),
+        "node": CurveRecord(6, SMOOTH_ELLIPTIC),
     }
-    model = SurfaceModel.build(3, -3, curves, {}, {})
+    model = SurfaceModel.build(3, -3, curves, {}, {"double": {"node": 2, "flat": 1}})
     assert k_dot(model, "t0") == 9
     assert k_dot(model, "e") == -1
     assert k_dot(model, "flat") == 0
@@ -329,25 +330,32 @@ def test_volume_json_tags_decimal_as_display_only():
     assert "approx_display_only" in doc
 
 
+def assert_singular_iff_multiple_point(model):
+    """kind() says SINGULAR exactly for the curves that some marked point
+    carries with multiplicity >= 2, and the record's kind for the rest."""
+    for name, rec in model.curves.items():
+        multiple = any(mults.get(name, 0) >= 2 for mults in model.points.values())
+        assert model.kind(name) == (SINGULAR if multiple else rec.kind)
+
+
 def random_blowup_model(rng, point_names=("p",)):
     """A random model of up to four curves with the given marked points.
-    Singular curves pass through the first point with multiplicity 2 or 3
-    and through later points with multiplicity 0 to 3; smooth curves pass
-    through each point with multiplicity 0 or 1."""
+    Curves drawn as singular pass through the first point with multiplicity
+    2 or 3 and through later points with multiplicity 0 to 3; the others
+    pass through each point with multiplicity 0 or 1."""
     k = rng.randint(1, 4)
     names = [f"c{i}" for i in range(k)]
-    curves = {}
+    curves, singular = {}, set()
     for name in names:
-        mult = rng.randint(0, 3)
-        kind = SINGULAR if mult >= 2 else rng.choice(
-            (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL))
-        resolved = SMOOTH_ELLIPTIC if kind == SINGULAR else None
-        curves[name] = CurveRecord(rng.randint(-5, 5), kind, resolved)
+        if rng.randint(0, 3) >= 2:
+            singular.add(name)
+        curves[name] = CurveRecord(rng.randint(-5, 5), rng.choice(
+            (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL)))
     points = {}
     for i, point in enumerate(point_names):
         mults = {}
         for name in names:
-            if curves[name].kind == SINGULAR:
+            if name in singular:
                 mults[name] = rng.randint(2, 3) if i == 0 else rng.randint(0, 3)
             else:
                 mults[name] = rng.randint(0, 1)
@@ -366,6 +374,8 @@ def test_blow_up_deltas_random_models():
         names = list(curves)
         mults = {name: model.point_multiplicity("p", name) for name in names}
         blown = blow_up(model, {"p": "exc"})
+        assert_singular_iff_multiple_point(model)
+        assert_singular_iff_multiple_point(blown)
         assert blown.chi_top == model.chi_top + 1
         assert blown.k2 == model.k2 - 1
         for name in names:
@@ -390,10 +400,12 @@ def test_multi_point_blow_up_equals_folded_single_blow_ups():
         for point, exc in exceptional.items():
             folded = blow_up(folded, {point: exc})
         assert blow_up(model, exceptional) == folded
+        assert_singular_iff_multiple_point(model)
+        assert_singular_iff_multiple_point(folded)
 
-        for name, rec in model.curves.items():
-            if rec.kind == SINGULAR:
-                if folded.curves[name].kind == SINGULAR:
+        for name in model.curves:
+            if model.kind(name) == SINGULAR:
+                if folded.kind(name) == SINGULAR:
                     kept_singular += 1
                 else:
                     resolved += 1
@@ -424,9 +436,7 @@ def test_curve_record_validation():
     with pytest.raises(ValueError):
         CurveRecord(0, "wavy")
     with pytest.raises(ValueError):
-        CurveRecord(0, SINGULAR)  # needs a resolved kind
-    with pytest.raises(ValueError):
-        CurveRecord(0, SMOOTH_ELLIPTIC, resolved_kind=SMOOTH_RATIONAL)
+        CurveRecord(0, SINGULAR)  # singularity is read off the point table
 
 
 def test_surface_model_validation():
@@ -461,11 +471,16 @@ def test_quotient_divisibility_errors():
         etale_quotient(lopsided, 3, {"img": ("a",)}, {})  # chi not divisible
 
 
-def test_blow_up_rejects_multiple_point_on_smooth_curve():
+def test_blow_up_of_double_point_resolves_the_curve():
     curves = {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}
     model = SurfaceModel.build(0, 0, curves, {}, {"p": {"a": 2}})
+    assert model.kind("a") == SINGULAR
     with pytest.raises(ValueError):
-        blow_up(model, {"p": "e"})
+        LogPair(model, ("a",))
+    blown = blow_up(model, {"p": "e"})
+    assert blown.curves["a"].self_int == -4
+    assert blown.kind("a") == SMOOTH_ELLIPTIC
+    assert blown.pairwise_int("a", "e") == 2
 
 
 def test_exact_volume_rejects_negative():
