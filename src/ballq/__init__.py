@@ -54,7 +54,6 @@ from .families import (
     BdFInvalid,
     BdFType,
     BuildError,
-    ConstructionReport,
     albanese_data,
     bdf_catalog,
     bdf_classify,

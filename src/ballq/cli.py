@@ -58,12 +58,12 @@ def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
 
 
 def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
-    """(report document, None) for a level, or (failed report document,
-    error text) when building it raised; the failed report names the step
-    and the error text names the level and the exception."""
+    """(build_family's report document, None) for a level, or (failed
+    report document, error text) when building it raised; the failed report
+    names the step and the error text names the level and the exception."""
     family, n = task
     try:
-        return families.build_family(family, n).to_json_dict(), None
+        return families.build_family(family, n), None
     except families.BuildError as exc:
         return exc.to_json_dict(), str(exc)
 

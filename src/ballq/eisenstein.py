@@ -139,7 +139,8 @@ class EisensteinNumber:
         if not compact:
             raise ValueError("empty Eisenstein literal")
         terms = _TERM_RE.findall(compact)
-        if "".join(terms) != compact:
+        # Fraction would accept exponent notation and compute 10**exp in full.
+        if "".join(terms) != compact or "e" in compact.lower():
             raise ValueError(f"malformed Eisenstein literal: {text!r}")
         re_acc = Fraction(0)
         rho_acc = Fraction(0)

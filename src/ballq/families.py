@@ -10,7 +10,7 @@ families differ only in the boundary divisor added to the resolved triple
 curve: the n fiber transforms (n+1 cusps) or the single resolved orbit of
 constant graphs (2 cusps).  build_family runs that one pipeline, and a
 small record per family supplies only what differs.  Every numerical claim
-is recomputed exactly and recorded in a ConstructionReport.
+is recomputed exactly and recorded as a check in the level's JSON report.
 """
 
 from __future__ import annotations
@@ -283,60 +283,32 @@ def _plain(value: object) -> object:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    expected: object
-    actual: object
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
-
-
 class _Checks:
     def __init__(self) -> None:
-        self.results: list[CheckResult] = []
+        self.results: list[dict[str, object]] = []
 
     def expect(self, name: str, expected: object, actual: object) -> bool:
         ok = expected == actual
-        self.results.append(CheckResult(name, ok, _plain(expected), _plain(actual)))
+        self.results.append({"name": name, "passed": ok,
+                             "expected": _plain(expected), "actual": _plain(actual)})
         return ok
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.results)
 
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    """Full certification record for one family member: every computed
-    value, every individual check, and the assumptions taken on trust."""
-
-    family: str
-    n: int
-    passed: bool
-    values: dict[str, object]
-    checks: tuple[CheckResult, ...]
-    assumptions: tuple[str, ...]
-    flags: tuple[str, ...]
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": self.family,
-            "n": self.n,
-            "passed": self.passed,
-            "values": self.values,
-            "checks": [c.to_json() for c in self.checks],
-            "assumptions": list(self.assumptions),
-            "flags": list(self.flags),
-        }
+def _report(family: str, n: int, passed: bool, values: dict[str, object],
+            checks: list[dict[str, object]], assumptions: list[str],
+            flags: list[str]) -> dict[str, object]:
+    """The JSON document of one level's report, in schema key order: every
+    computed value, every check and the assumptions taken on trust."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "family": family,
+        "n": n,
+        "passed": passed,
+        "values": values,
+        "checks": checks,
+        "assumptions": assumptions,
+        "flags": flags,
+    }
 
 
 class BuildError(Exception):
@@ -349,8 +321,7 @@ class BuildError(Exception):
     def to_json_dict(self) -> dict[str, object]:
         """The failed report of the level: no values or checks, and an
         error naming the step, the exception type and its message."""
-        failed = ConstructionReport(self.family, self.n, False, {}, (), (), ())
-        return {**failed.to_json_dict(), "error": {
+        return {**_report(self.family, self.n, False, {}, [], [], []), "error": {
             "stage": self.stage, "type": type(self.error).__name__, "message": str(self.error)}}
 
 
@@ -830,7 +801,7 @@ _FAMILIES = {
 }
 
 
-def build_family(family: str, n: int) -> ConstructionReport:
+def build_family(family: str, n: int) -> dict[str, object]:
     """Build and certify the member of a family at level n.
 
     Pipeline, shared by both families: slope curves and the free order-3
@@ -839,8 +810,9 @@ def build_family(family: str, n: int) -> ConstructionReport:
     blow-ups, and the boundary made of the resolved triple curve plus the
     images of the extra orbits.  Certifies chi = n, K^2 = -n, the boundary
     self-intersections, log-Chern equality 3n = 3*n, the cusp count (n+1
-    for gamma, 2 for lambda) and volume coefficient 8n/3.  An exception in
-    any step is raised as a BuildError naming that step.
+    for gamma, 2 for lambda) and volume coefficient 8n/3.  Returns the
+    report document that `ballq verify` prints with json.dumps.  An
+    exception in any step is raised as a BuildError naming that step.
     """
     spec = _FAMILIES.get(family)
     if spec is None:
@@ -923,15 +895,8 @@ def build_family(family: str, n: int) -> ConstructionReport:
     except Exception as exc:
         raise BuildError(family, n, stage, exc) from exc
 
-    return ConstructionReport(
-        family=family,
-        n=n,
-        passed=chk.all_passed,
-        values=values,
-        checks=tuple(chk.results),
-        assumptions=(_NEATNESS_ASSUMPTION,),
-        flags=tuple(flags),
-    )
+    return _report(family, n, all(check["passed"] for check in chk.results), values,
+                   chk.results, [_NEATNESS_ASSUMPTION], flags)
 
 
 # ----------------------------------------------------------------------

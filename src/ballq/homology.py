@@ -126,15 +126,15 @@ class FibrationGroupReport:
         }
 
 
-def fibration_sequence_report(report) -> FibrationGroupReport:
-    """Group-theoretic record derived from a passing report of the
-    (n+1)-cusped family, whose open manifold fibers over an elliptic curve
-    with punctured-torus generic fiber."""
-    if getattr(report, "family", None) != "gamma":
+def fibration_sequence_report(report: dict) -> FibrationGroupReport:
+    """Group-theoretic record derived from a passing build_family document
+    of the (n+1)-cusped family, whose open manifold fibers over an elliptic
+    curve with punctured-torus generic fiber."""
+    if report["family"] != "gamma":
         raise ValueError("the fibration record is derived from the (n+1)-cusped family")
-    if not getattr(report, "passed", False):
+    if not report["passed"]:
         raise ValueError("a passing construction report is required")
-    fiber = report.values["fiber"]
+    fiber = report["values"]["fiber"]
     generic = free_rank_of_punctured_surface(1, fiber["generic_fiber_punctures"])
     singular = free_rank_of_punctured_surface(0, fiber["singular_fiber_punctures"])
     conclusions = (

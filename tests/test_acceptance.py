@@ -71,8 +71,8 @@ def test_criterion_1_gamma_family_certification():
         built = reports("gamma")
         for n in range(1, N_MAX + 1):
             report = built[n]
-            assert report.passed, (n, [c.name for c in report.checks if not c.passed])
-            values = report.values
+            assert report["passed"], (n, [c["name"] for c in report["checks"] if not c["passed"]])
+            values = report["values"]
             assert values["chi"] == n
             assert values["k2"] == -n
             boundary = {b["name"]: b["self_intersection"] for b in values["boundary"]}
@@ -93,13 +93,13 @@ def test_criterion_2_lambda_family_certification():
         gamma_built = reports("gamma")
         for n in range(1, N_MAX + 1):
             report = built[n]
-            assert report.passed, (n, [c.name for c in report.checks if not c.passed])
-            values = report.values
+            assert report["passed"], (n, [c["name"] for c in report["checks"] if not c["passed"]])
+            values = report["values"]
             assert values["cusps"] == 2
             boundary = {b["name"]: b["self_intersection"] for b in values["boundary"]}
             assert boundary == {"slope_orbit": -3 * n, "level_orbit": -n}
             assert values["bmy"] == "Equality"
-            assert values["volume"] == gamma_built[n].values["volume"]
+            assert values["volume"] == gamma_built[n]["values"]["volume"]
         assert _build_seconds["lambda"] < 10.0, _build_seconds["lambda"]
 
 
@@ -166,13 +166,13 @@ def test_criterion_5_boundary_disjointness():
     with criterion("5: boundary disjointness and negativity, n = 1..50"):
         for family in ("gamma", "lambda"):
             for n, report in reports(family).items():
-                names = [c.name for c in report.checks]
+                names = [c["name"] for c in report["checks"]]
                 for required in ("boundary_pairwise_disjoint",
                                  "boundary_self_intersections_negative"):
-                    check = report.checks[names.index(required)]
-                    assert check.passed, (family, n, required)
+                    check = report["checks"][names.index(required)]
+                    assert check["passed"], (family, n, required)
                 assert all(b["self_intersection"] < 0
-                           for b in report.values["boundary"])
+                           for b in report["values"]["boundary"])
 
 
 def test_criterion_6_mayer_vietoris():
@@ -186,7 +186,7 @@ def test_criterion_6_mayer_vietoris():
             constraints = betti_of_open(blown_bielliptic_betti(n), n + 1)
             assert constraints.b1 == 2
             assert constraints.b3_lower_bound == n
-            doc = reports("gamma")[n].values["homology"]
+            doc = reports("gamma")[n]["values"]["homology"]
             assert doc["open_manifold"]["b1"] == 2
             assert doc["open_manifold"]["b3_lower_bound"] == n
 
@@ -200,7 +200,7 @@ def test_criterion_7_bagnera_de_franchis():
             "any", "any", "i", "i", "rho", "rho", "rho-with-zeta"]
         for family in ("gamma", "lambda"):
             for n, report in reports(family).items():
-                assert report.values["bdf_type"] == 5, (family, n)
+                assert report["values"]["bdf_type"] == 5, (family, n)
         probes = (
             (bdf_classify(4, "rho"), "lambda-constraint"),
             (bdf_classify(5, "-1"), "lambda-constraint"),

@@ -54,18 +54,16 @@ def test_usage_error_on_unknown_flag(capsys):
 
 
 def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
-    from ballq.families import CheckResult, ConstructionReport
-
     def broken(family, n):
-        return ConstructionReport(
-            family=family, n=n, passed=False,
-            values={"chi": 0, "k2": 0, "boundary": [], "log_c1_squared": 0,
-                    "log_c2": 0, "bmy": "Violation", "cusps": 0, "bdf_type": None,
-                    "volume": {"pi_squared_coefficient": "0", "text": "(0)·π²",
-                               "approx_display_only": 0.0}},
-            checks=(CheckResult("chi", False, 1, 0),),
-            assumptions=(), flags=(),
-        )
+        return {
+            "schema_version": 1, "family": family, "n": n, "passed": False,
+            "values": {"chi": 0, "k2": 0, "boundary": [], "log_c1_squared": 0,
+                       "log_c2": 0, "bmy": "Violation", "cusps": 0, "bdf_type": None,
+                       "volume": {"pi_squared_coefficient": "0", "text": "(0)·π²",
+                                  "approx_display_only": 0.0}},
+            "checks": [{"name": "chi", "passed": False, "expected": 1, "actual": 0}],
+            "assumptions": [], "flags": [],
+        }
 
     monkeypatch.setattr(families, "build_family", broken)
     code, out, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "1")
@@ -231,6 +229,8 @@ def test_intersect_parse_error(capsys):
     code, _, err = run_cli(capsys, "intersect", "graph:bogus", "graph:1,0", "--n", "1")
     assert code == 2
     code, _, _ = run_cli(capsys, "intersect", "blob:1", "graph:1,0", "--n", "1")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "intersect", "graph:1,1e10000000", "graph:r,0", "--n", "1")
     assert code == 2
 
 

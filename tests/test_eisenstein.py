@@ -86,7 +86,7 @@ def test_parse_ascii_and_unicode():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1//2", "2/3+", "rr"):
+    for bad in ("", "x", "1//2", "2/3+", "rr", "1e5", "2e3r"):
         with pytest.raises(ValueError):
             EisensteinNumber.from_string(bad)
 

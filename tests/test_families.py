@@ -32,6 +32,7 @@ from ballq.families import (
     _shared_geometry,
     BdFInvalid,
     BdFType,
+    BuildError,
     CORE_CURVE,
     GAMMA,
     LAMBDA,
@@ -90,46 +91,46 @@ REPORT_SCHEMA = {
 
 def test_gamma_small_members():
     r1 = build_family(GAMMA, 1)
-    assert r1.passed
-    assert r1.values["chi"] == 1
-    assert r1.values["cusps"] == 2
-    assert r1.values["volume"]["pi_squared_coefficient"] == "8/3"
-    assert r1.values["bmy"] == "Equality"
+    assert r1["passed"]
+    assert r1["values"]["chi"] == 1
+    assert r1["values"]["cusps"] == 2
+    assert r1["values"]["volume"]["pi_squared_coefficient"] == "8/3"
+    assert r1["values"]["bmy"] == "Equality"
 
     r5 = build_family(GAMMA, 5)
-    assert r5.passed
-    assert r5.values["cusps"] == 6
-    assert r5.values["volume"]["pi_squared_coefficient"] == "40/3"
+    assert r5["passed"]
+    assert r5["values"]["cusps"] == 6
+    assert r5["values"]["volume"]["pi_squared_coefficient"] == "40/3"
 
     r3 = build_family(GAMMA, 3)
-    assert r3.passed
-    boundary = {b["name"]: b["self_intersection"] for b in r3.values["boundary"]}
+    assert r3["passed"]
+    boundary = {b["name"]: b["self_intersection"] for b in r3["values"]["boundary"]}
     assert boundary["slope_orbit"] == -9
-    assert r3.values["log_c1_squared"] == 9
-    assert r3.values["log_c2"] == 3
+    assert r3["values"]["log_c1_squared"] == 9
+    assert r3["values"]["log_c2"] == 3
 
 
 def test_lambda_small_members():
     r1 = build_family(LAMBDA, 1)
-    assert r1.passed
-    assert r1.values["cusps"] == 2
-    assert r1.values["volume"]["pi_squared_coefficient"] == "8/3"
+    assert r1["passed"]
+    assert r1["values"]["cusps"] == 2
+    assert r1["values"]["volume"]["pi_squared_coefficient"] == "8/3"
 
     r4 = build_family(LAMBDA, 4)
-    assert r4.passed
-    boundary = {b["name"]: b["self_intersection"] for b in r4.values["boundary"]}
+    assert r4["passed"]
+    boundary = {b["name"]: b["self_intersection"] for b in r4["values"]["boundary"]}
     assert boundary == {"slope_orbit": -12, "level_orbit": -4}
-    assert r4.values["chi"] == 4 and r4.values["k2"] == -4
+    assert r4["values"]["chi"] == 4 and r4["values"]["k2"] == -4
 
 
 def test_families_share_compactification_numbers():
     for n in (1, 2, 6):
         g = build_family(GAMMA, n)
         l = build_family(LAMBDA, n)
-        assert (g.values["chi"], g.values["k2"]) == (l.values["chi"], l.values["k2"])
-        assert g.values["volume"] == l.values["volume"]
-        assert g.values["cusps"] == n + 1
-        assert l.values["cusps"] == 2
+        assert (g["values"]["chi"], g["values"]["k2"]) == (l["values"]["chi"], l["values"]["k2"])
+        assert g["values"]["volume"] == l["values"]["volume"]
+        assert g["values"]["cusps"] == n + 1
+        assert l["values"]["cusps"] == 2
 
 
 def test_invalid_level_rejected():
@@ -143,18 +144,21 @@ def test_invalid_level_rejected():
 
 def test_report_json_schema():
     for report in (build_family(GAMMA, 2), build_family(LAMBDA, 3)):
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = json.loads(json.dumps(report))
+        assert doc == report
         jsonschema.validate(doc, REPORT_SCHEMA)
+    failed = BuildError(GAMMA, 2, "fiber", ValueError("seeded fault")).to_json_dict()
+    assert json.loads(json.dumps(failed)) == failed
 
 
 def test_report_is_deterministic():
     for family in (GAMMA, LAMBDA):
-        assert (json.dumps(build_family(family, 2).to_json_dict())
-                == json.dumps(build_family(family, 2).to_json_dict()))
+        assert (json.dumps(build_family(family, 2))
+                == json.dumps(build_family(family, 2)))
 
 
 def test_markdown_contains_headline_numbers():
-    md = render_markdown(build_family(GAMMA, 3).to_json_dict())
+    md = render_markdown(build_family(GAMMA, 3))
     assert "cusps: 4" in md
     assert "chi: 3" in md
     assert "(8)·π²" in md
@@ -218,8 +222,8 @@ def test_bdf_classify_invalid_cases():
 
 def test_every_quotient_is_type_five():
     for n in (1, 2, 3, 8):
-        assert build_family(GAMMA, n).values["bdf_type"] == 5
-        assert build_family(LAMBDA, n).values["bdf_type"] == 5
+        assert build_family(GAMMA, n)["values"]["bdf_type"] == 5
+        assert build_family(LAMBDA, n)["values"]["bdf_type"] == 5
 
 
 def test_albanese_data():
@@ -238,15 +242,15 @@ def test_albanese_lattice_contains_level():
 
 
 def test_fiber_reports():
-    gamma2 = build_family(GAMMA, 2).values["fiber"]
+    gamma2 = build_family(GAMMA, 2)["values"]["fiber"]
     assert gamma2["generic_fiber_punctures"] == 3
     assert gamma2["singular_fiber_count"] == 2
     assert gamma2["singular_fiber_punctures"] == 4
 
-    gamma1 = build_family(GAMMA, 1).values["fiber"]
+    gamma1 = build_family(GAMMA, 1)["values"]["fiber"]
     assert gamma1["singular_fiber_count"] == 1
 
-    lambda2 = build_family(LAMBDA, 2).values["fiber"]
+    lambda2 = build_family(LAMBDA, 2)["values"]["fiber"]
     rows = lambda2["generic_fiber_boundary_rows"]
     assert rows == {"slope_orbit": 3, "level_orbit": 3}
     assert lambda2["generic_fiber_punctures"] == 6
@@ -255,19 +259,19 @@ def test_fiber_reports():
 
 def test_lambda_flags_fiber_discrepancy():
     report = build_family(LAMBDA, 2)
-    assert any("fiber" in flag for flag in report.flags)
+    assert any("fiber" in flag for flag in report["flags"])
 
 
 def test_tower_section():
-    doc = build_family(GAMMA, 6).values["tower"]
+    doc = build_family(GAMMA, 6)["values"]["tower"]
     assert [c["base_level"] for c in doc["covers_levels"]] == [1, 2, 3, 6]
     assert [c["degree"] for c in doc["covers_levels"]] == [6, 3, 2, 1]
     assert doc["consecutive_cover_exists"] is False
-    assert build_family(GAMMA, 2).values["tower"]["consecutive_cover_exists"] is True
+    assert build_family(GAMMA, 2)["values"]["tower"]["consecutive_cover_exists"] is True
 
 
 def test_homology_section_embedded():
-    doc = build_family(GAMMA, 4).values["homology"]
+    doc = build_family(GAMMA, 4)["values"]["homology"]
     assert doc["open_manifold"]["b1"] == 2
     assert doc["open_manifold"]["b3_lower_bound"] == 4
     assert doc["compactification_betti"] == [1, 2, 6, 2, 1]
@@ -276,15 +280,15 @@ def test_homology_section_embedded():
 
 
 def test_volume_strings():
-    assert build_family(GAMMA, 1).values["volume"]["text"] == "(8/3)·π²"
-    assert build_family(GAMMA, 3).values["volume"]["text"] == "(8)·π²"
-    coefficient = Fraction(build_family(GAMMA, 7).values["volume"]["pi_squared_coefficient"])
+    assert build_family(GAMMA, 1)["values"]["volume"]["text"] == "(8/3)·π²"
+    assert build_family(GAMMA, 3)["values"]["volume"]["text"] == "(8)·π²"
+    coefficient = Fraction(build_family(GAMMA, 7)["values"]["volume"]["pi_squared_coefficient"])
     assert coefficient == Fraction(56, 3)
 
 
 def test_volume_spectrum_saturation():
     seen = {
-        Fraction(build_family(GAMMA, n).values["volume"]["pi_squared_coefficient"])
+        Fraction(build_family(GAMMA, n)["values"]["volume"]["pi_squared_coefficient"])
         for n in range(1, 7)
     }
     assert seen == {Fraction(8, 3) * k for k in range(1, 7)}
@@ -366,7 +370,7 @@ def test_incidence_makes_no_point_tests(monkeypatch, family):
     # graph curves are read off the intersection sets and vertical fibers
     # off the points' z keys
     calls = count_contains_point_calls(monkeypatch)
-    assert build_family(family, 40).passed
+    assert build_family(family, 40)["passed"]
     assert calls == {GraphCurve: 0, VerticalFiber: 0}
 
 
@@ -387,7 +391,7 @@ def test_build_reads_few_point_values(monkeypatch, family):
     value.__set_name__(TorusPoint, "value")
     monkeypatch.setattr(TorusPoint, "value", value)
     n = 40
-    assert build_family(family, n).passed
+    assert build_family(family, n)["passed"]
     assert 0 < built[0] <= 8 * n, built[0]
 
 

@@ -25,7 +25,7 @@ def golden_levels():
 
 def digest(report):
     """Digest of the line `ballq verify --format json` prints for a report."""
-    return hashlib.sha256(json.dumps(report.to_json_dict()).encode("utf-8")).hexdigest()
+    return hashlib.sha256(json.dumps(report).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("family", ["gamma", "lambda"])

@@ -174,7 +174,7 @@ PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBD
 def flips(family):
     for n in range(1, 6):
         try:
-            if not build_family(family, n).passed:
+            if not build_family(family, n)["passed"]:
                 return True
         except BuildError:
             return True
@@ -192,5 +192,6 @@ def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
 def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
     blow_up_keeps_a_triple_point(monkeypatch)
     for family in (GAMMA, LAMBDA):
-        failed = {check.name for check in build_family(family, 1).checks if not check.passed}
+        failed = {check["name"] for check in build_family(family, 1)["checks"]
+                  if not check["passed"]}
         assert {"core_resolved_to_smooth_elliptic", "boundary_pair_valid"} <= failed
