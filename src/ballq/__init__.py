@@ -27,9 +27,7 @@ from .curves import (
 from .surfaces import (
     BMYClass,
     CurveRecord,
-    ExactVolume,
     LogPair,
-    NefReport,
     SurfaceModel,
     blow_up,
     bmy_classify,

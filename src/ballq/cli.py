@@ -102,10 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     if not 1 <= args.count <= MAX_LEVELS:
         raise UsageError(f"count must be between 1 and {MAX_LEVELS}")
-    rows = []
-    for n in range(1, args.count + 1):
-        volume = volume_from_chi(n)
-        rows.append({"n": n, **volume.to_json()})
+    rows = [{"n": n, **volume_from_chi(n)} for n in range(1, args.count + 1)]
     coefficients = {row["pi_squared_coefficient"] for row in rows}
     expected = {str(Fraction(8, 3) * k) for k in range(1, args.count + 1)}
     saturated = coefficients == expected

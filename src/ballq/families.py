@@ -526,9 +526,9 @@ def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
 def _certify_pair(pair: LogPair, n: int, expected_cusps: int,
                   chk: _Checks) -> dict[str, object]:
     nef = nef_numerical_check(pair)
-    chk.expect("nef_numerical_check", True, nef.passed)
+    chk.expect("nef_numerical_check", True, nef["passed"])
     chk.expect("nef_boundary_pairings_zero", True,
-               all(v == 0 for v in nef.boundary_pairings.values()))
+               all(v == 0 for v in nef["boundary_pairings"].values()))
     c1, c2 = log_chern(pair)
     chk.expect("log_chern", [3 * n, n], [c1, c2])
     bmy = bmy_classify(pair)
@@ -536,14 +536,14 @@ def _certify_pair(pair: LogPair, n: int, expected_cusps: int,
     cusps = cusp_count(pair)
     chk.expect("cusps", expected_cusps, cusps)
     volume = volume_from_chi(c2)
-    chk.expect("volume_coefficient", str(Fraction(8, 3) * n), str(volume.coefficient))
+    chk.expect("volume_coefficient", str(Fraction(8, 3) * n), volume["pi_squared_coefficient"])
     return {
         "log_c1_squared": c1,
         "log_c2": c2,
         "bmy": bmy.value,
-        "nef": nef.to_json(),
+        "nef": nef,
         "cusps": cusps,
-        "volume": volume.to_json(),
+        "volume": volume,
     }
 
 
@@ -591,18 +591,22 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     return rows
 
 
-def _homology_section(n: int, cusps: int, chk: _Checks) -> dict[str, object]:
+def _homology_section(n: int, cusps: int, expected_cusps: int,
+                      chk: _Checks) -> dict[str, object]:
+    """The cover tables for the certified cusp count, checked against the
+    family's expected count."""
     betti = homology.blown_bielliptic_betti(n)
     constraints = homology.betti_of_open(betti, cusps)
     u, v = homology.mv_tables(cusps)
-    chk.expect("open_manifold_b1", 2, constraints.b1)
-    chk.expect("open_manifold_b3_lower_bound", cusps - 1, constraints.b3_lower_bound)
+    chk.expect("open_manifold_b1", 2, constraints["b1"])
+    chk.expect("open_manifold_b3_lower_bound", expected_cusps - 1,
+               constraints["b3_lower_bound"])
     chk.expect("cover_pieces_euler_zero", [0, 0], [u.euler(), v.euler()])
     return {
         "compactification_betti": list(betti.as_tuple()),
         "boundary_neighborhood_ranks": list(u.as_tuple()),
         "overlap_ranks": list(v.as_tuple()),
-        "open_manifold": constraints.to_json(),
+        "open_manifold": constraints,
     }
 
 
@@ -610,8 +614,7 @@ def _tower_section(n: int) -> dict[str, object]:
     covers = []
     for m in range(1, n + 1):
         if n % m == 0:
-            report = covering_report(m, n)
-            covers.append({"base_level": m, "degree": report.degree})
+            covers.append({"base_level": m, "degree": covering_report(m, n)["degree"]})
     return {
         "covers_levels": covers,
         "consecutive_cover_exists": n == 1 or n % (n - 1) == 0,
@@ -881,15 +884,15 @@ def build_family(family: str, n: int) -> dict[str, object]:
             stage = "albanese"
             albanese = albanese_data(n)
             albanese_checks = {
-                "albanese_index": (3, albanese.index),
-                "albanese_shift_order": (3, albanese.shift_order),
-                "albanese_base_point_count": (n, len(albanese.base_points)),
+                "albanese_index": (3, albanese["index"]),
+                "albanese_shift_order": (3, albanese["shift_order"]),
+                "albanese_base_point_count": (n, len(albanese["base_points"])),
             }
             for name in spec.albanese_checks:
                 chk.expect(name, *albanese_checks[name])
-            values["albanese"] = albanese.to_json()
+            values["albanese"] = albanese
             stage = "homology"
-            values["homology"] = _homology_section(n, spec.cusps(n), chk)
+            values["homology"] = _homology_section(n, values["cusps"], spec.cusps(n), chk)
             stage = "tower"
             values["tower"] = _tower_section(n)
     except Exception as exc:
@@ -904,49 +907,23 @@ def build_family(family: str, n: int) -> dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringReport:
-    base_level: int
-    cover_level: int
-    contained: bool
-    degree: int | None
-
-
-def covering_report(m: int, n: int) -> CoveringReport:
+def covering_report(m: int, n: int) -> dict[str, object]:
     """Whether the level-n member covers the level-m member, with the
-    covering degree computed as a lattice index."""
+    covering degree computed as a lattice index (None when it does not)."""
     if m < 1 or n < 1:
         raise ValueError("levels must be positive integers")
     sub = level_lattice(n)
     sup = level_lattice(m)
     contained = sub.is_sublattice_of(sup)
-    return CoveringReport(m, n, contained, sub.index_in(sup) if contained else None)
+    return {"base_level": m, "cover_level": n, "contained": contained,
+            "degree": sub.index_in(sup) if contained else None}
 
 
-@dataclass(frozen=True)
-class AlbaneseReport:
-    n: int
-    target_lattice: dict[str, str]
-    contains_level_lattice: bool
-    index: int
-    shift_order: int
-    base_points: tuple[str, ...]
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "n": self.n,
-            "target_lattice": dict(self.target_lattice),
-            "contains_level_lattice": self.contains_level_lattice,
-            "index": self.index,
-            "shift_order": self.shift_order,
-            "base_points": list(self.base_points),
-        }
-
-
-def albanese_data(n: int) -> AlbaneseReport:
+def albanese_data(n: int) -> dict[str, object]:
     """The Albanese target C/Z[n, shift]: the level lattice sits inside it
     with index three (the shift has order three on the level torus) and the
-    n special fiber base points are [2/3 + j - 1] for j = 1..n."""
+    n special fiber base points are [2/3 + j - 1] for j = 1..n.  Returns
+    the report's Albanese fragment."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     target = albanese_lattice(n)
@@ -962,6 +939,6 @@ def albanese_data(n: int) -> AlbaneseReport:
         base_points.append(str(point.value))
     if len(seen) != n:
         raise ValueError("special fiber base points are not distinct")
-    return AlbaneseReport(n, target.to_json(), contained, index, shift_order,
-                          tuple(base_points))
+    return {"n": n, "target_lattice": target.to_json(), "contains_level_lattice": contained,
+            "index": index, "shift_order": shift_order, "base_points": base_points}
 

@@ -44,46 +44,29 @@ def mv_tables(k: int) -> tuple[BettiVector, BettiVector]:
     return u, v
 
 
-@dataclass(frozen=True)
-class OpenBettiConstraints:
+def betti_of_open(b_compact: BettiVector, k: int) -> dict[str, object]:
     """Exact integer constraints on the betti numbers of the open manifold
-    M in terms of those of its compactification X and the cusp count k."""
-
-    b1: int
-    b3_lower_bound: int
-    b2_minus_b3: int
-    derivation: tuple[str, ...]
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "b1": self.b1,
-            "b3_lower_bound": self.b3_lower_bound,
-            "b2_minus_b3": self.b2_minus_b3,
-            "derivation": list(self.derivation),
-        }
-
-
-def betti_of_open(b_compact: BettiVector, k: int) -> OpenBettiConstraints:
-    """Constraints from the cover calculus: b1(M) = b1(X) exactly, a lower
-    bound b3(M) >= k - 1, and b2(M) - b3(M) = 1 - b3(X) + b2(X)."""
+    M in terms of those of its compactification X and the cusp count k,
+    from the cover calculus: b1(M) = b1(X) exactly, a lower bound
+    b3(M) >= k - 1, and b2(M) - b3(M) = 1 - b3(X) + b2(X).  Returns the
+    report's open-manifold fragment, with the derivation's lines."""
     if k < 1:
         raise ValueError("at least one cusp is required")
     # The degree-1 segment of the sequence gives b1(M) + 2k = 2k - l + b1(X)
     # where l is the rank of the image of H2(X) -> H1(V); since the rank of
     # H1 can only grow when passing to the open manifold, l = 0.
     ell = 0
-    derivation = (
-        f"b1(M) + 2k = 2k - l + b1(X) with k = {k}",
-        "b1(M) >= b1(X) forces l = 0, hence b1(M) = b1(X)",
-        f"0 -> Q^(k-1) -> H3(M) gives b3(M) >= {k - 1}",
-        "tail of the sequence gives b2(M) - b3(M) = 1 - b3(X) + b2(X)",
-    )
-    return OpenBettiConstraints(
-        b1=b_compact.b1 - ell,
-        b3_lower_bound=k - 1,
-        b2_minus_b3=1 - b_compact.b3 + b_compact.b2,
-        derivation=derivation,
-    )
+    return {
+        "b1": b_compact.b1 - ell,
+        "b3_lower_bound": k - 1,
+        "b2_minus_b3": 1 - b_compact.b3 + b_compact.b2,
+        "derivation": [
+            f"b1(M) + 2k = 2k - l + b1(X) with k = {k}",
+            "b1(M) >= b1(X) forces l = 0, hence b1(M) = b1(X)",
+            f"0 -> Q^(k-1) -> H3(M) gives b3(M) >= {k - 1}",
+            "tail of the sequence gives b2(M) - b3(M) = 1 - b3(X) + b2(X)",
+        ],
+    }
 
 
 def blown_bielliptic_betti(n: int) -> BettiVector:
@@ -105,43 +88,29 @@ def free_rank_of_punctured_surface(genus: int, punctures: int) -> int:
     return 2 * genus + punctures - 1
 
 
-@dataclass(frozen=True)
-class FibrationGroupReport:
-    """Structured bookkeeping for the fibration of the open manifold over
-    an elliptic curve: the fundamental group surjects onto Z^2 with
-    finitely generated kernel, so the commutator subgroup (finite index in
-    that kernel) is finitely generated."""
-
-    base_rank: int
-    generic_fiber_free_rank: int
-    singular_fiber_free_rank: int
-    conclusions: tuple[str, ...]
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "base_rank": self.base_rank,
-            "generic_fiber_free_rank": self.generic_fiber_free_rank,
-            "singular_fiber_free_rank": self.singular_fiber_free_rank,
-            "conclusions": list(self.conclusions),
-        }
-
-
-def fibration_sequence_report(report: dict) -> FibrationGroupReport:
+def fibration_sequence_report(report: dict) -> dict[str, object]:
     """Group-theoretic record derived from a passing build_family document
     of the (n+1)-cusped family, whose open manifold fibers over an elliptic
-    curve with punctured-torus generic fiber."""
+    curve with punctured-torus generic fiber: the fundamental group
+    surjects onto Z^2 with finitely generated kernel, so the commutator
+    subgroup (finite index in that kernel) is finitely generated.  Returns
+    the record as a JSON fragment: the free ranks and the conclusions."""
     if report["family"] != "gamma":
         raise ValueError("the fibration record is derived from the (n+1)-cusped family")
     if not report["passed"]:
         raise ValueError("a passing construction report is required")
     fiber = report["values"]["fiber"]
-    generic = free_rank_of_punctured_surface(1, fiber["generic_fiber_punctures"])
-    singular = free_rank_of_punctured_surface(0, fiber["singular_fiber_punctures"])
-    conclusions = (
-        "pi1(generic fiber) -> pi1(M) -> Z^2 -> 1 is exact (no multiple fibers)",
-        "the kernel of pi1(M) -> Z^2 is finitely generated",
-        "the commutator subgroup has finite index in that kernel,"
-        " so it is finitely generated",
-        "the free rank of H1(M) is two",
-    )
-    return FibrationGroupReport(2, generic, singular, conclusions)
+    return {
+        "base_rank": 2,
+        "generic_fiber_free_rank": free_rank_of_punctured_surface(
+            1, fiber["generic_fiber_punctures"]),
+        "singular_fiber_free_rank": free_rank_of_punctured_surface(
+            0, fiber["singular_fiber_punctures"]),
+        "conclusions": [
+            "pi1(generic fiber) -> pi1(M) -> Z^2 -> 1 is exact (no multiple fibers)",
+            "the kernel of pi1(M) -> Z^2 is finitely generated",
+            "the commutator subgroup has finite index in that kernel,"
+            " so it is finitely generated",
+            "the free rank of H1(M) is two",
+        ],
+    }

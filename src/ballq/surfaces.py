@@ -318,28 +318,10 @@ def log_chern(pair: LogPair) -> tuple[int, int]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class NefReport:
+def nef_numerical_check(pair: LogPair) -> dict[str, object]:
     """Necessary numerical conditions for K + D to be nef and big:
-    (K+D)^2 > 0 and (K+D).T >= 0 for every boundary component."""
-
-    log_canonical_self_int: int
-    boundary_pairings: dict[str, int]
-
-    @property
-    def passed(self) -> bool:
-        return (self.log_canonical_self_int > 0
-                and all(v >= 0 for v in self.boundary_pairings.values()))
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "log_canonical_self_int": self.log_canonical_self_int,
-            "boundary_pairings": dict(self.boundary_pairings),
-            "passed": self.passed,
-        }
-
-
-def nef_numerical_check(pair: LogPair) -> NefReport:
+    (K+D)^2 > 0 and (K+D).T >= 0 for every boundary component.  Returns
+    the report's nef fragment: the two numbers and whether both hold."""
     surface = pair.surface
     c1, _ = log_chern(pair)
     pairings = {name: k_dot(surface, name) + surface.curves[name].self_int
@@ -347,13 +329,17 @@ def nef_numerical_check(pair: LogPair) -> NefReport:
     for a, b, value in surface.pairs_among(pair.boundary):
         pairings[a] += value
         pairings[b] += value
-    return NefReport(c1, pairings)
+    return {
+        "log_canonical_self_int": c1,
+        "boundary_pairings": pairings,
+        "passed": c1 > 0 and all(v >= 0 for v in pairings.values()),
+    }
 
 
 def bmy_classify(pair: LogPair) -> BMYClass:
     """Compare c1bar^2 with 3*c2bar; only meaningful when the numerical
     nef check passes, otherwise NotApplicable."""
-    if not nef_numerical_check(pair).passed:
+    if not nef_numerical_check(pair)["passed"]:
         return BMYClass.NOT_APPLICABLE
     c1, c2 = log_chern(pair)
     if c1 == 3 * c2:
@@ -368,36 +354,16 @@ def cusp_count(pair: LogPair) -> int:
     return len(pair.boundary)
 
 
-@dataclass(frozen=True)
-class ExactVolume:
-    """A hyperbolic volume recorded exactly as a rational multiple of pi^2."""
-
-    coefficient: Fraction
-
-    def __post_init__(self) -> None:
-        if self.coefficient < 0:
-            raise ValueError("volume coefficient must be nonnegative")
-
-    @property
-    def text(self) -> str:
-        return f"({self.coefficient})·π²"
-
-    @property
-    def approx(self) -> float:
-        """Decimal value for display only; never used in any check."""
-        return float(self.coefficient) * math.pi ** 2
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "pi_squared_coefficient": str(self.coefficient),
-            "text": self.text,
-            "approx_display_only": self.approx,
-        }
-
-
-def volume_from_chi(chi: int) -> ExactVolume:
+def volume_from_chi(chi: int) -> dict[str, object]:
     """Volume (8/3) * pi^2 * chi of a curvature -1 ball quotient with the
-    given Euler number (generalized Gauss-Bonnet)."""
+    given Euler number (generalized Gauss-Bonnet), as the report's volume
+    fragment.  The volume is recorded exactly, as the rational coefficient
+    of pi^2; the decimal is for display only and never used in any check."""
     if chi < 0:
         raise ValueError("Euler number of a ball quotient is nonnegative")
-    return ExactVolume(Fraction(8, 3) * chi)
+    coefficient = Fraction(8, 3) * chi
+    return {
+        "pi_squared_coefficient": str(coefficient),
+        "text": f"({coefficient})·π²",
+        "approx_display_only": float(coefficient) * math.pi ** 2,
+    }

@@ -184,8 +184,8 @@ def test_criterion_6_mayer_vietoris():
             assert u.euler() == 0 and v.euler() == 0
         for n in range(1, N_MAX + 1):
             constraints = betti_of_open(blown_bielliptic_betti(n), n + 1)
-            assert constraints.b1 == 2
-            assert constraints.b3_lower_bound == n
+            assert constraints["b1"] == 2
+            assert constraints["b3_lower_bound"] == n
             doc = reports("gamma")[n]["values"]["homology"]
             assert doc["open_manifold"]["b1"] == 2
             assert doc["open_manifold"]["b3_lower_bound"] == n

@@ -171,6 +171,9 @@ def test_spectrum_json(capsys):
     assert doc["saturates_volume_spectrum"] is True
     coefficients = {row["pi_squared_coefficient"] for row in doc["rows"]}
     assert len(coefficients) == 20
+    assert list(doc["rows"][0]) == ["n", "pi_squared_coefficient", "text",
+                                     "approx_display_only"]
+    assert doc["rows"][2]["text"] == "(8)·π²"
 
 
 def test_spectrum_rejects_zero(capsys):

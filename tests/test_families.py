@@ -166,11 +166,13 @@ def test_markdown_contains_headline_numbers():
 
 def test_covering_reports():
     all_n = covering_report(1, 5)
-    assert all_n.contained and all_n.degree == 5
+    assert all_n["contained"] and all_n["degree"] == 5
     nested = covering_report(2, 6)
-    assert nested.contained and nested.degree == 3
+    assert nested["contained"] and nested["degree"] == 3
     blocked = covering_report(2, 3)
-    assert not blocked.contained and blocked.degree is None
+    assert not blocked["contained"] and blocked["degree"] is None
+    for report in (all_n, nested, blocked):
+        assert json.loads(json.dumps(report)) == report
 
 
 def test_covering_report_validates_input():
@@ -229,10 +231,11 @@ def test_every_quotient_is_type_five():
 def test_albanese_data():
     for n in (1, 2, 6):
         report = albanese_data(n)
-        assert report.contains_level_lattice
-        assert report.index == 3
-        assert report.shift_order == 3
-        assert len(report.base_points) == n
+        assert report["contains_level_lattice"]
+        assert report["index"] == 3
+        assert report["shift_order"] == 3
+        assert len(report["base_points"]) == n
+        assert json.loads(json.dumps(report)) == report
 
 
 def test_albanese_lattice_contains_level():

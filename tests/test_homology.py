@@ -1,5 +1,7 @@
 """Betti tables of the two-set cover and the derived constraints."""
 
+import json
+
 import pytest
 
 from ballq.homology import (
@@ -55,19 +57,21 @@ def test_blown_bielliptic_betti():
 def test_open_constraints():
     b = blown_bielliptic_betti(4)
     constraints = betti_of_open(b, 5)
-    assert constraints.b1 == 2
-    assert constraints.b3_lower_bound == 4
-    assert constraints.b2_minus_b3 == 1 - 2 + 6
+    assert constraints["b1"] == 2
+    assert constraints["b3_lower_bound"] == 4
+    assert constraints["b2_minus_b3"] == 1 - 2 + 6
+    assert json.loads(json.dumps(constraints)) == constraints
 
 
 def test_open_constraints_vacuous_bound():
     constraints = betti_of_open(blown_bielliptic_betti(1), 1)
-    assert constraints.b3_lower_bound == 0
+    assert constraints["b3_lower_bound"] == 0
+    assert json.loads(json.dumps(constraints)) == constraints
 
 
 def test_b2_b3_relation_independent_of_k():
     b = blown_bielliptic_betti(3)
-    values = {betti_of_open(b, k).b2_minus_b3 for k in range(1, 8)}
+    values = {betti_of_open(b, k)["b2_minus_b3"] for k in range(1, 8)}
     assert len(values) == 1
 
 
@@ -82,10 +86,11 @@ def test_free_rank_of_punctured_surface():
 def test_fibration_report_from_gamma():
     report = build_family(GAMMA, 2)
     record = fibration_sequence_report(report)
-    assert record.base_rank == 2
-    assert record.generic_fiber_free_rank == 4
-    assert record.singular_fiber_free_rank == 3
-    assert any("finitely generated" in line for line in record.conclusions)
+    assert record["base_rank"] == 2
+    assert record["generic_fiber_free_rank"] == 4
+    assert record["singular_fiber_free_rank"] == 3
+    assert any("finitely generated" in line for line in record["conclusions"])
+    assert json.loads(json.dumps(record)) == record
 
 
 def test_fibration_report_rejects_other_family():

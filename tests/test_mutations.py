@@ -195,3 +195,12 @@ def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
         failed = {check["name"] for check in build_family(family, 1)["checks"]
                   if not check["passed"]}
         assert {"core_resolved_to_smooth_elliptic", "boundary_pair_valid"} <= failed
+
+
+def test_wrong_cusp_count_fails_the_homology_check(monkeypatch):
+    original = families.cusp_count
+    monkeypatch.setattr(families, "cusp_count", lambda pair: original(pair) + 1)
+    for family in (GAMMA, LAMBDA):
+        failed = {check["name"] for check in build_family(family, 2)["checks"]
+                  if not check["passed"]}
+        assert {"cusps", "open_manifold_b3_lower_bound"} <= failed
