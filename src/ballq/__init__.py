@@ -40,8 +40,8 @@ from .surfaces import (
 )
 from .homology import (
     BettiVector,
+    betti_from_deck,
     betti_of_open,
-    blown_bielliptic_betti,
     fibration_sequence_report,
     free_rank_of_punctured_surface,
     mv_tables,
@@ -53,7 +53,6 @@ from .families import (
     BdFType,
     BuildError,
     albanese_data,
-    bdf_catalog,
     bdf_classify,
     build_family,
     covering_report,

@@ -153,9 +153,10 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     if isinstance(second, GraphCurve):
         if first.slope != second.slope:
             # The point count is the index of (slope difference)*(z-lattice)
-            # in the w-lattice, known before any point is built.
-            count = torus.lattice_z.scaled(first.slope - second.slope).index_in(
-                torus.lattice_w)
+            # in the w-lattice, |det| of the curves' matrix difference, known
+            # before any point is built.
+            p, q, r, t = (x - y for x, y in zip(first.matrix, second.matrix))
+            count = abs(p * t - q * r)
             if count > MAX_POINTS:
                 raise UsageError(f"the curves meet in {count} points; at most "
                                  f"{MAX_POINTS} are listed")

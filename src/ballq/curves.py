@@ -2,20 +2,22 @@
 
 The product torus has coordinates [w, z].  Supported curves are graphs
 w = slope*z + offset (including constant graphs, slope = 0) and vertical
-fibers z = z0.  Intersections are solved exactly: for two graphs with
-slope difference M the solution set of M*z = offset difference (mod the
-w-lattice) is a torsor under the finite group (M^-1 * w-lattice)/z-lattice,
-which the coset grid of a Hermite basis lists exactly, in integer
-coordinates.  The contains_point methods read Q(rho) values; they are a
-brute-force check, and the build decides incidence from point keys.
+fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
+lattices' bases (Lattice.multiplier_matrix), and an automorphism one per
+factor.  Intersections are solved in integers: for two graphs with matrix
+difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
+applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
+Hermite basis lists.  The contains_point methods read Q(rho) values; they
+are a brute-force check, and the build decides incidence from point keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .eisenstein import ONE, EisensteinNumber, _promote
-from .lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
+from .lattices import Lattice, TorusPoint, coset_grid
 
 
 def _as_eisenstein(value: object) -> EisensteinNumber:
@@ -58,25 +60,25 @@ class GraphCurve:
     """The curve {[slope*z + offset, z]} on a product torus.
 
     Well-definedness (slope * z-lattice contained in the w-lattice) is
-    checked at construction; it fails for slopes that do not carry one
-    period lattice into the other.
+    checked at construction, where the slope's integer matrix from z- to
+    w-lattice coordinates is computed; it fails for slopes that do not
+    carry one period lattice into the other.
     """
 
     ambient: ProductTorus
     slope: EisensteinNumber
     offset: TorusPoint
+    matrix: tuple[int, int, int, int] = field(repr=False, compare=False)
 
     def __init__(self, ambient: ProductTorus, slope: object, offset: object) -> None:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "slope", _as_eisenstein(slope))
         object.__setattr__(self, "offset", TorusPoint(_as_eisenstein(offset), ambient.lattice_w))
-        lz, lw = ambient.lattice_z, ambient.lattice_w
-        for gen in (lz.gen1, lz.gen2):
-            if lw.contains(self.slope * gen) is None:
-                raise ValueError(
-                    f"graph with slope {self.slope} is not well defined: "
-                    f"slope * {gen} is not a w-period"
-                )
+        try:
+            matrix = ambient.lattice_z.multiplier_matrix(self.slope, ambient.lattice_w)
+        except ValueError as exc:
+            raise ValueError(f"graph with slope {self.slope} is not well defined: {exc}") from exc
+        object.__setattr__(self, "matrix", matrix)
 
     def contains_point(self, p: ProductPoint) -> bool:
         diff = self.slope * p.z.value + self.offset.value - p.w.value
@@ -102,8 +104,10 @@ class VerticalFiber:
 class TorusAutomorphism:
     """Affine automorphism [w, z] -> [lw*w + cw, lz*z + cz].
 
-    Both multipliers must preserve the respective period lattices (checked
-    by two-way containment), so the map descends to the product torus.
+    Both multipliers must map the respective period lattices onto
+    themselves, so the map descends to the product torus: matrices holds
+    their integer matrices in the lattices' bases (w first), and each must
+    have determinant +-1.
     """
 
     ambient: ProductTorus
@@ -111,6 +115,7 @@ class TorusAutomorphism:
     trans_w: EisensteinNumber
     lambda_z: EisensteinNumber
     trans_z: EisensteinNumber
+    matrices: tuple[tuple[int, int, int, int], ...] = field(repr=False)
 
     def __init__(self, ambient, lambda_w, trans_w, lambda_z, trans_z) -> None:
         object.__setattr__(self, "ambient", ambient)
@@ -118,8 +123,12 @@ class TorusAutomorphism:
         object.__setattr__(self, "trans_w", _as_eisenstein(trans_w))
         object.__setattr__(self, "lambda_z", _as_eisenstein(lambda_z))
         object.__setattr__(self, "trans_z", _as_eisenstein(trans_z))
-        _check_unit_scaling(self.lambda_w, ambient.lattice_w, "w")
-        _check_unit_scaling(self.lambda_z, ambient.lattice_z, "z")
+        matrices = tuple(lattice.multiplier_matrix(factor, lattice) for factor, lattice in
+                         ((self.lambda_w, ambient.lattice_w), (self.lambda_z, ambient.lattice_z)))
+        if any(abs(p * t - q * r) != 1 for p, q, r, t in matrices):
+            raise ValueError(f"multipliers {self.lambda_w}, {self.lambda_z} must map "
+                             "their lattices onto themselves")
+        object.__setattr__(self, "matrices", matrices)
 
     def apply(self, p: ProductPoint) -> ProductPoint:
         lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
@@ -143,15 +152,6 @@ class TorusAutomorphism:
         return (self.lambda_w == ONE and self.lambda_z == ONE
                 and lw.contains(self.trans_w) is not None
                 and lz.contains(self.trans_z) is not None)
-
-
-def _check_unit_scaling(factor: EisensteinNumber, lattice: Lattice, which: str) -> None:
-    if not factor:
-        raise ValueError(f"{which}-multiplier must be nonzero")
-    inv = factor.inverse()
-    for gen in (lattice.gen1, lattice.gen2):
-        if lattice.contains(factor * gen) is None or lattice.contains(inv * gen) is None:
-            raise ValueError(f"{which}-multiplier {factor} does not preserve the lattice")
 
 
 # ----------------------------------------------------------------------
@@ -188,39 +188,45 @@ class Intersection:
 
 def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     """All intersection points of two graph curves, canonically reduced
-    and sorted by coordinates; equal slopes give "identical" or "empty"."""
-    if c1.ambient != c2.ambient:
+    and sorted by coordinates; equal slopes give "identical" or "empty".
+    Both curves must be given in the same stored lattice bases, since the
+    solver reads their matrices and offset keys as coordinates."""
+    (lw, lz), (w2, z2) = ((c.ambient.lattice_w, c.ambient.lattice_z) for c in (c1, c2))
+    if (lw.gen1, lw.gen2, lz.gen1, lz.gen2) != (w2.gen1, w2.gen2, z2.gen1, z2.gen2):
         raise ValueError("curves live on different product tori")
-    if c1.slope == c2.slope:
-        return Intersection(IDENTICAL if c1.offset == c2.offset else EMPTY)
-    lw = c1.ambient.lattice_w
-    lz = c1.ambient.lattice_z
-    m_inv = (c1.slope - c2.slope).inverse()
-    d1, d2, b1, b2 = coset_grid(lz, lw.scaled(m_inv))
-    # z side: the solutions z0 + k1*b1 + k2*b2 in z-lattice coordinates,
-    # numerators over one denominator dz.
-    z0 = m_inv * (c2.offset.value - c1.offset.value)
-    (s0, t0, s1, t1, s2, t2), dz = _over_common_denominator(
-        lz.coordinates(z0) + lz.coordinates(b1) + lz.coordinates(b2))
-    # w side: w = slope*z + offset.  z -> slope*z is the integer matrix
-    # (a, b; c, d) from z- to w-lattice coordinates (the curve checked that
-    # slope * z-lattice lies in the w-lattice); the offset's coordinates are
-    # numerators over dw (its key).  Both are then numerators over dz*dw.
-    (a, c), (b, d) = (lw.contains(c1.slope * gen) for gen in (lz.gen1, lz.gen2))
-    ws0, wt0, dw = c1.offset.key
-    dzw = dz * dw
-    ws0, wt0 = ws0 * dz, wt0 * dz
+    rs1, rt1, e1 = c1.offset.key
+    rs2, rt2, e2 = c2.offset.key
+    if c1.matrix == c2.matrix:
+        return Intersection(IDENTICAL if (rs1, rt1, e1) == (rs2, rt2, e2) else EMPTY)
+    # In lattice coordinates the slope difference maps z = (x, y) to
+    # w = (p*x + r*y, q*x + t*y), and the offsets differ by (ds, dt)/e.  So
+    # the solutions are z = A^-1 ((ds, dt) + e*k)/e for k in Z^2 modulo
+    # A*Z^2, with A^-1 = adj(A)/det: integer numerators over D = |det|*e.
+    (a, c, b, d), (p, q, r, t) = c1.matrix, c2.matrix
+    p, q, r, t = a - p, c - q, b - r, d - t
+    det = p * t - q * r
+    e = lcm(e1, e2)
+    ds, dt = rs2 * (e // e2) - rs1 * (e // e1), rt2 * (e // e2) - rt1 * (e // e1)
+    sign = 1 if det > 0 else -1
+    dz = sign * det * e
+    zs0, zt0 = sign * (t * ds - r * dt), sign * (p * dt - q * ds)
+    # The adjugate's columns times e: the z steps for k along each w axis.
+    steps = (sign * e * t, -sign * e * q), (-sign * e * r, sign * e * p)
+    d1, d2, axis = coset_grid(p, q, r, t)
+    (s1, t1), (s2, t2) = steps[::-1] if axis else steps
+    # w = slope1*z + offset1, its numerators over dz too (e1 divides e).
+    ws0, wt0 = rs1 * (dz // e1), rt1 * (dz // e1)
     # Sorting the integer numerators gives coordinate order, since every
     # coordinate has one fixed denominator.
     numerators = []
     for k1 in range(d1):
-        zs1, zt1 = s0 + k1 * s1, t0 + k1 * t1
+        zs1, zt1 = zs0 + k1 * s1, zt0 + k1 * t1
         for k2 in range(d2):
             zs, zt = (zs1 + k2 * s2) % dz, (zt1 + k2 * t2) % dz
-            numerators.append(((dw * (a * zs + b * zt) + ws0) % dzw,
-                               (dw * (c * zs + d * zt) + wt0) % dzw, zs, zt))
+            numerators.append(((a * zs + b * zt + ws0) % dz,
+                               (c * zs + d * zt + wt0) % dz, zs, zt))
     numerators.sort()
-    points = tuple(ProductPoint(TorusPoint.from_reduced(ws, wt, dzw, lw),
+    points = tuple(ProductPoint(TorusPoint.from_reduced(ws, wt, dz, lw),
                                 TorusPoint.from_reduced(zs, zt, dz, lz))
                    for ws, wt, zs, zt in numerators)
     return Intersection(POINTS, points)

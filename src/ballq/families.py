@@ -169,7 +169,8 @@ class BdFInvalid:
         return {"invalid": True, "constraint": self.constraint, "reason": self.reason}
 
 
-_CATALOG = (
+# The seven Bagnera-de Franchis types.
+BDF_CATALOG = (
     BdFType(1, (2,), "-1", None, LAMBDA_ANY,
             "Z/2 acting by x -> -x"),
     BdFType(2, (2, 2), "-1", 2, LAMBDA_ANY,
@@ -187,11 +188,6 @@ _CATALOG = (
 )
 
 
-def bdf_catalog() -> tuple[BdFType, ...]:
-    """The seven Bagnera-de Franchis types."""
-    return _CATALOG
-
-
 def bdf_classify(group_order: int, multiplier: str,
                  translation_order: int | None = None,
                  lattice_multiplier: str | None = None) -> BdFType | BdFInvalid:
@@ -204,7 +200,7 @@ def bdf_classify(group_order: int, multiplier: str,
     against the entry's lambda constraint.
     """
     # The cyclic entry of a multiplier gives its order and lambda constraint.
-    cyclic = next((entry for entry in _CATALOG if entry.multiplier == multiplier
+    cyclic = next((entry for entry in BDF_CATALOG if entry.multiplier == multiplier
                    and entry.translation_order is None), None)
     if cyclic is None:
         return BdFInvalid("multiplier", f"unknown multiplicative action {multiplier!r}")
@@ -228,7 +224,7 @@ def bdf_classify(group_order: int, multiplier: str,
                 f"multiplication by {multiplier} requires lambda = {needed}, "
                 f"got {lattice_multiplier}",
             )
-    for entry in _CATALOG:
+    for entry in BDF_CATALOG:
         if (entry.multiplier == multiplier
                 and entry.translation_order == translation_order
                 and entry.group_order == group_order):
@@ -591,11 +587,12 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     return rows
 
 
-def _homology_section(n: int, cusps: int, expected_cusps: int,
+def _homology_section(deck: TorusAutomorphism, chi: int, cusps: int, expected_cusps: int,
                       chk: _Checks) -> dict[str, object]:
-    """The cover tables for the certified cusp count, checked against the
+    """The Betti vector from the deck's action and the certified chi, and
+    the cover tables for the certified cusp count, checked against the
     family's expected count."""
-    betti = homology.blown_bielliptic_betti(n)
+    betti = homology.betti_from_deck(deck.matrices, chi)
     constraints = homology.betti_of_open(betti, cusps)
     u, v = homology.mv_tables(cusps)
     chk.expect("open_manifold_b1", 2, constraints["b1"])
@@ -892,7 +889,8 @@ def build_family(family: str, n: int) -> dict[str, object]:
                 chk.expect(name, *albanese_checks[name])
             values["albanese"] = albanese
             stage = "homology"
-            values["homology"] = _homology_section(n, values["cusps"], spec.cusps(n), chk)
+            values["homology"] = _homology_section(core.deck, blown.chi_top, values["cusps"],
+                                                   spec.cusps(n), chk)
             stage = "tower"
             values["tower"] = _tower_section(n)
     except Exception as exc:

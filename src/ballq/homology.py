@@ -69,13 +69,19 @@ def betti_of_open(b_compact: BettiVector, k: int) -> dict[str, object]:
     }
 
 
-def blown_bielliptic_betti(n: int) -> BettiVector:
-    """Betti vector of a bielliptic surface blown up in n points: b1 = 2
-    stays (birational invariant), each blow-up adds one to b2, and duality
-    fixes the rest.  chi = n pins b2 = n + 2."""
-    if n < 0:
-        raise ValueError("cannot blow up a negative number of points")
-    return BettiVector(1, 2, n + 2, 2, 1)
+def betti_from_deck(matrices: tuple[tuple[int, int, int, int], ...], chi: int) -> BettiVector:
+    """Betti vector of a blown-up bielliptic surface (E_w x E_z)/G with Euler
+    number chi, for a free cyclic G whose generator acts on the two lattices
+    by the integer matrices M = (p, q, r, t): H1(X; Q) is the G-invariant
+    part of H1 of the torus, so b1 = b3 is the sum of dim ker(M - I)
+    (blow-ups leave it alone), and chi pins b2 = chi - 2 + 2*b1."""
+    b1 = 0
+    for p, q, r, t in matrices:
+        if (p, q, r, t) == (1, 0, 0, 1):
+            b1 += 2
+        elif (p - 1) * (t - 1) == q * r:
+            b1 += 1
+    return BettiVector(1, b1, chi - 2 + 2 * b1, b1, 1)
 
 
 def free_rank_of_punctured_surface(genus: int, punctures: int) -> int:

@@ -1,11 +1,13 @@
 """Rank-2 lattices in C with exact generators and their quotient machinery.
 
 A lattice is stored by an ordered pair of R-linearly independent generators
-in Q(rho).  Membership, containment, covering indices, coset enumeration
-and torus-point reduction all read one integer coordinate map,
-Lattice.numerators; a quotient sup/sub is enumerated as a box read off a
-triangular (Hermite) basis of sub, which takes one gcd.  A torus point
-stores only its key, its reduced integer coordinates.
+in Q(rho).  Membership, containment and torus-point reduction read one
+integer coordinate map, Lattice.numerators.  Multiplication by a factor
+from one lattice into another is one integer 2x2 matrix,
+Lattice.multiplier_matrix; covering indices are its determinant, and a
+quotient is enumerated as a box read off a triangular (Hermite) form of
+it, which takes one gcd.  A torus point stores only its key, its reduced
+integer coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .eisenstein import EisensteinNumber
+from .eisenstein import ONE, EisensteinNumber
 
 
 def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
@@ -58,16 +60,6 @@ class Lattice:
         an, bn = a.numerator * bd, b.numerator * ad
         return i00 * an + i01 * bn, i10 * an + i11 * bn, e * ad * bd
 
-    def coordinates(self, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
-        """Exact rational (s, t) with x = s*gen1 + t*gen2."""
-        s, t, den = self.numerators(x)
-        return Fraction(s, den), Fraction(t, den)
-
-    def from_coordinates(self, s: Fraction, t: Fraction) -> EisensteinNumber:
-        g1, g2 = self.gen1, self.gen2
-        return EisensteinNumber(s * g1.re_part + t * g2.re_part,
-                                s * g1.rho_part + t * g2.rho_part)
-
     def contains(self, x: EisensteinNumber) -> tuple[int, int] | None:
         """Integer coordinates (m, n) with x = m*gen1 + n*gen2, or None."""
         s, t, den = self.numerators(x)
@@ -78,13 +70,22 @@ class Lattice:
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return other.contains(self.gen1) is not None and other.contains(self.gen2) is not None
 
+    def multiplier_matrix(self, factor: EisensteinNumber,
+                          target: "Lattice") -> tuple[int, int, int, int]:
+        """Integers (p, q, r, t) with factor*gen1 = p*target.gen1 + q*target.gen2
+        and factor*gen2 = r*target.gen1 + t*target.gen2: the matrix of
+        x -> factor*x from this lattice's basis to target's.  Raises
+        ValueError unless factor carries this lattice into target."""
+        c1, c2 = target.contains(factor * self.gen1), target.contains(factor * self.gen2)
+        if c1 is None or c2 is None:
+            raise ValueError(f"multiplication by {factor} does not carry the lattice "
+                             f"into {target.gen1}, {target.gen2}")
+        return c1 + c2
+
     def index_in(self, other: "Lattice") -> int:
         """Covering degree [other : self] for a finite-index sublattice."""
-        p, q, r, t = _coordinates_in(self, other)
+        p, q, r, t = self.multiplier_matrix(ONE, other)
         return abs(p * t - q * r)
-
-    def scaled(self, factor: EisensteinNumber) -> "Lattice":
-        return Lattice(factor * self.gen1, factor * self.gen2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
@@ -97,34 +98,26 @@ class Lattice:
         return {"gen1": str(self.gen1), "gen2": str(self.gen2)}
 
 
-def _coordinates_in(sub: Lattice, sup: Lattice) -> tuple[int, int, int, int]:
-    """(p, q, r, t) with sub.gen1 = p*sup.gen1 + q*sup.gen2 and
-    sub.gen2 = r*sup.gen1 + t*sup.gen2."""
-    c1, c2 = sup.contains(sub.gen1), sup.contains(sub.gen2)
-    if c1 is None or c2 is None:
-        raise ValueError("not a sublattice")
-    return c1 + c2
+def coset_grid(p: int, q: int, r: int, t: int) -> tuple[int, int, int]:
+    """(d1, d2, axis) for the sublattice of Z^2 spanned by (p, q) and (r, t),
+    with pt - qr nonzero: the classes of Z^2 modulo it are exactly the
+    points k1*e1 + k2*e2 for 0 <= k1 < d1 and 0 <= k2 < d2, one per class,
+    where (e1, e2) is the standard basis for axis 0 and the swapped one for
+    axis 1.  For sub in sup, (p, q, r, t) = sub.multiplier_matrix(ONE, sup)
+    gives the classes of sup/sub in sup's basis.
 
-
-def coset_grid(sub: Lattice, sup: Lattice) -> tuple[int, int, EisensteinNumber,
-                                                   EisensteinNumber]:
-    """(d1, d2, b1, b2) such that the classes of sup/sub are exactly the
-    k1*b1 + k2*b2 for 0 <= k1 < d1 and 0 <= k2 < d2, one per class.
-
-    With sub's generators at (p, q) and (r, t) in sup's basis and
-    det = |pt - qr|, column operations give sub the Hermite basis (g, e),
-    (0, det/g) for g = gcd(p, r) (Cohen, GTM 138, section 2.4.2).  So the
-    box g x det/g along (sup.gen1, sup.gen2) meets each class once: a class
-    fixes the first coordinate modulo g, and then the second modulo det/g.
-    The same holds for gcd(q, t) along (sup.gen2, sup.gen1); the box with
-    the smaller first side is returned, which keeps the inner k2 range long.
+    With det = |pt - qr|, column operations give the sublattice the Hermite
+    basis (g, e), (0, det/g) for g = gcd(p, r) (Cohen, GTM 138, section
+    2.4.2).  So the box g x det/g along (e1, e2) meets each class once: a
+    class fixes the first coordinate modulo g, and then the second modulo
+    det/g.  The same holds for gcd(q, t) along (e2, e1); the box with the
+    smaller first side is returned, which keeps the inner k2 range long.
     """
-    p, q, r, t = _coordinates_in(sub, sup)
     det = abs(p * t - q * r)
     g1, g2 = gcd(p, r), gcd(q, t)
     if g2 < g1:
-        return g2, det // g2, sup.gen2, sup.gen1
-    return g1, det // g1, sup.gen1, sup.gen2
+        return g2, det // g2, 1
+    return g1, det // g1, 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +162,6 @@ class TorusPoint:
         vden = den * gd
         return EisensteinNumber(Fraction(rs * g1a + rt * g2a, vden),
                                 Fraction(rs * g1b + rt * g2b, vden))
-
-    @property
-    def coords(self) -> tuple[Fraction, Fraction]:
-        """The coordinates (s, t) in [0, 1) x [0, 1) in the lattice's basis."""
-        rs, rt, den = self.key
-        return Fraction(rs, den), Fraction(rt, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):

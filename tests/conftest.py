@@ -1,5 +1,6 @@
 """Shared helpers: an independent coordinate map and brute-force
-intersection oracle, and random generators for property suites."""
+intersection oracle, rational coordinate helpers that the library does not
+need, and random generators for property suites."""
 
 from __future__ import annotations
 
@@ -20,6 +21,29 @@ def fraction_coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fractio
     det = g1.re_part * g2.rho_part - g2.re_part * g1.rho_part
     return ((x.re_part * g2.rho_part - g2.re_part * x.rho_part) / det,
             (g1.re_part * x.rho_part - x.re_part * g1.rho_part) / det)
+
+
+def coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
+    """(s, t) with x = s*gen1 + t*gen2, read off Lattice.numerators."""
+    s, t, den = lattice.numerators(x)
+    return Fraction(s, den), Fraction(t, den)
+
+
+def from_coordinates(lattice: Lattice, s: Fraction, t: Fraction) -> EisensteinNumber:
+    """s*gen1 + t*gen2."""
+    g1, g2 = lattice.gen1, lattice.gen2
+    return EisensteinNumber(s * g1.re_part + t * g2.re_part, s * g1.rho_part + t * g2.rho_part)
+
+
+def coords(point: TorusPoint) -> tuple[Fraction, Fraction]:
+    """A torus point's coordinates in [0, 1) x [0, 1), from its key."""
+    rs, rt, den = point.key
+    return Fraction(rs, den), Fraction(rt, den)
+
+
+def scaled(lattice: Lattice, factor: EisensteinNumber) -> Lattice:
+    """The lattice factor * lattice, with basis factor * (gen1, gen2)."""
+    return Lattice(factor * lattice.gen1, factor * lattice.gen2)
 
 
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
@@ -51,11 +75,11 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
     points = []
     for i in range(qs):
         for j in range(qt):
-            z = lz.from_coordinates(Fraction(i, qs), Fraction(j, qt))
+            z = from_coordinates(lz, Fraction(i, qs), Fraction(j, qt))
             if all(c.denominator == 1 for c in fraction_coordinates(lw, m * z - rhs)):
                 w = TorusPoint(c1.slope * z + c1.offset.value, lw)
                 points.append(ProductPoint(w, TorusPoint(z, lz)))
-    points.sort(key=lambda p: p.w.coords + p.z.coords)
+    points.sort(key=lambda p: coords(p.w) + coords(p.z))
     return points
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,12 +29,14 @@ from ballq.families import (
     closed_form_intersection,
     deck_automorphism,
     level_curves,
+    level_lattice,
     product_torus,
     slope_curves,
 )
+from ballq.eisenstein import EisensteinNumber
 from ballq.lattices import TorusPoint
 
-from conftest import brute_force_intersection
+from conftest import brute_force_intersection, scaled
 
 
 def closed_form_keys(torus, n):
@@ -102,6 +105,13 @@ def test_ambient_mismatch_rejected():
     b = slope_curves(product_torus(3))[1]
     with pytest.raises(ValueError):
         intersect_graphs(a, b)
+    # Equal tori in different stored bases: the solver reads matrices and
+    # keys as coordinates, so it needs one basis.
+    hexagonal = ProductTorus(base_lattice(), base_lattice())
+    assert hexagonal == ProductTorus(base_lattice(), level_lattice(1))
+    with pytest.raises(ValueError):
+        intersect_graphs(GraphCurve(hexagonal, 1, 0),
+                         GraphCurve(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0))
 
 
 def test_graph_fiber_intersection():
@@ -277,17 +287,46 @@ def test_solver_matches_oracle_small():
 
 def test_solver_matches_oracle_seeded():
     # Units rho^i against each other and against 0 (the level curves), and
-    # the non-units 1 - rho and 2, at levels 1..12 with both offsets over a
-    # denominator q = 1..6.
+    # the non-units 1 - rho and 2, at levels 1..12 with the offsets over
+    # denominators q1 = 1..4 and q2 = 2..4, so that their keys' denominators
+    # e1 and e2 often have lcm(e1, e2) > max(e1, e2).
     rng = random.Random(909)
     slopes = [ONE, RHO, RHO * RHO, eis(0), ONE - RHO, eis(2)]
     pairs = [(s1, s2) for s1 in slopes for s2 in slopes]
+    coprime_denominators = 0
     for index, (s1, s2) in enumerate(pairs):
         torus = product_torus(1 + 5 * index % 12)
-        q = 1 + index % 6
         o1, o2 = (eis(Fraction(rng.randint(-2 * q, 2 * q), q),
-                      Fraction(rng.randint(-2 * q, 2 * q), q)) for _ in range(2))
-        assert_matches_oracle(GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2))
+                      Fraction(rng.randint(-2 * q, 2 * q), q))
+                  for q in (1 + index % 3, 1 + (index + 1) % 3))
+        c1, c2 = GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2)
+        e1, e2 = c1.offset.key[2], c2.offset.key[2]
+        coprime_denominators += lcm(e1, e2) > max(e1, e2)
+        assert_matches_oracle(c1, c2)
+    assert coprime_denominators >= 5
+
+
+def test_intersect_graphs_does_no_eisenstein_arithmetic(monkeypatch):
+    # The kernel reads the curves' integer matrices and offset keys only:
+    # count every Q(rho) operator and inverse over the slope pairs and the
+    # slope-level pairs at n = 40.
+    torus = product_torus(40)
+    slopes, levels = slope_curves(torus), level_curves(torus)
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
+                 "__post_init__"):
+        original = getattr(EisensteinNumber, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(EisensteinNumber, name, counting)
+    counts = [intersect_graphs(slopes[i], other).count
+              for i in range(3) for other in slopes[i + 1:] + levels]
+    assert counts == [120, 120] + [40] * 3 + [120] + [40] * 3 + [40] * 3
+    assert calls == []
 
 
 def test_count_equals_lattice_index():
@@ -298,8 +337,10 @@ def test_count_equals_lattice_index():
         for i in range(3):
             for j in range(i + 1, 3):
                 m = curves[i].slope - curves[j].slope
-                index = torus.lattice_z.scaled(m).index_in(torus.lattice_w)
+                index = scaled(torus.lattice_z, m).index_in(torus.lattice_w)
+                p, q, r, t = (x - y for x, y in zip(curves[i].matrix, curves[j].matrix))
                 assert intersect_graphs(curves[i], curves[j]).count == index == 3 * n
+                assert abs(p * t - q * r) == index
 
 
 def test_closed_form_helper_matches_inline():

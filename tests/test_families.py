@@ -30,6 +30,7 @@ from ballq.families import (
     _incidence,
     _quotient_and_blowup,
     _shared_geometry,
+    BDF_CATALOG,
     BdFInvalid,
     BdFType,
     BuildError,
@@ -40,7 +41,6 @@ from ballq.families import (
     albanese_data,
     albanese_lattice,
     base_lattice,
-    bdf_catalog,
     bdf_classify,
     build_family,
     covering_report,
@@ -181,7 +181,7 @@ def test_covering_report_validates_input():
 
 
 def test_bdf_catalog_shape():
-    catalog = bdf_catalog()
+    catalog = BDF_CATALOG
     assert len(catalog) == 7
     assert [entry.index for entry in catalog] == [1, 2, 3, 4, 5, 6, 7]
     assert [entry.group_order for entry in catalog] == [2, 4, 4, 8, 3, 9, 6]

@@ -6,13 +6,15 @@ import pytest
 
 from ballq.homology import (
     BettiVector,
+    betti_from_deck,
     betti_of_open,
-    blown_bielliptic_betti,
     fibration_sequence_report,
     free_rank_of_punctured_surface,
     mv_tables,
 )
-from ballq.families import GAMMA, LAMBDA, build_family
+from ballq.curves import TorusAutomorphism
+from ballq.eisenstein import RHO
+from ballq.families import GAMMA, LAMBDA, build_family, deck_automorphism, product_torus
 
 
 def test_tables_k1():
@@ -46,16 +48,30 @@ def test_betti_vector_validation():
         BettiVector(1, -1, 0, 0, 0)
 
 
-def test_blown_bielliptic_betti():
-    assert blown_bielliptic_betti(0).as_tuple() == (1, 2, 2, 2, 1)
-    for n in (1, 4, 9):
-        b = blown_bielliptic_betti(n)
-        assert b.as_tuple() == (1, 2, n + 2, 2, 1)
+def test_betti_from_the_family_deck():
+    # rho acts on Z[rho] with no invariant line, and the z-factor is only
+    # translated: b1 = 0 + 2.
+    for n in (1, 2, 4, 7, 9):
+        deck = deck_automorphism(product_torus(n))
+        assert deck.matrices == ((0, 1, -1, -1), (1, 0, 0, 1))
+        b = betti_from_deck(deck.matrices, n)
+        assert b == BettiVector(1, 2, n + 2, 2, 1)
         assert b.euler() == n
 
 
+def test_betti_from_deck_counts_invariant_lines():
+    torus = product_torus(3)
+    flip = TorusAutomorphism(torus, RHO, 0, -1, 0)
+    assert flip.matrices[1] == (-1, 0, 0, -1)
+    assert betti_from_deck(flip.matrices, 3) == BettiVector(1, 0, 1, 0, 1)
+    identity = TorusAutomorphism(torus, 1, 0, 1, 0).matrices
+    assert betti_from_deck(identity, 0) == BettiVector(1, 4, 6, 4, 1)
+    # a shear fixes one line
+    assert betti_from_deck(((1, 1, 0, 1), (-1, 0, 0, -1)), 0).b1 == 1
+
+
 def test_open_constraints():
-    b = blown_bielliptic_betti(4)
+    b = BettiVector(1, 2, 6, 2, 1)
     constraints = betti_of_open(b, 5)
     assert constraints["b1"] == 2
     assert constraints["b3_lower_bound"] == 4
@@ -64,13 +80,13 @@ def test_open_constraints():
 
 
 def test_open_constraints_vacuous_bound():
-    constraints = betti_of_open(blown_bielliptic_betti(1), 1)
+    constraints = betti_of_open(BettiVector(1, 2, 3, 2, 1), 1)
     assert constraints["b3_lower_bound"] == 0
     assert json.loads(json.dumps(constraints)) == constraints
 
 
 def test_b2_b3_relation_independent_of_k():
-    b = blown_bielliptic_betti(3)
+    b = BettiVector(1, 2, 5, 2, 1)
     values = {betti_of_open(b, k)["b2_minus_b3"] for k in range(1, 8)}
     assert len(values) == 1
 

@@ -1,4 +1,4 @@
-"""Lattice membership, indices and the Hermite coset grid."""
+"""Lattice membership, multiplier matrices, indices and the Hermite coset grid."""
 
 from fractions import Fraction
 from math import floor, gcd
@@ -11,7 +11,8 @@ from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
 from ballq.lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
 
-from conftest import fraction_coordinates, random_eisenstein, random_lattice, random_sublattice
+from conftest import (coordinates, coords, fraction_coordinates, from_coordinates,
+                      random_eisenstein, random_lattice, random_sublattice, scaled)
 
 entries = st.integers(min_value=-12, max_value=12)
 
@@ -30,7 +31,7 @@ def test_contains_generator():
 def test_contains_rejects_third_of_period():
     base = base_lattice()
     assert base.contains(ORDER3_SHIFT) is None
-    assert base.coordinates(ORDER3_SHIFT) == (Fraction(1, 3), Fraction(-1, 3))
+    assert coordinates(base, ORDER3_SHIFT) == (Fraction(1, 3), Fraction(-1, 3))
 
 
 def test_contains_triple_shift_in_level_lattice():
@@ -61,8 +62,49 @@ def test_index_self_is_one():
 def test_index_of_scaled_lattice():
     # (1 - rho) * (level-n lattice) has index 3n in the hexagonal lattice.
     for n in (1, 2, 5, 9):
-        scaled = level_lattice(n).scaled(ONE - RHO)
-        assert scaled.index_in(base_lattice()) == 3 * n
+        assert scaled(level_lattice(n), ONE - RHO).index_in(base_lattice()) == 3 * n
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+eisensteins = st.builds(eis, small_rationals, small_rationals)
+
+
+@st.composite
+def multiplier_cases(draw):
+    """(source, factor, target): a target lattice, a sublattice of it by an
+    integer matrix, and a factor that is a unit, an Eisenstein integer or a
+    random element of Q(rho)."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    target = draw(st.sampled_from([base_lattice(), level_lattice(n), albanese_lattice(n)]))
+    if draw(st.booleans()):
+        gens = (draw(eisensteins), draw(eisensteins))
+        assume(gens[0].re_part * gens[1].rho_part != gens[0].rho_part * gens[1].re_part)
+        target = Lattice(*gens)
+    a, b, c, d = (draw(st.integers(min_value=-3, max_value=3)) for _ in range(4))
+    assume(a * d - b * c != 0)
+    source = Lattice(a * target.gen1 + b * target.gen2, c * target.gen1 + d * target.gen2)
+    factor = draw(st.sampled_from([ONE, -ONE, RHO, -RHO, ONE - RHO, eis(2, 1)])
+                  | eisensteins)
+    return source, factor, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(multiplier_cases())
+def test_multiplier_matrix_matches_fraction_coordinates(case):
+    source, factor, target = case
+    expected = (fraction_coordinates(target, factor * source.gen1)
+                + fraction_coordinates(target, factor * source.gen2))
+    if all(c.denominator == 1 for c in expected):
+        assert source.multiplier_matrix(factor, target) == tuple(map(int, expected))
+    else:
+        with pytest.raises(ValueError):
+            source.multiplier_matrix(factor, target)
+
+
+def test_multiplier_matrix_of_rho_on_the_hexagonal_lattice():
+    # rho*1 = rho and rho*rho = -1 - rho
+    assert base_lattice().multiplier_matrix(RHO, base_lattice()) == (0, 1, -1, -1)
+    assert level_lattice(4).multiplier_matrix(ONE, level_lattice(2)) == (2, 0, 0, 1)
 
 
 def test_lattice_equality_is_mutual_containment():
@@ -72,18 +114,21 @@ def test_lattice_equality_is_mutual_containment():
 
 
 def coset_representatives(sub, sup):
-    """Every grid point k1*b1 + k2*b2 of coset_grid(sub, sup), k2 fastest."""
-    d1, d2, b1, b2 = coset_grid(sub, sup)
+    """Every grid point k1*b1 + k2*b2 of the coset grid of sub in sup, k2
+    fastest, with (b1, b2) sup's basis in the grid's axis order."""
+    d1, d2, axis = coset_grid(*sub.multiplier_matrix(ONE, sup))
+    b1, b2 = (sup.gen2, sup.gen1) if axis else (sup.gen1, sup.gen2)
     return [k1 * b1 + k2 * b2 for k1 in range(d1) for k2 in range(d2)]
 
 
 def test_coset_grid_is_hermite_box():
-    for sub, sup, box in ((level_lattice(6), level_lattice(1), (1, 6)),
-                          (base_lattice().scaled(eis(6)), base_lattice(), (6, 6))):
-        d1, d2, b1, b2 = coset_grid(sub, sup)
-        assert (d1, d2) == box
+    for sub, sup, box in ((level_lattice(6), level_lattice(1), (1, 6, 1)),
+                          (scaled(base_lattice(), eis(6)), base_lattice(), (6, 6, 0))):
+        d1, d2, axis = coset_grid(*sub.multiplier_matrix(ONE, sup))
+        assert (d1, d2, axis) == box
         assert d1 * d2 == sub.index_in(sup)
-        assert {b1, b2} == {sup.gen1, sup.gen2}
+    # gcd(p, r) = 4 against gcd(q, t) = 1: the box runs along the second axis.
+    assert coset_grid(4, 1, 0, 3) == (1, 12, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,7 +161,7 @@ def test_coset_representatives_level():
 
 
 def test_coset_representatives_scaled():
-    sub = level_lattice(2).scaled(ONE - RHO)
+    sub = scaled(level_lattice(2), ONE - RHO)
     reps = coset_representatives(sub, base_lattice())
     assert len(reps) == 6
     for i, r in enumerate(reps):
@@ -130,7 +175,7 @@ def test_coset_representatives_requires_sublattice():
 
 
 def test_reduce_zero():
-    assert TorusPoint(eis(0), base_lattice()).coords == (0, 0)
+    assert coords(TorusPoint(eis(0), base_lattice())) == (0, 0)
 
 
 def test_reduce_shift_identities():
@@ -150,16 +195,16 @@ def test_reduction_properties_random():
         lattice = random_lattice(rng)
         x = random_eisenstein(rng)
         point = TorusPoint(x, lattice)
-        s, t = point.coords
+        s, t = coords(point)
         assert 0 <= s < 1 and 0 <= t < 1
         # the reduction differs from the input by a lattice element
         assert lattice.contains(x - point.value) is not None
         # idempotence
         again = TorusPoint(point.value, lattice)
-        assert again.coords == point.coords
+        assert coords(again) == coords(point)
         # invariance under adding a period
-        period = lattice.from_coordinates(Fraction(rng.randint(-3, 3)),
-                                          Fraction(rng.randint(-3, 3)))
+        period = from_coordinates(lattice, Fraction(rng.randint(-3, 3)),
+                                  Fraction(rng.randint(-3, 3)))
         assert TorusPoint(x + period, lattice) == point
 
 
@@ -168,7 +213,7 @@ def reference_reduction(x, lattice):
     Lattice.numerators), then rebuild the value from the remainders."""
     s, t = fraction_coordinates(lattice, x)
     rs, rt = s - floor(s), t - floor(t)
-    return (rs, rt), lattice.from_coordinates(rs, rt)
+    return (rs, rt), from_coordinates(lattice, rs, rt)
 
 
 @st.composite
@@ -181,7 +226,7 @@ def lattices_and_values(draw):
         parts = st.fractions(min_value=-3, max_value=3, max_denominator=6)
         factor = eis(draw(parts), draw(parts))
         if factor:
-            lattice = lattice.scaled(factor)
+            lattice = scaled(lattice, factor)
     parts = st.builds(Fraction, st.integers(min_value=-24 * n, max_value=24 * n),
                       st.integers(min_value=1, max_value=12 * n))
     return lattice, eis(draw(parts), draw(parts))
@@ -193,24 +238,24 @@ def test_integer_reduction_matches_fraction_reduction(case):
     lattice, x = case
     point = TorusPoint(x, lattice)
     assert "value" not in vars(point)  # a point stores its key; value is built on read
-    coords, value = reference_reduction(x, lattice)
+    reduced, value = reference_reduction(x, lattice)
     # The coordinate map against Cramer's rule, on x and on the period x - value.
     for y in (x, x - value):
         exact = fraction_coordinates(lattice, y)
-        assert lattice.coordinates(y) == exact
+        assert coordinates(lattice, y) == exact
         integral = all(c.denominator == 1 for c in exact)
         assert lattice.contains(y) == (tuple(map(int, exact)) if integral else None)
-    assert point.coords == coords
+    assert coords(point) == reduced
     assert point.value == value
-    assert all(0 <= c < 1 for c in point.coords)
+    assert all(0 <= c < 1 for c in coords(point))
     again = TorusPoint(point.value, lattice)
-    assert (again.coords, again.value) == (point.coords, point.value)
+    assert (coords(again), again.value) == (coords(point), point.value)
     # The same point from its reduced numerators, over a multiple of their
     # least common denominator.
-    (rs, rt), den = _over_common_denominator(coords)
+    (rs, rt), den = _over_common_denominator(reduced)
     scale = 1 + (rs + rt) % 3
     built = TorusPoint.from_reduced(rs * scale, rt * scale, den * scale, lattice)
-    assert built.coords == point.coords
+    assert coords(built) == coords(point)
     assert str(built.value) == str(point.value)
     assert built.key == point.key
 
@@ -226,7 +271,7 @@ def family_points(draw):
     x = eis(draw(parts), draw(parts))
     if draw(st.booleans()):
         shift = st.integers(min_value=-3, max_value=3)
-        y = x + lattice.from_coordinates(Fraction(draw(shift)), Fraction(draw(shift)))
+        y = x + from_coordinates(lattice, Fraction(draw(shift)), Fraction(draw(shift)))
     else:
         y = eis(draw(parts), draw(parts))
     return lattice, x, y, draw(st.integers(min_value=1, max_value=5))
@@ -240,7 +285,7 @@ def test_integer_key_matches_fraction_coordinates(case):
     for value, point in points.items():
         rs, rt, den = point.key
         assert 0 <= rs < den and 0 <= rt < den and gcd(rs, rt, den) == 1
-        assert point.coords == reference_reduction(value, lattice)[0]
+        assert coords(point) == reference_reduction(value, lattice)[0]
         assert TorusPoint.from_reduced(k * rs, k * rt, k * den, lattice).key == point.key
     same_coords = reference_reduction(x, lattice)[0] == reference_reduction(y, lattice)[0]
     assert (points[x].key == points[y].key) == same_coords
@@ -248,7 +293,7 @@ def test_integer_key_matches_fraction_coordinates(case):
 
 def test_from_reduced_rejects_unreduced_numerators():
     lattice = level_lattice(3)
-    expected = TorusPoint(lattice.from_coordinates(Fraction(5, 6), Fraction(1, 6)), lattice)
+    expected = TorusPoint(from_coordinates(lattice, Fraction(5, 6), Fraction(1, 6)), lattice)
     assert TorusPoint.from_reduced(5, 1, 6, lattice) == expected
     for rs, rt in ((6, 0), (0, 6), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from ballq import curves, families
+from ballq import curves, families, homology
 from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
 from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
@@ -31,9 +31,9 @@ def coset_representative_dropped(monkeypatch):
     coset representative per k1."""
     original = curves.coset_grid
 
-    def faulty(sub, sup):
-        d1, d2, b1, b2 = original(sub, sup)
-        return d1, d2 - 1, b1, b2
+    def faulty(p, q, r, t):
+        d1, d2, axis = original(p, q, r, t)
+        return d1, d2 - 1, axis
 
     monkeypatch.setattr(curves, "coset_grid", faulty)
 
@@ -43,11 +43,23 @@ def coset_grid_axes_swapped(monkeypatch):
     wrong axes, so it repeats some classes and misses others."""
     original = curves.coset_grid
 
-    def faulty(sub, sup):
-        d1, d2, b1, b2 = original(sub, sup)
-        return d1, d2, b2, b1
+    def faulty(p, q, r, t):
+        d1, d2, axis = original(p, q, r, t)
+        return d1, d2, 1 - axis
 
     monkeypatch.setattr(curves, "coset_grid", faulty)
+
+
+def multiplier_matrix_transposed(monkeypatch):
+    """The one integer matrix of a multiplication between lattices comes
+    back transposed, which every graph curve and deck map reads."""
+    original = Lattice.multiplier_matrix
+
+    def faulty(self, factor, target):
+        p, q, r, t = original(self, factor, target)
+        return p, r, q, t
+
+    monkeypatch.setattr(Lattice, "multiplier_matrix", faulty)
 
 
 def from_reduced_skips_gcd(monkeypatch):
@@ -73,6 +85,18 @@ def numerators_over_twice_the_denominator(monkeypatch):
         return s, t, 2 * den
 
     monkeypatch.setattr(Lattice, "numerators", faulty)
+
+
+def deck_b1_lowered(monkeypatch):
+    """The Betti vector read off the deck's action loses one invariant
+    line."""
+    original = homology.betti_from_deck
+
+    def faulty(matrices, chi):
+        betti = original(matrices, chi)
+        return dataclasses.replace(betti, b1=betti.b1 - 1)
+
+    monkeypatch.setattr(homology, "betti_from_deck", faulty)
 
 
 def deck_shift_doubled(monkeypatch):
@@ -160,8 +184,8 @@ def level_curves_wrong_offset(monkeypatch):
 
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
-                 from_reduced_skips_gcd, numerators_over_twice_the_denominator,
-                 deck_shift_doubled, blow_up_bumps_exceptional, stray_exceptional_crossing,
+                 multiplier_matrix_transposed, from_reduced_skips_gcd,
+                 numerators_over_twice_the_denominator, deck_shift_doubled, deck_b1_lowered, blow_up_bumps_exceptional, stray_exceptional_crossing,
                  blow_up_keeps_a_triple_point]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
@@ -204,3 +228,19 @@ def test_wrong_cusp_count_fails_the_homology_check(monkeypatch):
         failed = {check["name"] for check in build_family(family, 2)["checks"]
                   if not check["passed"]}
         assert {"cusps", "open_manifold_b3_lower_bound"} <= failed
+
+
+def test_lowered_b1_fails_only_the_b1_check(monkeypatch):
+    deck_b1_lowered(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        failed = {check["name"] for check in build_family(family, 1)["checks"]
+                  if not check["passed"]}
+        assert failed == {"open_manifold_b1"}
+
+
+def test_transposed_multiplier_matrix_raises_in_geometry(monkeypatch):
+    multiplier_matrix_transposed(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        with pytest.raises(BuildError) as info:
+            build_family(family, 1)
+        assert info.value.stage == "geometry"
