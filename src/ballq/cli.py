@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import families
 from .eisenstein import EisensteinNumber
 from .curves import (EMPTY, IDENTICAL, POINTS, GraphCurve, Intersection, VerticalFiber,
-                     intersect_graph_fiber, intersect_graphs)
+                     graph_difference, intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
 
 # Largest level n one verify or intersect run may build, most points one
@@ -151,15 +151,11 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     if isinstance(first, VerticalFiber) and isinstance(second, GraphCurve):
         first, second = second, first
     if isinstance(second, GraphCurve):
-        if first.slope != second.slope:
-            # The point count is the index of (slope difference)*(z-lattice)
-            # in the w-lattice, |det| of the curves' matrix difference, known
-            # before any point is built.
-            p, q, r, t = (x - y for x, y in zip(first.matrix, second.matrix))
-            count = abs(p * t - q * r)
-            if count > MAX_POINTS:
-                raise UsageError(f"the curves meet in {count} points; at most "
-                                 f"{MAX_POINTS} are listed")
+        # The point count is known before any point is built (0: equal slopes).
+        count = abs(graph_difference(first, second)[1])
+        if count > MAX_POINTS:
+            raise UsageError(f"the curves meet in {count} points; at most "
+                             f"{MAX_POINTS} are listed")
         result = intersect_graphs(first, second)
     elif isinstance(first, GraphCurve):
         result = Intersection(POINTS, (intersect_graph_fiber(first, second),))

@@ -186,6 +186,13 @@ class Intersection:
         return out
 
 
+def graph_difference(c1: GraphCurve, c2: GraphCurve) -> tuple[tuple[int, ...], int]:
+    """The integer matrix of z -> (slope1 - slope2)*z from z- to w-lattice
+    coordinates, and its determinant: the graphs meet in |det| points."""
+    p, q, r, t = (x - y for x, y in zip(c1.matrix, c2.matrix))
+    return (p, q, r, t), p * t - q * r
+
+
 def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     """All intersection points of two graph curves, canonically reduced
     and sorted by coordinates; equal slopes give "identical" or "empty".
@@ -193,7 +200,7 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     solver reads their matrices and offset keys as coordinates."""
     (lw, lz), (w2, z2) = ((c.ambient.lattice_w, c.ambient.lattice_z) for c in (c1, c2))
     if (lw.gen1, lw.gen2, lz.gen1, lz.gen2) != (w2.gen1, w2.gen2, z2.gen1, z2.gen2):
-        raise ValueError("curves live on different product tori")
+        raise ValueError("curves' lattices are not stored in the same bases")
     rs1, rt1, e1 = c1.offset.key
     rs2, rt2, e2 = c2.offset.key
     if c1.matrix == c2.matrix:
@@ -202,9 +209,8 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     # w = (p*x + r*y, q*x + t*y), and the offsets differ by (ds, dt)/e.  So
     # the solutions are z = A^-1 ((ds, dt) + e*k)/e for k in Z^2 modulo
     # A*Z^2, with A^-1 = adj(A)/det: integer numerators over D = |det|*e.
-    (a, c, b, d), (p, q, r, t) = c1.matrix, c2.matrix
-    p, q, r, t = a - p, c - q, b - r, d - t
-    det = p * t - q * r
+    a, c, b, d = c1.matrix
+    (p, q, r, t), det = graph_difference(c1, c2)
     e = lcm(e1, e2)
     ds, dt = rs2 * (e // e2) - rs1 * (e // e1), rt2 * (e // e2) - rt1 * (e // e1)
     sign = 1 if det > 0 else -1

@@ -109,7 +109,7 @@ def test_ambient_mismatch_rejected():
     # keys as coordinates, so it needs one basis.
     hexagonal = ProductTorus(base_lattice(), base_lattice())
     assert hexagonal == ProductTorus(base_lattice(), level_lattice(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same bases"):
         intersect_graphs(GraphCurve(hexagonal, 1, 0),
                          GraphCurve(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0))
 
@@ -287,18 +287,23 @@ def test_solver_matches_oracle_small():
 
 def test_solver_matches_oracle_seeded():
     # Units rho^i against each other and against 0 (the level curves), and
-    # the non-units 1 - rho and 2, at levels 1..12 with the offsets over
-    # denominators q1 = 1..4 and q2 = 2..4, so that their keys' denominators
-    # e1 and e2 often have lcm(e1, e2) > max(e1, e2).
+    # the non-units 1 - rho and 2.  First at levels 1..12 with both offsets
+    # over one denominator q = 1..6; then at levels 1..6 with the offsets
+    # over q1 = 1..6 and q2 = 6, 3, 2, 3, 2, 1 (lcm(q1, q2) <= 12), so that
+    # their keys' denominators e1 and e2 often have lcm(e1, e2) > max(e1, e2).
     rng = random.Random(909)
     slopes = [ONE, RHO, RHO * RHO, eis(0), ONE - RHO, eis(2)]
     pairs = [(s1, s2) for s1 in slopes for s2 in slopes]
+    inputs = [(1 + 5 * index % 12, 1 + index % 6, 1 + index % 6)
+              for index in range(len(pairs))]
+    inputs += [(1 + 5 * index % 6, 1 + index % 6, (6, 3, 2, 3, 2, 1)[index % 6])
+               for index in range(len(pairs))]
     coprime_denominators = 0
-    for index, (s1, s2) in enumerate(pairs):
-        torus = product_torus(1 + 5 * index % 12)
+    for (s1, s2), (n, q1, q2) in zip(pairs + pairs, inputs):
+        torus = product_torus(n)
         o1, o2 = (eis(Fraction(rng.randint(-2 * q, 2 * q), q),
                       Fraction(rng.randint(-2 * q, 2 * q), q))
-                  for q in (1 + index % 3, 1 + (index + 1) % 3))
+                  for q in (q1, q2))
         c1, c2 = GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2)
         e1, e2 = c1.offset.key[2], c2.offset.key[2]
         coprime_denominators += lcm(e1, e2) > max(e1, e2)
