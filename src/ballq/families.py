@@ -495,23 +495,20 @@ def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | Ve
     chk.expect("quotient_core_triple_points", [3] * n,
                [quotient.point_multiplicity(f"q{j}", CORE_CURVE) for j in range(n)])
 
-    blown = blow_up(quotient, {f"q{j}": f"exc{j + 1}" for j in range(n)})
-    chk.expect("chi", n, blown.chi_top)
-    chk.expect("k2", -n, blown.k2)
-    chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC,
-               blown.kind(CORE_CURVE))
-    return quotient, blown
+    return quotient, blow_up(quotient, {f"q{j}": f"exc{j + 1}" for j in range(n)})
 
 
-def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
+def _boundary_checks(blown: SurfaceModel, boundary: list[dict[str, object]],
                      expected_self: dict[str, int], chk: _Checks) -> LogPair | None:
-    actual_self = {name: blown.curves[name].self_int for name in boundary}
+    """Check the printed boundary fragment and return the log pair of the
+    curves it names, or None when they do not form one."""
+    actual_self = {entry["name"]: entry["self_intersection"] for entry in boundary}
     chk.expect("boundary_self_intersections", expected_self, actual_self)
     chk.expect("boundary_self_intersections_negative", True,
                all(v < 0 for v in actual_self.values()))
-    chk.expect("boundary_pairwise_disjoint", True, not blown.pairs_among(boundary))
+    chk.expect("boundary_pairwise_disjoint", True, not blown.pairs_among(actual_self))
     try:
-        pair = LogPair(blown, boundary)
+        pair = LogPair(blown, tuple(actual_self))
     except ValueError as exc:
         chk.expect("boundary_pair_valid", True, f"invalid: {exc}")
         return None
@@ -519,28 +516,13 @@ def _boundary_checks(blown: SurfaceModel, boundary: tuple[str, ...],
     return pair
 
 
-def _certify_pair(pair: LogPair, n: int, expected_cusps: int,
-                  chk: _Checks) -> dict[str, object]:
-    nef = nef_numerical_check(pair)
-    chk.expect("nef_numerical_check", True, nef["passed"])
-    chk.expect("nef_boundary_pairings_zero", True,
-               all(v == 0 for v in nef["boundary_pairings"].values()))
+def _certify_pair(pair: LogPair) -> dict[str, object]:
+    """The report's certify fragment: log-Chern numbers, BMY class, nef
+    data, cusps and volume of the pair."""
     c1, c2 = log_chern(pair)
-    chk.expect("log_chern", [3 * n, n], [c1, c2])
-    bmy = bmy_classify(pair)
-    chk.expect("bmy", BMYClass.EQUALITY.value, bmy.value)
-    cusps = cusp_count(pair)
-    chk.expect("cusps", expected_cusps, cusps)
-    volume = volume_from_chi(c2)
-    chk.expect("volume_coefficient", str(Fraction(8, 3) * n), volume["pi_squared_coefficient"])
-    return {
-        "log_c1_squared": c1,
-        "log_c2": c2,
-        "bmy": bmy.value,
-        "nef": nef,
-        "cusps": cusps,
-        "volume": volume,
-    }
+    return {"log_c1_squared": c1, "log_c2": c2, "bmy": bmy_classify(pair).value,
+            "nef": nef_numerical_check(pair), "cusps": cusp_count(pair),
+            "volume": volume_from_chi(c2)}
 
 
 def _exceptional_ledger(quotient: SurfaceModel, blown: SurfaceModel, n: int,
@@ -587,23 +569,17 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     return rows
 
 
-def _homology_section(deck: TorusAutomorphism, chi: int, cusps: int, expected_cusps: int,
-                      chk: _Checks) -> dict[str, object]:
-    """The Betti vector from the deck's action and the certified chi, and
-    the cover tables for the certified cusp count, checked against the
-    family's expected count."""
+def _homology_section(deck: TorusAutomorphism, chi: int, cusps: int) -> dict[str, object]:
+    """The report's homology fragment: the Betti vector from the deck's
+    action and the certified chi, and the cover tables for the certified
+    cusp count."""
     betti = homology.betti_from_deck(deck.matrices, chi)
-    constraints = homology.betti_of_open(betti, cusps)
     u, v = homology.mv_tables(cusps)
-    chk.expect("open_manifold_b1", 2, constraints["b1"])
-    chk.expect("open_manifold_b3_lower_bound", expected_cusps - 1,
-               constraints["b3_lower_bound"])
-    chk.expect("cover_pieces_euler_zero", [0, 0], [u.euler(), v.euler()])
     return {
         "compactification_betti": list(betti.as_tuple()),
         "boundary_neighborhood_ranks": list(u.as_tuple()),
         "overlap_ranks": list(v.as_tuple()),
-        "open_manifold": constraints,
+        "open_manifold": homology.betti_of_open(betti, cusps),
     }
 
 
@@ -644,16 +620,17 @@ class _Family:
     """What one family adds to the shared construction.  upstairs returns
     the extra curves, their deck orbits (the extra boundary components),
     their pairwise entries with the slope curves and the key set of the
-    points each extra graph curve passes through; fiber_section returns
-    the asserted singular-fiber puncture count (or None) and its flags.
-    Each callable records its own checks."""
+    points each extra graph curve passes through; pair_checks reads the
+    report's values; fiber_section adds the singular-fiber entries to the
+    fiber fragment and returns its flags.  Each callable records its own
+    checks."""
 
     upstairs: Callable[[_Core, _Checks], tuple[dict, dict, dict, dict]]
     quotient_checks: Callable[[SurfaceModel, int, _Checks], None]
     orbit_self_intersection: Callable[[int], int]
     cusps: Callable[[int], int]
-    pair_checks: Callable[[SurfaceModel, int, _Checks], None]
-    fiber_section: Callable[[SurfaceModel, int, int, _Checks], tuple[int | None, list[str]]]
+    pair_checks: Callable[[dict, int, _Checks], None]
+    fiber_section: Callable[[SurfaceModel, int, dict, _Checks], list[str]]
     albanese_checks: tuple[str, ...]
 
 
@@ -682,19 +659,24 @@ def _gamma_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None
                [quotient.pairwise_int(CORE_CURVE, f) for f in fibers])
 
 
-def _gamma_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
-                         chk: _Checks) -> tuple[int | None, list[str]]:
+def _gamma_fiber_section(blown: SurfaceModel, n: int, fiber: dict[str, object],
+                         chk: _Checks) -> list[str]:
+    """The singular fibers are the fiber{j} that exc{j} meets once.  A
+    puncture count is printed once when every singular fiber has it, and
+    as the list of counts otherwise."""
     # Vertical fibers over distinct base points are disjoint, so each
     # image fiber row vanishes and the generic fiber meets the boundary
     # only in the core curve.
-    chk.expect("generic_fiber_punctures", 3, generic_punctures)
-    singular_punctures = [
-        blown.pairwise_int(f"exc{j}", CORE_CURVE) + blown.pairwise_int(f"exc{j}", f"fiber{j}")
-        for j in range(1, n + 1)
-    ]
-    chk.expect("singular_fiber_count", n, len(singular_punctures))
-    chk.expect("singular_fiber_punctures", [4] * n, singular_punctures)
-    return 4, []
+    chk.expect("generic_fiber_punctures", 3, fiber["generic_fiber_punctures"])
+    meets = [blown.pairwise_int(f"exc{j}", f"fiber{j}") for j in range(1, n + 1)]
+    punctures = [blown.pairwise_int(f"exc{j}", CORE_CURVE) + m for j, m in enumerate(meets, 1)]
+    fiber["singular_fiber_count"] = meets.count(1)
+    fiber["singular_fiber_punctures"] = punctures[0] if punctures == punctures[:1] * n else punctures
+    chk.expect("singular_fiber_count", n, fiber["singular_fiber_count"])
+    printed = fiber["singular_fiber_punctures"]
+    chk.expect("singular_fiber_punctures", [4] * n,
+               printed if isinstance(printed, list) else [printed] * n)
+    return []
 
 
 def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
@@ -753,18 +735,19 @@ def _lambda_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> Non
                [quotient.point_multiplicity(f"q{j}", LEVEL_CURVE) for j in range(n)])
 
 
-def _lambda_pair_checks(blown: SurfaceModel, n: int, chk: _Checks) -> None:
+def _lambda_pair_checks(values: dict[str, object], n: int, chk: _Checks) -> None:
     chk.expect("same_compactification_numbers_as_other_family",
-               [n, -n], [blown.chi_top, blown.k2])
+               [n, -n], [values["chi"], values["k2"]])
     chk.expect("cusp_count_differs_from_other_family_for_n_ge_2",
                True, n == 1 or 2 != n + 1)
 
 
-def _lambda_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
-                          chk: _Checks) -> tuple[int | None, list[str]]:
+def _lambda_fiber_section(blown: SurfaceModel, n: int, fiber: dict[str, object],
+                          chk: _Checks) -> list[str]:
+    fiber.update(singular_fiber_count=n, singular_fiber_punctures=None)
     flags = [
         "the generic Albanese fiber meets the boundary in"
-        f" {generic_punctures} points by push-pull; the advertised"
+        f" {fiber['generic_fiber_punctures']} points by push-pull; the advertised"
         " three-or-four puncture dichotomy does not identify this"
         " fibration, so the computed value is reported without assertion"
     ]
@@ -773,7 +756,7 @@ def _lambda_fiber_section(blown: SurfaceModel, generic_punctures: int, n: int,
             "both families have two cusps at n = 1; they are distinguished"
             " by arguments outside this artifact's scope"
         )
-    return None, flags
+    return flags
 
 
 _FAMILIES = {
@@ -783,7 +766,7 @@ _FAMILIES = {
         quotient_checks=_gamma_quotient_checks,
         orbit_self_intersection=lambda n: -1,
         cusps=lambda n: n + 1,
-        pair_checks=lambda blown, n, chk: None,
+        pair_checks=lambda values, n, chk: None,
         fiber_section=_gamma_fiber_section,
         albanese_checks=("albanese_index", "albanese_shift_order",
                          "albanese_base_point_count"),
@@ -821,6 +804,9 @@ def build_family(family: str, n: int) -> dict[str, object]:
         raise ValueError("n must be a positive integer")
     chk = _Checks()
     flags = [_TOWER_FLAG]
+    # Each stage writes its fragment here, and every check on a printed
+    # quantity reads its actual value back from it.
+    values: dict[str, object] = {}
     stage = "geometry"
     try:
         core = _shared_geometry(n, chk)
@@ -832,34 +818,39 @@ def build_family(family: str, n: int) -> dict[str, object]:
         quotient, blown = _quotient_and_blowup(core, curves, orbits,
                                                {**core.pair_counts, **extra_pairwise},
                                                {**core.through, **extra_through}, chk)
+        values.update(chi=blown.chi_top, k2=blown.k2)
+        chk.expect("chi", n, values["chi"])
+        chk.expect("k2", -n, values["k2"])
+        chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC, blown.kind(CORE_CURVE))
         spec.quotient_checks(quotient, n, chk)
 
         stage = "boundary"
-        boundary = tuple(orbits)
+        values["boundary"] = [{"name": name, "self_intersection": blown.curves[name].self_int,
+                               "kind": blown.kind(name)} for name in orbits]
+        values["intersection"] = {
+            "points_per_pair": core.pair_counts[(_SLOPE_NAMES[0], _SLOPE_NAMES[1])],
+            "triple_points_downstairs": len(core.orbits),
+        }
         expected_self = {CORE_CURVE: -3 * n,
                          **dict.fromkeys(extra_orbits, spec.orbit_self_intersection(n))}
-        pair = _boundary_checks(blown, boundary, expected_self, chk)
+        pair = _boundary_checks(blown, values["boundary"], expected_self, chk)
         bdf = classify_deck_action(core.deck, 3)
-        chk.expect("bdf_type", 5, bdf.index if isinstance(bdf, BdFType) else bdf.to_json())
-        values: dict[str, object] = {
-            "chi": blown.chi_top,
-            "k2": blown.k2,
-            "boundary": [
-                {"name": name, "self_intersection": blown.curves[name].self_int,
-                 "kind": blown.kind(name)}
-                for name in boundary
-            ],
-            "intersection": {
-                "points_per_pair": core.pair_counts[(_SLOPE_NAMES[0], _SLOPE_NAMES[1])],
-                "triple_points_downstairs": len(core.orbits),
-            },
-            "bdf_type": bdf.index if isinstance(bdf, BdFType) else None,
-        }
+        values["bdf_type"] = bdf.index if isinstance(bdf, BdFType) else bdf.to_json()
+        chk.expect("bdf_type", 5, values["bdf_type"])
 
         if pair is not None:
             stage = "certify"
-            values.update(_certify_pair(pair, n, spec.cusps(n), chk))
-            spec.pair_checks(blown, n, chk)
+            values.update(_certify_pair(pair))
+            nef = values["nef"]
+            chk.expect("nef_numerical_check", True, nef["passed"])
+            chk.expect("nef_boundary_pairings_zero", True,
+                       all(v == 0 for v in nef["boundary_pairings"].values()))
+            chk.expect("log_chern", [3 * n, n], [values["log_c1_squared"], values["log_c2"]])
+            chk.expect("bmy", BMYClass.EQUALITY.value, values["bmy"])
+            chk.expect("cusps", spec.cusps(n), values["cusps"])
+            chk.expect("volume_coefficient", str(Fraction(8, 3) * n),
+                       values["volume"]["pi_squared_coefficient"])
+            spec.pair_checks(values, n, chk)
             stage = "ledger"
             _exceptional_ledger(quotient, blown, n, chk)
 
@@ -867,19 +858,12 @@ def build_family(family: str, n: int) -> dict[str, object]:
             members = {image: [curves[name] for name in names]
                        for image, names in orbits.items()}
             rows = _generic_fiber_rows(core, members, chk)
-            generic_punctures = sum(rows.values())
-            singular_punctures, fiber_flags = spec.fiber_section(blown, generic_punctures,
-                                                                 n, chk)
-            flags += fiber_flags
-            values["fiber"] = {
-                "generic_fiber_boundary_rows": rows,
-                "generic_fiber_punctures": generic_punctures,
-                "singular_fiber_count": n,
-                "singular_fiber_punctures": singular_punctures,
-            }
+            values["fiber"] = {"generic_fiber_boundary_rows": rows,
+                               "generic_fiber_punctures": sum(rows.values())}
+            flags += spec.fiber_section(blown, n, values["fiber"], chk)
 
             stage = "albanese"
-            albanese = albanese_data(n)
+            values["albanese"] = albanese = albanese_data(n)
             albanese_checks = {
                 "albanese_index": (3, albanese["index"]),
                 "albanese_shift_order": (3, albanese["shift_order"]),
@@ -887,10 +871,14 @@ def build_family(family: str, n: int) -> dict[str, object]:
             }
             for name in spec.albanese_checks:
                 chk.expect(name, *albanese_checks[name])
-            values["albanese"] = albanese
             stage = "homology"
-            values["homology"] = _homology_section(core.deck, blown.chi_top, values["cusps"],
-                                                   spec.cusps(n), chk)
+            values["homology"] = _homology_section(core.deck, values["chi"], values["cusps"])
+            opened = values["homology"]["open_manifold"]
+            chk.expect("open_manifold_b1", 2, opened["b1"])
+            chk.expect("open_manifold_b3_lower_bound", spec.cusps(n) - 1, opened["b3_lower_bound"])
+            chk.expect("cover_pieces_euler_zero", [0, 0],
+                       [homology.BettiVector(*values["homology"][key]).euler()
+                        for key in ("boundary_neighborhood_ranks", "overlap_ranks")])
             stage = "tower"
             values["tower"] = _tower_section(n)
     except Exception as exc:

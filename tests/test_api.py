@@ -1,6 +1,7 @@
 """The public API carries no function or class that only tests call: every
 function or class that `ballq/__init__.py` exports is referenced by some
-module of the package outside its own definition."""
+module of the package outside its own definition.  The report re-checker
+in `tests/recheck.py` imports nothing but json and fractions."""
 
 import ast
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 import ballq
 
 PACKAGE = Path(ballq.__file__).parent
+RECHECK = Path(__file__).resolve().parent / "recheck.py"
 
 # Exported ahead of its caller: the report's fibration section will call it.
 EXEMPT = {"fibration_sequence_report"}
@@ -46,3 +48,15 @@ def test_every_exported_function_or_class_has_a_caller_in_the_package():
     unused = [name for name in exported if name not in EXEMPT
               and not any(references_outside_definition(tree, name) for tree in modules)]
     assert unused == []
+
+
+def test_recheck_imports_only_json_and_fractions():
+    imported = set()
+    for node in ast.walk(ast.parse(RECHECK.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Name) and node.id == "__import__":
+            imported.add("__import__")
+    assert imported == {"json", "fractions"}

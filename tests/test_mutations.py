@@ -1,7 +1,8 @@
 """Mutation probes: a fault seeded into one layer must flip `passed` to
 false, or make the build raise, for some level n <= 5 of each family.  The
 family-only probes show that each family's record is wired into the
-pipeline."""
+pipeline.  The value-assembly probes edit a fragment after it is computed,
+so they show that the checks and the re-checker read the printed values."""
 
 import dataclasses
 
@@ -14,6 +15,8 @@ from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError
                             build_family)
 from ballq.lattices import Lattice, TorusPoint
 from ballq.surfaces import CurveRecord, SurfaceModel
+
+from recheck import broken_relations
 
 
 def log_chern_off_by_one(monkeypatch):
@@ -99,6 +102,32 @@ def deck_b1_lowered(monkeypatch):
     monkeypatch.setattr(homology, "betti_from_deck", faulty)
 
 
+def certify_log_chern_swapped(monkeypatch):
+    """The certify fragment carries c1bar^2 and c2bar under each other's
+    keys."""
+    original = families._certify_pair
+
+    def faulty(pair):
+        fragment = original(pair)
+        return {**fragment, "log_c1_squared": fragment["log_c2"],
+                "log_c2": fragment["log_c1_squared"]}
+
+    monkeypatch.setattr(families, "_certify_pair", faulty)
+
+
+def homology_b2_raised(monkeypatch):
+    """The homology fragment prints b2 one higher than the Betti vector it
+    was derived from."""
+    original = families._homology_section
+
+    def faulty(deck, chi, cusps):
+        fragment = original(deck, chi, cusps)
+        b0, b1, b2, b3, b4 = fragment["compactification_betti"]
+        return {**fragment, "compactification_betti": [b0, b1, b2 + 1, b3, b4]}
+
+    monkeypatch.setattr(families, "_homology_section", faulty)
+
+
 def deck_shift_doubled(monkeypatch):
     monkeypatch.setattr(families, "deck_automorphism", lambda torus: TorusAutomorphism(
         torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
@@ -136,6 +165,13 @@ def stray_exceptional_crossing(monkeypatch):
 def exceptional_meets_level_orbit_twice(monkeypatch):
     def edit(curves, pairwise):
         pairwise[("exc1", LEVEL_CURVE)] = pairwise.get(("exc1", LEVEL_CURVE), 0) + 1
+
+    edit_blown_model(monkeypatch, edit)
+
+
+def exceptional_meets_its_fiber_twice(monkeypatch):
+    def edit(curves, pairwise):
+        pairwise[("exc1", "fiber1")] = pairwise.get(("exc1", "fiber1"), 0) + 1
 
     edit_blown_model(monkeypatch, edit)
 
@@ -186,9 +222,10 @@ def level_curves_wrong_offset(monkeypatch):
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
                  multiplier_matrix_transposed, from_reduced_skips_gcd,
                  numerators_over_twice_the_denominator, deck_shift_doubled, deck_b1_lowered, blow_up_bumps_exceptional, stray_exceptional_crossing,
-                 blow_up_keeps_a_triple_point]
+                 blow_up_keeps_a_triple_point, certify_log_chern_swapped]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
+    (GAMMA, exceptional_meets_its_fiber_twice),
     (LAMBDA, level_curves_wrong_offset),
     (LAMBDA, exceptional_meets_level_orbit_twice),
     (LAMBDA, level_key_set_misses_a_point),
@@ -244,3 +281,31 @@ def test_transposed_multiplier_matrix_raises_in_geometry(monkeypatch):
         with pytest.raises(BuildError) as info:
             build_family(family, 1)
         assert info.value.stage == "geometry"
+
+
+def test_exceptional_meeting_its_fiber_twice_fails_the_singular_fiber_count(monkeypatch):
+    exceptional_meets_its_fiber_twice(monkeypatch)
+    report = build_family(GAMMA, 2)
+    failed = {check["name"] for check in report["checks"] if not check["passed"]}
+    assert "singular_fiber_count" in failed
+    assert report["values"]["fiber"]["singular_fiber_count"] == 1
+
+
+def test_swapped_log_chern_fragment_fails_the_report_and_the_recheck(monkeypatch):
+    certify_log_chern_swapped(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        report = build_family(family, 3)
+        failed = {check["name"] for check in report["checks"] if not check["passed"]}
+        assert not report["passed"]
+        assert "log_chern" in failed
+        assert "3 c2bar = c1bar^2" in broken_relations(report)
+
+
+def test_raised_b2_fails_the_recheck(monkeypatch):
+    homology_b2_raised(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        report = build_family(family, 3)
+        assert "Euler number of the Betti vector = chi" in broken_relations(report)
+        # No check reads b2 until the report gains a `compactification_b2`
+        # check (ROADMAP item 4), so `passed` stays true.
+        assert report["passed"]
