@@ -4,7 +4,8 @@ The product torus has coordinates [w, z].  Supported curves are graphs
 w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
 lattices' bases (Lattice.multiplier_matrix), and an automorphism one per
-factor.  Intersections are solved in integers: for two graphs with matrix
+factor and integer translations, so it maps point keys to point keys.
+Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
 Hermite basis lists.  The contains_point methods read Q(rho) values; they
@@ -33,10 +34,6 @@ class ProductTorus:
 
     lattice_w: Lattice
     lattice_z: Lattice
-
-    def point(self, w: EisensteinNumber, z: EisensteinNumber) -> "ProductPoint":
-        return ProductPoint(TorusPoint(_as_eisenstein(w), self.lattice_w),
-                            TorusPoint(_as_eisenstein(z), self.lattice_z))
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,10 @@ class VerticalFiber:
 
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "z0", TorusPoint(_as_eisenstein(z0), ambient.lattice_z))
+        # A z-torus point is kept if stored in the torus's basis, else reduced.
+        if not (isinstance(z0, TorusPoint) and z0.lattice.same_basis(ambient.lattice_z)):
+            z0 = TorusPoint(_as_eisenstein(getattr(z0, "value", z0)), ambient.lattice_z)
+        object.__setattr__(self, "z0", z0)
 
     def contains_point(self, p: ProductPoint) -> bool:
         return p.z == self.z0
@@ -107,7 +107,8 @@ class TorusAutomorphism:
     Both multipliers must map the respective period lattices onto
     themselves, so the map descends to the product torus: matrices holds
     their integer matrices in the lattices' bases (w first), and each must
-    have determinant +-1.
+    have determinant +-1.  translations holds cw and cz as numerators
+    (s, t, den) in the same bases, so apply maps keys to keys in integers.
     """
 
     ambient: ProductTorus
@@ -116,6 +117,7 @@ class TorusAutomorphism:
     lambda_z: EisensteinNumber
     trans_z: EisensteinNumber
     matrices: tuple[tuple[int, int, int, int], ...] = field(repr=False)
+    translations: tuple[tuple[int, int, int], ...] = field(repr=False)
 
     def __init__(self, ambient, lambda_w, trans_w, lambda_z, trans_z) -> None:
         object.__setattr__(self, "ambient", ambient)
@@ -129,13 +131,14 @@ class TorusAutomorphism:
             raise ValueError(f"multipliers {self.lambda_w}, {self.lambda_z} must map "
                              "their lattices onto themselves")
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "translations", (ambient.lattice_w.numerators(self.trans_w),
+                                                  ambient.lattice_z.numerators(self.trans_z)))
 
     def apply(self, p: ProductPoint) -> ProductPoint:
-        lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
-        return ProductPoint(
-            TorusPoint(self.lambda_w * p.w.value + self.trans_w, lw),
-            TorusPoint(self.lambda_z * p.z.value + self.trans_z, lz),
-        )
+        """The image of p, whose keys must be in the ambient lattices' bases."""
+        (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
+        return ProductPoint(_affine_image(p.w, self.ambient.lattice_w, m_w, c_w),
+                            _affine_image(p.z, self.ambient.lattice_z, m_z, c_z))
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
         """self after other."""
@@ -152,6 +155,21 @@ class TorusAutomorphism:
         return (self.lambda_w == ONE and self.lambda_z == ONE
                 and lw.contains(self.trans_w) is not None
                 and lz.contains(self.trans_z) is not None)
+
+
+def _affine_image(x: TorusPoint, lattice: Lattice, matrix: tuple[int, int, int, int],
+                  translation: tuple[int, int, int]) -> TorusPoint:
+    """lambda*x + c in integers: x's coordinates (rs, rt)/den go to
+    (M(rs, rt)*cd + (cs, ct)*den) / (den*cd) modulo 1, for the multiplier's
+    matrix M and the translation's numerators (cs, ct, cd)."""
+    if not x.lattice.same_basis(lattice):
+        raise ValueError("point is not stored in the automorphism's lattice basis")
+    p, q, r, t = matrix
+    cs, ct, cd = translation
+    rs, rt, den = x.key
+    d = den * cd
+    return TorusPoint.from_reduced(((p * rs + r * rt) * cd + cs * den) % d,
+                                   ((q * rs + t * rt) * cd + ct * den) % d, d, lattice)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +217,7 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     Both curves must be given in the same stored lattice bases, since the
     solver reads their matrices and offset keys as coordinates."""
     (lw, lz), (w2, z2) = ((c.ambient.lattice_w, c.ambient.lattice_z) for c in (c1, c2))
-    if (lw.gen1, lw.gen2, lz.gen1, lz.gen2) != (w2.gen1, w2.gen2, z2.gen1, z2.gen2):
+    if not (lw.same_basis(w2) and lz.same_basis(z2)):
         raise ValueError("curves' lattices are not stored in the same bases")
     rs1, rt1, e1 = c1.offset.key
     rs2, rt2, e2 = c2.offset.key
@@ -318,7 +336,8 @@ def orbit_of_points(f: TorusAutomorphism,
     """Partition a stable point set into orbits.
 
     Each orbit is listed starting from its point of least key and orbits
-    are sorted by that representative.
+    are sorted by that representative.  f.apply maps keys to keys, so
+    no value is read; the points must be stored in f's lattice bases.
     """
     index = {p.key: p for p in points}
     if len(index) != len(points):

@@ -19,6 +19,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import homology
 from .eisenstein import ONE, RHO, eis
@@ -61,6 +62,7 @@ LAMBDA = "lambda"
 # Translation of order three on every level torus: three times it is the
 # period 1 - rho shared by all level lattices.
 ORDER3_SHIFT = (ONE - RHO) / 3
+TWO_THIRDS = eis(Fraction(2, 3))
 
 _SLOPE_NAMES = ("slope0", "slope1", "slope2")
 _LEVEL_NAMES = ("level0", "level1", "level2")
@@ -98,7 +100,7 @@ def slope_curves(torus: ProductTorus) -> list[GraphCurve]:
 
 def level_curves(torus: ProductTorus) -> list[GraphCurve]:
     """The three constant graphs w = 2/3 + l*shift, a single deck orbit."""
-    return [GraphCurve(torus, 0, Fraction(2, 3) + ORDER3_SHIFT * l) for l in range(3)]
+    return [GraphCurve(torus, 0, TWO_THIRDS + ORDER3_SHIFT * l) for l in range(3)]
 
 
 def deck_automorphism(torus: ProductTorus) -> TorusAutomorphism:
@@ -106,14 +108,29 @@ def deck_automorphism(torus: ProductTorus) -> TorusAutomorphism:
     return TorusAutomorphism(torus, RHO, 0, ONE, ORDER3_SHIFT)
 
 
+def _numerators(lattice: Lattice, values: tuple) -> tuple[list[tuple[int, int]], int]:
+    """The coordinates of each value in the lattice's basis as integer
+    numerators (s, t), all over one denominator d."""
+    vectors = [lattice.numerators(x) for x in values]
+    d = lcm(*(den for _, _, den in vectors))
+    return [(s * (d // den), t * (d // den)) for s, t, den in vectors], d
+
+
 def closed_form_intersection(torus: ProductTorus, n: int) -> list[ProductPoint]:
     """The predicted 3n-point intersection locus of any two slope curves:
-    [2/3 + l*shift, 2/3 + l*shift + m] for 0 <= l <= 2, 0 <= m <= n-1."""
+    [2/3 + l*shift, 2/3 + l*shift + m] for 0 <= l <= 2, 0 <= m <= n-1.
+    Each key combines the numerators of 2/3, the shift and 1, read once
+    per factor, in integers."""
+    lw, lz = torus.lattice_w, torus.lattice_z
+    ((w0, w1), (ws0, ws1), _), dw = _numerators(lw, (TWO_THIRDS, ORDER3_SHIFT, ONE))
+    ((z0, z1), (zs0, zs1), (u0, u1)), dz = _numerators(lz, (TWO_THIRDS, ORDER3_SHIFT, ONE))
     points = []
     for l in range(3):
-        w = Fraction(2, 3) + ORDER3_SHIFT * l
+        w = TorusPoint.from_reduced((w0 + l * ws0) % dw, (w1 + l * ws1) % dw, dw, lw)
+        s, t = z0 + l * zs0, z1 + l * zs1
         for m in range(n):
-            points.append(torus.point(w, w + m))
+            z = TorusPoint.from_reduced((s + m * u0) % dz, (t + m * u1) % dz, dz, lz)
+            points.append(ProductPoint(w, z))
     return points
 
 
@@ -552,15 +569,15 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     generic_base = eis(Fraction(1, 2))
     verticals = [VerticalFiber(torus, generic_base + ORDER3_SHIFT * k) for k in range(3)]
     singular_z = {p.z.key for p in core.points}
-    chk.expect("generic_fiber_misses_triple_points", True,
-               all(v.z0.key not in singular_z for v in verticals))
+    generic_z = {v.z0.key for v in verticals}
+    chk.expect("generic_fiber_misses_triple_points", True, not generic_z & singular_z)
     rows: dict[str, int] = {}
     for image, curve_list in members.items():
         total = 0
         for curve in curve_list:
             if not isinstance(curve, VerticalFiber):
                 total += len(verticals)
-            elif any(curve.z0 == vertical.z0 for vertical in verticals):
+            elif curve.z0.key in generic_z:
                 raise ValueError("generic fiber is not generic: it hits "
                                  "a special vertical fiber")
         if total % 3:
@@ -643,7 +660,7 @@ def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     for j, orbit in enumerate(core.orbits, start=1):
         names = tuple(f"vert{j}_{k}" for k in range(3))
         for name, point in zip(names, orbit):
-            curves[name] = VerticalFiber(core.torus, point.z.value)
+            curves[name] = VerticalFiber(core.torus, point.z)
         orbits[f"fiber{j}"] = names
     chk.expect("vertical_fibers_distinct", 3 * core.n,
                len({curve.z0.key for curve in curves.values()}))
@@ -688,13 +705,11 @@ def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]
     hexagonal lattice."""
     base = base_lattice()
     levels = level_curves(core.torus)
-    two_thirds = eis(Fraction(2, 3))
     chk.expect("shift_identity_first", True,
-               TorusPoint(two_thirds + ORDER3_SHIFT, base)
-               == TorusPoint(RHO * Fraction(2, 3), base))
+               TorusPoint(TWO_THIRDS + ORDER3_SHIFT, base) == TorusPoint(RHO * TWO_THIRDS, base))
     chk.expect("shift_identity_second", True,
-               TorusPoint(two_thirds + ORDER3_SHIFT * 2, base)
-               == TorusPoint(RHO * RHO * Fraction(2, 3), base))
+               TorusPoint(TWO_THIRDS + ORDER3_SHIFT * 2, base)
+               == TorusPoint(RHO * RHO * TWO_THIRDS, base))
     for i in range(3):
         image = apply_auto_to_curve(core.deck, levels[i])
         chk.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}",
@@ -917,10 +932,11 @@ def albanese_data(n: int) -> dict[str, object]:
     contained = level.is_sublattice_of(target)
     index = level.index_in(target) if contained else 0
     shift_order = TorusPoint(ORDER3_SHIFT, level).order()
+    ((s, t), (u, v)), d = _numerators(target, (TWO_THIRDS, ONE))
     base_points = []
     seen = set()
-    for j in range(1, n + 1):
-        point = TorusPoint(eis(Fraction(2, 3)) + (j - 1), target)
+    for m in range(n):
+        point = TorusPoint.from_reduced((s + m * u) % d, (t + m * v) % d, d, target)
         seen.add(point.key)
         base_points.append(str(point.value))
     if len(seen) != n:

@@ -67,6 +67,10 @@ class Lattice:
             return None
         return s // den, t // den
 
+    def same_basis(self, other: "Lattice") -> bool:
+        """Whether integer coordinates (keys, matrices) in both agree."""
+        return self is other or (self.gen1 == other.gen1 and self.gen2 == other.gen2)
+
     def is_sublattice_of(self, other: "Lattice") -> bool:
         return other.contains(self.gen1) is not None and other.contains(self.gen2) is not None
 
@@ -166,7 +170,7 @@ class TorusPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        if self.lattice.gen1 == other.lattice.gen1 and self.lattice.gen2 == other.lattice.gen2:
+        if self.lattice.same_basis(other.lattice):
             return self.key == other.key
         if self.lattice != other.lattice:
             return False

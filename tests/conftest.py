@@ -46,6 +46,12 @@ def scaled(lattice: Lattice, factor: EisensteinNumber) -> Lattice:
     return Lattice(factor * lattice.gen1, factor * lattice.gen2)
 
 
+def product_point(torus: ProductTorus, w: EisensteinNumber, z: EisensteinNumber) -> ProductPoint:
+    """The point [w, z] of a product torus, each coordinate reduced from its
+    Q(rho) value."""
+    return ProductPoint(TorusPoint(w, torus.lattice_w), TorusPoint(z, torus.lattice_z))
+
+
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
     """Denominator-bounded grid oracle for graph-graph intersections.
 

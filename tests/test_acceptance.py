@@ -35,6 +35,7 @@ from ballq.surfaces import CurveRecord, SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, SINGUL
 
 from conftest import (
     brute_force_intersection,
+    product_point,
     random_eisenstein,
     random_lattice,
     random_sublattice,
@@ -108,7 +109,7 @@ def _closed_form_keys(torus, n):
     for l in range(3):
         w = Fraction(2, 3) + ORDER3_SHIFT * l
         for m in range(n):
-            keys.add(torus.point(w, w + m).key)
+            keys.add(product_point(torus, w, w + m).key)
     return frozenset(keys)
 
 

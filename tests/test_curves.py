@@ -5,12 +5,15 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballq.curves import (
     EMPTY,
     GraphCurve,
     IDENTICAL,
     POINTS,
+    ProductPoint,
     ProductTorus,
     TorusAutomorphism,
     VerticalFiber,
@@ -22,9 +25,10 @@ from ballq.curves import (
     orbit_of_curves,
     orbit_of_points,
 )
-from ballq.eisenstein import ONE, RHO, eis
+from ballq.eisenstein import ONE, RHO, RHO2, eis
 from ballq.families import (
     ORDER3_SHIFT,
+    albanese_lattice,
     base_lattice,
     closed_form_intersection,
     deck_automorphism,
@@ -36,17 +40,21 @@ from ballq.families import (
 from ballq.eisenstein import EisensteinNumber
 from ballq.lattices import TorusPoint
 
-from conftest import brute_force_intersection, scaled
+from conftest import brute_force_intersection, product_point, scaled
 
 
-def closed_form_keys(torus, n):
-    """Literal transcription of the predicted intersection locus."""
-    keys = set()
+def closed_form_points(torus, n):
+    """Literal transcription of the predicted intersection locus, in Q(rho)."""
+    points = []
     for l in range(3):
         w = Fraction(2, 3) + ORDER3_SHIFT * l
         for m in range(n):
-            keys.add(torus.point(w, w + m).key)
-    return frozenset(keys)
+            points.append(product_point(torus, w, w + m))
+    return points
+
+
+def closed_form_keys(torus, n):
+    return frozenset(p.key for p in closed_form_points(torus, n))
 
 
 def test_graph_well_definedness_enforced():
@@ -112,6 +120,79 @@ def test_ambient_mismatch_rejected():
     with pytest.raises(ValueError, match="same bases"):
         intersect_graphs(GraphCurve(hexagonal, 1, 0),
                          GraphCurve(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0))
+
+
+UNITS = (ONE, -ONE, RHO, -RHO, RHO2, -RHO2)
+
+
+def reference_apply(f, p):
+    """The Q(rho) formula [lw*w + cw, lz*z + cz], each coordinate reduced
+    from its value."""
+    return ProductPoint(TorusPoint(f.lambda_w * p.w.value + f.trans_w, f.ambient.lattice_w),
+                        TorusPoint(f.lambda_z * p.z.value + f.trans_z, f.ambient.lattice_z))
+
+
+def accepted_units(lattice):
+    """The units that TorusAutomorphism accepts as a multiplier on lattice."""
+    torus = ProductTorus(lattice, lattice)
+    accepted = []
+    for unit in UNITS:
+        try:
+            TorusAutomorphism(torus, unit, 0, unit, 0)
+        except ValueError:
+            continue
+        accepted.append(unit)
+    return accepted
+
+
+@st.composite
+def automorphisms_and_points(draw):
+    """An automorphism of a product of family lattices at a level n <= 60,
+    with unit multipliers and translations of denominator up to 12, and the
+    values of a point, with denominators up to 12n."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    family = st.sampled_from([base_lattice(), level_lattice(n), albanese_lattice(n)])
+    lw, lz = draw(family), draw(family)
+
+    def value(q_max):
+        q = draw(st.integers(min_value=1, max_value=q_max))
+        parts = st.integers(min_value=-2 * q, max_value=2 * q)
+        return eis(Fraction(draw(parts), q), Fraction(draw(parts), q))
+
+    torus = ProductTorus(lw, lz)
+    f = TorusAutomorphism(torus, draw(st.sampled_from(accepted_units(lw))), value(12),
+                          draw(st.sampled_from(accepted_units(lz))), value(12))
+    return f, value(12 * n), value(12 * n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(automorphisms_and_points())
+def test_integer_apply_matches_the_eisenstein_formula(case):
+    f, w, z = case
+    p = product_point(f.ambient, w, z)
+    image, expected = f.apply(p), reference_apply(f, p)
+    assert image.key == expected.key
+    assert image.to_json() == expected.to_json()
+
+
+def test_apply_requires_the_ambient_bases():
+    # base_lattice() and level_lattice(1) are one lattice in two bases;
+    # the integer action reads point keys as coordinates in its own basis.
+    f = TorusAutomorphism(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0, 1, 0)
+    elsewhere = product_point(ProductTorus(base_lattice(), base_lattice()), eis(0),
+                              eis(Fraction(1, 2)))
+    with pytest.raises(ValueError, match="basis"):
+        f.apply(elsewhere)
+
+
+def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
+    torus = product_torus(1)
+    z = TorusPoint(eis(Fraction(1, 3)), torus.lattice_z)
+    assert VerticalFiber(torus, z).z0 is z
+    # the same torus point in another basis of the same lattice is reduced again
+    elsewhere = TorusPoint(eis(Fraction(1, 3)), base_lattice())
+    fiber = VerticalFiber(torus, elsewhere)
+    assert fiber.z0.lattice is torus.lattice_z and fiber.z0 == elsewhere
 
 
 def test_graph_fiber_intersection():
@@ -233,7 +314,7 @@ def test_point_orbits_require_stability():
 def test_single_fixed_point_orbit():
     torus = product_torus(1)
     identity = TorusAutomorphism(torus, 1, 0, 1, 0)
-    p = torus.point(eis(0), eis(0))
+    p = product_point(torus, eis(0), eis(0))
     assert orbit_of_points(identity, [p]) == [[p]]
 
 
@@ -246,7 +327,7 @@ def test_image_points_land_on_image_curve():
         for _ in range(10):
             z = eis(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            point = torus.point(curve.slope * z + curve.offset.value, z)
+            point = product_point(torus, curve.slope * z + curve.offset.value, z)
             assert image.contains_point(deck.apply(point))
 
 
@@ -349,10 +430,14 @@ def test_count_equals_lattice_index():
 
 
 def test_closed_form_helper_matches_inline():
-    for n in (1, 4):
+    # The helper builds its points from integer keys, so their printed
+    # values are compared with the Q(rho) transcription as well.
+    for n in (1, 4, 37, 60):
         torus = product_torus(n)
-        helper = {p.key for p in closed_form_intersection(torus, n)}
-        assert helper == closed_form_keys(torus, n)
+        helper = closed_form_intersection(torus, n)
+        inline = closed_form_points(torus, n)
+        assert {p.key for p in helper} == closed_form_keys(torus, n)
+        assert [p.to_json() for p in helper] == [p.to_json() for p in inline]
 
 
 def test_orbit_of_curves_cap():

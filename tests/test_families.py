@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from ballq.curves import GraphCurve, VerticalFiber
-from ballq.eisenstein import RHO
+from ballq.eisenstein import RHO, EisensteinNumber
 from ballq.lattices import TorusPoint
 from ballq.surfaces import (
     SMOOTH_ELLIPTIC,
@@ -379,10 +379,10 @@ def test_incidence_makes_no_point_tests(monkeypatch, family):
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_build_reads_few_point_values(monkeypatch, family):
-    """A torus point builds its Q(rho) value only when read.  The deck
-    action reads both values of the 3n points (6n) and the Albanese
-    section prints n; the other intersection points are never read.
-    Gamma builds 7n + 5 and lambda 7n + 10."""
+    """A torus point builds its Q(rho) value only when read.  Only the
+    Albanese section's n printed base points are read per point; the deck
+    action, the closed form and the fibers work on keys.  Gamma builds
+    n + 5 and lambda n + 10."""
     built = [0]
     build = vars(TorusPoint)["value"].func
 
@@ -395,7 +395,35 @@ def test_build_reads_few_point_values(monkeypatch, family):
     monkeypatch.setattr(TorusPoint, "value", value)
     n = 40
     assert build_family(family, n)["passed"]
-    assert 0 < built[0] <= 8 * n, built[0]
+    assert 0 < built[0] <= n + 10, built[0]
+
+
+def count_eisenstein_constructions(monkeypatch):
+    """Patch EisensteinNumber.__post_init__ to count every construction."""
+    calls = [0]
+    original = EisensteinNumber.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        original(self)
+
+    monkeypatch.setattr(EisensteinNumber, "__post_init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_no_eisenstein_arithmetic_per_point(monkeypatch, family):
+    """Q(rho) work is per level, not per point: doubling n from 40 to 80
+    adds only the 40 printed Albanese base points and the tower's few extra
+    divisors (52 constructions; 1,132 when the deck action, the closed
+    form and the fibers went through Q(rho))."""
+    calls = count_eisenstein_constructions(monkeypatch)
+    counts = []
+    for n in (40, 80):
+        calls[0] = 0
+        assert build_family(family, n)["passed"]
+        counts.append(calls[0])
+    assert counts[1] - counts[0] <= 80, counts
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

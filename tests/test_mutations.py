@@ -128,6 +128,42 @@ def homology_b2_raised(monkeypatch):
     monkeypatch.setattr(families, "_homology_section", faulty)
 
 
+def edit_deck(monkeypatch, edit):
+    """Make the pipeline's deck map carry the integer data edit(matrices,
+    translations) returns; its Q(rho) multipliers and translations stay."""
+    original = families.deck_automorphism
+
+    def faulty(torus):
+        deck = original(torus)
+        matrices, translations = edit(deck.matrices, deck.translations)
+        object.__setattr__(deck, "matrices", matrices)
+        object.__setattr__(deck, "translations", translations)
+        return deck
+
+    monkeypatch.setattr(families, "deck_automorphism", faulty)
+
+
+def deck_w_matrix_transposed(monkeypatch):
+    """The integer deck action multiplies w by rho^2 instead of rho.  The
+    Betti vector reads the same matrices, but a transpose leaves it as it
+    is, so only the action on points changes."""
+    def edit(matrices, translations):
+        (p, q, r, t), m_z = matrices
+        return ((p, r, q, t), m_z), translations
+
+    edit_deck(monkeypatch, edit)
+
+
+def deck_z_translation_off_by_one(monkeypatch):
+    """The integer deck action's z translation has its second numerator
+    one too high."""
+    def edit(matrices, translations):
+        c_w, (cs, ct, cd) = translations
+        return matrices, (c_w, (cs, ct + 1, cd))
+
+    edit_deck(monkeypatch, edit)
+
+
 def deck_shift_doubled(monkeypatch):
     monkeypatch.setattr(families, "deck_automorphism", lambda torus: TorusAutomorphism(
         torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
@@ -221,7 +257,9 @@ def level_curves_wrong_offset(monkeypatch):
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
                  multiplier_matrix_transposed, from_reduced_skips_gcd,
-                 numerators_over_twice_the_denominator, deck_shift_doubled, deck_b1_lowered, blow_up_bumps_exceptional, stray_exceptional_crossing,
+                 numerators_over_twice_the_denominator, deck_shift_doubled,
+                 deck_w_matrix_transposed, deck_z_translation_off_by_one, deck_b1_lowered,
+                 blow_up_bumps_exceptional, stray_exceptional_crossing,
                  blow_up_keeps_a_triple_point, certify_log_chern_swapped]
 PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
     (GAMMA, vertical_fiber_over_wrong_z),
@@ -279,6 +317,15 @@ def test_transposed_multiplier_matrix_raises_in_geometry(monkeypatch):
     multiplier_matrix_transposed(monkeypatch)
     for family in (GAMMA, LAMBDA):
         with pytest.raises(BuildError) as info:
+            build_family(family, 1)
+        assert info.value.stage == "geometry"
+
+
+@pytest.mark.parametrize("fault", [deck_w_matrix_transposed, deck_z_translation_off_by_one])
+def test_faulty_integer_deck_action_breaks_the_point_orbits(monkeypatch, fault):
+    fault(monkeypatch)
+    for family in (GAMMA, LAMBDA):
+        with pytest.raises(BuildError, match="not stable under the automorphism") as info:
             build_family(family, 1)
         assert info.value.stage == "geometry"
 
