@@ -3,8 +3,9 @@
 The product torus has coordinates [w, z].  Supported curves are graphs
 w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
-lattices' bases (Lattice.multiplier_matrix), and an automorphism one per
-factor and integer translations, so it maps point keys to point keys.
+lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
+such matrix per factor and its translations' keys, so every map works on
+keys: images of points, curves and fibers, composition and powers.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .eisenstein import ONE, EisensteinNumber, _promote
+from .eisenstein import EisensteinNumber, _promote
 from .lattices import Lattice, TorusPoint, coset_grid
 
 
@@ -34,6 +35,12 @@ class ProductTorus:
 
     lattice_w: Lattice
     lattice_z: Lattice
+
+
+def _require_same_bases(a: ProductTorus, b: ProductTorus) -> None:
+    """Integer formulas read keys and matrices as coordinates in one basis."""
+    if not (a.lattice_w.same_basis(b.lattice_w) and a.lattice_z.same_basis(b.lattice_z)):
+        raise ValueError("lattices are not stored in the same bases")
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,16 @@ class GraphCurve:
             raise ValueError(f"graph with slope {self.slope} is not well defined: {exc}") from exc
         object.__setattr__(self, "matrix", matrix)
 
+    @classmethod
+    def from_matrix(cls, ambient: ProductTorus, matrix: tuple, offset: TorusPoint) -> "GraphCurve":
+        """The graph through [offset, 0] whose slope has the integer matrix
+        `matrix`; the slope is read off its first column (p, q)."""
+        (lw, lz), (p, q) = (ambient.lattice_w, ambient.lattice_z), matrix[:2]
+        curve = object.__new__(cls)
+        vars(curve).update(ambient=ambient, slope=(lw.gen1 * p + lw.gen2 * q) / lz.gen1,
+                           offset=offset, matrix=matrix)
+        return curve
+
     def contains_point(self, p: ProductPoint) -> bool:
         diff = self.slope * p.z.value + self.offset.value - p.w.value
         return self.ambient.lattice_w.contains(diff) is not None
@@ -100,73 +117,76 @@ class VerticalFiber:
         return p.z == self.z0
 
 
+IDENTITY_MATRIX = (1, 0, 0, 1)
+ZERO_KEY = (0, 0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class TorusAutomorphism:
-    """Affine automorphism [w, z] -> [lw*w + cw, lz*z + cz].
+    """Affine automorphism [w, z] -> [lw*w + cw, lz*z + cz], as integers.
 
     Both multipliers must map the respective period lattices onto
     themselves, so the map descends to the product torus: matrices holds
-    their integer matrices in the lattices' bases (w first), and each must
-    have determinant +-1.  translations holds cw and cz as numerators
-    (s, t, den) in the same bases, so apply maps keys to keys in integers.
+    their integer matrices in the lattices' bases (w first), of determinant
+    1, and translations the point keys of cw and cz.  The constructor takes
+    Q(rho) inputs and keeps only these (Cohen, GTM 138, section 2.4).
     """
 
     ambient: ProductTorus
-    lambda_w: EisensteinNumber
-    trans_w: EisensteinNumber
-    lambda_z: EisensteinNumber
-    trans_z: EisensteinNumber
-    matrices: tuple[tuple[int, int, int, int], ...] = field(repr=False)
-    translations: tuple[tuple[int, int, int], ...] = field(repr=False)
+    matrices: tuple[tuple[int, int, int, int], ...]
+    translations: tuple[tuple[int, int, int], ...]
 
     def __init__(self, ambient, lambda_w, trans_w, lambda_z, trans_z) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "lambda_w", _as_eisenstein(lambda_w))
-        object.__setattr__(self, "trans_w", _as_eisenstein(trans_w))
-        object.__setattr__(self, "lambda_z", _as_eisenstein(lambda_z))
-        object.__setattr__(self, "trans_z", _as_eisenstein(trans_z))
-        matrices = tuple(lattice.multiplier_matrix(factor, lattice) for factor, lattice in
-                         ((self.lambda_w, ambient.lattice_w), (self.lambda_z, ambient.lattice_z)))
-        if any(abs(p * t - q * r) != 1 for p, q, r, t in matrices):
-            raise ValueError(f"multipliers {self.lambda_w}, {self.lambda_z} must map "
+        lambda_w, lambda_z = _as_eisenstein(lambda_w), _as_eisenstein(lambda_z)
+        lattices = ambient.lattice_w, ambient.lattice_z
+        matrices = tuple(lattice.multiplier_matrix(factor, lattice)
+                         for factor, lattice in zip((lambda_w, lambda_z), lattices))
+        if any(p * t - q * r != 1 for p, q, r, t in matrices):
+            raise ValueError(f"multipliers {lambda_w}, {lambda_z} must map "
                              "their lattices onto themselves")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "translations", (ambient.lattice_w.numerators(self.trans_w),
-                                                  ambient.lattice_z.numerators(self.trans_z)))
+        translations = tuple(TorusPoint(_as_eisenstein(c), lattice).key
+                             for c, lattice in zip((trans_w, trans_z), lattices))
+        vars(self).update(ambient=ambient, matrices=matrices, translations=translations)
 
     def apply(self, p: ProductPoint) -> ProductPoint:
         """The image of p, whose keys must be in the ambient lattices' bases."""
+        lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
+        if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
+            raise ValueError("point is not stored in the automorphism's lattice basis")
         (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
-        return ProductPoint(_affine_image(p.w, self.ambient.lattice_w, m_w, c_w),
-                            _affine_image(p.z, self.ambient.lattice_z, m_z, c_z))
+        return ProductPoint(_affine_image(p.w.key, m_w, c_w, lw),
+                            _affine_image(p.z.key, m_z, c_z, lz))
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
-        """self after other."""
-        return TorusAutomorphism(
-            self.ambient,
-            self.lambda_w * other.lambda_w,
-            self.lambda_w * other.trans_w + self.trans_w,
-            self.lambda_z * other.lambda_z,
-            self.lambda_z * other.trans_z + self.trans_z,
-        )
+        """self after other: x -> M(Nx + d) + c = MN*x + (Md + c) per factor."""
+        _require_same_bases(self.ambient, other.ambient)
+        lattices = self.ambient.lattice_w, self.ambient.lattice_z
+        images = map(_affine_image, other.translations, self.matrices, self.translations, lattices)
+        composed = object.__new__(TorusAutomorphism)
+        vars(composed).update(ambient=self.ambient, translations=tuple(x.key for x in images),
+                              matrices=tuple(map(_matmul, self.matrices, other.matrices)))
+        return composed
 
     def is_identity(self) -> bool:
-        lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
-        return (self.lambda_w == ONE and self.lambda_z == ONE
-                and lw.contains(self.trans_w) is not None
-                and lz.contains(self.trans_z) is not None)
+        return (self.matrices == (IDENTITY_MATRIX, IDENTITY_MATRIX)
+                and self.translations == (ZERO_KEY, ZERO_KEY))
 
 
-def _affine_image(x: TorusPoint, lattice: Lattice, matrix: tuple[int, int, int, int],
-                  translation: tuple[int, int, int]) -> TorusPoint:
-    """lambda*x + c in integers: x's coordinates (rs, rt)/den go to
-    (M(rs, rt)*cd + (cs, ct)*den) / (den*cd) modulo 1, for the multiplier's
-    matrix M and the translation's numerators (cs, ct, cd)."""
-    if not x.lattice.same_basis(lattice):
-        raise ValueError("point is not stored in the automorphism's lattice basis")
+def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """m after n, for matrices (p, q, r, t) of (x, y) -> (p*x + r*y, q*x + t*y)."""
+    p, q, r, t = m
+    a, b, c, d = n
+    return p * a + r * b, q * a + t * b, p * c + r * d, q * c + t * d
+
+
+def _affine_image(key: tuple[int, int, int], matrix: tuple[int, int, int, int],
+                  translation: tuple[int, int, int], lattice: Lattice) -> TorusPoint:
+    """M*x + c in integers, a point of lattice's torus: x's coordinates
+    (rs, rt)/den go to (M(rs, rt)*cd + (cs, ct)*den) / (den*cd) modulo 1,
+    for the translation's numerators (cs, ct, cd)."""
     p, q, r, t = matrix
     cs, ct, cd = translation
-    rs, rt, den = x.key
+    rs, rt, den = key
     d = den * cd
     return TorusPoint.from_reduced(((p * rs + r * rt) * cd + cs * den) % d,
                                    ((q * rs + t * rt) * cd + ct * den) % d, d, lattice)
@@ -216,9 +236,8 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     and sorted by coordinates; equal slopes give "identical" or "empty".
     Both curves must be given in the same stored lattice bases, since the
     solver reads their matrices and offset keys as coordinates."""
-    (lw, lz), (w2, z2) = ((c.ambient.lattice_w, c.ambient.lattice_z) for c in (c1, c2))
-    if not (lw.same_basis(w2) and lz.same_basis(z2)):
-        raise ValueError("curves' lattices are not stored in the same bases")
+    _require_same_bases(c1.ambient, c2.ambient)
+    lw, lz = c1.ambient.lattice_w, c1.ambient.lattice_z
     rs1, rt1, e1 = c1.offset.key
     rs2, rt2, e2 = c2.offset.key
     if c1.matrix == c2.matrix:
@@ -257,11 +276,10 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
 
 
 def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> ProductPoint:
-    """The single point where a graph crosses a vertical fiber."""
-    if c.ambient != f.ambient:
-        raise ValueError("curve and fiber live on different product tori")
-    w = TorusPoint(c.slope * f.z0.value + c.offset.value, c.ambient.lattice_w)
-    return ProductPoint(w, f.z0)
+    """The single point where a graph crosses a vertical fiber, w = A*z0 + o."""
+    _require_same_bases(c.ambient, f.ambient)
+    return ProductPoint(_affine_image(f.z0.key, c.matrix, c.offset.key, c.ambient.lattice_w),
+                        f.z0)
 
 
 # ----------------------------------------------------------------------
@@ -270,36 +288,34 @@ def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> ProductPoint:
 
 
 def apply_auto_to_curve(f: TorusAutomorphism, c: GraphCurve) -> GraphCurve:
-    """Image of a graph curve; again a graph, with
-    slope' = lw * slope / lz and offset' = lw*offset + cw - slope'*cz."""
-    if f.ambient != c.ambient:
-        raise ValueError("automorphism and curve live on different product tori")
-    slope = f.lambda_w * c.slope * f.lambda_z.inverse()
-    offset = f.lambda_w * c.offset.value + f.trans_w - slope * f.trans_z
-    return GraphCurve(c.ambient, slope, offset)
+    """Image of a graph curve: matrix A' = M_w*A*adj(M_z), as det M_z = 1, and
+    offset o' = w1 - A'*z1 for [w1, z1] = f([o, 0]), the image of a point on it."""
+    _require_same_bases(f.ambient, c.ambient)
+    (m_w, (p, q, r, t)), (c_w, c_z) = f.matrices, f.translations
+    lw = c.ambient.lattice_w
+    matrix = _matmul(_matmul(m_w, c.matrix), (t, -q, -r, p))
+    w1 = _affine_image(c.offset.key, m_w, c_w, lw)
+    offset = _affine_image(c_z, tuple(-x for x in matrix), w1.key, lw)
+    return GraphCurve.from_matrix(c.ambient, matrix, offset)
+
+
+def _nontrivial_powers(f: TorusAutomorphism, max_order: int):
+    """f, f**2, ... up to the first power that is the identity, which is
+    not yielded; raises ValueError if none is within max_order powers."""
+    g = f
+    for _ in range(max_order):
+        if g.is_identity():
+            return
+        yield g
+        g = f.compose(g)
+    raise ValueError(f"order exceeds {max_order}")
 
 
 def automorphism_order(f: TorusAutomorphism, max_order: int = 64) -> int:
     """Least k <= max_order with f**k the identity on the product torus."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    g = f
-    for k in range(1, max_order + 1):
-        if g.is_identity():
-            return k
-        g = f.compose(g)
-    raise ValueError(f"order exceeds {max_order}")
-
-
-def _power_has_fixed_point(g: TorusAutomorphism) -> bool:
-    # Coordinates are independent: a fixed point exists iff each coordinate
-    # equation (lambda - 1) x = -translation (mod lattice) is solvable.  For
-    # lambda != 1 the equation is always solvable on the torus; for a pure
-    # translation it is solvable iff the translation is a period.
-    lw, lz = g.ambient.lattice_w, g.ambient.lattice_z
-    w_ok = g.lambda_w != ONE or lw.contains(g.trans_w) is not None
-    z_ok = g.lambda_z != ONE or lz.contains(g.trans_z) is not None
-    return w_ok and z_ok
+    return 1 + sum(1 for _ in _nontrivial_powers(f, max_order))
 
 
 def is_free(f: TorusAutomorphism, max_order: int = 64) -> bool:
@@ -308,14 +324,11 @@ def is_free(f: TorusAutomorphism, max_order: int = 64) -> bool:
     Walks f, f**2, ... once and stops at the identity or at the first power
     with a fixed point; raises ValueError if neither turns up within
     max_order powers."""
-    g = f
-    for _ in range(max_order):
-        if g.is_identity():
-            return True
-        if _power_has_fixed_point(g):
-            return False
-        g = f.compose(g)
-    raise ValueError(f"order exceeds {max_order}")
+    # A power fixes a point iff each (M - 1)x = -c (mod Z^2) is solvable:
+    # always for M != 1, and for a pure translation iff c is a period.
+    return not any(all(m != IDENTITY_MATRIX or c == ZERO_KEY
+                       for m, c in zip(g.matrices, g.translations))
+                   for g in _nontrivial_powers(f, max_order))
 
 
 def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,

@@ -26,6 +26,8 @@ from .eisenstein import ONE, RHO, eis
 from .lattices import Lattice, TorusPoint
 from .curves import (
     EMPTY,
+    IDENTITY_MATRIX,
+    ZERO_KEY,
     GraphCurve,
     ProductPoint,
     ProductTorus,
@@ -255,22 +257,17 @@ def bdf_classify(group_order: int, multiplier: str,
 
 def classify_deck_action(deck: TorusAutomorphism, order: int) -> BdFType | BdFInvalid:
     """Classify the bielliptic quotient defined by a cyclic deck group."""
-    lam = deck.lambda_w
-    if lam == ONE:
+    (m_w, m_z), (c_w, c_z) = deck.matrices, deck.translations
+    if m_w == IDENTITY_MATRIX:
         return BdFInvalid("multiplier", "the action has no multiplicative part")
-    if lam == -ONE:
-        multiplier = "-1"
-    elif lam in (RHO, RHO * RHO):
-        multiplier = "rho"
-    elif lam in (-RHO, -(RHO * RHO)):
-        multiplier = "zeta"
-    else:
-        return BdFInvalid("multiplier", f"multiplier {lam} is not a root of unity in the catalog")
-    if deck.ambient.lattice_w.contains(deck.trans_w) is None:
+    # A lattice-preserving multiplier of determinant 1 is a unit of Z[rho];
+    # its trace 2*Re(unit) is -2 for -1, -1 for rho^+-1, 1 for -rho^+-1.
+    multiplier = {-2: "-1", -1: "rho", 1: "zeta"}[m_w[0] + m_w[3]]
+    if c_w != ZERO_KEY:
         return BdFInvalid("multiplier", "the first factor action is not a pure multiplication")
-    if deck.lambda_z != ONE:
+    if m_z != IDENTITY_MATRIX:
         return BdFInvalid("translation", "the second factor action is not a translation")
-    shift_order = TorusPoint(deck.trans_z, deck.ambient.lattice_z).order()
+    shift_order = c_z[2]
     if shift_order != order:
         return BdFInvalid("translation",
                           f"the second-factor translation has order {shift_order}, "

@@ -52,6 +52,27 @@ def product_point(torus: ProductTorus, w: EisensteinNumber, z: EisensteinNumber)
     return ProductPoint(TorusPoint(w, torus.lattice_w), TorusPoint(z, torus.lattice_z))
 
 
+EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                         "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
+                         "__post_init__")
+
+
+def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> list[str]:
+    """Patch the named EisensteinNumber methods (by default every Q(rho)
+    operator, the inverse and the constructor's __post_init__) so that each
+    call appends its name to the returned list."""
+    calls: list[str] = []
+    for name in names:
+        original = getattr(EisensteinNumber, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(EisensteinNumber, name, counting)
+    return calls
+
+
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
     """Denominator-bounded grid oracle for graph-graph intersections.
 

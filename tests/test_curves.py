@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ballq.curves import (
@@ -30,6 +30,7 @@ from ballq.families import (
     ORDER3_SHIFT,
     albanese_lattice,
     base_lattice,
+    classify_deck_action,
     closed_form_intersection,
     deck_automorphism,
     level_curves,
@@ -37,10 +38,10 @@ from ballq.families import (
     product_torus,
     slope_curves,
 )
-from ballq.eisenstein import EisensteinNumber
 from ballq.lattices import TorusPoint
 
-from conftest import brute_force_intersection, product_point, scaled
+from conftest import (brute_force_intersection, count_eisenstein_operations, product_point,
+                      scaled)
 
 
 def closed_form_points(torus, n):
@@ -116,20 +117,27 @@ def test_ambient_mismatch_rejected():
     # Equal tori in different stored bases: the solver reads matrices and
     # keys as coordinates, so it needs one basis.
     hexagonal = ProductTorus(base_lattice(), base_lattice())
-    assert hexagonal == ProductTorus(base_lattice(), level_lattice(1))
+    elsewhere = ProductTorus(base_lattice(), level_lattice(1))
+    assert hexagonal == elsewhere
     with pytest.raises(ValueError, match="same bases"):
-        intersect_graphs(GraphCurve(hexagonal, 1, 0),
-                         GraphCurve(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0))
+        intersect_graphs(GraphCurve(hexagonal, 1, 0), GraphCurve(elsewhere, RHO, 0))
+    with pytest.raises(ValueError, match="same bases"):
+        apply_auto_to_curve(TorusAutomorphism(hexagonal, RHO, 0, 1, 0),
+                            GraphCurve(elsewhere, RHO, 0))
+    with pytest.raises(ValueError, match="same bases"):
+        intersect_graph_fiber(GraphCurve(hexagonal, 1, 0),
+                              VerticalFiber(elsewhere, Fraction(1, 2)))
 
 
 UNITS = (ONE, -ONE, RHO, -RHO, RHO2, -RHO2)
 
 
-def reference_apply(f, p):
-    """The Q(rho) formula [lw*w + cw, lz*z + cz], each coordinate reduced
-    from its value."""
-    return ProductPoint(TorusPoint(f.lambda_w * p.w.value + f.trans_w, f.ambient.lattice_w),
-                        TorusPoint(f.lambda_z * p.z.value + f.trans_z, f.ambient.lattice_z))
+def reference_apply(torus, inputs, p):
+    """The Q(rho) formula [lw*w + cw, lz*z + cz] for inputs (lw, cw, lz, cz),
+    each coordinate reduced from its value."""
+    lambda_w, trans_w, lambda_z, trans_z = inputs
+    return ProductPoint(TorusPoint(lambda_w * p.w.value + trans_w, torus.lattice_w),
+                        TorusPoint(lambda_z * p.z.value + trans_z, torus.lattice_z))
 
 
 def accepted_units(lattice):
@@ -146,33 +154,147 @@ def accepted_units(lattice):
 
 
 @st.composite
-def automorphisms_and_points(draw):
-    """An automorphism of a product of family lattices at a level n <= 60,
-    with unit multipliers and translations of denominator up to 12, and the
-    values of a point, with denominators up to 12n."""
+def eisenstein_values(draw, q_max):
+    """a + b*rho with a and b over one denominator q <= q_max, |a|, |b| <= 2."""
+    q = draw(st.integers(min_value=1, max_value=q_max))
+    parts = st.integers(min_value=-2 * q, max_value=2 * q)
+    return eis(Fraction(draw(parts), q), Fraction(draw(parts), q))
+
+
+@st.composite
+def family_tori(draw):
+    """A product of two family lattices at a level n <= 60, and n."""
     n = draw(st.integers(min_value=1, max_value=60))
     family = st.sampled_from([base_lattice(), level_lattice(n), albanese_lattice(n)])
-    lw, lz = draw(family), draw(family)
+    return ProductTorus(draw(family), draw(family)), n
 
-    def value(q_max):
-        q = draw(st.integers(min_value=1, max_value=q_max))
-        parts = st.integers(min_value=-2 * q, max_value=2 * q)
-        return eis(Fraction(draw(parts), q), Fraction(draw(parts), q))
 
-    torus = ProductTorus(lw, lz)
-    f = TorusAutomorphism(torus, draw(st.sampled_from(accepted_units(lw))), value(12),
-                          draw(st.sampled_from(accepted_units(lz))), value(12))
-    return f, value(12 * n), value(12 * n)
+@st.composite
+def automorphism_inputs(draw, torus):
+    """The Q(rho) inputs (lw, cw, lz, cz) of an automorphism of torus: unit
+    multipliers that the constructor accepts, and translations of
+    denominator up to 12."""
+    return (draw(st.sampled_from(accepted_units(torus.lattice_w))), draw(eisenstein_values(12)),
+            draw(st.sampled_from(accepted_units(torus.lattice_z))), draw(eisenstein_values(12)))
+
+
+@st.composite
+def automorphisms_and_points(draw):
+    """An automorphism of a product of family lattices at a level n <= 60,
+    its Q(rho) inputs, and the values of a point, with denominators up to
+    12n."""
+    torus, n = draw(family_tori())
+    inputs = draw(automorphism_inputs(torus))
+    return (TorusAutomorphism(torus, *inputs), inputs, draw(eisenstein_values(12 * n)),
+            draw(eisenstein_values(12 * n)))
 
 
 @settings(max_examples=400, deadline=None)
 @given(automorphisms_and_points())
 def test_integer_apply_matches_the_eisenstein_formula(case):
-    f, w, z = case
+    f, inputs, w, z = case
     p = product_point(f.ambient, w, z)
-    image, expected = f.apply(p), reference_apply(f, p)
+    image, expected = f.apply(p), reference_apply(f.ambient, inputs, p)
     assert image.key == expected.key
     assert image.to_json() == expected.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_compose_matches_the_eisenstein_formula(data):
+    torus, _ = data.draw(family_tori())
+    inputs = automorphism_inputs(torus)
+    (l1, c1, m1, d1), (l2, c2, m2, d2) = data.draw(inputs), data.draw(inputs)
+    composed = TorusAutomorphism(torus, l1, c1, m1, d1).compose(
+        TorusAutomorphism(torus, l2, c2, m2, d2))
+    expected = TorusAutomorphism(torus, l1 * l2, l1 * c2 + c1, m1 * m2, m1 * d2 + d1)
+    assert composed.matrices == expected.matrices
+    assert composed.translations == expected.translations
+
+
+HEXAGONAL_SLOPES = UNITS + (eis(0), ONE - RHO, eis(2), eis(2, 1), eis(-1, 3), eis(3))
+
+
+@st.composite
+def graphs(draw, torus, n):
+    """A well-defined graph on torus with a hexagonal integer slope, unit
+    or not, and an offset of denominator up to 12n."""
+    slope = draw(st.sampled_from(HEXAGONAL_SLOPES)) * draw(st.sampled_from((1, 1, 3 * n)))
+    try:
+        return GraphCurve(torus, slope, draw(eisenstein_values(12 * n)))
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_curve_image_matches_the_eisenstein_formula(data):
+    torus, n = data.draw(family_tori())
+    lambda_w, trans_w, lambda_z, trans_z = inputs = data.draw(automorphism_inputs(torus))
+    curve = data.draw(graphs(torus, n))
+    image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
+    slope = lambda_w * curve.slope / lambda_z
+    expected = GraphCurve(torus, slope, lambda_w * curve.offset.value + trans_w - slope * trans_z)
+    assert image == expected
+    assert image.matrix == expected.matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_graph_fiber_point_matches_the_eisenstein_formula(data):
+    torus, n = data.draw(family_tori())
+    curve = data.draw(graphs(torus, n))
+    fiber = VerticalFiber(torus, data.draw(eisenstein_values(12 * n)))
+    point = intersect_graph_fiber(curve, fiber)
+    expected = TorusPoint(curve.slope * fiber.z0.value + curve.offset.value, torus.lattice_w)
+    assert point.w.key == expected.key
+    assert str(point.w.value) == str(expected.value)
+    assert point.z is fiber.z0
+
+
+def test_the_integer_data_is_the_only_source():
+    # A deck map carrying the integer data of another map answers as that
+    # map does everywhere: no operation reads a second copy of it.
+    torus = product_torus(2)
+    deck = deck_automorphism(torus)
+    other = TorusAutomorphism(torus, RHO2, 0, 1, ORDER3_SHIFT * 2)
+    object.__setattr__(deck, "matrices", other.matrices)
+    object.__setattr__(deck, "translations", other.translations)
+    square = other.compose(other)
+    for f in (deck, other):
+        composed = f.compose(deck)
+        assert (composed.matrices, composed.translations) == (square.matrices,
+                                                              square.translations)
+    assert automorphism_order(deck) == automorphism_order(other) == 3
+    assert is_free(deck) and is_free(other)
+    for curve in slope_curves(torus):
+        assert apply_auto_to_curve(deck, curve) == apply_auto_to_curve(other, curve)
+    assert apply_auto_to_curve(deck, slope_curves(torus)[0]) == slope_curves(torus)[2]
+    assert classify_deck_action(deck, 3) == classify_deck_action(other, 3)
+
+
+def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
+    # The deck map's operations read its integer data and point keys only;
+    # a curve image reads its slope off its matrix, and nothing else.
+    torus = product_torus(40)
+    deck = deck_automorphism(torus)
+    curves = slope_curves(torus) + level_curves(torus)
+    points = closed_form_intersection(torus, 40)
+    fiber = VerticalFiber(torus, Fraction(1, 5))
+    calls = count_eisenstein_operations(monkeypatch)
+    assert deck.compose(deck).compose(deck).is_identity()
+    assert automorphism_order(deck, 12) == 3 and is_free(deck)
+    assert {deck.apply(p).key for p in points} == {p.key for p in points}
+    assert classify_deck_action(deck, 3).index == 5
+    assert len({intersect_graph_fiber(c, fiber).key for c in curves}) == 6
+    assert calls == []
+    images = [apply_auto_to_curve(deck, c) for c in curves]
+    assert images == curves[1:3] + curves[:1] + curves[4:] + curves[3:4]
+    curve_calls = calls[:]
+    calls.clear()
+    for image in images:
+        GraphCurve.from_matrix(torus, image.matrix, image.offset)
+    assert curve_calls == calls and calls
 
 
 def test_apply_requires_the_ambient_bases():
@@ -398,17 +520,7 @@ def test_intersect_graphs_does_no_eisenstein_arithmetic(monkeypatch):
     # slope-level pairs at n = 40.
     torus = product_torus(40)
     slopes, levels = slope_curves(torus), level_curves(torus)
-    calls = []
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
-                 "__post_init__"):
-        original = getattr(EisensteinNumber, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(EisensteinNumber, name, counting)
+    calls = count_eisenstein_operations(monkeypatch)
     counts = [intersect_graphs(slopes[i], other).count
               for i in range(3) for other in slopes[i + 1:] + levels]
     assert counts == [120, 120] + [40] * 3 + [120] + [40] * 3 + [40] * 3

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from ballq.curves import GraphCurve, VerticalFiber
-from ballq.eisenstein import RHO, EisensteinNumber
+from ballq.eisenstein import RHO
 from ballq.lattices import TorusPoint
 from ballq.surfaces import (
     SMOOTH_ELLIPTIC,
@@ -47,6 +47,8 @@ from ballq.families import (
     level_lattice,
     render_markdown,
 )
+
+from conftest import count_eisenstein_operations
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -326,6 +328,16 @@ def test_deck_classification_multiplier_branches():
     impure = classify_deck_action(shifted_mult, 3)
     assert isinstance(impure, BdFInvalid) and impure.constraint == "multiplier"
 
+    # The multiplier is read off the trace of the w matrix: rho^2 has the
+    # trace of rho, and -rho that of zeta.
+    rho_squared = TorusAutomorphism(torus, RHO * RHO, 0, 1, ORDER3_SHIFT)
+    five = classify_deck_action(rho_squared, 3)
+    assert isinstance(five, BdFType) and five.index == 5
+
+    sixth = TorusAutomorphism(torus, -RHO, 0, 1, ORDER3_SHIFT / 2)
+    seven = classify_deck_action(sixth, 6)
+    assert isinstance(seven, BdFType) and seven.index == 7
+
 
 def _upstairs_inputs(family, n):
     """What build_family feeds the quotient: the shared core, all upstairs
@@ -398,31 +410,18 @@ def test_build_reads_few_point_values(monkeypatch, family):
     assert 0 < built[0] <= n + 10, built[0]
 
 
-def count_eisenstein_constructions(monkeypatch):
-    """Patch EisensteinNumber.__post_init__ to count every construction."""
-    calls = [0]
-    original = EisensteinNumber.__post_init__
-
-    def counting(self):
-        calls[0] += 1
-        original(self)
-
-    monkeypatch.setattr(EisensteinNumber, "__post_init__", counting)
-    return calls
-
-
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_no_eisenstein_arithmetic_per_point(monkeypatch, family):
     """Q(rho) work is per level, not per point: doubling n from 40 to 80
     adds only the 40 printed Albanese base points and the tower's few extra
     divisors (52 constructions; 1,132 when the deck action, the closed
     form and the fibers went through Q(rho))."""
-    calls = count_eisenstein_constructions(monkeypatch)
+    calls = count_eisenstein_operations(monkeypatch, ("__post_init__",))
     counts = []
     for n in (40, 80):
-        calls[0] = 0
+        calls.clear()
         assert build_family(family, n)["passed"]
-        counts.append(calls[0])
+        counts.append(len(calls))
     assert counts[1] - counts[0] <= 80, counts
 
 

@@ -130,7 +130,7 @@ def homology_b2_raised(monkeypatch):
 
 def edit_deck(monkeypatch, edit):
     """Make the pipeline's deck map carry the integer data edit(matrices,
-    translations) returns; its Q(rho) multipliers and translations stay."""
+    translations) returns."""
     original = families.deck_automorphism
 
     def faulty(torus):
@@ -328,6 +328,18 @@ def test_faulty_integer_deck_action_breaks_the_point_orbits(monkeypatch, fault):
         with pytest.raises(BuildError, match="not stable under the automorphism") as info:
             build_family(family, 1)
         assert info.value.stage == "geometry"
+
+
+def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
+    # The curve images read the same integer data as the point images, so
+    # the curve-orbit checks recorded before the build raises fail too.
+    deck_w_matrix_transposed(monkeypatch)
+    chk = families._Checks()
+    with pytest.raises(ValueError, match="not stable under the automorphism"):
+        families._shared_geometry(1, chk)
+    failed = {check["name"] for check in chk.results if not check["passed"]}
+    assert {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
+            "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"} <= failed
 
 
 def test_exceptional_meeting_its_fiber_twice_fails_the_singular_fiber_count(monkeypatch):
