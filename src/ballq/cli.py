@@ -49,12 +49,20 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
     """Worker count: the requested one, capped by the number of levels and
-    the number of CPUs."""
+    the number of usable CPUs."""
     if args.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    return min(args.jobs, levels, os.cpu_count() or 1)
+    return min(args.jobs, levels, _usable_cpus())
 
 
 def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
@@ -158,7 +166,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
                              f"{MAX_POINTS} are listed")
         result = intersect_graphs(first, second)
     elif isinstance(first, GraphCurve):
-        result = Intersection(POINTS, (intersect_graph_fiber(first, second),))
+        result = Intersection(POINTS, (intersect_graph_fiber(first, second).key,), torus)
     else:
         result = Intersection(IDENTICAL if first.z0 == second.z0 else EMPTY)
     with _output(args.out) as out:

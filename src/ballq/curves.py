@@ -5,7 +5,10 @@ w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
 lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
 such matrix per factor and its translations' keys, so every map works on
-keys: images of points, curves and fibers, composition and powers.
+keys through one formula (_affine_image): images of points, curves and
+fibers, composition and powers.  A point set is a list of keys, six ints
+per point: ProductPoints are built only by apply, intersect_graph_fiber
+and the first read of Intersection.points, never by the solvers.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
@@ -16,10 +19,11 @@ are a brute-force check, and the build decides incidence from point keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber, _promote
-from .lattices import Lattice, TorusPoint, coset_grid
+from .lattices import Lattice, TorusPoint, coset_grid, point_key
 
 
 def _as_eisenstein(value: object) -> EisensteinNumber:
@@ -37,9 +41,14 @@ class ProductTorus:
     lattice_z: Lattice
 
 
+def _same_bases(a: ProductTorus, b: ProductTorus) -> bool:
+    return a is b or (a.lattice_w.same_basis(b.lattice_w)
+                      and a.lattice_z.same_basis(b.lattice_z))
+
+
 def _require_same_bases(a: ProductTorus, b: ProductTorus) -> None:
     """Integer formulas read keys and matrices as coordinates in one basis."""
-    if not (a.lattice_w.same_basis(b.lattice_w) and a.lattice_z.same_basis(b.lattice_z)):
+    if not _same_bases(a, b):
         raise ValueError("lattices are not stored in the same bases")
 
 
@@ -59,40 +68,59 @@ class ProductPoint:
         return {"w": str(self.w.value), "z": str(self.z.value)}
 
 
-@dataclass(frozen=True)
+def _product_point(key: tuple[int, ...], ambient: ProductTorus) -> ProductPoint:
+    """The point of ambient with the six-int key w.key + z.key."""
+    return ProductPoint(TorusPoint.from_reduced(*key[:3], ambient.lattice_w),
+                        TorusPoint.from_reduced(*key[3:], ambient.lattice_z))
+
+
+@dataclass(frozen=True, eq=False)
 class GraphCurve:
     """The curve {[slope*z + offset, z]} on a product torus.
 
     Well-definedness (slope * z-lattice contained in the w-lattice) is
     checked at construction, where the slope's integer matrix from z- to
     w-lattice coordinates is computed; it fails for slopes that do not
-    carry one period lattice into the other.
+    carry one period lattice into the other.  Two curves stored in the
+    same bases are equal when their matrices and offset keys are; across
+    bases, ambient tori, slopes and offsets are compared.
     """
 
     ambient: ProductTorus
-    slope: EisensteinNumber
     offset: TorusPoint
-    matrix: tuple[int, int, int, int] = field(repr=False, compare=False)
+    matrix: tuple[int, int, int, int]
 
     def __init__(self, ambient: ProductTorus, slope: object, offset: object) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "slope", _as_eisenstein(slope))
-        object.__setattr__(self, "offset", TorusPoint(_as_eisenstein(offset), ambient.lattice_w))
+        slope = _as_eisenstein(slope)
         try:
-            matrix = ambient.lattice_z.multiplier_matrix(self.slope, ambient.lattice_w)
+            matrix = ambient.lattice_z.multiplier_matrix(slope, ambient.lattice_w)
         except ValueError as exc:
-            raise ValueError(f"graph with slope {self.slope} is not well defined: {exc}") from exc
-        object.__setattr__(self, "matrix", matrix)
+            raise ValueError(f"graph with slope {slope} is not well defined: {exc}") from exc
+        vars(self).update(ambient=ambient, slope=slope, matrix=matrix,
+                          offset=TorusPoint(_as_eisenstein(offset), ambient.lattice_w))
 
     @classmethod
     def from_matrix(cls, ambient: ProductTorus, matrix: tuple, offset: TorusPoint) -> "GraphCurve":
         """The graph through [offset, 0] whose slope has the integer matrix
-        `matrix`; the slope is read off its first column (p, q)."""
-        (lw, lz), (p, q) = (ambient.lattice_w, ambient.lattice_z), matrix[:2]
+        `matrix`, with offset stored in ambient's w-lattice basis."""
         curve = object.__new__(cls)
-        vars(curve).update(ambient=ambient, slope=(lw.gen1 * p + lw.gen2 * q) / lz.gen1,
-                           offset=offset, matrix=matrix)
+        vars(curve).update(ambient=ambient, offset=offset, matrix=matrix)
         return curve
+
+    @cached_property
+    def slope(self) -> EisensteinNumber:
+        """The multiplier, read off the matrix's first column (p, q):
+        slope*gen1 of the z-lattice is p*gen1 + q*gen2 of the w-lattice."""
+        (lw, lz), (p, q) = (self.ambient.lattice_w, self.ambient.lattice_z), self.matrix[:2]
+        return (lw.gen1 * p + lw.gen2 * q) / lz.gen1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphCurve):
+            return NotImplemented
+        if _same_bases(self.ambient, other.ambient):
+            return self.matrix == other.matrix and self.offset.key == other.offset.key
+        return ((self.ambient, self.slope, self.offset)
+                == (other.ambient, other.slope, other.offset))
 
     def contains_point(self, p: ProductPoint) -> bool:
         diff = self.slope * p.z.value + self.offset.value - p.w.value
@@ -148,23 +176,28 @@ class TorusAutomorphism:
                              for c, lattice in zip((trans_w, trans_z), lattices))
         vars(self).update(ambient=ambient, matrices=matrices, translations=translations)
 
+    def map_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        """The key of the image of the point with six-int key `key`, read
+        as coordinates in the ambient lattices' bases."""
+        (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
+        return _affine_image(key[:3], m_w, c_w) + _affine_image(key[3:], m_z, c_z)
+
     def apply(self, p: ProductPoint) -> ProductPoint:
         """The image of p, whose keys must be in the ambient lattices' bases."""
         lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
         if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
             raise ValueError("point is not stored in the automorphism's lattice basis")
-        (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
-        return ProductPoint(_affine_image(p.w.key, m_w, c_w, lw),
-                            _affine_image(p.z.key, m_z, c_z, lz))
+        return _product_point(self.map_key(p.key), self.ambient)
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
         """self after other: x -> M(Nx + d) + c = MN*x + (Md + c) per factor."""
         _require_same_bases(self.ambient, other.ambient)
-        lattices = self.ambient.lattice_w, self.ambient.lattice_z
-        images = map(_affine_image, other.translations, self.matrices, self.translations, lattices)
         composed = object.__new__(TorusAutomorphism)
-        vars(composed).update(ambient=self.ambient, translations=tuple(x.key for x in images),
-                              matrices=tuple(map(_matmul, self.matrices, other.matrices)))
+        vars(composed).update(
+            ambient=self.ambient,
+            translations=tuple(map(_affine_image, other.translations, self.matrices,
+                                   self.translations)),
+            matrices=tuple(map(_matmul, self.matrices, other.matrices)))
         return composed
 
     def is_identity(self) -> bool:
@@ -180,16 +213,15 @@ def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]
 
 
 def _affine_image(key: tuple[int, int, int], matrix: tuple[int, int, int, int],
-                  translation: tuple[int, int, int], lattice: Lattice) -> TorusPoint:
-    """M*x + c in integers, a point of lattice's torus: x's coordinates
-    (rs, rt)/den go to (M(rs, rt)*cd + (cs, ct)*den) / (den*cd) modulo 1,
-    for the translation's numerators (cs, ct, cd)."""
+                  translation: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The key of M*x + c modulo 1, in integers: x's coordinates
+    (rs, rt)/den go to (M(rs, rt)*cd + (cs, ct)*den) / (den*cd), for the
+    translation's numerators (cs, ct, cd)."""
     p, q, r, t = matrix
     cs, ct, cd = translation
     rs, rt, den = key
-    d = den * cd
-    return TorusPoint.from_reduced(((p * rs + r * rt) * cd + cs * den) % d,
-                                   ((q * rs + t * rt) * cd + ct * den) % d, d, lattice)
+    return point_key((p * rs + r * rt) * cd + cs * den, (q * rs + t * rt) * cd + ct * den,
+                     den * cd)
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +235,24 @@ EMPTY = "empty"
 
 @dataclass(frozen=True)
 class Intersection:
-    """Result of intersecting two curves: a finite point list, or the
-    degenerate outcomes for parallel graphs."""
+    """Result of intersecting two curves: the keys of a finite point set in
+    coordinate order, or the degenerate outcomes for parallel graphs.  The
+    points themselves are built from the keys in ambient when first read."""
 
     kind: str
-    points: tuple[ProductPoint, ...] = ()
+    point_keys: tuple[tuple[int, ...], ...] = ()
+    ambient: ProductTorus | None = field(default=None, repr=False, compare=False)
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.point_keys)
 
     def keys(self) -> frozenset:
-        return frozenset(p.key for p in self.points)
+        return frozenset(self.point_keys)
+
+    @cached_property
+    def points(self) -> tuple[ProductPoint, ...]:
+        return tuple(_product_point(key, self.ambient) for key in self.point_keys)
 
     def to_json(self) -> dict[str, object]:
         out: dict[str, object] = {"kind": self.kind}
@@ -232,12 +270,11 @@ def graph_difference(c1: GraphCurve, c2: GraphCurve) -> tuple[tuple[int, ...], i
 
 
 def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
-    """All intersection points of two graph curves, canonically reduced
-    and sorted by coordinates; equal slopes give "identical" or "empty".
+    """The keys of all intersection points of two graph curves, sorted by
+    coordinates; equal slopes give "identical" or "empty".
     Both curves must be given in the same stored lattice bases, since the
     solver reads their matrices and offset keys as coordinates."""
     _require_same_bases(c1.ambient, c2.ambient)
-    lw, lz = c1.ambient.lattice_w, c1.ambient.lattice_z
     rs1, rt1, e1 = c1.offset.key
     rs2, rt2, e2 = c2.offset.key
     if c1.matrix == c2.matrix:
@@ -259,27 +296,27 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     (s1, t1), (s2, t2) = steps[::-1] if axis else steps
     # w = slope1*z + offset1, its numerators over dz too (e1 divides e).
     ws0, wt0 = rs1 * (dz // e1), rt1 * (dz // e1)
-    # Sorting the integer numerators gives coordinate order, since every
-    # coordinate has one fixed denominator.
-    numerators = []
+    # Each solution is kept with its integer numerators: sorting by them
+    # gives coordinate order, since every coordinate has one fixed
+    # denominator.  The key divides out one gcd per coordinate.
+    solutions = []
     for k1 in range(d1):
         zs1, zt1 = zs0 + k1 * s1, zt0 + k1 * t1
         for k2 in range(d2):
             zs, zt = (zs1 + k2 * s2) % dz, (zt1 + k2 * t2) % dz
-            numerators.append(((a * zs + b * zt + ws0) % dz,
-                               (c * zs + d * zt + wt0) % dz, zs, zt))
-    numerators.sort()
-    points = tuple(ProductPoint(TorusPoint.from_reduced(ws, wt, dz, lw),
-                                TorusPoint.from_reduced(zs, zt, dz, lz))
-                   for ws, wt, zs, zt in numerators)
-    return Intersection(POINTS, points)
+            ws, wt = (a * zs + b * zt + ws0) % dz, (c * zs + d * zt + wt0) % dz
+            g, h = gcd(ws, wt, dz), gcd(zs, zt, dz)
+            solutions.append(((ws, wt, zs, zt),
+                              (ws // g, wt // g, dz // g, zs // h, zt // h, dz // h)))
+    solutions.sort()
+    return Intersection(POINTS, tuple(key for _, key in solutions), c1.ambient)
 
 
 def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> ProductPoint:
     """The single point where a graph crosses a vertical fiber, w = A*z0 + o."""
     _require_same_bases(c.ambient, f.ambient)
-    return ProductPoint(_affine_image(f.z0.key, c.matrix, c.offset.key, c.ambient.lattice_w),
-                        f.z0)
+    w = _affine_image(f.z0.key, c.matrix, c.offset.key)
+    return ProductPoint(TorusPoint.from_reduced(*w, c.ambient.lattice_w), f.z0)
 
 
 # ----------------------------------------------------------------------
@@ -292,11 +329,11 @@ def apply_auto_to_curve(f: TorusAutomorphism, c: GraphCurve) -> GraphCurve:
     offset o' = w1 - A'*z1 for [w1, z1] = f([o, 0]), the image of a point on it."""
     _require_same_bases(f.ambient, c.ambient)
     (m_w, (p, q, r, t)), (c_w, c_z) = f.matrices, f.translations
-    lw = c.ambient.lattice_w
     matrix = _matmul(_matmul(m_w, c.matrix), (t, -q, -r, p))
-    w1 = _affine_image(c.offset.key, m_w, c_w, lw)
-    offset = _affine_image(c_z, tuple(-x for x in matrix), w1.key, lw)
-    return GraphCurve.from_matrix(c.ambient, matrix, offset)
+    w1 = _affine_image(c.offset.key, m_w, c_w)
+    offset = _affine_image(c_z, tuple(-x for x in matrix), w1)
+    return GraphCurve.from_matrix(c.ambient, matrix,
+                                  TorusPoint.from_reduced(*offset, c.ambient.lattice_w))
 
 
 def _nontrivial_powers(f: TorusAutomorphism, max_order: int):
@@ -344,32 +381,31 @@ def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
     return orbit
 
 
-def orbit_of_points(f: TorusAutomorphism,
-                    points: list[ProductPoint]) -> list[list[ProductPoint]]:
-    """Partition a stable point set into orbits.
+def orbit_of_points(f: TorusAutomorphism, keys: list[tuple]) -> list[list[tuple]]:
+    """Partition a stable set of point keys into orbits.
 
-    Each orbit is listed starting from its point of least key and orbits
-    are sorted by that representative.  f.apply maps keys to keys, so
-    no value is read; the points must be stored in f's lattice bases.
+    Each orbit is listed starting from its least key and orbits are sorted
+    by that representative.  f.map_key maps keys to keys, so no point is
+    built; the keys must be coordinates in f's lattice bases.
     """
-    index = {p.key: p for p in points}
-    if len(index) != len(points):
+    index = set(keys)
+    if len(index) != len(keys):
         raise ValueError("duplicate points in orbit input")
     remaining = set(index)
     orbits = []
-    for p in sorted(points, key=lambda q: q.key):
-        if p.key not in remaining:
+    for key in sorted(keys):
+        if key not in remaining:
             continue
-        remaining.discard(p.key)
-        orbit = [p]
-        q = f.apply(p)
-        while q.key != p.key:
-            if q.key not in index:
+        remaining.discard(key)
+        orbit = [key]
+        image = f.map_key(key)
+        while image != key:
+            if image not in index:
                 raise ValueError("point set is not stable under the automorphism")
-            if len(orbit) > len(points):
+            if len(orbit) > len(keys):
                 raise ValueError("orbit does not close up inside the point set")
-            remaining.discard(q.key)
-            orbit.append(q)
-            q = f.apply(q)
+            remaining.discard(image)
+            orbit.append(image)
+            image = f.map_key(image)
         orbits.append(orbit)
     return orbits

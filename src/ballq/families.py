@@ -11,6 +11,11 @@ curve: the n fiber transforms (n+1 cusps) or the single resolved orbit of
 constant graphs (2 cusps).  build_family runs that one pipeline, and a
 small record per family supplies only what differs.  Every numerical claim
 is recomputed exactly and recorded as a check in the level's JSON report.
+Point sets are sets of six-int point keys (see curves): the intersections,
+the closed-form locus, the deck orbits, the incidence table and the fiber
+rows read keys, and no ProductPoint is built.  A torus point is built from
+its key only for a vertical fiber, a curve image's offset and a printed
+Albanese base point.
 """
 
 from __future__ import annotations
@@ -23,13 +28,12 @@ from math import lcm
 
 from . import homology
 from .eisenstein import ONE, RHO, eis
-from .lattices import Lattice, TorusPoint
+from .lattices import Lattice, TorusPoint, point_key
 from .curves import (
     EMPTY,
     IDENTITY_MATRIX,
     ZERO_KEY,
     GraphCurve,
-    ProductPoint,
     ProductTorus,
     TorusAutomorphism,
     VerticalFiber,
@@ -118,22 +122,20 @@ def _numerators(lattice: Lattice, values: tuple) -> tuple[list[tuple[int, int]],
     return [(s * (d // den), t * (d // den)) for s, t, den in vectors], d
 
 
-def closed_form_intersection(torus: ProductTorus, n: int) -> list[ProductPoint]:
-    """The predicted 3n-point intersection locus of any two slope curves:
-    [2/3 + l*shift, 2/3 + l*shift + m] for 0 <= l <= 2, 0 <= m <= n-1.
-    Each key combines the numerators of 2/3, the shift and 1, read once
-    per factor, in integers."""
-    lw, lz = torus.lattice_w, torus.lattice_z
-    ((w0, w1), (ws0, ws1), _), dw = _numerators(lw, (TWO_THIRDS, ORDER3_SHIFT, ONE))
-    ((z0, z1), (zs0, zs1), (u0, u1)), dz = _numerators(lz, (TWO_THIRDS, ORDER3_SHIFT, ONE))
-    points = []
+def closed_form_intersection(torus: ProductTorus, n: int) -> list[tuple[int, ...]]:
+    """The keys of the predicted 3n-point intersection locus of any two
+    slope curves: [2/3 + l*shift, 2/3 + l*shift + m] for 0 <= l <= 2,
+    0 <= m <= n-1.  Each key combines the numerators of 2/3, the shift and
+    1, read once per factor, in integers."""
+    values = (TWO_THIRDS, ORDER3_SHIFT, ONE)
+    ((w0, w1), (ws0, ws1), _), dw = _numerators(torus.lattice_w, values)
+    ((z0, z1), (zs0, zs1), (u0, u1)), dz = _numerators(torus.lattice_z, values)
+    keys = []
     for l in range(3):
-        w = TorusPoint.from_reduced((w0 + l * ws0) % dw, (w1 + l * ws1) % dw, dw, lw)
+        w = point_key(w0 + l * ws0, w1 + l * ws1, dw)
         s, t = z0 + l * zs0, z1 + l * zs1
-        for m in range(n):
-            z = TorusPoint.from_reduced((s + m * u0) % dz, (t + m * u1) % dz, dz, lz)
-            points.append(ProductPoint(w, z))
-    return points
+        keys += [w + point_key(s + m * u0, t + m * u1, dz) for m in range(n)]
+    return keys
 
 
 # ----------------------------------------------------------------------
@@ -397,9 +399,9 @@ class _Core:
     torus: ProductTorus
     slopes: list[GraphCurve]
     deck: TorusAutomorphism
-    points: list[ProductPoint]
+    points: list[tuple[int, ...]]
     point_names: dict[tuple, str]
-    orbits: list[list[ProductPoint]]
+    orbits: list[list[tuple[int, ...]]]
     closed_keys: frozenset
     pair_counts: dict[tuple[str, str], int]
     through: dict[str, frozenset]
@@ -421,11 +423,10 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
         chk.expect(f"deck_maps_slope{i}_to_slope{(i + 1) % 3}",
                    True, image == slopes[(i + 1) % 3])
 
-    closed = closed_form_intersection(torus, n)
-    closed_keys = frozenset(p.key for p in closed)
+    closed_keys = frozenset(closed_form_intersection(torus, n))
     chk.expect("closed_form_size", 3 * n, len(closed_keys))
 
-    base_points: list[ProductPoint] = []
+    base_points: tuple = ()
     pair_counts: dict[tuple[str, str], int] = {}
     through: dict[str, frozenset] = {}
     for i in range(3):
@@ -439,13 +440,13 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
             if i == 0:
                 through[_SLOPE_NAMES[j]] = keys
             if (i, j) == (0, 1):
-                base_points = list(result.points)
+                base_points = result.point_keys
 
     chk.expect("branch_slopes_pairwise_distinct", True,
                len({(c.slope.re_part, c.slope.rho_part) for c in slopes}) == 3)
 
-    points = sorted(base_points, key=lambda p: p.key)
-    point_names = {p.key: f"pt{i}" for i, p in enumerate(points)}
+    points = sorted(base_points)
+    point_names = {key: f"pt{i}" for i, key in enumerate(points)}
     through[_SLOPE_NAMES[0]] = frozenset(point_names)
     orbits = orbit_of_points(deck, points)
     chk.expect("point_orbit_count", n, len(orbits))
@@ -464,14 +465,14 @@ def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber],
     exactly when its key is in the curve's intersection with slope0, which
     intersect_graphs has solved exactly: through[name] is that key set (all
     points for slope0).  A vertical fiber passes through the points whose z
-    has the key of its z0 (all curves live on core.torus, so keys are
-    coordinates in one z-lattice basis), read off an index of the points by
-    z key.
+    key (the last three ints of the point key) is the key of its z0 (all
+    curves live on core.torus, so keys are coordinates in one z-lattice
+    basis), read off an index of the points by z key.
     """
-    rows: dict[tuple, dict[str, int]] = {p.key: {} for p in core.points}
+    rows: dict[tuple, dict[str, int]] = {key: {} for key in core.points}
     over_z: dict[tuple, list[tuple]] = {}
-    for p in core.points:
-        over_z.setdefault(p.z.key, []).append(p.key)
+    for key in core.points:
+        over_z.setdefault(key[3:], []).append(key)
     for name, curve in curves.items():
         keys = over_z.get(curve.z0.key, ()) if isinstance(curve, VerticalFiber) else through[name]
         for key in rows.keys() & keys:
@@ -497,7 +498,7 @@ def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | Ve
 
     upstairs = SurfaceModel.build(0, 0, curves, pairwise, points)
     point_orbits = {
-        f"q{j}": tuple(core.point_names[p.key] for p in orbit)
+        f"q{j}": tuple(core.point_names[key] for key in orbit)
         for j, orbit in enumerate(core.orbits)
     }
     quotient = etale_quotient(upstairs, 3, curve_orbits, point_orbits)
@@ -565,7 +566,7 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
     torus = core.torus
     generic_base = eis(Fraction(1, 2))
     verticals = [VerticalFiber(torus, generic_base + ORDER3_SHIFT * k) for k in range(3)]
-    singular_z = {p.z.key for p in core.points}
+    singular_z = {key[3:] for key in core.points}
     generic_z = {v.z0.key for v in verticals}
     chk.expect("generic_fiber_misses_triple_points", True, not generic_z & singular_z)
     rows: dict[str, int] = {}
@@ -650,14 +651,16 @@ class _Family:
 
 def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     """The three vertical fibers vert{j}_k over the members of the j-th point
-    orbit, each meeting every slope curve once, and their deck orbits
-    fiber{j}; the images are the Albanese fibers through the triple points."""
+    orbit, each meeting every slope curve once and built from the point's z
+    key, and their deck orbits fiber{j}; the images are the Albanese fibers
+    through the triple points."""
+    lz = core.torus.lattice_z
     curves: dict[str, VerticalFiber] = {}
     orbits: dict[str, tuple[str, ...]] = {}
     for j, orbit in enumerate(core.orbits, start=1):
         names = tuple(f"vert{j}_{k}" for k in range(3))
-        for name, point in zip(names, orbit):
-            curves[name] = VerticalFiber(core.torus, point.z)
+        for name, key in zip(names, orbit):
+            curves[name] = VerticalFiber(core.torus, TorusPoint.from_reduced(*key[3:], lz))
         orbits[f"fiber{j}"] = names
     chk.expect("vertical_fibers_distinct", 3 * core.n,
                len({curve.z0.key for curve in curves.values()}))
@@ -910,11 +913,9 @@ def covering_report(m: int, n: int) -> dict[str, object]:
     covering degree computed as a lattice index (None when it does not)."""
     if m < 1 or n < 1:
         raise ValueError("levels must be positive integers")
-    sub = level_lattice(n)
-    sup = level_lattice(m)
-    contained = sub.is_sublattice_of(sup)
-    return {"base_level": m, "cover_level": n, "contained": contained,
-            "degree": sub.index_in(sup) if contained else None}
+    degree = level_lattice(n).index_in(level_lattice(m))
+    return {"base_level": m, "cover_level": n, "contained": degree is not None,
+            "degree": degree}
 
 
 def albanese_data(n: int) -> dict[str, object]:
@@ -926,8 +927,7 @@ def albanese_data(n: int) -> dict[str, object]:
         raise ValueError("n must be a positive integer")
     target = albanese_lattice(n)
     level = level_lattice(n)
-    contained = level.is_sublattice_of(target)
-    index = level.index_in(target) if contained else 0
+    index = level.index_in(target)
     shift_order = TorusPoint(ORDER3_SHIFT, level).order()
     ((s, t), (u, v)), d = _numerators(target, (TWO_THIRDS, ONE))
     base_points = []
@@ -938,6 +938,7 @@ def albanese_data(n: int) -> dict[str, object]:
         base_points.append(str(point.value))
     if len(seen) != n:
         raise ValueError("special fiber base points are not distinct")
-    return {"n": n, "target_lattice": target.to_json(), "contains_level_lattice": contained,
-            "index": index, "shift_order": shift_order, "base_points": base_points}
+    return {"n": n, "target_lattice": target.to_json(),
+            "contains_level_lattice": index is not None, "index": index or 0,
+            "shift_order": shift_order, "base_points": base_points}
 

@@ -4,10 +4,11 @@ A lattice is stored by an ordered pair of R-linearly independent generators
 in Q(rho).  Membership, containment and torus-point reduction read one
 integer coordinate map, Lattice.numerators.  Multiplication by a factor
 from one lattice into another is one integer 2x2 matrix,
-Lattice.multiplier_matrix; covering indices are its determinant, and a
-quotient is enumerated as a box read off a triangular (Hermite) form of
-it, which takes one gcd.  A torus point stores only its key, its reduced
-integer coordinates.
+Lattice.multiplier_matrix; a covering index is the determinant of the
+sublattice generators' coordinates, and a quotient is enumerated as a box
+read off a triangular (Hermite) form of that matrix, which takes one gcd.
+A torus point stores only its key, its reduced integer coordinates
+(point_key).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .eisenstein import ONE, EisensteinNumber
+from .eisenstein import EisensteinNumber
 
 
 def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
@@ -86,9 +87,14 @@ class Lattice:
                              f"into {target.gen1}, {target.gen2}")
         return c1 + c2
 
-    def index_in(self, other: "Lattice") -> int:
-        """Covering degree [other : self] for a finite-index sublattice."""
-        p, q, r, t = self.multiplier_matrix(ONE, other)
+    def index_in(self, other: "Lattice") -> int | None:
+        """Covering degree [other : self], or None unless self is a
+        sublattice of other: the determinant of its generators' integer
+        coordinates in other's basis."""
+        c1, c2 = other.contains(self.gen1), other.contains(self.gen2)
+        if c1 is None or c2 is None:
+            return None
+        (p, q), (r, t) = c1, c2
         return abs(p * t - q * r)
 
     def __eq__(self, other: object) -> bool:
@@ -124,6 +130,14 @@ def coset_grid(p: int, q: int, r: int, t: int) -> tuple[int, int, int]:
     return g1, det // g1, 0
 
 
+def point_key(s: int, t: int, den: int) -> tuple[int, int, int]:
+    """The key of the torus point with coordinates (s/den, t/den), den > 0:
+    both numerators taken modulo den, in lowest terms."""
+    s, t = s % den, t % den
+    g = gcd(s, t, den)
+    return s // g, t // g, den // g
+
+
 @dataclass(frozen=True, eq=False)
 class TorusPoint:
     """A point of the torus C/lattice in canonical reduced form.
@@ -141,10 +155,7 @@ class TorusPoint:
     key: tuple[int, int, int] = field(init=False, compare=False)
 
     def __post_init__(self, x: EisensteinNumber) -> None:
-        s, t, den = self.lattice.numerators(x)
-        rs, rt = s % den, t % den
-        g = gcd(rs, rt, den)
-        object.__setattr__(self, "key", (rs // g, rt // g, den // g))
+        object.__setattr__(self, "key", point_key(*self.lattice.numerators(x)))
 
     @classmethod
     def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
@@ -152,10 +163,9 @@ class TorusPoint:
         for integers 0 <= rs, rt < den; only the gcd is left to divide out."""
         if not (0 <= rs < den and 0 <= rt < den):
             raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
-        g = gcd(rs, rt, den)
         point = object.__new__(cls)
         object.__setattr__(point, "lattice", lattice)
-        object.__setattr__(point, "key", (rs // g, rt // g, den // g))
+        object.__setattr__(point, "key", point_key(rs, rt, den))
         return point
 
     @cached_property

@@ -52,6 +52,12 @@ def product_point(torus: ProductTorus, w: EisensteinNumber, z: EisensteinNumber)
     return ProductPoint(TorusPoint(w, torus.lattice_w), TorusPoint(z, torus.lattice_z))
 
 
+def point_from_key(torus: ProductTorus, key: tuple[int, ...]) -> ProductPoint:
+    """The point of a product torus with the six-int key w.key + z.key."""
+    return ProductPoint(TorusPoint.from_reduced(*key[:3], torus.lattice_w),
+                        TorusPoint.from_reduced(*key[3:], torus.lattice_z))
+
+
 EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                          "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
                          "__post_init__")

@@ -357,7 +357,7 @@ def verify_with_fault_at_three(capsys, monkeypatch, jobs):
         return original(core, members, chk)
 
     # --jobs workers are forked, so they inherit the patched module.
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(families, "_generic_fiber_rows", broken_at_three)
     return run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4", "--jobs", jobs)
 
@@ -404,17 +404,43 @@ def test_intersect_zero_denominator_is_usage_error(capsys):
     (8, 20, 2, 2),
     (8, 1, 4, 1),
     (2, 5, 4, 2),
-    (3, 5, None, 1),
+    (3, 5, 1, 1),
     (None, 10, 8, 1),
 ])
 def test_resolve_jobs_is_bounded(monkeypatch, requested, levels, cpus, expected):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     flag = [] if requested is None else ["--jobs", str(requested)]
     args = cli.build_parser().parse_args(["verify", "--family", "gamma", "--n", "1", *flag])
     assert cli._resolve_jobs(args, levels) == expected
 
 
 def test_resolve_jobs_rejects_nonpositive(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     with pytest.raises(cli.UsageError):
         cli._resolve_jobs(argparse.Namespace(jobs=0), 5)
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._usable_cpus() == 8
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def test_one_cpu_affinity_runs_serially(capsys, monkeypatch):
+    # A large host whose affinity leaves the process one CPU: --jobs 8
+    # starts no pool and prints the serial bytes.
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli._usable_cpus() == 1
+    parallel = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3", "--jobs", "8")
+    serial = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3")
+    assert parallel == serial
+    assert parallel[0] == 0 and len(parallel[1].splitlines()) == 3

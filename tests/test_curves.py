@@ -40,8 +40,8 @@ from ballq.families import (
 )
 from ballq.lattices import TorusPoint
 
-from conftest import (brute_force_intersection, count_eisenstein_operations, product_point,
-                      scaled)
+from conftest import (brute_force_intersection, count_eisenstein_operations, point_from_key,
+                      product_point, scaled)
 
 
 def closed_form_points(torus, n):
@@ -241,6 +241,42 @@ def test_integer_curve_image_matches_the_eisenstein_formula(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_curve_image_slope_is_read_off_its_matrix(data):
+    # A curve image stores no slope; the first read computes lw*slope/lz
+    # from the matrix, for unit and non-unit slopes alike.
+    torus, n = data.draw(family_tori())
+    lambda_w, _, lambda_z, _ = inputs = data.draw(automorphism_inputs(torus))
+    curve = data.draw(graphs(torus, n))
+    image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
+    assert "slope" not in vars(image)
+    assert image.slope == lambda_w * curve.slope / lambda_z
+    assert vars(image)["slope"] is image.slope
+
+
+def test_graph_equality_across_bases():
+    # Curves on one torus stored in two bases compare by torus, slope and
+    # offset, as value-level equality does; a curve image reads its slope
+    # off its matrix to take part.
+    hexagonal = ProductTorus(base_lattice(), base_lattice())
+    other_z = ProductTorus(base_lattice(), level_lattice(1))
+    other_w = ProductTorus(level_lattice(1), base_lattice())
+    third = eis(Fraction(1, 3))
+    curve = GraphCurve(hexagonal, RHO, third)
+    for torus in (other_z, other_w):
+        assert GraphCurve(torus, RHO, third) == curve
+        assert GraphCurve(torus, RHO, third + torus.lattice_w.gen2) == curve
+        assert GraphCurve(torus, RHO2, third) != curve
+        assert GraphCurve(torus, RHO, 2 * third) != curve
+        image = apply_auto_to_curve(TorusAutomorphism(torus, RHO, 0, 1, 0),
+                                    GraphCurve(torus, 1, RHO2 * third))
+        assert "slope" not in vars(image)
+        assert image == curve and curve == image
+    assert GraphCurve(product_torus(2), RHO, third) != GraphCurve(product_torus(1), RHO, third)
+    assert GraphCurve(hexagonal, RHO, third) != "not a curve"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_integer_graph_fiber_point_matches_the_eisenstein_formula(data):
     torus, n = data.draw(family_tori())
     curve = data.draw(graphs(torus, n))
@@ -279,22 +315,20 @@ def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
     torus = product_torus(40)
     deck = deck_automorphism(torus)
     curves = slope_curves(torus) + level_curves(torus)
-    points = closed_form_intersection(torus, 40)
+    keys = closed_form_intersection(torus, 40)
+    points = [point_from_key(torus, key) for key in keys]
     fiber = VerticalFiber(torus, Fraction(1, 5))
     calls = count_eisenstein_operations(monkeypatch)
     assert deck.compose(deck).compose(deck).is_identity()
     assert automorphism_order(deck, 12) == 3 and is_free(deck)
-    assert {deck.apply(p).key for p in points} == {p.key for p in points}
+    assert {deck.apply(p).key for p in points} == set(keys)
+    assert {deck.map_key(key) for key in keys} == set(keys)
+    assert len(orbit_of_points(deck, keys)) == 40
     assert classify_deck_action(deck, 3).index == 5
     assert len({intersect_graph_fiber(c, fiber).key for c in curves}) == 6
-    assert calls == []
     images = [apply_auto_to_curve(deck, c) for c in curves]
     assert images == curves[1:3] + curves[:1] + curves[4:] + curves[3:4]
-    curve_calls = calls[:]
-    calls.clear()
-    for image in images:
-        GraphCurve.from_matrix(torus, image.matrix, image.offset)
-    assert curve_calls == calls and calls
+    assert calls == []
 
 
 def test_apply_requires_the_ambient_bases():
@@ -411,33 +445,33 @@ def test_point_orbits_partition():
         torus = product_torus(n)
         curves = slope_curves(torus)
         deck = deck_automorphism(torus)
-        points = list(intersect_graphs(curves[0], curves[1]).points)
-        orbits = orbit_of_points(deck, points)
+        keys = list(intersect_graphs(curves[0], curves[1]).point_keys)
+        orbits = orbit_of_points(deck, keys)
         assert len(orbits) == n
         assert all(len(orbit) == 3 for orbit in orbits)
-        seen = {p.key for orbit in orbits for p in orbit}
-        assert seen == {p.key for p in points}
+        seen = {key for orbit in orbits for key in orbit}
+        assert seen == set(keys)
         # representatives are the lexicographic minima, orbits sorted by them
-        reps = [orbit[0].key for orbit in orbits]
+        reps = [orbit[0] for orbit in orbits]
         assert reps == sorted(reps)
         for orbit in orbits:
-            assert orbit[0].key == min(p.key for p in orbit)
+            assert orbit[0] == min(orbit)
 
 
 def test_point_orbits_require_stability():
     torus = product_torus(2)
     curves = slope_curves(torus)
     deck = deck_automorphism(torus)
-    points = list(intersect_graphs(curves[0], curves[1]).points)
+    keys = list(intersect_graphs(curves[0], curves[1]).point_keys)
     with pytest.raises(ValueError):
-        orbit_of_points(deck, points[:4])
+        orbit_of_points(deck, keys[:4])
 
 
 def test_single_fixed_point_orbit():
     torus = product_torus(1)
     identity = TorusAutomorphism(torus, 1, 0, 1, 0)
     p = product_point(torus, eis(0), eis(0))
-    assert orbit_of_points(identity, [p]) == [[p]]
+    assert orbit_of_points(identity, [p.key]) == [[p.key]]
 
 
 def test_image_points_land_on_image_curve():
@@ -476,6 +510,21 @@ def assert_matches_oracle(c1, c2):
         assert [p.key for p in got.points] == [p.key for p in expected]
         assert ([(str(p.w.value), str(p.z.value)) for p in got.points]
                 == [(str(p.w.value), str(p.z.value)) for p in expected])
+
+
+def test_points_are_built_from_the_stored_keys_in_order():
+    # The kernel stores keys only; the points built on first read carry
+    # the same keys in the same (coordinate) order.
+    for n in (1, 5, 37):
+        torus = product_torus(n)
+        slopes, levels = slope_curves(torus), level_curves(torus)
+        for c1, c2 in ((slopes[0], slopes[1]), (slopes[2], levels[1]),
+                       (GraphCurve(torus, ONE - RHO, Fraction(1, 7)), levels[0])):
+            result = intersect_graphs(c1, c2)
+            assert "points" not in vars(result)
+            assert [p.key for p in result.points] == list(result.point_keys)
+            assert len(result.point_keys) == result.count > 0
+            assert result.points is result.points
 
 
 def test_solver_matches_oracle_small():
@@ -542,14 +591,15 @@ def test_count_equals_lattice_index():
 
 
 def test_closed_form_helper_matches_inline():
-    # The helper builds its points from integer keys, so their printed
-    # values are compared with the Q(rho) transcription as well.
+    # The helper computes integer keys only, so the printed values of the
+    # points built from them are compared with the Q(rho) transcription.
     for n in (1, 4, 37, 60):
         torus = product_torus(n)
         helper = closed_form_intersection(torus, n)
         inline = closed_form_points(torus, n)
-        assert {p.key for p in helper} == closed_form_keys(torus, n)
-        assert [p.to_json() for p in helper] == [p.to_json() for p in inline]
+        assert set(helper) == closed_form_keys(torus, n)
+        assert ([point_from_key(torus, key).to_json() for key in helper]
+                == [p.to_json() for p in inline])
 
 
 def test_orbit_of_curves_cap():

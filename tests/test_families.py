@@ -7,7 +7,7 @@ from functools import cached_property
 import jsonschema
 import pytest
 
-from ballq.curves import GraphCurve, VerticalFiber
+from ballq.curves import GraphCurve, ProductPoint, VerticalFiber
 from ballq.eisenstein import RHO
 from ballq.lattices import TorusPoint
 from ballq.surfaces import (
@@ -48,7 +48,7 @@ from ballq.families import (
     render_markdown,
 )
 
-from conftest import count_eisenstein_operations
+from conftest import count_eisenstein_operations, point_from_key
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -356,9 +356,9 @@ def test_keyed_incidence_equals_brute_force(family):
     for n in range(1, 9):
         core, curves, _, _, through = _upstairs_inputs(family, n)
         brute = {
-            core.point_names[p.key]: {name: 1 for name, curve in curves.items()
-                                      if curve.contains_point(p)}
-            for p in core.points
+            core.point_names[key]: {name: 1 for name, curve in curves.items()
+                                    if curve.contains_point(point_from_key(core.torus, key))}
+            for key in core.points
         }
         assert _incidence(core, curves, through) == brute
 
@@ -426,6 +426,36 @@ def test_no_eisenstein_arithmetic_per_point(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_no_point_objects_per_point(monkeypatch, family):
+    """Point sets are keys: doubling n from 40 to 80 builds no ProductPoint
+    and at most 4*40 more torus points, counting TorusPoint constructions
+    and from_reduced calls.  Gamma builds its 3n vertical fibers' z points
+    and the n printed Albanese base points, lambda only the latter.  When
+    the intersections, the closed form and the deck orbits built points,
+    gamma added 600 ProductPoints and 1,120 from_reduced calls."""
+    built = {"product": 0, "torus": 0}
+
+    def counting(kind, original):
+        def wrapper(*args):
+            built[kind] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(ProductPoint, "__post_init__",
+                        counting("product", ProductPoint.__post_init__))
+    monkeypatch.setattr(TorusPoint, "__post_init__", counting("torus", TorusPoint.__post_init__))
+    monkeypatch.setattr(TorusPoint, "from_reduced", classmethod(
+        counting("torus", TorusPoint.from_reduced.__func__)))
+    counts = []
+    for n in (40, 80):
+        built.update(product=0, torus=0)
+        assert build_family(family, n)["passed"]
+        counts.append(dict(built))
+    assert counts[1]["product"] == counts[0]["product"] == 0, counts
+    assert counts[1]["torus"] - counts[0]["torus"] <= 4 * 40, counts
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_both_orders_of_the_calculus_agree(family):
     """Quotient then n blow-ups (build_family's order) equals 3n blow-ups
     upstairs then the quotient, with exc{j} the image of the three
@@ -441,8 +471,8 @@ def test_both_orders_of_the_calculus_agree(family):
         exc_orbits = {f"exc{j}": tuple(f"exc{j}_{k}" for k in range(3))
                       for j in range(1, n + 1)}
         blown_upstairs = blow_up(upstairs, {
-            core.point_names[p.key]: f"exc{j}_{k}"
-            for j, orbit in enumerate(core.orbits, start=1) for k, p in enumerate(orbit)})
+            core.point_names[key]: f"exc{j}_{k}"
+            for j, orbit in enumerate(core.orbits, start=1) for k, key in enumerate(orbit)})
         assert etale_quotient(blown_upstairs, 3, {**orbits, **exc_orbits}, {}) == blown
 
         pair = LogPair(blown_upstairs, tuple(curves))

@@ -13,7 +13,7 @@ from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
 from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
                             build_family)
-from ballq.lattices import Lattice, TorusPoint
+from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, SurfaceModel
 
 from recheck import broken_relations
@@ -65,17 +65,10 @@ def multiplier_matrix_transposed(monkeypatch):
     monkeypatch.setattr(Lattice, "multiplier_matrix", faulty)
 
 
-def from_reduced_skips_gcd(monkeypatch):
-    """The intersection kernel's points keep their numerators over the
-    kernel's denominator, so their keys are no longer in lowest terms."""
-    original = TorusPoint.from_reduced.__func__
-
-    def faulty(cls, rs, rt, den, lattice):
-        point = original(cls, rs, rt, den, lattice)
-        object.__setattr__(point, "key", (rs, rt, den))
-        return point
-
-    monkeypatch.setattr(TorusPoint, "from_reduced", classmethod(faulty))
+def kernel_keys_skip_gcd(monkeypatch):
+    """The intersection kernel's keys keep their numerators over the
+    kernel's denominator, so they are no longer in lowest terms."""
+    monkeypatch.setattr(curves, "gcd", lambda *numbers: 1)
 
 
 def numerators_over_twice_the_denominator(monkeypatch):
@@ -256,7 +249,7 @@ def level_curves_wrong_offset(monkeypatch):
 
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
-                 multiplier_matrix_transposed, from_reduced_skips_gcd,
+                 multiplier_matrix_transposed, kernel_keys_skip_gcd,
                  numerators_over_twice_the_denominator, deck_shift_doubled,
                  deck_w_matrix_transposed, deck_z_translation_off_by_one, deck_b1_lowered,
                  blow_up_bumps_exceptional, stray_exceptional_crossing,
