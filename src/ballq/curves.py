@@ -7,8 +7,8 @@ lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
 such matrix per factor and its translations' keys, so every map works on
 keys through one formula (_affine_image): images of points, curves and
 fibers, composition and powers.  A point set is a list of keys, six ints
-per point: ProductPoints are built only by apply, intersect_graph_fiber
-and the first read of Intersection.points, never by the solvers.
+per point: ProductPoints are built only by intersect_graph_fiber and the
+first read of Intersection.points, never by the solvers.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
-from .eisenstein import EisensteinNumber, _promote
+from .eisenstein import EisensteinNumber
 from .lattices import Lattice, TorusPoint, coset_grid, point_key
-
-
-def _as_eisenstein(value: object) -> EisensteinNumber:
-    promoted = _promote(value)
-    if promoted is None:
-        raise TypeError(f"expected an Eisenstein number, got {value!r}")
-    return promoted
 
 
 @dataclass(frozen=True)
@@ -91,13 +84,13 @@ class GraphCurve:
     matrix: tuple[int, int, int, int]
 
     def __init__(self, ambient: ProductTorus, slope: object, offset: object) -> None:
-        slope = _as_eisenstein(slope)
+        slope = EisensteinNumber(slope)
         try:
             matrix = ambient.lattice_z.multiplier_matrix(slope, ambient.lattice_w)
         except ValueError as exc:
             raise ValueError(f"graph with slope {slope} is not well defined: {exc}") from exc
         vars(self).update(ambient=ambient, slope=slope, matrix=matrix,
-                          offset=TorusPoint(_as_eisenstein(offset), ambient.lattice_w))
+                          offset=TorusPoint(EisensteinNumber(offset), ambient.lattice_w))
 
     @classmethod
     def from_matrix(cls, ambient: ProductTorus, matrix: tuple, offset: TorusPoint) -> "GraphCurve":
@@ -138,7 +131,7 @@ class VerticalFiber:
         object.__setattr__(self, "ambient", ambient)
         # A z-torus point is kept if stored in the torus's basis, else reduced.
         if not (isinstance(z0, TorusPoint) and z0.lattice.same_basis(ambient.lattice_z)):
-            z0 = TorusPoint(_as_eisenstein(getattr(z0, "value", z0)), ambient.lattice_z)
+            z0 = TorusPoint(EisensteinNumber(getattr(z0, "value", z0)), ambient.lattice_z)
         object.__setattr__(self, "z0", z0)
 
     def contains_point(self, p: ProductPoint) -> bool:
@@ -165,14 +158,14 @@ class TorusAutomorphism:
     translations: tuple[tuple[int, int, int], ...]
 
     def __init__(self, ambient, lambda_w, trans_w, lambda_z, trans_z) -> None:
-        lambda_w, lambda_z = _as_eisenstein(lambda_w), _as_eisenstein(lambda_z)
+        lambda_w, lambda_z = EisensteinNumber(lambda_w), EisensteinNumber(lambda_z)
         lattices = ambient.lattice_w, ambient.lattice_z
         matrices = tuple(lattice.multiplier_matrix(factor, lattice)
                          for factor, lattice in zip((lambda_w, lambda_z), lattices))
         if any(p * t - q * r != 1 for p, q, r, t in matrices):
             raise ValueError(f"multipliers {lambda_w}, {lambda_z} must map "
                              "their lattices onto themselves")
-        translations = tuple(TorusPoint(_as_eisenstein(c), lattice).key
+        translations = tuple(TorusPoint(EisensteinNumber(c), lattice).key
                              for c, lattice in zip((trans_w, trans_z), lattices))
         vars(self).update(ambient=ambient, matrices=matrices, translations=translations)
 
@@ -181,13 +174,6 @@ class TorusAutomorphism:
         as coordinates in the ambient lattices' bases."""
         (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
         return _affine_image(key[:3], m_w, c_w) + _affine_image(key[3:], m_z, c_z)
-
-    def apply(self, p: ProductPoint) -> ProductPoint:
-        """The image of p, whose keys must be in the ambient lattices' bases."""
-        lw, lz = self.ambient.lattice_w, self.ambient.lattice_z
-        if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
-            raise ValueError("point is not stored in the automorphism's lattice basis")
-        return _product_point(self.map_key(p.key), self.ambient)
 
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
         """self after other: x -> M(Nx + d) + c = MN*x + (Md + c) per factor."""

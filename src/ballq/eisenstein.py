@@ -1,177 +1,177 @@
 """Exact arithmetic in the cyclotomic field Q(rho), rho = exp(2*pi*i/3).
 
-Every element is stored uniquely as a + b*rho with rational a and b, and
-products reduce through the minimal polynomial rho**2 + rho + 1 = 0.  All
-coefficients are arbitrary-precision rationals; nothing in this package
-ever rounds.
+An element is stored uniquely as its reduced integer triple (a, b, d),
+meaning (a + b*rho)/d with d > 0 and gcd(a, b, d) = 1 (Cohen, GTM 138,
+section 2.4).  Each field operation builds its result's triple with one gcd.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _RHO_SUFFIXES = ("ρ", "r")
+Triple = tuple[int, int, int]
 
 
-def _coerce_rational(value: Fraction | int) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {value!r}")
+def _operand(value: object) -> Triple | None:
+    """The triple of an Eisenstein number, int or Fraction; else None."""
+    if isinstance(value, EisensteinNumber):
+        return value.triple
+    return (value.numerator, 0, value.denominator) if isinstance(value, (int, Fraction)) else None
 
 
-@dataclass(frozen=True)
+def _sum(x: Triple, y: Triple, sign: int = 1) -> EisensteinNumber:
+    (a, b, d), (c, e, f) = x, y
+    return EisensteinNumber.from_triple(a * f + sign * c * d, b * f + sign * e * d, d * f)
+
+
+def _product(x: Triple, y: Triple) -> EisensteinNumber:
+    (a, b, d), (c, e, f) = x, y
+    # (a + b rho)(c + e rho) = ac + (ae + bc) rho + be rho^2, rho^2 = -rho - 1
+    return EisensteinNumber.from_triple(a * c - b * e, a * e + b * c - b * e, d * f)
+
+
+def _reciprocal(x: Triple) -> Triple:
+    """1/x unreduced: d/(a + b*rho) = d*(a - b - b*rho)/(a**2 - a*b + b**2)."""
+    a, b, d = x
+    n = a * a - a * b + b * b
+    if n == 0:
+        raise ZeroDivisionError("zero has no inverse in Q(rho)")
+    return d * (a - b), -d * b, n
+
+
 class EisensteinNumber:
-    """An element a + b*rho of Q(rho) with exact rational coefficients."""
+    """x + y*rho for ints, Fractions or Eisenstein numbers x and y.  Every
+    number, arithmetic results included, is built by from_triple."""
 
-    re_part: Fraction
-    rho_part: Fraction = Fraction(0)
+    __slots__ = ("triple",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re_part", _coerce_rational(self.re_part))
-        object.__setattr__(self, "rho_part", _coerce_rational(self.rho_part))
+    def __new__(cls, re_part: object = 0, rho_part: object = 0) -> EisensteinNumber:
+        if type(re_part) is EisensteinNumber and type(rho_part) is int and not rho_part:
+            return re_part  # promoting a number keeps it: it is immutable
+        x, y = _operand(re_part), _operand(rho_part)
+        if x is None or y is None:
+            raise TypeError(f"not an int, Fraction or EisensteinNumber: {re_part!r}, {rho_part!r}")
+        c, e, f = y  # y*rho = (c*rho + e*rho**2)/f = (-e + (c - e)*rho)/f
+        return _sum(x, (-e, c - e, f))
 
-    # ------------------------------------------------------------------
-    # field arithmetic
-    # ------------------------------------------------------------------
+    @staticmethod
+    def from_triple(a: int, b: int, d: int) -> EisensteinNumber:
+        """(a + b*rho)/d for integers a, b and d > 0, reduced by their gcd."""
+        g = gcd(a, b, d)
+        number = object.__new__(EisensteinNumber)
+        object.__setattr__(number, "triple", (a // g, b // g, d // g))
+        return number
 
-    def __add__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        return EisensteinNumber(self.re_part + other.re_part, self.rho_part + other.rho_part)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: EisensteinNumber is immutable")
+
+    def __reduce__(self) -> tuple:
+        return EisensteinNumber.from_triple, self.triple
+
+    @property
+    def re_part(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def rho_part(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
+
+    def __eq__(self, other: object) -> bool:
+        return self.triple == other.triple if type(other) is EisensteinNumber else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.triple)
+
+    def __repr__(self) -> str:
+        return f"EisensteinNumber(re_part={self.re_part!r}, rho_part={self.rho_part!r})"
+
+    def __add__(self, other: object) -> EisensteinNumber:
+        y = _operand(other)
+        return NotImplemented if y is None else _sum(self.triple, y)
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        return EisensteinNumber(self.re_part - other.re_part, self.rho_part - other.rho_part)
+    def __sub__(self, other: object) -> EisensteinNumber:
+        y = _operand(other)
+        return NotImplemented if y is None else _sum(self.triple, y, -1)
 
-    def __rsub__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    def __rsub__(self, other: object) -> EisensteinNumber:
+        x = _operand(other)
+        return NotImplemented if x is None else _sum(x, self.triple, -1)
 
-    def __neg__(self) -> "EisensteinNumber":
-        return EisensteinNumber(-self.re_part, -self.rho_part)
+    def __neg__(self) -> EisensteinNumber:
+        return _sum((0, 0, 1), self.triple, -1)
 
-    def __mul__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.re_part, self.rho_part
-        c, d = other.re_part, other.rho_part
-        # (a + b rho)(c + d rho) = ac + (ad + bc) rho + bd rho^2, rho^2 = -rho - 1
-        return EisensteinNumber(a * c - b * d, a * d + b * c - b * d)
+    def __mul__(self, other: object) -> EisensteinNumber:
+        y = _operand(other)
+        return NotImplemented if y is None else _product(self.triple, y)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+    def __truediv__(self, other: object) -> EisensteinNumber:
+        y = _operand(other)
+        return NotImplemented if y is None else _product(self.triple, _reciprocal(y))
 
-    def __rtruediv__(self, other: object) -> "EisensteinNumber":
-        other = _promote(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+    def __rtruediv__(self, other: object) -> EisensteinNumber:
+        x = _operand(other)
+        return NotImplemented if x is None else _product(x, _reciprocal(self.triple))
 
-    def __pow__(self, exponent: int) -> "EisensteinNumber":
+    def __pow__(self, exponent: int) -> EisensteinNumber:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = EisensteinNumber(Fraction(1))
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.inverse() ** -exponent
+        if exponent < 2:
+            return self if exponent else ONE
+        half = self ** (exponent >> 1)  # square and multiply
+        return half * half * self if exponent & 1 else half * half
 
     def __bool__(self) -> bool:
-        return bool(self.re_part or self.rho_part)
+        return bool(self.triple[0] or self.triple[1])
 
-    def conjugate(self) -> "EisensteinNumber":
+    def conjugate(self) -> EisensteinNumber:
         """Complex conjugate; rho-bar = rho**2 = -1 - rho."""
-        return EisensteinNumber(self.re_part - self.rho_part, -self.rho_part)
+        a, b, d = self.triple
+        return self.from_triple(a - b, -b, d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - a*b + b**2.  Nonnegative; zero only at zero."""
-        a, b = self.re_part, self.rho_part
-        return a * a - a * b + b * b
+        a, b, d = self.triple
+        return Fraction(a * a - a * b + b * b, d * d)
 
-    def inverse(self) -> "EisensteinNumber":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero has no inverse in Q(rho)")
-        conj = self.conjugate()
-        return EisensteinNumber(conj.re_part / n, conj.rho_part / n)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
+    def inverse(self) -> EisensteinNumber:
+        return self.from_triple(*_reciprocal(self.triple))
 
     def __str__(self) -> str:
-        if not self.rho_part:
-            return str(self.re_part)
-        rho_term = f"{self.rho_part}ρ"
-        if not self.re_part:
-            return rho_term
-        sign = "+" if self.rho_part > 0 else ""
-        return f"{self.re_part}{sign}{rho_term}"
+        re_part, rho_part = self.re_part, self.rho_part
+        sign = "+" if re_part and rho_part > 0 else ""
+        return f"{re_part or ''}{sign}{rho_part}ρ" if rho_part else str(re_part)
 
     @classmethod
-    def from_string(cls, text: str) -> "EisensteinNumber":
+    def from_string(cls, text: str) -> EisensteinNumber:
         """Parse "a/b+c/dρ" (ASCII "r" is accepted in place of "ρ")."""
         compact = text.strip().replace(" ", "").replace("*", "")
-        if not compact:
-            raise ValueError("empty Eisenstein literal")
         terms = _TERM_RE.findall(compact)
         # Fraction would accept exponent notation and compute 10**exp in full.
-        if "".join(terms) != compact or "e" in compact.lower():
+        if not terms or "".join(terms) != compact or "e" in compact.lower():
             raise ValueError(f"malformed Eisenstein literal: {text!r}")
-        re_acc = Fraction(0)
-        rho_acc = Fraction(0)
+        parts = [Fraction(0), Fraction(0)]
         for term in terms:
-            if term.endswith(_RHO_SUFFIXES):
-                coeff = term[:-1]
-                if coeff in ("", "+"):
-                    rho_acc += 1
-                elif coeff == "-":
-                    rho_acc -= 1
-                else:
-                    rho_acc += Fraction(coeff)
-            else:
-                re_acc += Fraction(term)
-        return cls(re_acc, rho_acc)
+            is_rho = term.endswith(_RHO_SUFFIXES)
+            coeff = term[:-1] if is_rho else term
+            # a bare sign, or nothing, before the rho stands for 1
+            parts[is_rho] += Fraction(coeff + "1" if coeff in ("", "+", "-") else coeff)
+        return cls(*parts)
 
 
-def _promote(value: object) -> EisensteinNumber | None:
-    if isinstance(value, EisensteinNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return EisensteinNumber(Fraction(value))
-    return None
+eis = EisensteinNumber  # shorthand: eis(a, b) is a + b*rho
 
 
-def eis(re_part: Fraction | int, rho_part: Fraction | int = 0) -> EisensteinNumber:
-    """Shorthand constructor for a + b*rho."""
-    return EisensteinNumber(_coerce_rational(re_part), _coerce_rational(rho_part))
-
-
-ZERO = EisensteinNumber(Fraction(0))
-ONE = EisensteinNumber(Fraction(1))
-RHO = EisensteinNumber(Fraction(0), Fraction(1))
+ZERO = EisensteinNumber(0)
+ONE = EisensteinNumber(1)
+RHO = EisensteinNumber(0, 1)
 RHO2 = RHO * RHO

@@ -24,6 +24,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from . import homology
@@ -76,11 +77,21 @@ CORE_CURVE = "slope_orbit"
 LEVEL_CURVE = "level_orbit"
 
 
+# The lattices are frozen, so each is built once per process and shared by
+# every level that reads it; the tower reads those of all divisors of n.
+# One entry per level up to cli.MAX_LEVEL bounds each cache.  Keys are
+# typed, so that 3.0 reaches the constructor's checks instead of the
+# lattice cached for 3.
+_lattice_cache = lru_cache(maxsize=2_000, typed=True)
+
+
+@_lattice_cache
 def base_lattice() -> Lattice:
     """The hexagonal lattice Z[rho] with stored basis (1, rho)."""
     return Lattice(ONE, RHO)
 
 
+@_lattice_cache
 def level_lattice(n: int) -> Lattice:
     """The index-n sublattice Z[n, 1-rho] of the hexagonal lattice."""
     if n < 1:
@@ -88,6 +99,7 @@ def level_lattice(n: int) -> Lattice:
     return Lattice(eis(n), ONE - RHO)
 
 
+@_lattice_cache
 def albanese_lattice(n: int) -> Lattice:
     """The Albanese target lattice Z[n, shift]."""
     if n < 1:
@@ -443,7 +455,7 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
                 base_points = result.point_keys
 
     chk.expect("branch_slopes_pairwise_distinct", True,
-               len({(c.slope.re_part, c.slope.rho_part) for c in slopes}) == 3)
+               len({c.slope for c in slopes}) == 3)
 
     points = sorted(base_points)
     point_names = {key: f"pt{i}" for i, key in enumerate(points)}

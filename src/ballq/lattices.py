@@ -14,17 +14,10 @@ A torus point stores only its key, its reduced integer coordinates
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber
-
-
-def _over_common_denominator(values: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """(numerators, den) with values[i] == numerators[i] / den and den > 0."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +26,8 @@ class Lattice:
 
     The stored basis is not canonical; lattices compare equal exactly when
     each contains the other's generators.  The inverse basis and the
-    generators are also kept as integers over one common denominator each.
+    generators are also kept as integers over their least common
+    denominator each, read off the generators' triples.
     """
 
     gen1: EisensteinNumber
@@ -42,24 +36,27 @@ class Lattice:
     _gens_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        g1, g2 = self.gen1, self.gen2
-        det = g1.re_part * g2.rho_part - g1.rho_part * g2.re_part
+        # gen_k = (a_k + b_k*rho)/d_k has real and rho coordinates a_k/d_k and
+        # b_k/d_k; their matrix has determinant det/(d1*d2), and its inverse
+        # is (b2*d1, -a2*d1, -b1*d2, a1*d2)/det, kept in lowest terms.
+        (a1, b1, d1), (a2, b2, d2) = self.gen1.triple, self.gen2.triple
+        det = a1 * b2 - b1 * a2
         if det == 0:
             raise ValueError("lattice generators are R-linearly dependent")
-        inv = (g2.rho_part / det, -g2.re_part / det, -g1.rho_part / det, g1.re_part / det)
-        object.__setattr__(self, "_inverse_int", _over_common_denominator(inv))
-        object.__setattr__(self, "_gens_int", _over_common_denominator(
-            (g1.re_part, g1.rho_part, g2.re_part, g2.rho_part)))
+        inv = (b2 * d1, -a2 * d1, -b1 * d2, a1 * d2)
+        g = gcd(*inv, det) * (1 if det > 0 else -1)
+        object.__setattr__(self, "_inverse_int", (tuple(v // g for v in inv), det // g))
+        d = lcm(d1, d2)
+        object.__setattr__(self, "_gens_int", (
+            (a1 * (d // d1), b1 * (d // d1), a2 * (d // d2), b2 * (d // d2)), d))
 
     def numerators(self, x: EisensteinNumber) -> tuple[int, int, int]:
         """Integers (s, t, den) with x = (s*gen1 + t*gen2)/den and den > 0:
-        for x = a + b*rho, den is the inverse basis's denominator times
-        den(a)*den(b)."""
+        for x = (a + b*rho)/d, den is the inverse basis's denominator
+        times d."""
         (i00, i01, i10, i11), e = self._inverse_int
-        a, b = x.re_part, x.rho_part
-        ad, bd = a.denominator, b.denominator
-        an, bn = a.numerator * bd, b.numerator * ad
-        return i00 * an + i01 * bn, i10 * an + i11 * bn, e * ad * bd
+        a, b, d = x.triple
+        return i00 * a + i01 * b, i10 * a + i11 * b, e * d
 
     def contains(self, x: EisensteinNumber) -> tuple[int, int] | None:
         """Integer coordinates (m, n) with x = m*gen1 + n*gen2, or None."""
@@ -174,8 +171,7 @@ class TorusPoint:
         (g1a, g1b, g2a, g2b), gd = self.lattice._gens_int
         rs, rt, den = self.key
         vden = den * gd
-        return EisensteinNumber(Fraction(rs * g1a + rt * g2a, vden),
-                                Fraction(rs * g1b + rt * g2b, vden))
+        return EisensteinNumber.from_triple(rs * g1a + rt * g2a, rs * g1b + rt * g2b, vden)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):

@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from ballq.curves import GraphCurve, ProductPoint, ProductTorus
+from ballq import families
+from ballq.curves import GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism
 from ballq.eisenstein import EisensteinNumber, eis
 from ballq.lattices import Lattice, TorusPoint
 
@@ -58,15 +59,34 @@ def point_from_key(torus: ProductTorus, key: tuple[int, ...]) -> ProductPoint:
                         TorusPoint.from_reduced(*key[3:], torus.lattice_z))
 
 
+def apply_automorphism(f: TorusAutomorphism, p: ProductPoint) -> ProductPoint:
+    """The image of p under f, read off f.map_key; p's keys must be in the
+    ambient lattices' bases."""
+    lw, lz = f.ambient.lattice_w, f.ambient.lattice_z
+    if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
+        raise ValueError("point is not stored in the automorphism's lattice basis")
+    return point_from_key(f.ambient, f.map_key(p.key))
+
+
 EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                          "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
-                         "__post_init__")
+                         "from_triple")
+
+
+def clear_lattice_caches() -> None:
+    """Empty the per-process caches of the family lattices, so that the
+    next build constructs its lattices again."""
+    for cached in (families.base_lattice, families.level_lattice, families.albanese_lattice):
+        cached.cache_clear()
 
 
 def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> list[str]:
     """Patch the named EisensteinNumber methods (by default every Q(rho)
-    operator, the inverse and the constructor's __post_init__) so that each
-    call appends its name to the returned list."""
+    operator, the inverse and from_triple, which builds every number) so
+    that each call appends its name to the returned list.  The lattice
+    caches are cleared first, so a count does not depend on which builds
+    ran before it in the process."""
+    clear_lattice_caches()
     calls: list[str] = []
     for name in names:
         original = getattr(EisensteinNumber, name)
@@ -75,8 +95,53 @@ def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> lis
             calls.append(_name)
             return _original(*args)
 
+        if isinstance(vars(EisensteinNumber)[name], staticmethod):
+            counting = staticmethod(counting)
         monkeypatch.setattr(EisensteinNumber, name, counting)
     return calls
+
+
+# A Fraction-pair oracle for Q(rho), independent of the integer triples:
+# (a, b) stands for a + b*rho.
+
+def pair_of(x: EisensteinNumber) -> tuple[Fraction, Fraction]:
+    return x.re_part, x.rho_part
+
+
+def pair_add(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def pair_sub(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def pair_mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def pair_norm(p) -> Fraction:
+    a, b = p
+    return a * a - a * b + b * b
+
+
+def pair_conjugate(p):
+    return p[0] - p[1], -p[1]
+
+
+def pair_inverse(p):
+    n = pair_norm(p)
+    return tuple(c / n for c in pair_conjugate(p))
+
+
+def pair_str(p) -> str:
+    a, b = p
+    if not b:
+        return str(a)
+    if not a:
+        return f"{b}ρ"
+    return f"{a}{'+' if b > 0 else ''}{b}ρ"
 
 
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
@@ -145,6 +210,4 @@ def random_sublattice(rng: random.Random, lattice: Lattice) -> Lattice:
 
 
 def standard_torus(n: int) -> ProductTorus:
-    from ballq.families import product_torus
-
-    return product_torus(n)
+    return families.product_torus(n)

@@ -1,6 +1,8 @@
 """Exact arithmetic in Q(rho)."""
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -8,8 +10,13 @@ from hypothesis import strategies as st
 
 from ballq.eisenstein import ONE, RHO, RHO2, ZERO, EisensteinNumber, eis
 
+from conftest import (pair_add, pair_conjugate, pair_inverse, pair_mul, pair_norm, pair_of,
+                      pair_str, pair_sub)
+
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 numbers = st.builds(EisensteinNumber, rationals, rationals)
+pairs = st.tuples(rationals, rationals)
+scalars = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
 
 
 def test_rho_squared():
@@ -151,3 +158,67 @@ def test_reflected_operators():
 def test_construction_rejects_floats():
     with pytest.raises(TypeError):
         eis(0.5)
+    with pytest.raises(TypeError):
+        EisensteinNumber(ONE, 0.0)
+
+
+def assert_canonical(x):
+    a, b, d = x.triple
+    assert d > 0 and gcd(a, b, d) == 1
+    assert pair_of(x) == (Fraction(a, d), Fraction(b, d))
+
+
+@given(pairs, pairs)
+def test_triple_arithmetic_matches_fraction_pairs(p, q):
+    x, y = eis(*p), eis(*q)
+    assert pair_of(x) == p
+    results = [(x + y, pair_add(p, q)), (x - y, pair_sub(p, q)), (x * y, pair_mul(p, q)),
+               (-x, pair_sub((0, 0), p)), (x.conjugate(), pair_conjugate(p))]
+    if any(q):
+        results += [(x / y, pair_mul(p, pair_inverse(q))), (y.inverse(), pair_inverse(q))]
+    for z, expected in results:
+        assert_canonical(z)
+        assert pair_of(z) == expected
+    assert x.norm() == pair_norm(p)
+    assert str(x) == pair_str(p)
+    assert EisensteinNumber.from_string(str(x)).triple == x.triple
+    assert (x == y) == (p == q)
+    if p == q:
+        assert hash(x) == hash(y)
+
+
+@given(pairs, scalars)
+def test_triple_arithmetic_with_scalars_matches_fraction_pairs(p, c):
+    x, s = eis(*p), (Fraction(c), Fraction(0))
+    results = [(x + c, pair_add(p, s)), (c + x, pair_add(p, s)), (x - c, pair_sub(p, s)),
+               (c - x, pair_sub(s, p)), (x * c, pair_mul(p, s)), (c * x, pair_mul(p, s))]
+    if c:
+        results.append((x / c, pair_mul(p, pair_inverse(s))))
+    if any(p):
+        results.append((c / x, pair_mul(s, pair_inverse(p))))
+    for z, expected in results:
+        assert_canonical(z)
+        assert pair_of(z) == expected
+
+
+@given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12))
+def test_equal_values_have_equal_triples(a, b, d, k):
+    x = EisensteinNumber.from_triple(a, b, d)
+    assert_canonical(x)
+    assert EisensteinNumber.from_triple(k * a, k * b, k * d).triple == x.triple
+    assert eis(Fraction(a, d), Fraction(b, d)).triple == x.triple
+    assert EisensteinNumber(x) is x
+
+
+def test_equality_is_class_strict_and_repr_keeps_its_text():
+    assert (eis(1) == 1) is False and eis(1) != Fraction(1)
+    assert repr(eis(Fraction(1, 2), 3)) == (
+        "EisensteinNumber(re_part=Fraction(1, 2), rho_part=Fraction(3, 1))")
+
+
+def test_numbers_are_immutable_and_pickle():
+    x = eis(Fraction(-2, 3), Fraction(5, 6))
+    with pytest.raises(AttributeError):
+        x.triple = (1, 0, 1)
+    assert pickle.loads(pickle.dumps(x)) == x

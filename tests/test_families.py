@@ -7,6 +7,7 @@ from functools import cached_property
 import jsonschema
 import pytest
 
+from ballq import cli
 from ballq.curves import GraphCurve, ProductPoint, VerticalFiber
 from ballq.eisenstein import RHO
 from ballq.lattices import TorusPoint
@@ -45,10 +46,11 @@ from ballq.families import (
     build_family,
     covering_report,
     level_lattice,
+    product_torus,
     render_markdown,
 )
 
-from conftest import count_eisenstein_operations, point_from_key
+from conftest import clear_lattice_caches, count_eisenstein_operations, point_from_key
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -246,6 +248,39 @@ def test_albanese_lattice_contains_level():
         assert base_lattice().contains(3 * ORDER3_SHIFT) is not None
 
 
+def test_lattices_are_built_once_per_process():
+    clear_lattice_caches()
+    assert level_lattice(12) is level_lattice(12)
+    assert albanese_lattice(12) is albanese_lattice(12)
+    assert base_lattice() is base_lattice()
+    torus = product_torus(12)
+    assert torus.lattice_w is base_lattice() and torus.lattice_z is level_lattice(12)
+
+
+def test_lattice_caches_are_bounded():
+    """One entry per level that the command line accepts, and no more."""
+    clear_lattice_caches()
+    for cached in (base_lattice, level_lattice, albanese_lattice):
+        assert cached.cache_info().maxsize == cli.MAX_LEVEL
+    for n in range(1, cli.MAX_LEVEL + 6):
+        level_lattice(n)
+    assert level_lattice.cache_info().currsize == cli.MAX_LEVEL
+    clear_lattice_caches()
+
+
+@pytest.mark.parametrize("build", [level_lattice, albanese_lattice])
+def test_invalid_levels_raise_and_are_not_cached(build):
+    clear_lattice_caches()
+    assert build(3).gen1 == build(3).gen1
+    for n in (0, -3, 0):
+        with pytest.raises(ValueError, match="positive integer"):
+            build(n)
+    # A float key is its own entry, so 3.0 still reaches the constructor.
+    with pytest.raises(TypeError):
+        build(3.0)
+    assert build.cache_info().currsize == 1
+
+
 def test_fiber_reports():
     gamma2 = build_family(GAMMA, 2)["values"]["fiber"]
     assert gamma2["generic_fiber_punctures"] == 3
@@ -414,15 +449,30 @@ def test_build_reads_few_point_values(monkeypatch, family):
 def test_no_eisenstein_arithmetic_per_point(monkeypatch, family):
     """Q(rho) work is per level, not per point: doubling n from 40 to 80
     adds only the 40 printed Albanese base points and the tower's few extra
-    divisors (52 constructions; 1,132 when the deck action, the closed
-    form and the fibers went through Q(rho))."""
-    calls = count_eisenstein_operations(monkeypatch, ("__post_init__",))
+    divisors: 44 from_triple calls, each build starting with empty lattice
+    caches (48 when a number was a pair of Fractions; 1,132 when the deck
+    action, the closed form and the fibers went through Q(rho))."""
+    calls = count_eisenstein_operations(monkeypatch, ("from_triple",))
     counts = []
     for n in (40, 80):
+        clear_lattice_caches()
         calls.clear()
         assert build_family(family, n)["passed"]
         counts.append(len(calls))
     assert counts[1] - counts[0] <= 80, counts
+
+
+@pytest.mark.parametrize("family, constructions, products",
+                         [(GAMMA, 26, 17), (LAMBDA, 47, 30)])
+def test_eisenstein_work_at_level_one(monkeypatch, family, constructions, products):
+    """The fixed Q(rho) cost of a level, with the lattice caches empty:
+    every number built (from_triple) and every product.  When an element
+    was a pair of Fractions, gamma made 45 constructions and 21 products
+    and lambda 70 and 34."""
+    calls = count_eisenstein_operations(monkeypatch)
+    assert build_family(family, 1)["passed"]
+    made = calls.count("from_triple")
+    assert (made, calls.count("__mul__") + calls.count("__rmul__")) == (constructions, products)
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

@@ -1,7 +1,7 @@
 """Lattice membership, multiplier matrices, indices and the Hermite coset grid."""
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
-from ballq.lattices import Lattice, TorusPoint, _over_common_denominator, coset_grid
+from ballq.lattices import Lattice, TorusPoint, coset_grid
 
 from conftest import (coordinates, coords, fraction_coordinates, from_coordinates,
                       random_eisenstein, random_lattice, random_sublattice, scaled)
@@ -252,7 +252,8 @@ def test_integer_reduction_matches_fraction_reduction(case):
     assert (coords(again), again.value) == (coords(point), point.value)
     # The same point from its reduced numerators, over a multiple of their
     # least common denominator.
-    (rs, rt), den = _over_common_denominator(reduced)
+    den = lcm(*(c.denominator for c in reduced))
+    rs, rt = (c.numerator * (den // c.denominator) for c in reduced)
     scale = 1 + (rs + rt) % 3
     built = TorusPoint.from_reduced(rs * scale, rt * scale, den * scale, lattice)
     assert coords(built) == coords(point)
