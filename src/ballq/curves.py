@@ -18,20 +18,20 @@ are a brute-force check, and the build decides incidence from point keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
 
-from .eisenstein import EisensteinNumber
+from .eisenstein import EisensteinNumber, Frozen
 from .lattices import Lattice, TorusPoint, coset_grid, point_key
 
 
-@dataclass(frozen=True)
-class ProductTorus:
-    """G_w x G_z for G_w = C/lattice_w and G_z = C/lattice_z."""
+class ProductTorus(namedtuple("ProductTorus", "lattice_w lattice_z")):
+    """G_w x G_z for G_w = C/lattice_w and G_z = C/lattice_z.  Like its
+    lattices, it has no hash."""
 
-    lattice_w: Lattice
-    lattice_z: Lattice
+    __slots__ = ()
+    __hash__ = None
 
 
 def _same_bases(a: ProductTorus, b: ProductTorus) -> bool:
@@ -45,17 +45,17 @@ def _require_same_bases(a: ProductTorus, b: ProductTorus) -> None:
         raise ValueError("lattices are not stored in the same bases")
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    """A point [w, z] of a product torus, both coordinates reduced.  Its
-    key is the six ints w.key + z.key."""
+class ProductPoint(namedtuple("ProductPoint", "w z")):
+    """A point [w, z] of a product torus, both coordinates reduced.  Like
+    its torus points, it has no hash."""
 
-    w: TorusPoint
-    z: TorusPoint
-    key: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", self.w.key + self.z.key)
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The six ints w.key + z.key."""
+        return self.w.key + self.z.key
 
     def to_json(self) -> dict[str, str]:
         return {"w": str(self.w.value), "z": str(self.z.value)}
@@ -67,8 +67,7 @@ def _product_point(key: tuple[int, ...], ambient: ProductTorus) -> ProductPoint:
                         TorusPoint.from_reduced(*key[3:], ambient.lattice_z))
 
 
-@dataclass(frozen=True, eq=False)
-class GraphCurve:
+class GraphCurve(Frozen):
     """The curve {[slope*z + offset, z]} on a product torus.
 
     Well-definedness (slope * z-lattice contained in the w-lattice) is
@@ -120,19 +119,22 @@ class GraphCurve:
         return self.ambient.lattice_w.contains(diff) is not None
 
 
-@dataclass(frozen=True)
-class VerticalFiber:
-    """The curve {z = z0} on a product torus."""
-
-    ambient: ProductTorus
-    z0: TorusPoint
+class VerticalFiber(Frozen):
+    """The curve {z = z0} on a product torus.  Fibers are equal when their
+    tori and base points are; like those, a fiber has no hash."""
 
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
-        object.__setattr__(self, "ambient", ambient)
         # A z-torus point is kept if stored in the torus's basis, else reduced.
         if not (isinstance(z0, TorusPoint) and z0.lattice.same_basis(ambient.lattice_z)):
             z0 = TorusPoint(EisensteinNumber(getattr(z0, "value", z0)), ambient.lattice_z)
-        object.__setattr__(self, "z0", z0)
+        vars(self).update(ambient=ambient, z0=z0)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VerticalFiber):
+            return NotImplemented
+        return self.ambient == other.ambient and self.z0 == other.z0
+
+    __hash__ = None
 
     def contains_point(self, p: ProductPoint) -> bool:
         return p.z == self.z0
@@ -142,8 +144,7 @@ IDENTITY_MATRIX = (1, 0, 0, 1)
 ZERO_KEY = (0, 0, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class TorusAutomorphism:
+class TorusAutomorphism(Frozen):
     """Affine automorphism [w, z] -> [lw*w + cw, lz*z + cz], as integers.
 
     Both multipliers must map the respective period lattices onto
@@ -219,15 +220,23 @@ IDENTICAL = "identical"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(Frozen):
     """Result of intersecting two curves: the keys of a finite point set in
     coordinate order, or the degenerate outcomes for parallel graphs.  The
-    points themselves are built from the keys in ambient when first read."""
+    points themselves are built from the keys in ambient when first read.
+    Results compare and hash by kind and keys; ambient is left out."""
 
-    kind: str
-    point_keys: tuple[tuple[int, ...], ...] = ()
-    ambient: ProductTorus | None = field(default=None, repr=False, compare=False)
+    def __init__(self, kind: str, point_keys: tuple[tuple[int, ...], ...] = (),
+                 ambient: ProductTorus | None = None) -> None:
+        vars(self).update(kind=kind, point_keys=point_keys, ambient=ambient)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Intersection):
+            return NotImplemented
+        return (self.kind, self.point_keys) == (other.kind, other.point_keys)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.point_keys))
 
     @property
     def count(self) -> int:

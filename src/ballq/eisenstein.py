@@ -3,6 +3,8 @@
 An element is stored uniquely as its reduced integer triple (a, b, d),
 meaning (a + b*rho)/d with d > 0 and gcd(a, b, d) = 1 (Cohen, GTM 138,
 section 2.4).  Each field operation builds its result's triple with one gcd.
+Frozen, the base of the package's immutable classes, lives here, at the
+bottom of the package's imports.
 """
 
 from __future__ import annotations
@@ -43,7 +45,25 @@ def _reciprocal(x: Triple) -> Triple:
     return d * (a - b), -d * b, n
 
 
-class EisensteinNumber:
+class Frozen:
+    """An immutable object: its constructor sets each attribute once, through
+    vars(self) or object.__setattr__, and any later assignment or deletion
+    raises AttributeError.  Its repr lists the public attributes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items()
+                           if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+class EisensteinNumber(Frozen):
     """x + y*rho for ints, Fractions or Eisenstein numbers x and y.  Every
     number, arithmetic results included, is built by from_triple."""
 
@@ -65,9 +85,6 @@ class EisensteinNumber:
         number = object.__new__(EisensteinNumber)
         object.__setattr__(number, "triple", (a // g, b // g, d // g))
         return number
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: EisensteinNumber is immutable")
 
     def __reduce__(self) -> tuple:
         return EisensteinNumber.from_triple, self.triple

@@ -21,8 +21,7 @@ Albanese base point.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -160,17 +159,14 @@ LAMBDA_RHO = "rho"
 LAMBDA_RHO_WITH_ZETA = "rho-with-zeta"
 
 
-@dataclass(frozen=True)
-class BdFType:
+class BdFType(namedtuple("BdFType", "index group multiplier translation_order "
+                                    "lambda_constraint description")):
     """One entry of the Bagnera-de Franchis classification of bielliptic
-    surfaces (E_lambda x E_tau)/K."""
+    surfaces (E_lambda x E_tau)/K: its index, the group's cyclic factors,
+    the multiplier's name, the order of the extra translation (None without
+    one), the constraint on lambda and a description."""
 
-    index: int
-    group: tuple[int, ...]
-    multiplier: str
-    translation_order: int | None
-    lambda_constraint: str
-    description: str
+    __slots__ = ()
 
     @property
     def group_order(self) -> int:
@@ -191,12 +187,10 @@ class BdFType:
         }
 
 
-@dataclass(frozen=True)
-class BdFInvalid:
+class BdFInvalid(namedtuple("BdFInvalid", "constraint reason")):
     """A rejected classification query, naming the violated constraint."""
 
-    constraint: str
-    reason: str
+    __slots__ = ()
 
     def to_json(self) -> dict[str, object]:
         return {"invalid": True, "constraint": self.constraint, "reason": self.reason}
@@ -405,18 +399,12 @@ def render_markdown(doc: dict[str, object]) -> str:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _Core:
-    n: int
-    torus: ProductTorus
-    slopes: list[GraphCurve]
-    deck: TorusAutomorphism
-    points: list[tuple[int, ...]]
-    point_names: dict[tuple, str]
-    orbits: list[list[tuple[int, ...]]]
-    closed_keys: frozenset
-    pair_counts: dict[tuple[str, str], int]
-    through: dict[str, frozenset]
+# What _shared_geometry computes for level n: the ProductTorus, the slope
+# GraphCurves and the deck TorusAutomorphism; the sorted intersection keys,
+# their names and deck orbits; the closed-form key set; the points per slope
+# pair; and the key set of each slope curve through slope0.
+_Core = namedtuple("_Core", "n torus slopes deck points point_names orbits closed_keys "
+                            "pair_counts through")
 
 
 def _shared_geometry(n: int, chk: _Checks) -> _Core:
@@ -642,23 +630,20 @@ _TOWER_FLAG = (
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
-    """What one family adds to the shared construction.  upstairs returns
-    the extra curves, their deck orbits (the extra boundary components),
-    their pairwise entries with the slope curves and the key set of the
-    points each extra graph curve passes through; pair_checks reads the
-    report's values; fiber_section adds the singular-fiber entries to the
-    fiber fragment and returns its flags.  Each callable records its own
-    checks."""
+class _Family(namedtuple("_Family", "upstairs quotient_checks orbit_self_intersection cusps "
+                                    "pair_checks fiber_section albanese_checks")):
+    """What one family adds to the shared construction.
+    upstairs(core, chk) returns the extra curves, their deck orbits (the
+    extra boundary components), their pairwise entries with the slope
+    curves and the key set of the points each extra graph curve passes
+    through; quotient_checks(quotient, n, chk) checks the quotient model;
+    orbit_self_intersection(n) and cusps(n) are the expected numbers;
+    pair_checks(values, n, chk) reads the report's values;
+    fiber_section(blown, n, fiber, chk) adds the singular-fiber entries to
+    the fiber fragment and returns its flags; albanese_checks names the
+    Albanese checks that apply.  Each callable records its own checks."""
 
-    upstairs: Callable[[_Core, _Checks], tuple[dict, dict, dict, dict]]
-    quotient_checks: Callable[[SurfaceModel, int, _Checks], None]
-    orbit_self_intersection: Callable[[int], int]
-    cusps: Callable[[int], int]
-    pair_checks: Callable[[dict, int, _Checks], None]
-    fiber_section: Callable[[SurfaceModel, int, dict, _Checks], list[str]]
-    albanese_checks: tuple[str, ...]
+    __slots__ = ()
 
 
 def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:

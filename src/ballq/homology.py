@@ -9,25 +9,24 @@ gives b1(M) = b1(X) and linear constraints on b2, b3 of the open manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(namedtuple("BettiVector", "b0 b1 b2 b3 b4")):
     """Ranks of rational homology in degrees 0..4."""
 
-    b0: int
-    b1: int
-    b2: int
-    b3: int
-    b4: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.as_tuple()):
+    def __new__(cls, b0: int, b1: int, b2: int, b3: int, b4: int) -> BettiVector:
+        ranks = (b0, b1, b2, b3, b4)
+        if any(b < 0 for b in ranks):
             raise ValueError("betti numbers are nonnegative")
+        return tuple.__new__(cls, ranks)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.b0, self.b1, self.b2, self.b3, self.b4)
+        return tuple(self)
 
     def euler(self) -> int:
         return self.b0 - self.b1 + self.b2 - self.b3 + self.b4

@@ -13,42 +13,41 @@ A torus point stores only its key, its reduced integer coordinates
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
-from .eisenstein import EisensteinNumber
+from .eisenstein import EisensteinNumber, Frozen
 
 
-@dataclass(frozen=True, eq=False)
-class Lattice:
+class Lattice(Frozen):
     """The set {m*gen1 + n*gen2 : m, n integers} for independent generators.
 
     The stored basis is not canonical; lattices compare equal exactly when
-    each contains the other's generators.  The inverse basis and the
-    generators are also kept as integers over their least common
-    denominator each, read off the generators' triples.
+    each contains the other's generators, so a lattice has no hash.  The
+    inverse basis and the generators are also kept as integers over their
+    least common denominator each, read off the generators' triples.
     """
 
     gen1: EisensteinNumber
     gen2: EisensteinNumber
-    _inverse_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _gens_int: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _inverse_int: tuple[tuple[int, ...], int]
+    _gens_int: tuple[tuple[int, ...], int]
 
-    def __post_init__(self) -> None:
+    def __init__(self, gen1: EisensteinNumber, gen2: EisensteinNumber) -> None:
         # gen_k = (a_k + b_k*rho)/d_k has real and rho coordinates a_k/d_k and
         # b_k/d_k; their matrix has determinant det/(d1*d2), and its inverse
         # is (b2*d1, -a2*d1, -b1*d2, a1*d2)/det, kept in lowest terms.
-        (a1, b1, d1), (a2, b2, d2) = self.gen1.triple, self.gen2.triple
+        (a1, b1, d1), (a2, b2, d2) = gen1.triple, gen2.triple
         det = a1 * b2 - b1 * a2
         if det == 0:
             raise ValueError("lattice generators are R-linearly dependent")
         inv = (b2 * d1, -a2 * d1, -b1 * d2, a1 * d2)
         g = gcd(*inv, det) * (1 if det > 0 else -1)
-        object.__setattr__(self, "_inverse_int", (tuple(v // g for v in inv), det // g))
         d = lcm(d1, d2)
-        object.__setattr__(self, "_gens_int", (
-            (a1 * (d // d1), b1 * (d // d1), a2 * (d // d2), b2 * (d // d2)), d))
+        vars(self).update(gen1=gen1, gen2=gen2,
+                          _inverse_int=(tuple(v // g for v in inv), det // g),
+                          _gens_int=((a1 * (d // d1), b1 * (d // d1),
+                                      a2 * (d // d2), b2 * (d // d2)), d))
 
     def numerators(self, x: EisensteinNumber) -> tuple[int, int, int]:
         """Integers (s, t, den) with x = (s*gen1 + t*gen2)/den and den > 0:
@@ -135,8 +134,7 @@ def point_key(s: int, t: int, den: int) -> tuple[int, int, int]:
     return s // g, t // g, den // g
 
 
-@dataclass(frozen=True, eq=False)
-class TorusPoint:
+class TorusPoint(Frozen):
     """A point of the torus C/lattice in canonical reduced form.
 
     TorusPoint(x, lattice) reduces x in integers (cf. Cohen, GTM 138,
@@ -147,12 +145,11 @@ class TorusPoint:
     representative in Q(rho), is built from the key on first read.
     """
 
-    x: InitVar[EisensteinNumber]
     lattice: Lattice
-    key: tuple[int, int, int] = field(init=False, compare=False)
+    key: tuple[int, int, int]
 
-    def __post_init__(self, x: EisensteinNumber) -> None:
-        object.__setattr__(self, "key", point_key(*self.lattice.numerators(x)))
+    def __init__(self, x: EisensteinNumber, lattice: Lattice) -> None:
+        vars(self).update(lattice=lattice, key=point_key(*lattice.numerators(x)))
 
     @classmethod
     def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
@@ -161,8 +158,7 @@ class TorusPoint:
         if not (0 <= rs < den and 0 <= rt < den):
             raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
         point = object.__new__(cls)
-        object.__setattr__(point, "lattice", lattice)
-        object.__setattr__(point, "key", point_key(rs, rt, den))
+        vars(point).update(lattice=lattice, key=point_key(rs, rt, den))
         return point
 
     @cached_property

@@ -13,11 +13,13 @@ comparison are all exact integer computations on this data.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+
+from .eisenstein import Frozen
 
 SMOOTH_ELLIPTIC = "smooth-elliptic"
 SMOOTH_RATIONAL = "smooth-rational"
@@ -33,26 +35,26 @@ class BMYClass(str, Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(namedtuple("CurveRecord", "self_int kind")):
     """Numerical record of one curve: self-intersection and the kind of
     its normalization, smooth elliptic or smooth rational.  Whether the
     curve itself is singular is SurfaceModel.kind's to say."""
 
-    self_int: int
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
+    def __new__(cls, self_int: int, kind: str) -> CurveRecord:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown curve kind {kind!r}")
+        return tuple.__new__(cls, (self_int, kind))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Frozen):
     """Immutable numerical model of a projective surface.
 
     pairwise maps sorted name pairs to nonzero intersection numbers
@@ -63,11 +65,16 @@ class SurfaceModel:
     singular.
     """
 
-    chi_top: int
-    k2: int
-    curves: dict[str, CurveRecord]
-    pairwise: dict[tuple[str, str], int]
-    points: dict[str, dict[str, int]]
+    def __init__(self, chi_top: int, k2: int, curves: dict[str, CurveRecord],
+                 pairwise: dict[tuple[str, str], int], points: dict[str, dict[str, int]]) -> None:
+        vars(self).update(chi_top=chi_top, k2=k2, curves=curves, pairwise=pairwise,
+                          points=points)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SurfaceModel):
+            return NotImplemented
+        return ((self.chi_top, self.k2, self.curves, self.pairwise, self.points)
+                == (other.chi_top, other.k2, other.curves, other.pairwise, other.points))
 
     @staticmethod
     def build(chi_top: int, k2: int, curves: dict[str, CurveRecord],
@@ -278,27 +285,29 @@ def k_dot(model: SurfaceModel, curve: str) -> int:
     raise ValueError(f"curve {curve!r} is singular; blow up its multiple points first")
 
 
-@dataclass(frozen=True)
-class LogPair:
+class LogPair(Frozen):
     """A surface model together with a boundary divisor: a list of disjoint
     smooth elliptic curves of negative self-intersection."""
 
-    surface: SurfaceModel
-    boundary: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.boundary)) != len(self.boundary):
+    def __init__(self, surface: SurfaceModel, boundary: tuple[str, ...]) -> None:
+        if len(set(boundary)) != len(boundary):
             raise ValueError("boundary names repeat")
-        for name in self.boundary:
-            rec = self.surface.curves.get(name)
+        for name in boundary:
+            rec = surface.curves.get(name)
             if rec is None:
                 raise ValueError(f"unknown boundary curve {name!r}")
-            if self.surface.kind(name) != SMOOTH_ELLIPTIC:
+            if surface.kind(name) != SMOOTH_ELLIPTIC:
                 raise ValueError(f"boundary curve {name!r} is not smooth elliptic")
             if rec.self_int >= 0:
                 raise ValueError(f"boundary curve {name!r} has nonnegative self-intersection")
-        for a, b, _ in self.surface.pairs_among(self.boundary):
+        for a, b, _ in surface.pairs_among(boundary):
             raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
+        vars(self).update(surface=surface, boundary=boundary)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogPair):
+            return NotImplemented
+        return (self.surface, self.boundary) == (other.surface, other.boundary)
 
 
 def log_chern(pair: LogPair) -> tuple[int, int]:

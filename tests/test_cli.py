@@ -271,10 +271,13 @@ def test_parallel_output_matches_serial():
 
 
 def test_import_loads_no_process_pool():
-    probe = "import sys, ballq.cli; print('concurrent.futures.process' in sys.modules)"
+    """Start-up stays cheap: importing the CLI loads no process pool, and no
+    dataclasses machinery (which pulls in inspect, ast and dis)."""
+    probe = ("import sys, ballq.cli; print([name in sys.modules for name in"
+             " ('concurrent.futures.process', 'dataclasses', 'inspect')])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
                             text=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False, False]"
 
 
 def test_intersect_two_fibers(capsys):

@@ -13,6 +13,7 @@ from ballq.curves import (
     GraphCurve,
     IDENTICAL,
     POINTS,
+    Intersection,
     ProductPoint,
     ProductTorus,
     TorusAutomorphism,
@@ -609,6 +610,42 @@ def test_orbit_of_curves_cap():
     e1 = slope_curves(torus)[0]
     with pytest.raises(ValueError):
         orbit_of_curves(creep, e1, max_order=3)
+
+
+def test_records_are_immutable_and_the_basis_free_ones_unhashable():
+    """A torus, a point and a fiber compare through their lattices, which
+    have no hash, so neither have they; the error names the record."""
+    torus = product_torus(1)
+    e1, e2, _ = slope_curves(torus)
+    fiber = VerticalFiber(torus, Fraction(1, 3))
+    point = intersect_graph_fiber(e1, fiber)
+    meet = intersect_graphs(e1, e2)
+    for record, name in ((torus, "lattice_w"), (point, "w"), (e1, "matrix"), (fiber, "z0"),
+                         (deck_automorphism(torus), "matrices"), (meet, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    for record in (torus, point, fiber):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
+
+
+def test_record_equality():
+    """Tori and points compare by their parts, basis-free; fibers by
+    (ambient, z0); intersections by kind and keys, whatever the ambient."""
+    torus = product_torus(1)
+    assert torus == ProductTorus(base_lattice(), base_lattice())
+    assert torus != product_torus(2)
+    fiber = VerticalFiber(torus, Fraction(1, 3))
+    assert fiber == VerticalFiber(ProductTorus(base_lattice(), base_lattice()), Fraction(4, 3))
+    assert fiber != VerticalFiber(torus, Fraction(2, 3))
+    assert fiber != VerticalFiber(product_torus(2), Fraction(1, 3))
+    e1, e2, _ = slope_curves(torus)
+    point = intersect_graph_fiber(e1, fiber)
+    assert point == intersect_graph_fiber(e1, VerticalFiber(torus, point.z))
+    meet = intersect_graphs(e1, e2)
+    alone = Intersection(meet.kind, meet.point_keys)
+    assert alone.ambient is None and alone == meet and hash(alone) == hash(meet)
+    assert Intersection(EMPTY) != Intersection(IDENTICAL)
 
 
 def test_intersection_json_forms():

@@ -213,6 +213,9 @@ def test_bdf_classify_invalid_cases():
     assert isinstance(wrong_order, BdFInvalid)
     assert wrong_order.constraint == "lambda-constraint"
     assert "order 3" in wrong_order.reason
+    for record, name in ((wrong_order, "reason"), (BDF_CATALOG[4], "index")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
     no_entry = bdf_classify(5, "-1")
     assert isinstance(no_entry, BdFInvalid)
@@ -491,9 +494,8 @@ def test_no_point_objects_per_point(monkeypatch, family):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(ProductPoint, "__post_init__",
-                        counting("product", ProductPoint.__post_init__))
-    monkeypatch.setattr(TorusPoint, "__post_init__", counting("torus", TorusPoint.__post_init__))
+    monkeypatch.setattr(ProductPoint, "__new__", counting("product", ProductPoint.__new__))
+    monkeypatch.setattr(TorusPoint, "__init__", counting("torus", TorusPoint.__init__))
     monkeypatch.setattr(TorusPoint, "from_reduced", classmethod(
         counting("torus", TorusPoint.from_reduced.__func__)))
     counts = []

@@ -46,6 +46,12 @@ def test_euler_characteristics_vanish():
 def test_betti_vector_validation():
     with pytest.raises(ValueError):
         BettiVector(1, -1, 0, 0, 0)
+    b = BettiVector(1, 0, 1, 0, 1)
+    with pytest.raises(ValueError):
+        b._replace(b1=-1)  # a copy is validated too
+    assert b._replace(b2=1) == b == BettiVector(1, 0, 1, 0, 1) != BettiVector(1, 0, 2, 0, 1)
+    with pytest.raises(AttributeError):
+        b.b1 = 2
 
 
 def test_betti_from_the_family_deck():

@@ -113,6 +113,20 @@ def test_lattice_equality_is_mutual_containment():
     assert base_lattice() != level_lattice(2)
 
 
+def test_lattices_and_torus_points_are_immutable_and_unhashable():
+    """Equality is basis-free, so neither has a hash: hashing the stored
+    generators would give equal lattices in other bases different hashes."""
+    lattice = level_lattice(2)
+    point = TorusPoint(ORDER3_SHIFT, lattice)
+    for record, name in ((lattice, "gen1"), (point, "key")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+            hash(record)
+
+
 def coset_representatives(sub, sup):
     """Every grid point k1*b1 + k2*b2 of the coset grid of sub in sup, k2
     fastest, with (b1, b2) sup's basis in the grid's axis order."""

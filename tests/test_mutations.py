@@ -4,8 +4,6 @@ family-only probes show that each family's record is wired into the
 pipeline.  The value-assembly probes edit a fragment after it is computed,
 so they show that the checks and the re-checker read the printed values."""
 
-import dataclasses
-
 import pytest
 
 from ballq import curves, families, homology
@@ -90,7 +88,7 @@ def deck_b1_lowered(monkeypatch):
 
     def faulty(matrices, chi):
         betti = original(matrices, chi)
-        return dataclasses.replace(betti, b1=betti.b1 - 1)
+        return betti._replace(b1=betti.b1 - 1)
 
     monkeypatch.setattr(homology, "betti_from_deck", faulty)
 
@@ -229,7 +227,7 @@ def vertical_fiber_over_wrong_z(monkeypatch):
         return ({**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise,
                 through)
 
-    monkeypatch.setitem(families._FAMILIES, GAMMA, dataclasses.replace(spec, upstairs=faulty))
+    monkeypatch.setitem(families._FAMILIES, GAMMA, spec._replace(upstairs=faulty))
 
 
 def level_key_set_misses_a_point(monkeypatch):
@@ -240,7 +238,7 @@ def level_key_set_misses_a_point(monkeypatch):
         level0 = through["level0"]
         return curves, orbits, pairwise, {**through, "level0": level0 - {min(level0)}}
 
-    monkeypatch.setitem(families._FAMILIES, LAMBDA, dataclasses.replace(spec, upstairs=faulty))
+    monkeypatch.setitem(families._FAMILIES, LAMBDA, spec._replace(upstairs=faulty))
 
 
 def level_curves_wrong_offset(monkeypatch):

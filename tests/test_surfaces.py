@@ -440,6 +440,27 @@ def test_curve_record_validation():
         CurveRecord(0, "wavy")
     with pytest.raises(ValueError):
         CurveRecord(0, SINGULAR)  # singularity is read off the point table
+    record = CurveRecord(-1, SMOOTH_RATIONAL)
+    with pytest.raises(ValueError):
+        record._replace(kind=SINGULAR)  # a copy is validated too
+    assert record == CurveRecord(-1, SMOOTH_RATIONAL) == record._replace(self_int=-1)
+    assert record != CurveRecord(-2, SMOOTH_RATIONAL)
+    assert record != CurveRecord(-1, SMOOTH_ELLIPTIC)
+    with pytest.raises(AttributeError):
+        record.self_int = -2
+
+
+def test_models_and_pairs_are_immutable_and_compare_by_value():
+    model = SurfaceModel.build(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
+    pair = LogPair(model, ("a",))
+    assert model.kind("a") == SMOOTH_ELLIPTIC  # fills the cached singular_curves
+    same = SurfaceModel.build(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)}, {}, {})
+    assert model == same and pair == LogPair(same, ("a",))
+    assert model != SurfaceModel.build(1, -2, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
+    assert pair != LogPair(model, ())
+    for record, name in ((model, "k2"), (model, "singular_curves"), (pair, "boundary")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_surface_model_validation():
