@@ -154,7 +154,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
     try:
         first = _parse_curve_spec(args.first, torus)
         second = _parse_curve_spec(args.second, torus)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if isinstance(first, VerticalFiber) and isinstance(second, GraphCurve):
         first, second = second, first

@@ -12,8 +12,9 @@ first read of Intersection.points, never by the solvers.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
-Hermite basis lists.  The contains_point methods read Q(rho) values; they
-are a brute-force check, and the build decides incidence from point keys.
+Hermite basis lists.  Equality has one rule: lattices and tori compare as
+sets, and curves and points compare their integer data, coordinates in
+their lattices' stored bases; stored in other bases, they are unequal.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber, Frozen
-from .lattices import Lattice, TorusPoint, coset_grid, point_key
+from .lattices import TorusPoint, coset_grid, point_key
 
 
 class ProductTorus(namedtuple("ProductTorus", "lattice_w lattice_z")):
@@ -73,9 +74,9 @@ class GraphCurve(Frozen):
     Well-definedness (slope * z-lattice contained in the w-lattice) is
     checked at construction, where the slope's integer matrix from z- to
     w-lattice coordinates is computed; it fails for slopes that do not
-    carry one period lattice into the other.  Two curves stored in the
-    same bases are equal when their matrices and offset keys are; across
-    bases, ambient tori, slopes and offsets are compared.
+    carry one period lattice into the other.  The slope is kept only as
+    that matrix.  Two curves are equal when they are stored in the same
+    bases and their matrices and offset keys agree.
     """
 
     ambient: ProductTorus
@@ -88,7 +89,7 @@ class GraphCurve(Frozen):
             matrix = ambient.lattice_z.multiplier_matrix(slope, ambient.lattice_w)
         except ValueError as exc:
             raise ValueError(f"graph with slope {slope} is not well defined: {exc}") from exc
-        vars(self).update(ambient=ambient, slope=slope, matrix=matrix,
+        vars(self).update(ambient=ambient, matrix=matrix,
                           offset=TorusPoint(EisensteinNumber(offset), ambient.lattice_w))
 
     @classmethod
@@ -99,29 +100,17 @@ class GraphCurve(Frozen):
         vars(curve).update(ambient=ambient, offset=offset, matrix=matrix)
         return curve
 
-    @cached_property
-    def slope(self) -> EisensteinNumber:
-        """The multiplier, read off the matrix's first column (p, q):
-        slope*gen1 of the z-lattice is p*gen1 + q*gen2 of the w-lattice."""
-        (lw, lz), (p, q) = (self.ambient.lattice_w, self.ambient.lattice_z), self.matrix[:2]
-        return (lw.gen1 * p + lw.gen2 * q) / lz.gen1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphCurve):
             return NotImplemented
-        if _same_bases(self.ambient, other.ambient):
-            return self.matrix == other.matrix and self.offset.key == other.offset.key
-        return ((self.ambient, self.slope, self.offset)
-                == (other.ambient, other.slope, other.offset))
-
-    def contains_point(self, p: ProductPoint) -> bool:
-        diff = self.slope * p.z.value + self.offset.value - p.w.value
-        return self.ambient.lattice_w.contains(diff) is not None
+        return (_same_bases(self.ambient, other.ambient) and self.matrix == other.matrix
+                and self.offset.key == other.offset.key)
 
 
 class VerticalFiber(Frozen):
-    """The curve {z = z0} on a product torus.  Fibers are equal when their
-    tori and base points are; like those, a fiber has no hash."""
+    """The curve {z = z0} on a product torus, z0 stored in its z-lattice's
+    basis.  Fibers are equal when their tori and base points are, so across
+    bases they are unequal; like those, a fiber has no hash."""
 
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
         # A z-torus point is kept if stored in the torus's basis, else reduced.
@@ -135,9 +124,6 @@ class VerticalFiber(Frozen):
         return self.ambient == other.ambient and self.z0 == other.z0
 
     __hash__ = None
-
-    def contains_point(self, p: ProductPoint) -> bool:
-        return p.z == self.z0
 
 
 IDENTITY_MATRIX = (1, 0, 0, 1)

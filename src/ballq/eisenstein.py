@@ -150,16 +150,6 @@ class EisensteinNumber(Frozen):
     def __bool__(self) -> bool:
         return bool(self.triple[0] or self.triple[1])
 
-    def conjugate(self) -> EisensteinNumber:
-        """Complex conjugate; rho-bar = rho**2 = -1 - rho."""
-        a, b, d = self.triple
-        return self.from_triple(a - b, -b, d)
-
-    def norm(self) -> Fraction:
-        """Field norm a**2 - a*b + b**2.  Nonnegative; zero only at zero."""
-        a, b, d = self.triple
-        return Fraction(a * a - a * b + b * b, d * d)
-
     def inverse(self) -> EisensteinNumber:
         return self.from_triple(*_reciprocal(self.triple))
 
@@ -181,7 +171,10 @@ class EisensteinNumber(Frozen):
             is_rho = term.endswith(_RHO_SUFFIXES)
             coeff = term[:-1] if is_rho else term
             # a bare sign, or nothing, before the rho stands for 1
-            parts[is_rho] += Fraction(coeff + "1" if coeff in ("", "+", "-") else coeff)
+            try:
+                parts[is_rho] += Fraction(coeff + "1" if coeff in ("", "+", "-") else coeff)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"malformed Eisenstein literal: {text!r}") from exc
         return cls(*parts)
 
 

@@ -443,7 +443,7 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
                 base_points = result.point_keys
 
     chk.expect("branch_slopes_pairwise_distinct", True,
-               len({c.slope for c in slopes}) == 3)
+               len({c.matrix for c in slopes}) == 3)
 
     points = sorted(base_points)
     point_names = {key: f"pt{i}" for i, key in enumerate(points)}

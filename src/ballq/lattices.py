@@ -22,10 +22,10 @@ from .eisenstein import EisensteinNumber, Frozen
 class Lattice(Frozen):
     """The set {m*gen1 + n*gen2 : m, n integers} for independent generators.
 
-    The stored basis is not canonical; lattices compare equal exactly when
-    each contains the other's generators, so a lattice has no hash.  The
-    inverse basis and the generators are also kept as integers over their
-    least common denominator each, read off the generators' triples.
+    The stored basis is not canonical; lattices compare as sets, equal when
+    one is a sublattice of index 1 in the other, so a lattice has no hash.
+    The inverse basis and the generators are also kept as integers over
+    their least common denominator each, read off the generators' triples.
     """
 
     gen1: EisensteinNumber
@@ -68,9 +68,6 @@ class Lattice(Frozen):
         """Whether integer coordinates (keys, matrices) in both agree."""
         return self is other or (self.gen1 == other.gen1 and self.gen2 == other.gen2)
 
-    def is_sublattice_of(self, other: "Lattice") -> bool:
-        return other.contains(self.gen1) is not None and other.contains(self.gen2) is not None
-
     def multiplier_matrix(self, factor: EisensteinNumber,
                           target: "Lattice") -> tuple[int, int, int, int]:
         """Integers (p, q, r, t) with factor*gen1 = p*target.gen1 + q*target.gen2
@@ -96,9 +93,7 @@ class Lattice(Frozen):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Lattice):
             return NotImplemented
-        if self.gen1 == other.gen1 and self.gen2 == other.gen2:
-            return True
-        return self.is_sublattice_of(other) and other.is_sublattice_of(self)
+        return self.same_basis(other) or self.index_in(other) == 1
 
     def to_json(self) -> dict[str, str]:
         return {"gen1": str(self.gen1), "gen2": str(self.gen2)}
@@ -142,7 +137,9 @@ class TorusPoint(Frozen):
     denominator, and each is taken modulo it, into [0, 1).  The point
     stores only its key: the reduced coordinates (rs/den, rt/den) in lowest
     terms, one int triple per point of the torus.  Its value, the
-    representative in Q(rho), is built from the key on first read.
+    representative in Q(rho), is built from the key on first read.  Points
+    are equal when their lattices are stored in the same basis and their
+    keys agree; stored in other bases, they are unequal.
     """
 
     lattice: Lattice
@@ -172,11 +169,7 @@ class TorusPoint(Frozen):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TorusPoint):
             return NotImplemented
-        if self.lattice.same_basis(other.lattice):
-            return self.key == other.key
-        if self.lattice != other.lattice:
-            return False
-        return self.lattice.contains(self.value - other.value) is not None
+        return self.lattice.same_basis(other.lattice) and self.key == other.key
 
     def order(self) -> int:
         """Least k >= 1 with k*value in the lattice.  That is the least

@@ -1,6 +1,7 @@
 """Shared helpers: an independent coordinate map and brute-force
-intersection oracle, rational coordinate helpers that the library does not
-need, and random generators for property suites."""
+intersection oracle, a graph's slope and point membership read in Q(rho),
+rational coordinate helpers that the library does not need, and random
+generators for property suites."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from ballq import families
-from ballq.curves import GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism
+from ballq.curves import GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import EisensteinNumber, eis
 from ballq.lattices import Lattice, TorusPoint
 
@@ -53,10 +54,37 @@ def product_point(torus: ProductTorus, w: EisensteinNumber, z: EisensteinNumber)
     return ProductPoint(TorusPoint(w, torus.lattice_w), TorusPoint(z, torus.lattice_z))
 
 
+def closed_form_points(torus: ProductTorus, n: int) -> list[ProductPoint]:
+    """Literal transcription of the predicted intersection locus, in Q(rho)."""
+    return [product_point(torus, w, w + m)
+            for w in (Fraction(2, 3) + families.ORDER3_SHIFT * l for l in range(3))
+            for m in range(n)]
+
+
+def closed_form_keys(torus: ProductTorus, n: int) -> frozenset:
+    return frozenset(p.key for p in closed_form_points(torus, n))
+
+
 def point_from_key(torus: ProductTorus, key: tuple[int, ...]) -> ProductPoint:
     """The point of a product torus with the six-int key w.key + z.key."""
     return ProductPoint(TorusPoint.from_reduced(*key[:3], torus.lattice_w),
                         TorusPoint.from_reduced(*key[3:], torus.lattice_z))
+
+
+def slope_of(curve: GraphCurve) -> EisensteinNumber:
+    """A graph's multiplier, read off its matrix's first column (p, q):
+    slope*gen1 of the z-lattice is p*gen1 + q*gen2 of the w-lattice."""
+    (lw, lz), (p, q) = (curve.ambient.lattice_w, curve.ambient.lattice_z), curve.matrix[:2]
+    return (lw.gen1 * p + lw.gen2 * q) / lz.gen1
+
+
+def contains_point(curve: GraphCurve | VerticalFiber, p: ProductPoint) -> bool:
+    """Whether p lies on the curve, decided in Q(rho) from the values, in
+    any bases: the oracle of the keyed incidence."""
+    if isinstance(curve, VerticalFiber):
+        return curve.ambient.lattice_z.contains(p.z.value - curve.z0.value) is not None
+    diff = slope_of(curve) * p.z.value + curve.offset.value - p.w.value
+    return curve.ambient.lattice_w.contains(diff) is not None
 
 
 def apply_automorphism(f: TorusAutomorphism, p: ProductPoint) -> ProductPoint:
@@ -144,19 +172,21 @@ def pair_str(p) -> str:
     return f"{a}{'+' if b > 0 else ''}{b}ρ"
 
 
-def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
+def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinNumber,
+                             slope2: EisensteinNumber):
     """Denominator-bounded grid oracle for graph-graph intersections.
 
     Tests the congruence (slope1 - slope2)*z = offset2 - offset1 (mod the
     w-lattice) directly at every candidate z whose coordinates have the
-    denominators a solution can possibly have.  Independent of the coset
+    denominators a solution can possibly have, for the slopes the curves
+    were built from.  Independent of the curves' matrices and of the coset
     enumeration the production solver uses.
     """
-    if c1.slope == c2.slope:
+    if slope1 == slope2:
         return "identical" if c1.offset == c2.offset else "empty"
     lw = c1.ambient.lattice_w
     lz = c1.ambient.lattice_z
-    m = c1.slope - c2.slope
+    m = slope1 - slope2
     rhs = c2.offset.value - c1.offset.value
 
     # Index of m*(z-lattice) inside the w-lattice, straight from the
@@ -175,7 +205,7 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve):
         for j in range(qt):
             z = from_coordinates(lz, Fraction(i, qs), Fraction(j, qt))
             if all(c.denominator == 1 for c in fraction_coordinates(lw, m * z - rhs)):
-                w = TorusPoint(c1.slope * z + c1.offset.value, lw)
+                w = TorusPoint(slope1 * z + c1.offset.value, lw)
                 points.append(ProductPoint(w, TorusPoint(z, lz)))
     points.sort(key=lambda p: coords(p.w) + coords(p.z))
     return points

@@ -19,7 +19,6 @@ from ballq.curves import GraphCurve, POINTS, apply_auto_to_curve, automorphism_o
 from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import (
     BDF_CATALOG,
-    ORDER3_SHIFT,
     BdFInvalid,
     bdf_classify,
     build_family,
@@ -33,13 +32,8 @@ from ballq.lattices import TorusPoint, coset_grid
 from ballq.surfaces import CurveRecord, SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, SINGULAR, \
     SurfaceModel, blow_up
 
-from conftest import (
-    brute_force_intersection,
-    product_point,
-    random_eisenstein,
-    random_lattice,
-    random_sublattice,
-)
+from conftest import (brute_force_intersection, closed_form_keys, pair_norm, pair_of,
+                      random_eisenstein, random_lattice, random_sublattice)
 
 N_MAX = 50
 
@@ -104,21 +98,12 @@ def test_criterion_2_lambda_family_certification():
         assert _build_seconds["lambda"] < 10.0, _build_seconds["lambda"]
 
 
-def _closed_form_keys(torus, n):
-    keys = set()
-    for l in range(3):
-        w = Fraction(2, 3) + ORDER3_SHIFT * l
-        for m in range(n):
-            keys.add(product_point(torus, w, w + m).key)
-    return frozenset(keys)
-
-
 def test_criterion_3_intersection_formula():
     with criterion("3: intersection formula and solver-oracle agreement"):
         for n in range(1, 11):
             torus = product_torus(n)
             curves = slope_curves(torus)
-            expected = _closed_form_keys(torus, n)
+            expected = closed_form_keys(torus, n)
             assert len(expected) == 3 * n
             for i in range(3):
                 for j in range(3):
@@ -141,7 +126,7 @@ def test_criterion_3_intersection_formula():
             c1 = GraphCurve(torus, s1, offsets[0])
             c2 = GraphCurve(torus, s2, offsets[1])
             got = intersect_graphs(c1, c2)
-            expected = brute_force_intersection(c1, c2)
+            expected = brute_force_intersection(c1, c2, s1, s2)
             if isinstance(expected, str):
                 assert got.kind == expected
             else:
@@ -235,7 +220,7 @@ def test_criterion_8_property_suites():
             assert x * y == y * x
             if x:
                 assert x * x.inverse() == ONE
-            assert (x * y).norm() == x.norm() * y.norm()
+            assert pair_norm(pair_of(x * y)) == pair_norm(pair_of(x)) * pair_norm(pair_of(y))
 
         for _ in range(1000):
             sup = random_lattice(rng)

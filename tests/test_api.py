@@ -1,7 +1,9 @@
-"""The public API carries no function or class that only tests call: every
-function or class that `ballq/__init__.py` exports is referenced by some
-module of the package outside its own definition.  The report re-checker
-in `tests/recheck.py` imports nothing but json and fractions."""
+"""The public API carries no function, class or method that only tests
+call: every function or class that `ballq/__init__.py` exports, and every
+public method and property of an exported class, is referenced by some
+module of the package outside its own definition.  Every name a module
+imports is used there.  The report re-checker in `tests/recheck.py`
+imports nothing but json and fractions."""
 
 import ast
 import inspect
@@ -11,6 +13,9 @@ import ballq
 
 PACKAGE = Path(ballq.__file__).parent
 RECHECK = Path(__file__).resolve().parent / "recheck.py"
+# {file name: syntax tree} of every module but `__init__.py`.
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+           if path.name != "__init__.py"}
 
 # Exported ahead of its caller: the report's fibration section will call it.
 EXEMPT = {"fibration_sequence_report"}
@@ -38,15 +43,39 @@ def references_outside_definition(tree, name):
     return count
 
 
+def unreferenced(names):
+    return [name for name in names if not any(references_outside_definition(tree, name)
+                                              for tree in MODULES.values())]
+
+
 def test_every_exported_function_or_class_has_a_caller_in_the_package():
-    modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"]
     exported = [name for name in exported_names()
                 if inspect.isfunction(getattr(ballq, name))
                 or inspect.isclass(getattr(ballq, name))]
     assert "intersect_graphs" in exported and "Lattice" in exported
-    unused = [name for name in exported if name not in EXEMPT
-              and not any(references_outside_definition(tree, name) for tree in modules)]
+    assert unreferenced([name for name in exported if name not in EXEMPT]) == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller_in_the_package():
+    # Dunders are exempt: syntax calls them, not their names.
+    classes = {name for name in exported_names() if inspect.isclass(getattr(ballq, name))}
+    methods = {item.name: node.name for tree in MODULES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name in classes
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+    assert methods["from_matrix"] == "GraphCurve" and methods["value"] == "TorusPoint"
+    assert [f"{methods[name]}.{name}" for name in unreferenced(methods)] == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for file_name, tree in MODULES.items():
+        imported = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{file_name}: {name}" for name in sorted(imported - used)]
     assert unused == []
 
 

@@ -42,10 +42,8 @@ def test_verify_rejects_zero(capsys):
 
 
 def test_verify_rejects_bad_range(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "5..2")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "verify", "--family", "gamma", "--n", "x")
-    assert code == 2
+    for bad in ("5..2", "x"):
+        assert run_cli(capsys, "verify", "--family", "gamma", "--n", bad)[0] == 2
 
 
 def test_usage_error_on_unknown_flag(capsys):
@@ -398,9 +396,13 @@ def test_failed_level_renders_as_markdown(capsys, monkeypatch):
 
 
 def test_intersect_zero_denominator_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "intersect", "graph:1/0,0", "graph:1,0", "--n", "1")
-    assert code == 2
-    assert "usage error" in err
+    # A zero denominator or a coefficient that is no rational names the
+    # literal, not the error of the rational parser beneath.
+    for literal in ("1/0", "rho"):
+        code, _, err = run_cli(capsys, "intersect", f"graph:{literal},0", "graph:1,0",
+                               "--n", "1")
+        assert code == 2
+        assert f"usage error: malformed Eisenstein literal: '{literal}'" in err
 
 
 @pytest.mark.parametrize("requested, levels, cpus, expected", [

@@ -41,22 +41,9 @@ from ballq.families import (
 )
 from ballq.lattices import TorusPoint
 
-from conftest import (apply_automorphism, brute_force_intersection, count_eisenstein_operations,
-                      point_from_key, product_point, scaled)
-
-
-def closed_form_points(torus, n):
-    """Literal transcription of the predicted intersection locus, in Q(rho)."""
-    points = []
-    for l in range(3):
-        w = Fraction(2, 3) + ORDER3_SHIFT * l
-        for m in range(n):
-            points.append(product_point(torus, w, w + m))
-    return points
-
-
-def closed_form_keys(torus, n):
-    return frozenset(p.key for p in closed_form_points(torus, n))
+from conftest import (apply_automorphism, brute_force_intersection, closed_form_keys,
+                      closed_form_points, contains_point, count_eisenstein_operations,
+                      point_from_key, product_point, scaled, slope_of)
 
 
 def test_graph_well_definedness_enforced():
@@ -106,8 +93,8 @@ def test_points_lie_on_both_curves():
         curves = slope_curves(torus)
         result = intersect_graphs(curves[0], curves[2])
         for p in result.points:
-            assert curves[0].contains_point(p)
-            assert curves[2].contains_point(p)
+            assert contains_point(curves[0], p)
+            assert contains_point(curves[2], p)
 
 
 def test_ambient_mismatch_rejected():
@@ -218,11 +205,11 @@ HEXAGONAL_SLOPES = UNITS + (eis(0), ONE - RHO, eis(2), eis(2, 1), eis(-1, 3), ei
 
 @st.composite
 def graphs(draw, torus, n):
-    """A well-defined graph on torus with a hexagonal integer slope, unit
-    or not, and an offset of denominator up to 12n."""
+    """(slope, curve): a well-defined graph on torus with a hexagonal
+    integer slope, unit or not, and an offset of denominator up to 12n."""
     slope = draw(st.sampled_from(HEXAGONAL_SLOPES)) * draw(st.sampled_from((1, 1, 3 * n)))
     try:
-        return GraphCurve(torus, slope, draw(eisenstein_values(12 * n)))
+        return slope, GraphCurve(torus, slope, draw(eisenstein_values(12 * n)))
     except ValueError:
         assume(False)
 
@@ -232,9 +219,9 @@ def graphs(draw, torus, n):
 def test_integer_curve_image_matches_the_eisenstein_formula(data):
     torus, n = data.draw(family_tori())
     lambda_w, trans_w, lambda_z, trans_z = inputs = data.draw(automorphism_inputs(torus))
-    curve = data.draw(graphs(torus, n))
+    slope, curve = data.draw(graphs(torus, n))
     image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
-    slope = lambda_w * curve.slope / lambda_z
+    slope = lambda_w * slope / lambda_z
     expected = GraphCurve(torus, slope, lambda_w * curve.offset.value + trans_w - slope * trans_z)
     assert image == expected
     assert image.matrix == expected.matrix
@@ -243,35 +230,36 @@ def test_integer_curve_image_matches_the_eisenstein_formula(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_curve_image_slope_is_read_off_its_matrix(data):
-    # A curve image stores no slope; the first read computes lw*slope/lz
-    # from the matrix, for unit and non-unit slopes alike.
+    # A graph stores only its matrix; the slope read off it is the drawn
+    # slope, and lw*slope/lz for its image, for unit and non-unit slopes.
     torus, n = data.draw(family_tori())
     lambda_w, _, lambda_z, _ = inputs = data.draw(automorphism_inputs(torus))
-    curve = data.draw(graphs(torus, n))
+    slope, curve = data.draw(graphs(torus, n))
     image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
-    assert "slope" not in vars(image)
-    assert image.slope == lambda_w * curve.slope / lambda_z
-    assert vars(image)["slope"] is image.slope
+    assert "slope" not in vars(curve) and "slope" not in vars(image)
+    assert slope_of(curve) == slope
+    assert slope_of(image) == lambda_w * slope / lambda_z
 
 
 def test_graph_equality_across_bases():
-    # Curves on one torus stored in two bases compare by torus, slope and
-    # offset, as value-level equality does; a curve image reads its slope
-    # off its matrix to take part.
+    # Curves compare their integer data, matrix and offset key, in one
+    # basis: in a basis of their own, curves equal as sets are equal, and
+    # the same curve stored in another basis of the same torus is not.
     hexagonal = ProductTorus(base_lattice(), base_lattice())
     other_z = ProductTorus(base_lattice(), level_lattice(1))
     other_w = ProductTorus(level_lattice(1), base_lattice())
     third = eis(Fraction(1, 3))
     curve = GraphCurve(hexagonal, RHO, third)
-    for torus in (other_z, other_w):
-        assert GraphCurve(torus, RHO, third) == curve
-        assert GraphCurve(torus, RHO, third + torus.lattice_w.gen2) == curve
-        assert GraphCurve(torus, RHO2, third) != curve
-        assert GraphCurve(torus, RHO, 2 * third) != curve
+    for torus in (hexagonal, other_z, other_w):
+        same = GraphCurve(torus, RHO, third)
+        assert GraphCurve(torus, RHO, third + torus.lattice_w.gen2) == same
+        assert GraphCurve(torus, RHO2, third) != same
+        assert GraphCurve(torus, RHO, 2 * third) != same
         image = apply_auto_to_curve(TorusAutomorphism(torus, RHO, 0, 1, 0),
                                     GraphCurve(torus, 1, RHO2 * third))
-        assert "slope" not in vars(image)
-        assert image == curve and curve == image
+        assert image == same and same == image
+        assert (same == curve) == (curve == same) == (torus is hexagonal)
+        assert torus == hexagonal and slope_of(same) == RHO
     assert GraphCurve(product_torus(2), RHO, third) != GraphCurve(product_torus(1), RHO, third)
     assert GraphCurve(hexagonal, RHO, third) != "not a curve"
 
@@ -280,10 +268,10 @@ def test_graph_equality_across_bases():
 @given(st.data())
 def test_integer_graph_fiber_point_matches_the_eisenstein_formula(data):
     torus, n = data.draw(family_tori())
-    curve = data.draw(graphs(torus, n))
+    slope, curve = data.draw(graphs(torus, n))
     fiber = VerticalFiber(torus, data.draw(eisenstein_values(12 * n)))
     point = intersect_graph_fiber(curve, fiber)
-    expected = TorusPoint(curve.slope * fiber.z0.value + curve.offset.value, torus.lattice_w)
+    expected = TorusPoint(slope * fiber.z0.value + curve.offset.value, torus.lattice_w)
     assert point.w.key == expected.key
     assert str(point.w.value) == str(expected.value)
     assert point.z is fiber.z0
@@ -346,10 +334,11 @@ def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
     torus = product_torus(1)
     z = TorusPoint(eis(Fraction(1, 3)), torus.lattice_z)
     assert VerticalFiber(torus, z).z0 is z
-    # the same torus point in another basis of the same lattice is reduced again
+    # reduced again from another basis, and keys in two bases are unequal
     elsewhere = TorusPoint(eis(Fraction(1, 3)), base_lattice())
     fiber = VerticalFiber(torus, elsewhere)
-    assert fiber.z0.lattice is torus.lattice_z and fiber.z0 == elsewhere
+    assert fiber.z0.lattice is torus.lattice_z and fiber.z0 == z and fiber.z0 != elsewhere
+    assert torus.lattice_z.contains(fiber.z0.value - elsewhere.value) is not None
 
 
 def test_graph_fiber_intersection():
@@ -371,9 +360,7 @@ def test_deck_orbit_of_slope_curves():
         torus = product_torus(n)
         curves = slope_curves(torus)
         deck = deck_automorphism(torus)
-        assert apply_auto_to_curve(deck, curves[0]) == curves[1]
-        assert apply_auto_to_curve(deck, curves[1]) == curves[2]
-        assert apply_auto_to_curve(deck, curves[2]) == curves[0]
+        assert [apply_auto_to_curve(deck, c) for c in curves] == curves[1:] + curves[:1]
         assert orbit_of_curves(deck, curves[0]) == curves
 
 
@@ -381,9 +368,7 @@ def test_deck_orbit_of_level_curves():
     torus = product_torus(3)
     curves = level_curves(torus)
     deck = deck_automorphism(torus)
-    assert apply_auto_to_curve(deck, curves[0]) == curves[1]
-    assert apply_auto_to_curve(deck, curves[1]) == curves[2]
-    assert apply_auto_to_curve(deck, curves[2]) == curves[0]
+    assert [apply_auto_to_curve(deck, c) for c in curves] == curves[1:] + curves[:1]
 
 
 def test_identity_orbit():
@@ -484,8 +469,8 @@ def test_image_points_land_on_image_curve():
         for _ in range(10):
             z = eis(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            point = product_point(torus, curve.slope * z + curve.offset.value, z)
-            assert image.contains_point(apply_automorphism(deck, point))
+            point = product_point(torus, slope_of(curve) * z + curve.offset.value, z)
+            assert contains_point(image, apply_automorphism(deck, point))
 
 
 def test_intersection_commutes_with_deck():
@@ -499,11 +484,11 @@ def test_intersection_commutes_with_deck():
     assert direct.keys() == frozenset(moved)
 
 
-def assert_matches_oracle(c1, c2):
+def assert_matches_oracle(c1, c2, slope1, slope2):
     """The solver's points equal the oracle's, in the same order and with the
-    same printed w and z values."""
+    same printed w and z values; the curves were built from the slopes."""
     got = intersect_graphs(c1, c2)
-    expected = brute_force_intersection(c1, c2)
+    expected = brute_force_intersection(c1, c2, slope1, slope2)
     if isinstance(expected, str):
         assert got.kind == expected
     else:
@@ -536,7 +521,7 @@ def test_solver_matches_oracle_small():
     for s1 in slopes[:3]:
         for s2 in slopes:
             for off in offsets:
-                assert_matches_oracle(GraphCurve(torus, s1, 0), GraphCurve(torus, s2, off))
+                assert_matches_oracle(GraphCurve(torus, s1, 0), GraphCurve(torus, s2, off), s1, s2)
 
 
 def test_solver_matches_oracle_seeded():
@@ -561,7 +546,7 @@ def test_solver_matches_oracle_seeded():
         c1, c2 = GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2)
         e1, e2 = c1.offset.key[2], c2.offset.key[2]
         coprime_denominators += lcm(e1, e2) > max(e1, e2)
-        assert_matches_oracle(c1, c2)
+        assert_matches_oracle(c1, c2, s1, s2)
     assert coprime_denominators >= 5
 
 
@@ -585,7 +570,7 @@ def test_count_equals_lattice_index():
         curves = slope_curves(torus)
         for i in range(3):
             for j in range(i + 1, 3):
-                m = curves[i].slope - curves[j].slope
+                m = RHO ** i - RHO ** j  # the slopes of slope_curves
                 index = scaled(torus.lattice_z, m).index_in(torus.lattice_w)
                 p, q, r, t = (x - y for x, y in zip(curves[i].matrix, curves[j].matrix))
                 assert intersect_graphs(curves[i], curves[j]).count == index == 3 * n
@@ -613,8 +598,9 @@ def test_orbit_of_curves_cap():
 
 
 def test_records_are_immutable_and_the_basis_free_ones_unhashable():
-    """A torus, a point and a fiber compare through their lattices, which
-    have no hash, so neither have they; the error names the record."""
+    """A torus compares through its lattices, which have no hash, so it has
+    none; a point and a fiber, which compare keys in their lattices' stored
+    bases, have none either.  The error names the record."""
     torus = product_torus(1)
     e1, e2, _ = slope_curves(torus)
     fiber = VerticalFiber(torus, Fraction(1, 3))
@@ -630,13 +616,17 @@ def test_records_are_immutable_and_the_basis_free_ones_unhashable():
 
 
 def test_record_equality():
-    """Tori and points compare by their parts, basis-free; fibers by
-    (ambient, z0); intersections by kind and keys, whatever the ambient."""
+    """Tori compare by their lattices, as sets; points by their keys in one
+    basis; fibers by (ambient, z0), so also in one basis; intersections by
+    kind and keys, whatever the ambient."""
     torus = product_torus(1)
-    assert torus == ProductTorus(base_lattice(), base_lattice())
+    hexagonal = ProductTorus(base_lattice(), base_lattice())
+    assert torus == hexagonal
     assert torus != product_torus(2)
     fiber = VerticalFiber(torus, Fraction(1, 3))
-    assert fiber == VerticalFiber(ProductTorus(base_lattice(), base_lattice()), Fraction(4, 3))
+    assert fiber == VerticalFiber(torus, Fraction(4, 3))
+    assert fiber != VerticalFiber(hexagonal, Fraction(1, 3))
+    assert VerticalFiber(hexagonal, Fraction(1, 3)) == VerticalFiber(hexagonal, Fraction(4, 3))
     assert fiber != VerticalFiber(torus, Fraction(2, 3))
     assert fiber != VerticalFiber(product_torus(2), Fraction(1, 3))
     e1, e2, _ = slope_curves(torus)

@@ -1,6 +1,7 @@
 """Exact arithmetic in Q(rho)."""
 
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -51,9 +52,9 @@ def test_inverse_of_zero_raises():
 
 
 def test_norm_values():
-    assert ZERO.norm() == 0
-    assert RHO.norm() == 1
-    assert (ONE - RHO).norm() == 3
+    assert pair_norm(pair_of(ZERO)) == 0
+    assert pair_norm(pair_of(RHO)) == 1
+    assert pair_norm(pair_of(ONE - RHO)) == 3
 
 
 def test_division():
@@ -93,8 +94,8 @@ def test_parse_ascii_and_unicode():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1//2", "2/3+", "rr", "1e5", "2e3r"):
-        with pytest.raises(ValueError):
+    for bad in ("", "x", "1//2", "2/3+", "rr", "1e5", "2e3r", "1/0", "1/0r", "rho"):
+        with pytest.raises(ValueError, match=re.escape(f"malformed Eisenstein literal: {bad!r}")):
             EisensteinNumber.from_string(bad)
 
 
@@ -123,19 +124,19 @@ def test_inverse_property(x):
 
 @given(numbers, numbers)
 def test_norm_multiplicative(x, y):
-    assert (x * y).norm() == x.norm() * y.norm()
+    assert pair_norm(pair_of(x * y)) == pair_norm(pair_of(x)) * pair_norm(pair_of(y))
 
 
 @given(numbers)
 def test_norm_nonnegative(x):
-    n = x.norm()
+    n = pair_norm(pair_of(x))
     assert n >= 0
     assert (n == 0) == (not x)
 
 
 @given(numbers)
 def test_conjugate_gives_norm(x):
-    assert x * x.conjugate() == EisensteinNumber(x.norm())
+    assert x * eis(*pair_conjugate(pair_of(x))) == EisensteinNumber(pair_norm(pair_of(x)))
 
 
 @given(numbers)
@@ -173,13 +174,12 @@ def test_triple_arithmetic_matches_fraction_pairs(p, q):
     x, y = eis(*p), eis(*q)
     assert pair_of(x) == p
     results = [(x + y, pair_add(p, q)), (x - y, pair_sub(p, q)), (x * y, pair_mul(p, q)),
-               (-x, pair_sub((0, 0), p)), (x.conjugate(), pair_conjugate(p))]
+               (-x, pair_sub((0, 0), p)), (x * eis(*pair_conjugate(p)), (pair_norm(p), 0))]
     if any(q):
         results += [(x / y, pair_mul(p, pair_inverse(q))), (y.inverse(), pair_inverse(q))]
     for z, expected in results:
         assert_canonical(z)
         assert pair_of(z) == expected
-    assert x.norm() == pair_norm(p)
     assert str(x) == pair_str(p)
     assert EisensteinNumber.from_string(str(x)).triple == x.triple
     assert (x == y) == (p == q)

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from ballq import cli
-from ballq.curves import GraphCurve, ProductPoint, VerticalFiber
+from ballq.curves import ProductPoint, TorusAutomorphism
 from ballq.eisenstein import RHO
 from ballq.lattices import TorusPoint
 from ballq.surfaces import (
@@ -44,13 +44,15 @@ from ballq.families import (
     base_lattice,
     bdf_classify,
     build_family,
+    classify_deck_action,
     covering_report,
     level_lattice,
     product_torus,
     render_markdown,
 )
 
-from conftest import clear_lattice_caches, count_eisenstein_operations, point_from_key
+from conftest import (clear_lattice_caches, contains_point, count_eisenstein_operations,
+                      point_from_key)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -247,7 +249,7 @@ def test_albanese_data():
 
 def test_albanese_lattice_contains_level():
     for n in (1, 3, 5):
-        assert level_lattice(n).is_sublattice_of(albanese_lattice(n))
+        assert level_lattice(n).index_in(albanese_lattice(n)) is not None
         assert base_lattice().contains(3 * ORDER3_SHIFT) is not None
 
 
@@ -338,9 +340,6 @@ def test_volume_spectrum_saturation():
 
 
 def test_deck_classification_rejects_wrong_translation_order():
-    from ballq.curves import TorusAutomorphism
-    from ballq.families import classify_deck_action, product_torus
-
     torus = product_torus(2)
     stuck = TorusAutomorphism(torus, RHO, 0, 1, 0)
     result = classify_deck_action(stuck, 3)
@@ -349,9 +348,6 @@ def test_deck_classification_rejects_wrong_translation_order():
 
 
 def test_deck_classification_multiplier_branches():
-    from ballq.curves import TorusAutomorphism
-    from ballq.families import ORDER3_SHIFT, classify_deck_action, product_torus
-
     torus = product_torus(2)
     half = torus.lattice_z.gen1 / 2
     negation = TorusAutomorphism(torus, -1, 0, 1, half)
@@ -395,36 +391,10 @@ def test_keyed_incidence_equals_brute_force(family):
         core, curves, _, _, through = _upstairs_inputs(family, n)
         brute = {
             core.point_names[key]: {name: 1 for name, curve in curves.items()
-                                    if curve.contains_point(point_from_key(core.torus, key))}
+                                    if contains_point(curve, point_from_key(core.torus, key))}
             for key in core.points
         }
         assert _incidence(core, curves, through) == brute
-
-
-def count_contains_point_calls(monkeypatch):
-    """Patch contains_point on both curve types to count its calls by type."""
-    calls = {GraphCurve: 0, VerticalFiber: 0}
-
-    def counting(cls):
-        method = cls.contains_point
-
-        def wrapper(self, p):
-            calls[cls] += 1
-            return method(self, p)
-        return wrapper
-
-    for cls in calls:
-        monkeypatch.setattr(cls, "contains_point", counting(cls))
-    return calls
-
-
-@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
-def test_incidence_makes_no_point_tests(monkeypatch, family):
-    # graph curves are read off the intersection sets and vertical fibers
-    # off the points' z keys
-    calls = count_contains_point_calls(monkeypatch)
-    assert build_family(family, 40)["passed"]
-    assert calls == {GraphCurve: 0, VerticalFiber: 0}
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

@@ -1,5 +1,6 @@
 """Lattice membership, multiplier matrices, indices and the Hermite coset grid."""
 
+import random
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -41,12 +42,12 @@ def test_contains_triple_shift_in_level_lattice():
 
 def test_level_lattices_inside_hexagonal():
     for n in range(1, 8):
-        assert level_lattice(n).is_sublattice_of(level_lattice(1))
+        assert level_lattice(n).index_in(level_lattice(1)) is not None
 
 
 def test_sublattice_divisibility():
-    assert level_lattice(4).is_sublattice_of(level_lattice(2))
-    assert not level_lattice(3).is_sublattice_of(level_lattice(2))
+    assert level_lattice(4).index_in(level_lattice(2)) == 2
+    assert level_lattice(3).index_in(level_lattice(2)) is None
 
 
 def test_index_of_level_lattice():
@@ -111,11 +112,28 @@ def test_lattice_equality_is_mutual_containment():
     # Same set, different stored bases.
     assert base_lattice() == level_lattice(1)
     assert base_lattice() != level_lattice(2)
+    # Seeded: a unimodular change of basis gives the same set, and a
+    # sublattice of index > 1 is another set, in both orders.
+    rng = random.Random(2357)
+    proper = 0
+    for _ in range(200):
+        lattice = random_lattice(rng)
+        k, j = rng.randint(-4, 4), rng.randint(-4, 4)
+        a, b, c, d = rng.choice(((1, k, j, 1 + j * k), (k, 1, 1 + j * k, j)))
+        other = Lattice(a * lattice.gen1 + b * lattice.gen2, c * lattice.gen1 + d * lattice.gen2)
+        assert other == lattice and lattice == other
+        sub = random_sublattice(rng, lattice)
+        index = sub.index_in(lattice)
+        assert (sub == lattice) == (lattice == sub) == (index == 1)
+        proper += index > 1
+    assert proper >= 150
 
 
 def test_lattices_and_torus_points_are_immutable_and_unhashable():
-    """Equality is basis-free, so neither has a hash: hashing the stored
-    generators would give equal lattices in other bases different hashes."""
+    """Lattices compare as sets, so a lattice has no hash: hashing the
+    stored generators would give equal lattices in other bases different
+    hashes.  A torus point compares its key in its lattice's stored basis
+    and has no hash either; sets of points hold their keys."""
     lattice = level_lattice(2)
     point = TorusPoint(ORDER3_SHIFT, lattice)
     for record, name in ((lattice, "gen1"), (point, "key")):
@@ -202,8 +220,6 @@ def test_reduce_shift_identities():
 
 
 def test_reduction_properties_random():
-    import random
-
     rng = random.Random(20240)
     for _ in range(150):
         lattice = random_lattice(rng)
@@ -316,8 +332,6 @@ def test_from_reduced_rejects_unreduced_numerators():
 
 
 def test_index_multiplicativity_random():
-    import random
-
     rng = random.Random(90125)
     for _ in range(60):
         l1 = random_lattice(rng)
@@ -327,8 +341,6 @@ def test_index_multiplicativity_random():
 
 
 def test_coset_size_matches_index_random():
-    import random
-
     rng = random.Random(555)
     for _ in range(40):
         sup = random_lattice(rng)
@@ -351,8 +363,6 @@ def addition_loop_order(point, max_order):
 
 
 def test_order_matches_addition_loop_random():
-    import random
-
     rng = random.Random(3141)
     for _ in range(150):
         point = TorusPoint(random_eisenstein(rng), random_lattice(rng))

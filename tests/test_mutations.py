@@ -155,6 +155,14 @@ def deck_z_translation_off_by_one(monkeypatch):
     edit_deck(monkeypatch, edit)
 
 
+def slope2_repeats_slope1(monkeypatch):
+    """The third branch curve is built with the second one's slope rho, so
+    two of the three branch slopes coincide."""
+    original = families.slope_curves
+    monkeypatch.setattr(families, "slope_curves", lambda torus: original(torus)[:2] + [
+        GraphCurve(torus, RHO, ORDER3_SHIFT * -2)])
+
+
 def deck_shift_doubled(monkeypatch):
     monkeypatch.setattr(families, "deck_automorphism", lambda torus: TorusAutomorphism(
         torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
@@ -248,7 +256,7 @@ def level_curves_wrong_offset(monkeypatch):
 
 SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
                  multiplier_matrix_transposed, kernel_keys_skip_gcd,
-                 numerators_over_twice_the_denominator, deck_shift_doubled,
+                 numerators_over_twice_the_denominator, slope2_repeats_slope1, deck_shift_doubled,
                  deck_w_matrix_transposed, deck_z_translation_off_by_one, deck_b1_lowered,
                  blow_up_bumps_exceptional, stray_exceptional_crossing,
                  blow_up_keeps_a_triple_point, certify_log_chern_swapped]
@@ -331,6 +339,14 @@ def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
     failed = {check["name"] for check in chk.results if not check["passed"]}
     assert {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
             "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"} <= failed
+
+
+def test_repeated_branch_slope_fails_the_distinct_slopes_check(monkeypatch):
+    slope2_repeats_slope1(monkeypatch)
+    chk = families._Checks()
+    families._shared_geometry(2, chk)
+    failed = {check["name"] for check in chk.results if not check["passed"]}
+    assert "branch_slopes_pairwise_distinct" in failed
 
 
 def test_exceptional_meeting_its_fiber_twice_fails_the_singular_fiber_count(monkeypatch):

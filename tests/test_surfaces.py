@@ -179,18 +179,13 @@ def build_blown_gamma(n):
     points = {}
     for m in range(n):
         for k in range(3):
-            points[f"p{k}_{m}"] = {name: 1 for name in names}
-    for m in range(n):
-        for k in range(3):
             fiber = f"v{m}_{k}"
             curves[fiber] = CurveRecord(0, SMOOTH_ELLIPTIC)
-            for name in names:
-                pairwise[(name, fiber)] = 1
-            points[f"p{k}_{m}"][fiber] = 1
+            pairwise.update({(name, fiber): 1 for name in names})
+            points[f"p{k}_{m}"] = {**{name: 1 for name in names}, fiber: 1}
     model = SurfaceModel.build(0, 0, curves, pairwise, points)
-    curve_orbits = {"core": names}
-    for m in range(n):
-        curve_orbits[f"fiber{m + 1}"] = tuple(f"v{m}_{k}" for k in range(3))
+    curve_orbits = {"core": names, **{f"fiber{m + 1}": tuple(f"v{m}_{k}" for k in range(3))
+                                      for m in range(n)}}
     point_orbits = {f"q{m}": tuple(f"p{k}_{m}" for k in range(3)) for m in range(n)}
     image = etale_quotient(model, 3, curve_orbits, point_orbits)
     blown = image
