@@ -21,7 +21,6 @@ from .curves import (
     intersect_graph_fiber,
     intersect_graphs,
     is_free,
-    orbit_of_curves,
     orbit_of_points,
 )
 from .surfaces import (

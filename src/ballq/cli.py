@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import families
 from .eisenstein import EisensteinNumber
-from .curves import (EMPTY, IDENTICAL, POINTS, GraphCurve, Intersection, VerticalFiber,
+from .curves import (EMPTY, IDENTICAL, GraphCurve, Intersection, VerticalFiber,
                      graph_difference, intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
 
@@ -166,9 +166,9 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
                              f"{MAX_POINTS} are listed")
         result = intersect_graphs(first, second)
     elif isinstance(first, GraphCurve):
-        result = Intersection(POINTS, (intersect_graph_fiber(first, second).key,), torus)
+        result = intersect_graph_fiber(first, second)
     else:
-        result = Intersection(IDENTICAL if first.z0 == second.z0 else EMPTY)
+        result = Intersection(IDENTICAL if first == second else EMPTY)
     with _output(args.out) as out:
         out.write(json.dumps(result.to_json()) + "\n")
     return 0
@@ -241,7 +241,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,9 +6,11 @@ fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
 lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
 such matrix per factor and its translations' keys, so every map works on
 keys through one formula (_affine_image): images of points, curves and
-fibers, composition and powers.  A point set is a list of keys, six ints
-per point: ProductPoints are built only by intersect_graph_fiber and the
-first read of Intersection.points, never by the solvers.
+fibers, composition and powers.  A point is its key inside the library:
+a graph's offset and a fiber's base point are torus point keys, and a
+point set is a list of keys, six ints per point.  ProductPoints and
+TorusPoints are built only to print, on the first read of
+Intersection.points.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
@@ -53,11 +55,6 @@ class ProductPoint(namedtuple("ProductPoint", "w z")):
     __slots__ = ()
     __hash__ = None
 
-    @property
-    def key(self) -> tuple[int, ...]:
-        """The six ints w.key + z.key."""
-        return self.w.key + self.z.key
-
     def to_json(self) -> dict[str, str]:
         return {"w": str(self.w.value), "z": str(self.z.value)}
 
@@ -75,12 +72,13 @@ class GraphCurve(Frozen):
     checked at construction, where the slope's integer matrix from z- to
     w-lattice coordinates is computed; it fails for slopes that do not
     carry one period lattice into the other.  The slope is kept only as
-    that matrix.  Two curves are equal when they are stored in the same
-    bases and their matrices and offset keys agree.
+    that matrix, and the offset only as its key in the w-lattice's basis.
+    Two curves are equal when they are stored in the same bases and their
+    matrices and offset keys agree.
     """
 
     ambient: ProductTorus
-    offset: TorusPoint
+    offset: tuple[int, int, int]
     matrix: tuple[int, int, int, int]
 
     def __init__(self, ambient: ProductTorus, slope: object, offset: object) -> None:
@@ -90,12 +88,12 @@ class GraphCurve(Frozen):
         except ValueError as exc:
             raise ValueError(f"graph with slope {slope} is not well defined: {exc}") from exc
         vars(self).update(ambient=ambient, matrix=matrix,
-                          offset=TorusPoint(EisensteinNumber(offset), ambient.lattice_w))
+                          offset=ambient.lattice_w.key(EisensteinNumber(offset)))
 
     @classmethod
-    def from_matrix(cls, ambient: ProductTorus, matrix: tuple, offset: TorusPoint) -> "GraphCurve":
+    def from_matrix(cls, ambient: ProductTorus, matrix: tuple, offset: tuple) -> "GraphCurve":
         """The graph through [offset, 0] whose slope has the integer matrix
-        `matrix`, with offset stored in ambient's w-lattice basis."""
+        `matrix`, for the key offset in ambient's w-lattice basis."""
         curve = object.__new__(cls)
         vars(curve).update(ambient=ambient, offset=offset, matrix=matrix)
         return curve
@@ -104,26 +102,31 @@ class GraphCurve(Frozen):
         if not isinstance(other, GraphCurve):
             return NotImplemented
         return (_same_bases(self.ambient, other.ambient) and self.matrix == other.matrix
-                and self.offset.key == other.offset.key)
+                and self.offset == other.offset)
 
 
 class VerticalFiber(Frozen):
-    """The curve {z = z0} on a product torus, z0 stored in its z-lattice's
-    basis.  Fibers are equal when their tori and base points are, so across
-    bases they are unequal; like those, a fiber has no hash."""
+    """The curve {z = z0} on a product torus, z0 stored only as its key in
+    the z-lattice's basis.  Like graphs, fibers are equal when they are
+    stored in the same bases and their keys agree; a fiber has no hash."""
+
+    ambient: ProductTorus
+    z0: tuple[int, int, int]
 
     def __init__(self, ambient: ProductTorus, z0: object) -> None:
-        # A z-torus point is kept if stored in the torus's basis, else reduced.
-        if not (isinstance(z0, TorusPoint) and z0.lattice.same_basis(ambient.lattice_z)):
-            z0 = TorusPoint(EisensteinNumber(getattr(z0, "value", z0)), ambient.lattice_z)
-        vars(self).update(ambient=ambient, z0=z0)
+        vars(self).update(ambient=ambient, z0=ambient.lattice_z.key(EisensteinNumber(z0)))
+
+    @classmethod
+    def from_key(cls, ambient: ProductTorus, z0: tuple) -> "VerticalFiber":
+        """The fiber over the point with key z0 in ambient's z-lattice basis."""
+        fiber = object.__new__(cls)
+        vars(fiber).update(ambient=ambient, z0=z0)
+        return fiber
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VerticalFiber):
             return NotImplemented
-        return self.ambient == other.ambient and self.z0 == other.z0
-
-    __hash__ = None
+        return _same_bases(self.ambient, other.ambient) and self.z0 == other.z0
 
 
 IDENTITY_MATRIX = (1, 0, 0, 1)
@@ -152,7 +155,7 @@ class TorusAutomorphism(Frozen):
         if any(p * t - q * r != 1 for p, q, r, t in matrices):
             raise ValueError(f"multipliers {lambda_w}, {lambda_z} must map "
                              "their lattices onto themselves")
-        translations = tuple(TorusPoint(EisensteinNumber(c), lattice).key
+        translations = tuple(lattice.key(EisensteinNumber(c))
                              for c, lattice in zip((trans_w, trans_z), lattices))
         vars(self).update(ambient=ambient, matrices=matrices, translations=translations)
 
@@ -256,8 +259,8 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     Both curves must be given in the same stored lattice bases, since the
     solver reads their matrices and offset keys as coordinates."""
     _require_same_bases(c1.ambient, c2.ambient)
-    rs1, rt1, e1 = c1.offset.key
-    rs2, rt2, e2 = c2.offset.key
+    rs1, rt1, e1 = c1.offset
+    rs2, rt2, e2 = c2.offset
     if c1.matrix == c2.matrix:
         return Intersection(IDENTICAL if (rs1, rt1, e1) == (rs2, rt2, e2) else EMPTY)
     # In lattice coordinates the slope difference maps z = (x, y) to
@@ -293,11 +296,12 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     return Intersection(POINTS, tuple(key for _, key in solutions), c1.ambient)
 
 
-def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> ProductPoint:
-    """The single point where a graph crosses a vertical fiber, w = A*z0 + o."""
+def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> Intersection:
+    """The key of the single point where a graph crosses a vertical fiber,
+    w = A*z0 + o."""
     _require_same_bases(c.ambient, f.ambient)
-    w = _affine_image(f.z0.key, c.matrix, c.offset.key)
-    return ProductPoint(TorusPoint.from_reduced(*w, c.ambient.lattice_w), f.z0)
+    w = _affine_image(f.z0, c.matrix, c.offset)
+    return Intersection(POINTS, (w + f.z0,), c.ambient)
 
 
 # ----------------------------------------------------------------------
@@ -311,10 +315,9 @@ def apply_auto_to_curve(f: TorusAutomorphism, c: GraphCurve) -> GraphCurve:
     _require_same_bases(f.ambient, c.ambient)
     (m_w, (p, q, r, t)), (c_w, c_z) = f.matrices, f.translations
     matrix = _matmul(_matmul(m_w, c.matrix), (t, -q, -r, p))
-    w1 = _affine_image(c.offset.key, m_w, c_w)
-    offset = _affine_image(c_z, tuple(-x for x in matrix), w1)
+    w1 = _affine_image(c.offset, m_w, c_w)
     return GraphCurve.from_matrix(c.ambient, matrix,
-                                  TorusPoint.from_reduced(*offset, c.ambient.lattice_w))
+                                  _affine_image(c_z, tuple(-x for x in matrix), w1))
 
 
 def _nontrivial_powers(f: TorusAutomorphism, max_order: int):
@@ -347,19 +350,6 @@ def is_free(f: TorusAutomorphism, max_order: int = 64) -> bool:
     return not any(all(m != IDENTITY_MATRIX or c == ZERO_KEY
                        for m, c in zip(g.matrices, g.translations))
                    for g in _nontrivial_powers(f, max_order))
-
-
-def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
-                    max_order: int = 64) -> list[GraphCurve]:
-    """[c, f(c), f(f(c)), ...] until the orbit closes up."""
-    orbit = [c]
-    current = apply_auto_to_curve(f, c)
-    while current != c:
-        if len(orbit) >= max_order:
-            raise ValueError(f"curve orbit exceeds {max_order}")
-        orbit.append(current)
-        current = apply_auto_to_curve(f, current)
-    return orbit
 
 
 def orbit_of_points(f: TorusAutomorphism, keys: list[tuple]) -> list[list[tuple]]:

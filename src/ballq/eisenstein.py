@@ -116,13 +116,6 @@ class EisensteinNumber(Frozen):
         y = _operand(other)
         return NotImplemented if y is None else _sum(self.triple, y, -1)
 
-    def __rsub__(self, other: object) -> EisensteinNumber:
-        x = _operand(other)
-        return NotImplemented if x is None else _sum(x, self.triple, -1)
-
-    def __neg__(self) -> EisensteinNumber:
-        return _sum((0, 0, 1), self.triple, -1)
-
     def __mul__(self, other: object) -> EisensteinNumber:
         y = _operand(other)
         return NotImplemented if y is None else _product(self.triple, y)
@@ -133,15 +126,9 @@ class EisensteinNumber(Frozen):
         y = _operand(other)
         return NotImplemented if y is None else _product(self.triple, _reciprocal(y))
 
-    def __rtruediv__(self, other: object) -> EisensteinNumber:
-        x = _operand(other)
-        return NotImplemented if x is None else _product(x, _reciprocal(self.triple))
-
     def __pow__(self, exponent: int) -> EisensteinNumber:
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** -exponent
         if exponent < 2:
             return self if exponent else ONE
         half = self ** (exponent >> 1)  # square and multiply
@@ -149,9 +136,6 @@ class EisensteinNumber(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.triple[0] or self.triple[1])
-
-    def inverse(self) -> EisensteinNumber:
-        return self.from_triple(*_reciprocal(self.triple))
 
     def __str__(self) -> str:
         re_part, rho_part = self.re_part, self.rho_part

@@ -11,11 +11,11 @@ curve: the n fiber transforms (n+1 cusps) or the single resolved orbit of
 constant graphs (2 cusps).  build_family runs that one pipeline, and a
 small record per family supplies only what differs.  Every numerical claim
 is recomputed exactly and recorded as a check in the level's JSON report.
-Point sets are sets of six-int point keys (see curves): the intersections,
-the closed-form locus, the deck orbits, the incidence table and the fiber
-rows read keys, and no ProductPoint is built.  A torus point is built from
-its key only for a vertical fiber, a curve image's offset and a printed
-Albanese base point.
+A point is its key (see curves): the intersections, the closed-form
+locus, the deck orbits, the incidence table and the fiber rows read sets
+of six-int point keys, and the curves' offsets and the vertical fibers'
+base points are torus point keys.  A TorusPoint is built only for a
+printed Albanese base point.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .curves import (
     automorphism_order,
     intersect_graphs,
     is_free,
-    orbit_of_curves,
     orbit_of_points,
 )
 from .surfaces import (
@@ -407,6 +406,15 @@ _Core = namedtuple("_Core", "n torus slopes deck points point_names orbits close
                             "pair_counts through")
 
 
+def _deck_cycle(deck: TorusAutomorphism, curves: list[GraphCurve]) -> tuple[list[bool], bool]:
+    """Whether the deck maps each of three curves to the next, cyclically,
+    from one image per curve, and whether they are one deck orbit of size
+    three: every map holds and curves[0] is not among the other two."""
+    maps = [apply_auto_to_curve(deck, curve) == curves[(i + 1) % 3]
+            for i, curve in enumerate(curves)]
+    return maps, all(maps) and curves[0] not in curves[1:]
+
+
 def _shared_geometry(n: int, chk: _Checks) -> _Core:
     torus = product_torus(n)
     slopes = slope_curves(torus)
@@ -415,13 +423,10 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
     chk.expect("deck_order", 3, automorphism_order(deck, 12))
     chk.expect("deck_action_free", True, is_free(deck))
 
-    orbit = orbit_of_curves(deck, slopes[0])
-    chk.expect("deck_orbit_of_slope_curves", True,
-               len(orbit) == 3 and all(orbit[i] == slopes[i] for i in range(3)))
+    maps, orbit = _deck_cycle(deck, slopes)
+    chk.expect("deck_orbit_of_slope_curves", True, orbit)
     for i in range(3):
-        image = apply_auto_to_curve(deck, slopes[i])
-        chk.expect(f"deck_maps_slope{i}_to_slope{(i + 1) % 3}",
-                   True, image == slopes[(i + 1) % 3])
+        chk.expect(f"deck_maps_slope{i}_to_slope{(i + 1) % 3}", True, maps[i])
 
     closed_keys = frozenset(closed_form_intersection(torus, n))
     chk.expect("closed_form_size", 3 * n, len(closed_keys))
@@ -465,16 +470,16 @@ def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber],
     exactly when its key is in the curve's intersection with slope0, which
     intersect_graphs has solved exactly: through[name] is that key set (all
     points for slope0).  A vertical fiber passes through the points whose z
-    key (the last three ints of the point key) is the key of its z0 (all
-    curves live on core.torus, so keys are coordinates in one z-lattice
-    basis), read off an index of the points by z key.
+    key (the last three ints of the point key) is its z0 (all curves live
+    on core.torus, so keys are coordinates in one z-lattice basis), read
+    off an index of the points by z key.
     """
     rows: dict[tuple, dict[str, int]] = {key: {} for key in core.points}
     over_z: dict[tuple, list[tuple]] = {}
     for key in core.points:
         over_z.setdefault(key[3:], []).append(key)
     for name, curve in curves.items():
-        keys = over_z.get(curve.z0.key, ()) if isinstance(curve, VerticalFiber) else through[name]
+        keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else through[name]
         for key in rows.keys() & keys:
             rows[key][name] = 1
     return {core.point_names[key]: row for key, row in rows.items()}
@@ -560,22 +565,20 @@ def _exceptional_ledger(quotient: SurfaceModel, blown: SurfaceModel, n: int,
 def _generic_fiber_rows(core: _Core, members: dict[str, list],
                         chk: _Checks) -> dict[str, int]:
     """Intersection row of a generic Albanese fiber against each image
-    curve, computed upstairs (three generic vertical fibers) and divided
-    by the covering degree.  A graph meets each vertical fiber once;
-    distinct vertical fibers are disjoint."""
-    torus = core.torus
+    curve, computed upstairs (the three generic vertical fibers, by their
+    z keys) and divided by the covering degree.  A graph meets each
+    vertical fiber once; distinct vertical fibers are disjoint."""
     generic_base = eis(Fraction(1, 2))
-    verticals = [VerticalFiber(torus, generic_base + ORDER3_SHIFT * k) for k in range(3)]
+    generic_z = [core.torus.lattice_z.key(generic_base + ORDER3_SHIFT * k) for k in range(3)]
     singular_z = {key[3:] for key in core.points}
-    generic_z = {v.z0.key for v in verticals}
-    chk.expect("generic_fiber_misses_triple_points", True, not generic_z & singular_z)
+    chk.expect("generic_fiber_misses_triple_points", True, singular_z.isdisjoint(generic_z))
     rows: dict[str, int] = {}
     for image, curve_list in members.items():
         total = 0
         for curve in curve_list:
             if not isinstance(curve, VerticalFiber):
-                total += len(verticals)
-            elif curve.z0.key in generic_z:
+                total += len(generic_z)
+            elif curve.z0 in generic_z:
                 raise ValueError("generic fiber is not generic: it hits "
                                  "a special vertical fiber")
         if total % 3:
@@ -591,9 +594,9 @@ def _homology_section(deck: TorusAutomorphism, chi: int, cusps: int) -> dict[str
     betti = homology.betti_from_deck(deck.matrices, chi)
     u, v = homology.mv_tables(cusps)
     return {
-        "compactification_betti": list(betti.as_tuple()),
-        "boundary_neighborhood_ranks": list(u.as_tuple()),
-        "overlap_ranks": list(v.as_tuple()),
+        "compactification_betti": list(betti),
+        "boundary_neighborhood_ranks": list(u),
+        "overlap_ranks": list(v),
         "open_manifold": homology.betti_of_open(betti, cusps),
     }
 
@@ -651,16 +654,15 @@ def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
     orbit, each meeting every slope curve once and built from the point's z
     key, and their deck orbits fiber{j}; the images are the Albanese fibers
     through the triple points."""
-    lz = core.torus.lattice_z
     curves: dict[str, VerticalFiber] = {}
     orbits: dict[str, tuple[str, ...]] = {}
     for j, orbit in enumerate(core.orbits, start=1):
         names = tuple(f"vert{j}_{k}" for k in range(3))
         for name, key in zip(names, orbit):
-            curves[name] = VerticalFiber(core.torus, TorusPoint.from_reduced(*key[3:], lz))
+            curves[name] = VerticalFiber.from_key(core.torus, key[3:])
         orbits[f"fiber{j}"] = names
     chk.expect("vertical_fibers_distinct", 3 * core.n,
-               len({curve.z0.key for curve in curves.values()}))
+               len({curve.z0 for curve in curves.values()}))
     pairwise = {(slope, name): 1 for name in curves for slope in _SLOPE_NAMES}
     return curves, orbits, pairwise, {}
 
@@ -703,17 +705,13 @@ def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]
     base = base_lattice()
     levels = level_curves(core.torus)
     chk.expect("shift_identity_first", True,
-               TorusPoint(TWO_THIRDS + ORDER3_SHIFT, base) == TorusPoint(RHO * TWO_THIRDS, base))
+               base.key(TWO_THIRDS + ORDER3_SHIFT) == base.key(RHO * TWO_THIRDS))
     chk.expect("shift_identity_second", True,
-               TorusPoint(TWO_THIRDS + ORDER3_SHIFT * 2, base)
-               == TorusPoint(RHO * RHO * TWO_THIRDS, base))
+               base.key(TWO_THIRDS + ORDER3_SHIFT * 2) == base.key(RHO * RHO * TWO_THIRDS))
+    maps, orbit = _deck_cycle(core.deck, levels)
     for i in range(3):
-        image = apply_auto_to_curve(core.deck, levels[i])
-        chk.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}",
-                   True, image == levels[(i + 1) % 3])
-    level_orbit = orbit_of_curves(core.deck, levels[0])
-    chk.expect("deck_orbit_of_level_curves", True,
-               len(level_orbit) == 3 and all(level_orbit[i] == levels[i] for i in range(3)))
+        chk.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}", True, maps[i])
+    chk.expect("deck_orbit_of_level_curves", True, orbit)
 
     disjoint = all(
         intersect_graphs(levels[i], levels[j]).kind == EMPTY
@@ -925,7 +923,7 @@ def albanese_data(n: int) -> dict[str, object]:
     target = albanese_lattice(n)
     level = level_lattice(n)
     index = level.index_in(target)
-    shift_order = TorusPoint(ORDER3_SHIFT, level).order()
+    shift_order = level.key(ORDER3_SHIFT)[2]
     ((s, t), (u, v)), d = _numerators(target, (TWO_THIRDS, ONE))
     base_points = []
     seen = set()

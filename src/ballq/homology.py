@@ -25,9 +25,6 @@ class BettiVector(namedtuple("BettiVector", "b0 b1 b2 b3 b4")):
 
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(self)
-
     def euler(self) -> int:
         return self.b0 - self.b1 + self.b2 - self.b3 + self.b4
 

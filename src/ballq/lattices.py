@@ -7,8 +7,10 @@ from one lattice into another is one integer 2x2 matrix,
 Lattice.multiplier_matrix; a covering index is the determinant of the
 sublattice generators' coordinates, and a quotient is enumerated as a box
 read off a triangular (Hermite) form of that matrix, which takes one gcd.
-A torus point stores only its key, its reduced integer coordinates
-(point_key).
+A torus point is its key, its reduced integer coordinates (point_key), and
+Lattice.key is the one reduction of a Q(rho) value to a key.  The
+package's curves, maps and point sets hold keys; a TorusPoint, which
+stores only its key, is built where a point's value is printed.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ class Lattice(Frozen):
         if s % den or t % den:
             return None
         return s // den, t // den
+
+    def key(self, x: EisensteinNumber) -> tuple[int, int, int]:
+        """The key of x's point on the torus C/lattice (point_key)."""
+        return point_key(*self.numerators(x))
 
     def same_basis(self, other: "Lattice") -> bool:
         """Whether integer coordinates (keys, matrices) in both agree."""
@@ -132,9 +138,9 @@ def point_key(s: int, t: int, den: int) -> tuple[int, int, int]:
 class TorusPoint(Frozen):
     """A point of the torus C/lattice in canonical reduced form.
 
-    TorusPoint(x, lattice) reduces x in integers (cf. Cohen, GTM 138,
-    section 2.4): lattice.numerators gives both coordinates over one
-    denominator, and each is taken modulo it, into [0, 1).  The point
+    TorusPoint(x, lattice) reduces x in integers with lattice.key (cf.
+    Cohen, GTM 138, section 2.4): lattice.numerators gives both coordinates
+    over one denominator, and each is taken modulo it, into [0, 1).  The point
     stores only its key: the reduced coordinates (rs/den, rt/den) in lowest
     terms, one int triple per point of the torus.  Its value, the
     representative in Q(rho), is built from the key on first read.  Points
@@ -146,7 +152,7 @@ class TorusPoint(Frozen):
     key: tuple[int, int, int]
 
     def __init__(self, x: EisensteinNumber, lattice: Lattice) -> None:
-        vars(self).update(lattice=lattice, key=point_key(*lattice.numerators(x)))
+        vars(self).update(lattice=lattice, key=lattice.key(x))
 
     @classmethod
     def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
@@ -170,8 +176,3 @@ class TorusPoint(Frozen):
         if not isinstance(other, TorusPoint):
             return NotImplemented
         return self.lattice.same_basis(other.lattice) and self.key == other.key
-
-    def order(self) -> int:
-        """Least k >= 1 with k*value in the lattice.  That is the least
-        common denominator of the coordinates, the key's last entry."""
-        return self.key[2]

@@ -1,7 +1,7 @@
 """Shared helpers: an independent coordinate map and brute-force
 intersection oracle, a graph's slope and point membership read in Q(rho),
-rational coordinate helpers that the library does not need, and random
-generators for property suites."""
+the curve-orbit walk, rational coordinate and point-key helpers that the
+library does not need, and random generators for property suites."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import lcm
 
 from ballq import families
-from ballq.curves import GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism, VerticalFiber
+from ballq.curves import (GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism, VerticalFiber,
+                          apply_auto_to_curve)
 from ballq.eisenstein import EisensteinNumber, eis
 from ballq.lattices import Lattice, TorusPoint
 
@@ -43,6 +44,16 @@ def coords(point: TorusPoint) -> tuple[Fraction, Fraction]:
     return Fraction(rs, den), Fraction(rt, den)
 
 
+def key_of(p: ProductPoint) -> tuple[int, ...]:
+    """A product point's six-int key, w.key + z.key."""
+    return p.w.key + p.z.key
+
+
+def value_of(key: tuple[int, int, int], lattice: Lattice) -> EisensteinNumber:
+    """The Q(rho) representative of the torus point with the given key."""
+    return TorusPoint.from_reduced(*key, lattice).value
+
+
 def scaled(lattice: Lattice, factor: EisensteinNumber) -> Lattice:
     """The lattice factor * lattice, with basis factor * (gen1, gen2)."""
     return Lattice(factor * lattice.gen1, factor * lattice.gen2)
@@ -62,7 +73,7 @@ def closed_form_points(torus: ProductTorus, n: int) -> list[ProductPoint]:
 
 
 def closed_form_keys(torus: ProductTorus, n: int) -> frozenset:
-    return frozenset(p.key for p in closed_form_points(torus, n))
+    return frozenset(key_of(p) for p in closed_form_points(torus, n))
 
 
 def point_from_key(torus: ProductTorus, key: tuple[int, ...]) -> ProductPoint:
@@ -81,10 +92,25 @@ def slope_of(curve: GraphCurve) -> EisensteinNumber:
 def contains_point(curve: GraphCurve | VerticalFiber, p: ProductPoint) -> bool:
     """Whether p lies on the curve, decided in Q(rho) from the values, in
     any bases: the oracle of the keyed incidence."""
+    lw, lz = curve.ambient.lattice_w, curve.ambient.lattice_z
     if isinstance(curve, VerticalFiber):
-        return curve.ambient.lattice_z.contains(p.z.value - curve.z0.value) is not None
-    diff = slope_of(curve) * p.z.value + curve.offset.value - p.w.value
-    return curve.ambient.lattice_w.contains(diff) is not None
+        return lz.contains(p.z.value - value_of(curve.z0, lz)) is not None
+    diff = slope_of(curve) * p.z.value + value_of(curve.offset, lw) - p.w.value
+    return lw.contains(diff) is not None
+
+
+def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
+                    max_order: int = 64) -> list[GraphCurve]:
+    """[c, f(c), f(f(c)), ...] until the orbit closes up: the walk the deck
+    orbit checks are tested against."""
+    orbit = [c]
+    current = apply_auto_to_curve(f, c)
+    while current != c:
+        if len(orbit) >= max_order:
+            raise ValueError(f"curve orbit exceeds {max_order}")
+        orbit.append(current)
+        current = apply_auto_to_curve(f, current)
+    return orbit
 
 
 def apply_automorphism(f: TorusAutomorphism, p: ProductPoint) -> ProductPoint:
@@ -93,12 +119,11 @@ def apply_automorphism(f: TorusAutomorphism, p: ProductPoint) -> ProductPoint:
     lw, lz = f.ambient.lattice_w, f.ambient.lattice_z
     if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
         raise ValueError("point is not stored in the automorphism's lattice basis")
-    return point_from_key(f.ambient, f.map_key(p.key))
+    return point_from_key(f.ambient, f.map_key(key_of(p)))
 
 
-EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                         "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "inverse",
-                         "from_triple")
+EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+                         "__pow__", "from_triple")
 
 
 def clear_lattice_caches() -> None:
@@ -110,7 +135,7 @@ def clear_lattice_caches() -> None:
 
 def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> list[str]:
     """Patch the named EisensteinNumber methods (by default every Q(rho)
-    operator, the inverse and from_triple, which builds every number) so
+    operator and from_triple, which builds every number) so
     that each call appends its name to the returned list.  The lattice
     caches are cleared first, so a count does not depend on which builds
     ran before it in the process."""
@@ -187,7 +212,7 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinN
     lw = c1.ambient.lattice_w
     lz = c1.ambient.lattice_z
     m = slope1 - slope2
-    rhs = c2.offset.value - c1.offset.value
+    rhs = value_of(c2.offset, lw) - value_of(c1.offset, lw)
 
     # Index of m*(z-lattice) inside the w-lattice, straight from the
     # determinant of the rational coordinate matrix.
@@ -205,7 +230,7 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinN
         for j in range(qt):
             z = from_coordinates(lz, Fraction(i, qs), Fraction(j, qt))
             if all(c.denominator == 1 for c in fraction_coordinates(lw, m * z - rhs)):
-                w = TorusPoint(slope1 * z + c1.offset.value, lw)
+                w = TorusPoint(slope1 * z + value_of(c1.offset, lw), lw)
                 points.append(ProductPoint(w, TorusPoint(z, lz)))
     points.sort(key=lambda p: coords(p.w) + coords(p.z))
     return points

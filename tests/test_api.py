@@ -2,8 +2,9 @@
 call: every function or class that `ballq/__init__.py` exports, and every
 public method and property of an exported class, is referenced by some
 module of the package outside its own definition.  Every name a module
-imports is used there.  The report re-checker in `tests/recheck.py`
-imports nothing but json and fractions."""
+imports is used there.  A torus point is its key inside the package: a
+TorusPoint is built only where a point is printed.  The report
+re-checker in `tests/recheck.py` imports nothing but json and fractions."""
 
 import ast
 import inspect
@@ -77,6 +78,36 @@ def test_every_imported_name_is_used_in_its_module():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{file_name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def enclosing_functions_of_calls(tree, name):
+    """The innermost enclosing function (None at module level) of each
+    call of name or of one of its attributes, such as name.from_reduced."""
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+            if isinstance(callee, ast.Name) and callee.id == name:
+                yield function
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def test_torus_points_are_built_only_to_print():
+    # Curves, fibers, maps and solvers carry keys; outside lattices.py a
+    # TorusPoint is built only for a printed product point or Albanese
+    # base point, and no code unwraps a stored point to reach its key.
+    sites = {(file_name, function) for file_name, tree in MODULES.items()
+             if file_name != "lattices.py"
+             for function in enclosing_functions_of_calls(tree, "TorusPoint")}
+    assert sites == {("curves.py", "_product_point"), ("families.py", "albanese_data")}
+    unwrapped = [f"{file_name}: .{node.value.attr}.key" for file_name, tree in MODULES.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "key"
+                 and isinstance(node.value, ast.Attribute) and node.value.attr in ("offset", "z0")]
+    assert unwrapped == []
 
 
 def test_recheck_imports_only_json_and_fractions():

@@ -23,7 +23,6 @@ from ballq.curves import (
     intersect_graph_fiber,
     intersect_graphs,
     is_free,
-    orbit_of_curves,
     orbit_of_points,
 )
 from ballq.eisenstein import ONE, RHO, RHO2, eis
@@ -42,8 +41,9 @@ from ballq.families import (
 from ballq.lattices import TorusPoint
 
 from conftest import (apply_automorphism, brute_force_intersection, closed_form_keys,
-                      closed_form_points, contains_point, count_eisenstein_operations,
-                      point_from_key, product_point, scaled, slope_of)
+                      closed_form_points, contains_point, count_eisenstein_operations, key_of,
+                      orbit_of_curves, point_from_key, product_point, scaled, slope_of,
+                      value_of)
 
 
 def test_graph_well_definedness_enforced():
@@ -117,7 +117,7 @@ def test_ambient_mismatch_rejected():
                               VerticalFiber(elsewhere, Fraction(1, 2)))
 
 
-UNITS = (ONE, -ONE, RHO, -RHO, RHO2, -RHO2)
+UNITS = (ONE, eis(-1), RHO, eis(0, -1), RHO2, eis(1, 1))
 
 
 def reference_apply(torus, inputs, p):
@@ -183,7 +183,7 @@ def test_integer_apply_matches_the_eisenstein_formula(case):
     f, inputs, w, z = case
     p = product_point(f.ambient, w, z)
     image, expected = apply_automorphism(f, p), reference_apply(f.ambient, inputs, p)
-    assert image.key == expected.key
+    assert key_of(image) == key_of(expected)
     assert image.to_json() == expected.to_json()
 
 
@@ -222,7 +222,8 @@ def test_integer_curve_image_matches_the_eisenstein_formula(data):
     slope, curve = data.draw(graphs(torus, n))
     image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
     slope = lambda_w * slope / lambda_z
-    expected = GraphCurve(torus, slope, lambda_w * curve.offset.value + trans_w - slope * trans_z)
+    offset = value_of(curve.offset, torus.lattice_w)
+    expected = GraphCurve(torus, slope, lambda_w * offset + trans_w - slope * trans_z)
     assert image == expected
     assert image.matrix == expected.matrix
 
@@ -269,12 +270,14 @@ def test_graph_equality_across_bases():
 def test_integer_graph_fiber_point_matches_the_eisenstein_formula(data):
     torus, n = data.draw(family_tori())
     slope, curve = data.draw(graphs(torus, n))
-    fiber = VerticalFiber(torus, data.draw(eisenstein_values(12 * n)))
-    point = intersect_graph_fiber(curve, fiber)
-    expected = TorusPoint(slope * fiber.z0.value + curve.offset.value, torus.lattice_w)
-    assert point.w.key == expected.key
+    z = data.draw(eisenstein_values(12 * n))
+    fiber = VerticalFiber(torus, z)
+    result = intersect_graph_fiber(curve, fiber)
+    (point,) = result.points
+    expected = TorusPoint(slope * z + value_of(curve.offset, torus.lattice_w), torus.lattice_w)
+    assert result.kind == POINTS and result.point_keys == (expected.key + fiber.z0,)
     assert str(point.w.value) == str(expected.value)
-    assert point.z is fiber.z0
+    assert point.z == TorusPoint(z, torus.lattice_z)
 
 
 def test_the_integer_data_is_the_only_source():
@@ -310,11 +313,11 @@ def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
     calls = count_eisenstein_operations(monkeypatch)
     assert deck.compose(deck).compose(deck).is_identity()
     assert automorphism_order(deck, 12) == 3 and is_free(deck)
-    assert {apply_automorphism(deck, p).key for p in points} == set(keys)
+    assert {key_of(apply_automorphism(deck, p)) for p in points} == set(keys)
     assert {deck.map_key(key) for key in keys} == set(keys)
     assert len(orbit_of_points(deck, keys)) == 40
     assert classify_deck_action(deck, 3).index == 5
-    assert len({intersect_graph_fiber(c, fiber).key for c in curves}) == 6
+    assert len({intersect_graph_fiber(c, fiber).point_keys for c in curves}) == 6
     images = [apply_auto_to_curve(deck, c) for c in curves]
     assert images == curves[1:3] + curves[:1] + curves[4:] + curves[3:4]
     assert calls == []
@@ -331,27 +334,32 @@ def test_apply_requires_the_ambient_bases():
 
 
 def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
+    # A fiber stores z0's key in its z-lattice's basis: built from a key,
+    # it keeps it; built from a value, it reduces it in that basis, and
+    # the keys of one value in two bases are unequal.
     torus = product_torus(1)
-    z = TorusPoint(eis(Fraction(1, 3)), torus.lattice_z)
-    assert VerticalFiber(torus, z).z0 is z
-    # reduced again from another basis, and keys in two bases are unequal
-    elsewhere = TorusPoint(eis(Fraction(1, 3)), base_lattice())
-    fiber = VerticalFiber(torus, elsewhere)
-    assert fiber.z0.lattice is torus.lattice_z and fiber.z0 == z and fiber.z0 != elsewhere
-    assert torus.lattice_z.contains(fiber.z0.value - elsewhere.value) is not None
+    third = Fraction(1, 3)
+    z = TorusPoint(eis(third, third), torus.lattice_z)
+    assert VerticalFiber.from_key(torus, z.key).z0 is z.key
+    fiber = VerticalFiber(torus, eis(1 + third, third))
+    elsewhere = TorusPoint(eis(third, third), base_lattice())
+    assert fiber.z0 == z.key != elsewhere.key
+    assert fiber == VerticalFiber.from_key(torus, z.key)
+    assert torus.lattice_z.contains(value_of(fiber.z0, torus.lattice_z)
+                                    - elsewhere.value) is not None
 
 
 def test_graph_fiber_intersection():
     torus = product_torus(1)
     e1, e2, _ = slope_curves(torus)
     origin = VerticalFiber(torus, 0)
-    p = intersect_graph_fiber(e1, origin)
+    (p,) = intersect_graph_fiber(e1, origin).points
     assert p.w == TorusPoint(eis(0), base_lattice())
-    assert p.z == origin.z0
-    q = intersect_graph_fiber(e2, origin)
-    assert q.w == TorusPoint(-ORDER3_SHIFT, base_lattice())
+    assert p.z.key == origin.z0
+    (q,) = intersect_graph_fiber(e2, origin).points
+    assert q.w == TorusPoint(ORDER3_SHIFT * -1, base_lattice())
     h1 = level_curves(torus)[0]
-    r = intersect_graph_fiber(h1, VerticalFiber(torus, Fraction(1, 5)))
+    (r,) = intersect_graph_fiber(h1, VerticalFiber(torus, Fraction(1, 5))).points
     assert r.w == TorusPoint(eis(Fraction(2, 3)), base_lattice())
 
 
@@ -406,7 +414,7 @@ def test_rotation_is_not_free():
     # The first power with a fixed point decides, even past max_order.
     assert not is_free(rotation, max_order=2)
     # No fixed point itself, but its square fixes w = 0.
-    shifted = TorusAutomorphism(torus, -RHO, 0, 1, 1)
+    shifted = TorusAutomorphism(torus, eis(0, -1), 0, 1, 1)
     assert automorphism_order(shifted) == 6
     assert not is_free(shifted)
 
@@ -457,7 +465,7 @@ def test_single_fixed_point_orbit():
     torus = product_torus(1)
     identity = TorusAutomorphism(torus, 1, 0, 1, 0)
     p = product_point(torus, eis(0), eis(0))
-    assert orbit_of_points(identity, [p.key]) == [[p.key]]
+    assert orbit_of_points(identity, [key_of(p)]) == [[key_of(p)]]
 
 
 def test_image_points_land_on_image_curve():
@@ -469,7 +477,8 @@ def test_image_points_land_on_image_curve():
         for _ in range(10):
             z = eis(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            point = product_point(torus, slope_of(curve) * z + curve.offset.value, z)
+            offset = value_of(curve.offset, torus.lattice_w)
+            point = product_point(torus, slope_of(curve) * z + offset, z)
             assert contains_point(image, apply_automorphism(deck, point))
 
 
@@ -480,7 +489,7 @@ def test_intersection_commutes_with_deck():
     direct = intersect_graphs(apply_auto_to_curve(deck, curves[0]),
                               apply_auto_to_curve(deck, curves[1]))
     points = intersect_graphs(curves[0], curves[1]).points
-    moved = {apply_automorphism(deck, p).key for p in points}
+    moved = {key_of(apply_automorphism(deck, p)) for p in points}
     assert direct.keys() == frozenset(moved)
 
 
@@ -494,7 +503,7 @@ def assert_matches_oracle(c1, c2, slope1, slope2):
     else:
         assert got.kind == POINTS
         assert got.count == len(expected)
-        assert [p.key for p in got.points] == [p.key for p in expected]
+        assert [key_of(p) for p in got.points] == [key_of(p) for p in expected]
         assert ([(str(p.w.value), str(p.z.value)) for p in got.points]
                 == [(str(p.w.value), str(p.z.value)) for p in expected])
 
@@ -509,7 +518,7 @@ def test_points_are_built_from_the_stored_keys_in_order():
                        (GraphCurve(torus, ONE - RHO, Fraction(1, 7)), levels[0])):
             result = intersect_graphs(c1, c2)
             assert "points" not in vars(result)
-            assert [p.key for p in result.points] == list(result.point_keys)
+            assert [key_of(p) for p in result.points] == list(result.point_keys)
             assert len(result.point_keys) == result.count > 0
             assert result.points is result.points
 
@@ -544,7 +553,7 @@ def test_solver_matches_oracle_seeded():
                       Fraction(rng.randint(-2 * q, 2 * q), q))
                   for q in (q1, q2))
         c1, c2 = GraphCurve(torus, s1, o1), GraphCurve(torus, s2, o2)
-        e1, e2 = c1.offset.key[2], c2.offset.key[2]
+        e1, e2 = c1.offset[2], c2.offset[2]
         coprime_denominators += lcm(e1, e2) > max(e1, e2)
         assert_matches_oracle(c1, c2, s1, s2)
     assert coprime_denominators >= 5
@@ -604,8 +613,8 @@ def test_records_are_immutable_and_the_basis_free_ones_unhashable():
     torus = product_torus(1)
     e1, e2, _ = slope_curves(torus)
     fiber = VerticalFiber(torus, Fraction(1, 3))
-    point = intersect_graph_fiber(e1, fiber)
     meet = intersect_graphs(e1, e2)
+    point = meet.points[0]
     for record, name in ((torus, "lattice_w"), (point, "w"), (e1, "matrix"), (fiber, "z0"),
                          (deck_automorphism(torus), "matrices"), (meet, "kind")):
         with pytest.raises(AttributeError):
@@ -630,8 +639,9 @@ def test_record_equality():
     assert fiber != VerticalFiber(torus, Fraction(2, 3))
     assert fiber != VerticalFiber(product_torus(2), Fraction(1, 3))
     e1, e2, _ = slope_curves(torus)
-    point = intersect_graph_fiber(e1, fiber)
-    assert point == intersect_graph_fiber(e1, VerticalFiber(torus, point.z))
+    crossing = intersect_graph_fiber(e1, fiber)
+    assert crossing == intersect_graph_fiber(e1, VerticalFiber(torus, crossing.points[0].z.value))
+    assert crossing.points[0] == point_from_key(torus, crossing.point_keys[0])
     meet = intersect_graphs(e1, e2)
     alone = Intersection(meet.kind, meet.point_keys)
     assert alone.ambient is None and alone == meet and hash(alone) == hash(meet)

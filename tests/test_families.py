@@ -9,7 +9,7 @@ import pytest
 
 from ballq import cli
 from ballq.curves import ProductPoint, TorusAutomorphism
-from ballq.eisenstein import RHO
+from ballq.eisenstein import RHO, eis
 from ballq.lattices import TorusPoint
 from ballq.surfaces import (
     SMOOTH_ELLIPTIC,
@@ -368,7 +368,7 @@ def test_deck_classification_multiplier_branches():
     five = classify_deck_action(rho_squared, 3)
     assert isinstance(five, BdFType) and five.index == 5
 
-    sixth = TorusAutomorphism(torus, -RHO, 0, 1, ORDER3_SHIFT / 2)
+    sixth = TorusAutomorphism(torus, eis(0, -1), 0, 1, ORDER3_SHIFT / 2)
     seven = classify_deck_action(sixth, 6)
     assert isinstance(seven, BdFType) and seven.index == 7
 

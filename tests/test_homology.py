@@ -19,8 +19,8 @@ from ballq.families import GAMMA, LAMBDA, build_family, deck_automorphism, produ
 
 def test_tables_k1():
     u, v = mv_tables(1)
-    assert u.as_tuple() == (1, 2, 1, 0, 0)
-    assert v.as_tuple() == (1, 2, 2, 1, 0)
+    assert tuple(u) == (1, 2, 1, 0, 0)
+    assert tuple(v) == (1, 2, 2, 1, 0)
 
 
 def test_tables_scale_with_k():
@@ -28,7 +28,7 @@ def test_tables_scale_with_k():
     assert v3.b1 == 6
     u2, v2 = mv_tables(2)
     assert v2.b3 == 2
-    assert u3.as_tuple() == (3, 6, 3, 0, 0)
+    assert tuple(u3) == (3, 6, 3, 0, 0)
 
 
 def test_tables_require_a_cusp():

@@ -14,6 +14,7 @@ from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, SurfaceModel
 
+from conftest import orbit_of_curves, value_of
 from recheck import broken_relations
 
 
@@ -231,7 +232,7 @@ def vertical_fiber_over_wrong_z(monkeypatch):
 
     def faulty(core, chk):
         curves, orbits, pairwise, through = spec.upstairs(core, chk)
-        moved = curves["vert1_0"].z0.value + ORDER3_SHIFT / 2
+        moved = value_of(curves["vert1_0"].z0, core.torus.lattice_z) + ORDER3_SHIFT / 2
         return ({**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise,
                 through)
 
@@ -339,6 +340,28 @@ def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
     failed = {check["name"] for check in chk.results if not check["passed"]}
     assert {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
             "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"} <= failed
+
+
+@pytest.mark.parametrize("fault", [None, deck_w_matrix_transposed, deck_shift_doubled],
+                         ids=["deck", "deck_w_matrix_transposed", "deck_shift_doubled"])
+def test_deck_cycle_agrees_with_the_curve_orbit_walk(monkeypatch, fault):
+    # The orbit checks read one deck image per curve: every map holds and
+    # curves[0] is not among the other two.  The walk [c0, f(c0), ...]
+    # until it closes up gives the verdict it replaced: the walk is
+    # exactly the three curves.
+    if fault is not None:
+        fault(monkeypatch)
+    # Both faults reverse the slope curves' orbit; the level curves are
+    # constant in z, so a doubled z shift leaves their orbit as it is.
+    verdicts = []
+    for n in range(1, 6):
+        torus = families.product_torus(n)
+        deck = families.deck_automorphism(torus)
+        for curves in (families.slope_curves(torus), families.level_curves(torus)):
+            _, orbit = families._deck_cycle(deck, curves)
+            assert orbit == (orbit_of_curves(deck, curves[0]) == curves)
+            verdicts.append(orbit)
+    assert verdicts == [fault is None, fault is not deck_w_matrix_transposed] * 5
 
 
 def test_repeated_branch_slope_fails_the_distinct_slopes_check(monkeypatch):
