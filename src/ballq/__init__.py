@@ -8,11 +8,10 @@ betti-number constraints.
 """
 
 from .eisenstein import ONE, RHO, RHO2, ZERO, EisensteinNumber, eis
-from .lattices import Lattice, TorusPoint, coset_grid
+from .lattices import Lattice, coset_grid
 from .curves import (
     GraphCurve,
     Intersection,
-    ProductPoint,
     ProductTorus,
     TorusAutomorphism,
     VerticalFiber,

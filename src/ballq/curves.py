@@ -6,16 +6,16 @@ fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
 lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
 such matrix per factor and its translations' keys, so every map works on
 keys through one formula (_affine_image): images of points, curves and
-fibers, composition and powers.  A point is its key inside the library:
+fibers, composition and powers.  A point is its key:
 a graph's offset and a fiber's base point are torus point keys, and a
-point set is a list of keys, six ints per point.  ProductPoints and
-TorusPoints are built only to print, on the first read of
+point set is a list of keys, six ints per point.  Points are read back
+into Q(rho) (Lattice.value) only to print, on the first read of
 Intersection.points.
 Intersections are solved in integers: for two graphs with matrix
 difference A, the solutions of A*z = offset difference (mod Z^2) are A^-1
 applied to it plus the classes of Z^2 / A*Z^2, which the coset grid of a
 Hermite basis lists.  Equality has one rule: lattices and tori compare as
-sets, and curves and points compare their integer data, coordinates in
+sets, and curves and fibers compare their integer data, coordinates in
 their lattices' stored bases; stored in other bases, they are unequal.
 """
 
@@ -26,7 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber, Frozen
-from .lattices import TorusPoint, coset_grid, point_key
+from .lattices import coset_grid, point_key
 
 
 class ProductTorus(namedtuple("ProductTorus", "lattice_w lattice_z")):
@@ -46,23 +46,6 @@ def _require_same_bases(a: ProductTorus, b: ProductTorus) -> None:
     """Integer formulas read keys and matrices as coordinates in one basis."""
     if not _same_bases(a, b):
         raise ValueError("lattices are not stored in the same bases")
-
-
-class ProductPoint(namedtuple("ProductPoint", "w z")):
-    """A point [w, z] of a product torus, both coordinates reduced.  Like
-    its torus points, it has no hash."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def to_json(self) -> dict[str, str]:
-        return {"w": str(self.w.value), "z": str(self.z.value)}
-
-
-def _product_point(key: tuple[int, ...], ambient: ProductTorus) -> ProductPoint:
-    """The point of ambient with the six-int key w.key + z.key."""
-    return ProductPoint(TorusPoint.from_reduced(*key[:3], ambient.lattice_w),
-                        TorusPoint.from_reduced(*key[3:], ambient.lattice_z))
 
 
 class GraphCurve(Frozen):
@@ -212,7 +195,7 @@ EMPTY = "empty"
 class Intersection(Frozen):
     """Result of intersecting two curves: the keys of a finite point set in
     coordinate order, or the degenerate outcomes for parallel graphs.  The
-    points themselves are built from the keys in ambient when first read.
+    points' (w, z) values are read from the keys in ambient when first read.
     Results compare and hash by kind and keys; ambient is left out."""
 
     def __init__(self, kind: str, point_keys: tuple[tuple[int, ...], ...] = (),
@@ -235,14 +218,17 @@ class Intersection(Frozen):
         return frozenset(self.point_keys)
 
     @cached_property
-    def points(self) -> tuple[ProductPoint, ...]:
-        return tuple(_product_point(key, self.ambient) for key in self.point_keys)
+    def points(self) -> tuple[tuple[EisensteinNumber, EisensteinNumber], ...]:
+        # A degenerate result has no points, and no ambient to read them in.
+        ambient = self.ambient
+        return tuple((ambient.lattice_w.value(key[:3]), ambient.lattice_z.value(key[3:]))
+                     for key in self.point_keys)
 
     def to_json(self) -> dict[str, object]:
         out: dict[str, object] = {"kind": self.kind}
         if self.kind == POINTS:
             out["count"] = self.count
-            out["points"] = [p.to_json() for p in self.points]
+            out["points"] = [{"w": str(w), "z": str(z)} for w, z in self.points]
         return out
 
 
@@ -320,36 +306,38 @@ def apply_auto_to_curve(f: TorusAutomorphism, c: GraphCurve) -> GraphCurve:
                                   _affine_image(c_z, tuple(-x for x in matrix), w1))
 
 
-def _nontrivial_powers(f: TorusAutomorphism, max_order: int):
+# Above the order of any element of a bielliptic deck group (at most 6).
+MAX_ORDER = 12
+
+
+def _nontrivial_powers(f: TorusAutomorphism):
     """f, f**2, ... up to the first power that is the identity, which is
-    not yielded; raises ValueError if none is within max_order powers."""
+    not yielded; raises ValueError if none is within MAX_ORDER powers."""
     g = f
-    for _ in range(max_order):
+    for _ in range(MAX_ORDER):
         if g.is_identity():
             return
         yield g
         g = f.compose(g)
-    raise ValueError(f"order exceeds {max_order}")
+    raise ValueError(f"order exceeds {MAX_ORDER}")
 
 
-def automorphism_order(f: TorusAutomorphism, max_order: int = 64) -> int:
-    """Least k <= max_order with f**k the identity on the product torus."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    return 1 + sum(1 for _ in _nontrivial_powers(f, max_order))
+def automorphism_order(f: TorusAutomorphism) -> int:
+    """Least k <= MAX_ORDER with f**k the identity on the product torus."""
+    return 1 + sum(1 for _ in _nontrivial_powers(f))
 
 
-def is_free(f: TorusAutomorphism, max_order: int = 64) -> bool:
+def is_free(f: TorusAutomorphism) -> bool:
     """True iff no nontrivial power of f fixes a point of the torus.
 
     Walks f, f**2, ... once and stops at the identity or at the first power
     with a fixed point; raises ValueError if neither turns up within
-    max_order powers."""
+    MAX_ORDER powers."""
     # A power fixes a point iff each (M - 1)x = -c (mod Z^2) is solvable:
     # always for M != 1, and for a pure translation iff c is a period.
     return not any(all(m != IDENTITY_MATRIX or c == ZERO_KEY
                        for m, c in zip(g.matrices, g.translations))
-                   for g in _nontrivial_powers(f, max_order))
+                   for g in _nontrivial_powers(f))
 
 
 def orbit_of_points(f: TorusAutomorphism, keys: list[tuple]) -> list[list[tuple]]:

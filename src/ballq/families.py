@@ -14,8 +14,8 @@ is recomputed exactly and recorded as a check in the level's JSON report.
 A point is its key (see curves): the intersections, the closed-form
 locus, the deck orbits, the incidence table and the fiber rows read sets
 of six-int point keys, and the curves' offsets and the vertical fibers'
-base points are torus point keys.  A TorusPoint is built only for a
-printed Albanese base point.
+base points are torus point keys.  Only a printed Albanese base point is
+read back into Q(rho), by Lattice.value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import lcm
 
 from . import homology
 from .eisenstein import ONE, RHO, eis
-from .lattices import Lattice, TorusPoint, point_key
+from .lattices import Lattice, point_key
 from .curves import (
     EMPTY,
     IDENTITY_MATRIX,
@@ -420,7 +420,7 @@ def _shared_geometry(n: int, chk: _Checks) -> _Core:
     slopes = slope_curves(torus)
     deck = deck_automorphism(torus)
 
-    chk.expect("deck_order", 3, automorphism_order(deck, 12))
+    chk.expect("deck_order", 3, automorphism_order(deck))
     chk.expect("deck_action_free", True, is_free(deck))
 
     maps, orbit = _deck_cycle(deck, slopes)
@@ -925,15 +925,11 @@ def albanese_data(n: int) -> dict[str, object]:
     index = level.index_in(target)
     shift_order = level.key(ORDER3_SHIFT)[2]
     ((s, t), (u, v)), d = _numerators(target, (TWO_THIRDS, ONE))
-    base_points = []
-    seen = set()
-    for m in range(n):
-        point = TorusPoint.from_reduced((s + m * u) % d, (t + m * v) % d, d, target)
-        seen.add(point.key)
-        base_points.append(str(point.value))
-    if len(seen) != n:
+    keys = [point_key(s + m * u, t + m * v, d) for m in range(n)]
+    if len(set(keys)) != n:
         raise ValueError("special fiber base points are not distinct")
     return {"n": n, "target_lattice": target.to_json(),
             "contains_level_lattice": index is not None, "index": index or 0,
-            "shift_order": shift_order, "base_points": base_points}
+            "shift_order": shift_order,
+            "base_points": [str(target.value(key)) for key in keys]}
 

@@ -7,15 +7,15 @@ from one lattice into another is one integer 2x2 matrix,
 Lattice.multiplier_matrix; a covering index is the determinant of the
 sublattice generators' coordinates, and a quotient is enumerated as a box
 read off a triangular (Hermite) form of that matrix, which takes one gcd.
-A torus point is its key, its reduced integer coordinates (point_key), and
-Lattice.key is the one reduction of a Q(rho) value to a key.  The
-package's curves, maps and point sets hold keys; a TorusPoint, which
-stores only its key, is built where a point's value is printed.
+A torus point is its key, its reduced integer coordinates (point_key):
+Lattice.key is the one reduction of a Q(rho) value to a key, and
+Lattice.value reads a key back as its representative in Q(rho), which the
+package does only where a point is printed.  Curves, maps and point sets
+hold keys.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 
 from .eisenstein import EisensteinNumber, Frozen
@@ -69,6 +69,13 @@ class Lattice(Frozen):
     def key(self, x: EisensteinNumber) -> tuple[int, int, int]:
         """The key of x's point on the torus C/lattice (point_key)."""
         return point_key(*self.numerators(x))
+
+    def value(self, key: tuple[int, int, int]) -> EisensteinNumber:
+        """The representative (rs*gen1 + rt*gen2)/den of the point with key
+        (rs, rt, den), from the integer generators: key(value(k)) == k."""
+        (g1a, g1b, g2a, g2b), gd = self._gens_int
+        rs, rt, den = key
+        return EisensteinNumber.from_triple(rs * g1a + rt * g2a, rs * g1b + rt * g2b, den * gd)
 
     def same_basis(self, other: "Lattice") -> bool:
         """Whether integer coordinates (keys, matrices) in both agree."""
@@ -133,46 +140,3 @@ def point_key(s: int, t: int, den: int) -> tuple[int, int, int]:
     s, t = s % den, t % den
     g = gcd(s, t, den)
     return s // g, t // g, den // g
-
-
-class TorusPoint(Frozen):
-    """A point of the torus C/lattice in canonical reduced form.
-
-    TorusPoint(x, lattice) reduces x in integers with lattice.key (cf.
-    Cohen, GTM 138, section 2.4): lattice.numerators gives both coordinates
-    over one denominator, and each is taken modulo it, into [0, 1).  The point
-    stores only its key: the reduced coordinates (rs/den, rt/den) in lowest
-    terms, one int triple per point of the torus.  Its value, the
-    representative in Q(rho), is built from the key on first read.  Points
-    are equal when their lattices are stored in the same basis and their
-    keys agree; stored in other bases, they are unequal.
-    """
-
-    lattice: Lattice
-    key: tuple[int, int, int]
-
-    def __init__(self, x: EisensteinNumber, lattice: Lattice) -> None:
-        vars(self).update(lattice=lattice, key=lattice.key(x))
-
-    @classmethod
-    def from_reduced(cls, rs: int, rt: int, den: int, lattice: Lattice) -> "TorusPoint":
-        """The point with coordinates (rs/den, rt/den) in the lattice's basis,
-        for integers 0 <= rs, rt < den; only the gcd is left to divide out."""
-        if not (0 <= rs < den and 0 <= rt < den):
-            raise ValueError(f"numerators {rs}, {rt} are not reduced modulo {den}")
-        point = object.__new__(cls)
-        vars(point).update(lattice=lattice, key=point_key(rs, rt, den))
-        return point
-
-    @cached_property
-    def value(self) -> EisensteinNumber:
-        """(rs/den)*gen1 + (rt/den)*gen2, from the integer generators."""
-        (g1a, g1b, g2a, g2b), gd = self.lattice._gens_int
-        rs, rt, den = self.key
-        vden = den * gd
-        return EisensteinNumber.from_triple(rs * g1a + rt * g2a, rs * g1b + rt * g2b, vden)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TorusPoint):
-            return NotImplemented
-        return self.lattice.same_basis(other.lattice) and self.key == other.key

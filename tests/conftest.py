@@ -1,7 +1,9 @@
 """Shared helpers: an independent coordinate map and brute-force
-intersection oracle, a graph's slope and point membership read in Q(rho),
-the curve-orbit walk, rational coordinate and point-key helpers that the
-library does not need, and random generators for property suites."""
+intersection oracle, a graph's slope, point membership and the
+automorphism action read in Q(rho), the curve-orbit walk, rational
+coordinate helpers that the library does not need, and random generators
+for property suites.  A point is a six-int key, as in the library, or the
+pair (w, z) of its coordinates' values in Q(rho)."""
 
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ from fractions import Fraction
 from math import lcm
 
 from ballq import families
-from ballq.curves import (GraphCurve, ProductPoint, ProductTorus, TorusAutomorphism, VerticalFiber,
+from ballq.curves import (GraphCurve, ProductTorus, TorusAutomorphism, VerticalFiber,
                           apply_auto_to_curve)
 from ballq.eisenstein import EisensteinNumber, eis
-from ballq.lattices import Lattice, TorusPoint
+from ballq.lattices import Lattice
 
 
 def fraction_coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
@@ -38,48 +40,21 @@ def from_coordinates(lattice: Lattice, s: Fraction, t: Fraction) -> EisensteinNu
     return EisensteinNumber(s * g1.re_part + t * g2.re_part, s * g1.rho_part + t * g2.rho_part)
 
 
-def coords(point: TorusPoint) -> tuple[Fraction, Fraction]:
-    """A torus point's coordinates in [0, 1) x [0, 1), from its key."""
-    rs, rt, den = point.key
-    return Fraction(rs, den), Fraction(rt, den)
-
-
-def key_of(p: ProductPoint) -> tuple[int, ...]:
-    """A product point's six-int key, w.key + z.key."""
-    return p.w.key + p.z.key
-
-
-def value_of(key: tuple[int, int, int], lattice: Lattice) -> EisensteinNumber:
-    """The Q(rho) representative of the torus point with the given key."""
-    return TorusPoint.from_reduced(*key, lattice).value
-
-
 def scaled(lattice: Lattice, factor: EisensteinNumber) -> Lattice:
     """The lattice factor * lattice, with basis factor * (gen1, gen2)."""
     return Lattice(factor * lattice.gen1, factor * lattice.gen2)
 
 
-def product_point(torus: ProductTorus, w: EisensteinNumber, z: EisensteinNumber) -> ProductPoint:
-    """The point [w, z] of a product torus, each coordinate reduced from its
-    Q(rho) value."""
-    return ProductPoint(TorusPoint(w, torus.lattice_w), TorusPoint(z, torus.lattice_z))
-
-
-def closed_form_points(torus: ProductTorus, n: int) -> list[ProductPoint]:
-    """Literal transcription of the predicted intersection locus, in Q(rho)."""
-    return [product_point(torus, w, w + m)
-            for w in (Fraction(2, 3) + families.ORDER3_SHIFT * l for l in range(3))
+def closed_form_points(n: int) -> list[tuple[EisensteinNumber, EisensteinNumber]]:
+    """Literal transcription of the predicted intersection locus, as (w, z)
+    values in Q(rho)."""
+    return [(w, w + m) for w in (Fraction(2, 3) + families.ORDER3_SHIFT * l for l in range(3))
             for m in range(n)]
 
 
 def closed_form_keys(torus: ProductTorus, n: int) -> frozenset:
-    return frozenset(key_of(p) for p in closed_form_points(torus, n))
-
-
-def point_from_key(torus: ProductTorus, key: tuple[int, ...]) -> ProductPoint:
-    """The point of a product torus with the six-int key w.key + z.key."""
-    return ProductPoint(TorusPoint.from_reduced(*key[:3], torus.lattice_w),
-                        TorusPoint.from_reduced(*key[3:], torus.lattice_z))
+    return frozenset(torus.lattice_w.key(w) + torus.lattice_z.key(z)
+                     for w, z in closed_form_points(n))
 
 
 def slope_of(curve: GraphCurve) -> EisensteinNumber:
@@ -89,14 +64,14 @@ def slope_of(curve: GraphCurve) -> EisensteinNumber:
     return (lw.gen1 * p + lw.gen2 * q) / lz.gen1
 
 
-def contains_point(curve: GraphCurve | VerticalFiber, p: ProductPoint) -> bool:
-    """Whether p lies on the curve, decided in Q(rho) from the values, in
-    any bases: the oracle of the keyed incidence."""
-    lw, lz = curve.ambient.lattice_w, curve.ambient.lattice_z
+def contains_point(curve: GraphCurve | VerticalFiber,
+                   point: tuple[EisensteinNumber, EisensteinNumber]) -> bool:
+    """Whether the point with values (w, z) lies on the curve, decided in
+    Q(rho): the oracle of the keyed incidence."""
+    (w, z), (lw, lz) = point, curve.ambient
     if isinstance(curve, VerticalFiber):
-        return lz.contains(p.z.value - value_of(curve.z0, lz)) is not None
-    diff = slope_of(curve) * p.z.value + value_of(curve.offset, lw) - p.w.value
-    return lw.contains(diff) is not None
+        return lz.contains(z - lz.value(curve.z0)) is not None
+    return lw.contains(slope_of(curve) * z + lw.value(curve.offset) - w) is not None
 
 
 def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
@@ -113,13 +88,17 @@ def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
     return orbit
 
 
-def apply_automorphism(f: TorusAutomorphism, p: ProductPoint) -> ProductPoint:
-    """The image of p under f, read off f.map_key; p's keys must be in the
-    ambient lattices' bases."""
-    lw, lz = f.ambient.lattice_w, f.ambient.lattice_z
-    if not (p.w.lattice.same_basis(lw) and p.z.lattice.same_basis(lz)):
-        raise ValueError("point is not stored in the automorphism's lattice basis")
-    return point_from_key(f.ambient, f.map_key(key_of(p)))
+def apply_automorphism(f: TorusAutomorphism, point: tuple) -> tuple:
+    """The values of the image under f of the point with values (w, z):
+    per factor, f's matrix applied to the Cramer's-rule coordinates, plus
+    the translation's value.  Independent of f.map_key."""
+    image = []
+    for x, lattice, (p, q, r, t), translation in zip(point, f.ambient, f.matrices,
+                                                      f.translations):
+        s, u = fraction_coordinates(lattice, x)
+        image.append(from_coordinates(lattice, p * s + r * u, q * s + t * u)
+                     + lattice.value(translation))
+    return tuple(image)
 
 
 EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
@@ -199,7 +178,8 @@ def pair_str(p) -> str:
 
 def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinNumber,
                              slope2: EisensteinNumber):
-    """Denominator-bounded grid oracle for graph-graph intersections.
+    """Denominator-bounded grid oracle for graph-graph intersections: the
+    keys of the points, in coordinate order.
 
     Tests the congruence (slope1 - slope2)*z = offset2 - offset1 (mod the
     w-lattice) directly at every candidate z whose coordinates have the
@@ -209,10 +189,9 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinN
     """
     if slope1 == slope2:
         return "identical" if c1.offset == c2.offset else "empty"
-    lw = c1.ambient.lattice_w
-    lz = c1.ambient.lattice_z
+    lw, lz = c1.ambient
     m = slope1 - slope2
-    rhs = value_of(c2.offset, lw) - value_of(c1.offset, lw)
+    rhs = lw.value(c2.offset) - lw.value(c1.offset)
 
     # Index of m*(z-lattice) inside the w-lattice, straight from the
     # determinant of the rational coordinate matrix.
@@ -225,15 +204,15 @@ def brute_force_intersection(c1: GraphCurve, c2: GraphCurve, slope1: EisensteinN
     s0, t0 = fraction_coordinates(lz, rhs / m)
     qs = lcm(s0.denominator, index)
     qt = lcm(t0.denominator, index)
-    points = []
+    keys = []
     for i in range(qs):
         for j in range(qt):
             z = from_coordinates(lz, Fraction(i, qs), Fraction(j, qt))
             if all(c.denominator == 1 for c in fraction_coordinates(lw, m * z - rhs)):
-                w = TorusPoint(slope1 * z + value_of(c1.offset, lw), lw)
-                points.append(ProductPoint(w, TorusPoint(z, lz)))
-    points.sort(key=lambda p: coords(p.w) + coords(p.z))
-    return points
+                keys.append(lw.key(slope1 * z + lw.value(c1.offset)) + lz.key(z))
+    keys.sort(key=lambda k: (Fraction(k[0], k[2]), Fraction(k[1], k[2]),
+                             Fraction(k[3], k[5]), Fraction(k[4], k[5])))
+    return keys
 
 
 def random_rational(rng: random.Random, span: int = 9, max_den: int = 9) -> Fraction:

@@ -3,8 +3,8 @@ call: every function or class that `ballq/__init__.py` exports, and every
 public method and property of an exported class, is referenced by some
 module of the package outside its own definition.  Every name a module
 imports is used there.  A torus point is its key inside the package: a
-TorusPoint is built only where a point is printed.  The report
-re-checker in `tests/recheck.py` imports nothing but json and fractions."""
+key is read back into Q(rho), by Lattice.value, only where a point is
+printed.  The report re-checker in `tests/recheck.py` imports nothing but json and fractions."""
 
 import ast
 import inspect
@@ -64,7 +64,7 @@ def test_every_public_method_of_an_exported_class_has_a_caller_in_the_package():
                if isinstance(node, ast.ClassDef) and node.name in classes
                for item in node.body
                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
-    assert methods["from_matrix"] == "GraphCurve" and methods["value"] == "TorusPoint"
+    assert methods["from_matrix"] == "GraphCurve" and methods["value"] == "Lattice"
     assert [f"{methods[name]}.{name}" for name in unreferenced(methods)] == []
 
 
@@ -80,29 +80,27 @@ def test_every_imported_name_is_used_in_its_module():
     assert unused == []
 
 
-def enclosing_functions_of_calls(tree, name):
+def enclosing_functions_of_method_calls(tree, name):
     """The innermost enclosing function (None at module level) of each
-    call of name or of one of its attributes, such as name.from_reduced."""
+    call of a method called name, such as lattice.value(key)."""
     stack = [(tree, None)]
     while stack:
         node, function = stack.pop()
         if isinstance(node, ast.FunctionDef):
             function = node.name
-        if isinstance(node, ast.Call):
-            callee = node.func.value if isinstance(node.func, ast.Attribute) else node.func
-            if isinstance(callee, ast.Name) and callee.id == name:
-                yield function
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name):
+            yield function
         stack.extend((child, function) for child in ast.iter_child_nodes(node))
 
 
 def test_torus_points_are_built_only_to_print():
-    # Curves, fibers, maps and solvers carry keys; outside lattices.py a
-    # TorusPoint is built only for a printed product point or Albanese
-    # base point, and no code unwraps a stored point to reach its key.
+    # Curves, fibers, maps and solvers carry keys; a key is read back into
+    # Q(rho) only for a printed intersection point or Albanese base point,
+    # and no code unwraps a stored point to reach its key.
     sites = {(file_name, function) for file_name, tree in MODULES.items()
-             if file_name != "lattices.py"
-             for function in enclosing_functions_of_calls(tree, "TorusPoint")}
-    assert sites == {("curves.py", "_product_point"), ("families.py", "albanese_data")}
+             for function in enclosing_functions_of_method_calls(tree, "value")}
+    assert sites == {("curves.py", "points"), ("families.py", "albanese_data")}
     unwrapped = [f"{file_name}: .{node.value.attr}.key" for file_name, tree in MODULES.items()
                  for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "key"

@@ -13,8 +13,8 @@ from ballq.curves import (
     GraphCurve,
     IDENTICAL,
     POINTS,
+    MAX_ORDER,
     Intersection,
-    ProductPoint,
     ProductTorus,
     TorusAutomorphism,
     VerticalFiber,
@@ -38,12 +38,15 @@ from ballq.families import (
     product_torus,
     slope_curves,
 )
-from ballq.lattices import TorusPoint
 
 from conftest import (apply_automorphism, brute_force_intersection, closed_form_keys,
-                      closed_form_points, contains_point, count_eisenstein_operations, key_of,
-                      orbit_of_curves, point_from_key, product_point, scaled, slope_of,
-                      value_of)
+                      closed_form_points, contains_point, count_eisenstein_operations,
+                      orbit_of_curves, scaled, slope_of)
+
+
+def key_of(torus, point):
+    """The six-int key of the point of torus with values (w, z)."""
+    return torus.lattice_w.key(point[0]) + torus.lattice_z.key(point[1])
 
 
 def test_graph_well_definedness_enforced():
@@ -120,12 +123,10 @@ def test_ambient_mismatch_rejected():
 UNITS = (ONE, eis(-1), RHO, eis(0, -1), RHO2, eis(1, 1))
 
 
-def reference_apply(torus, inputs, p):
-    """The Q(rho) formula [lw*w + cw, lz*z + cz] for inputs (lw, cw, lz, cz),
-    each coordinate reduced from its value."""
+def reference_apply(inputs, w, z):
+    """The Q(rho) formula [lw*w + cw, lz*z + cz] for inputs (lw, cw, lz, cz)."""
     lambda_w, trans_w, lambda_z, trans_z = inputs
-    return ProductPoint(TorusPoint(lambda_w * p.w.value + trans_w, torus.lattice_w),
-                        TorusPoint(lambda_z * p.z.value + trans_z, torus.lattice_z))
+    return lambda_w * w + trans_w, lambda_z * z + trans_z
 
 
 def accepted_units(lattice):
@@ -181,10 +182,9 @@ def automorphisms_and_points(draw):
 @given(automorphisms_and_points())
 def test_integer_apply_matches_the_eisenstein_formula(case):
     f, inputs, w, z = case
-    p = product_point(f.ambient, w, z)
-    image, expected = apply_automorphism(f, p), reference_apply(f.ambient, inputs, p)
-    assert key_of(image) == key_of(expected)
-    assert image.to_json() == expected.to_json()
+    expected = key_of(f.ambient, reference_apply(inputs, w, z))
+    assert f.map_key(key_of(f.ambient, (w, z))) == expected
+    assert key_of(f.ambient, apply_automorphism(f, (w, z))) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,7 +222,7 @@ def test_integer_curve_image_matches_the_eisenstein_formula(data):
     slope, curve = data.draw(graphs(torus, n))
     image = apply_auto_to_curve(TorusAutomorphism(torus, *inputs), curve)
     slope = lambda_w * slope / lambda_z
-    offset = value_of(curve.offset, torus.lattice_w)
+    offset = torus.lattice_w.value(curve.offset)
     expected = GraphCurve(torus, slope, lambda_w * offset + trans_w - slope * trans_z)
     assert image == expected
     assert image.matrix == expected.matrix
@@ -273,11 +273,11 @@ def test_integer_graph_fiber_point_matches_the_eisenstein_formula(data):
     z = data.draw(eisenstein_values(12 * n))
     fiber = VerticalFiber(torus, z)
     result = intersect_graph_fiber(curve, fiber)
-    (point,) = result.points
-    expected = TorusPoint(slope * z + value_of(curve.offset, torus.lattice_w), torus.lattice_w)
-    assert result.kind == POINTS and result.point_keys == (expected.key + fiber.z0,)
-    assert str(point.w.value) == str(expected.value)
-    assert point.z == TorusPoint(z, torus.lattice_z)
+    ((w, z_value),) = result.points
+    expected = slope * z + torus.lattice_w.value(curve.offset)
+    assert result.kind == POINTS
+    assert result.point_keys == (key_of(torus, (expected, z)),) == (key_of(torus, (w, z_value)),)
+    assert torus.lattice_w.contains(w - expected) is not None
 
 
 def test_the_integer_data_is_the_only_source():
@@ -308,12 +308,10 @@ def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
     deck = deck_automorphism(torus)
     curves = slope_curves(torus) + level_curves(torus)
     keys = closed_form_intersection(torus, 40)
-    points = [point_from_key(torus, key) for key in keys]
     fiber = VerticalFiber(torus, Fraction(1, 5))
     calls = count_eisenstein_operations(monkeypatch)
     assert deck.compose(deck).compose(deck).is_identity()
-    assert automorphism_order(deck, 12) == 3 and is_free(deck)
-    assert {key_of(apply_automorphism(deck, p)) for p in points} == set(keys)
+    assert automorphism_order(deck) == 3 and is_free(deck)
     assert {deck.map_key(key) for key in keys} == set(keys)
     assert len(orbit_of_points(deck, keys)) == 40
     assert classify_deck_action(deck, 3).index == 5
@@ -325,12 +323,15 @@ def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
 
 def test_apply_requires_the_ambient_bases():
     # base_lattice() and level_lattice(1) are one lattice in two bases;
-    # the integer action reads point keys as coordinates in its own basis.
-    f = TorusAutomorphism(ProductTorus(base_lattice(), level_lattice(1)), RHO, 0, 1, 0)
-    elsewhere = product_point(ProductTorus(base_lattice(), base_lattice()), eis(0),
-                              eis(Fraction(1, 2)))
-    with pytest.raises(ValueError, match="basis"):
-        apply_automorphism(f, elsewhere)
+    # the integer action reads point keys as coordinates in its own basis,
+    # so a key taken in the other basis names another point.
+    torus = ProductTorus(base_lattice(), level_lattice(1))
+    f = TorusAutomorphism(torus, RHO, 0, 1, 0)
+    point = eis(Fraction(1, 3)), eis(0, Fraction(1, 2))
+    elsewhere = key_of(ProductTorus(base_lattice(), base_lattice()), point)
+    assert elsewhere != key_of(torus, point)
+    assert f.map_key(key_of(torus, point)) == key_of(torus, apply_automorphism(f, point))
+    assert f.map_key(elsewhere) != key_of(torus, apply_automorphism(f, point))
 
 
 def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
@@ -339,28 +340,27 @@ def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
     # the keys of one value in two bases are unequal.
     torus = product_torus(1)
     third = Fraction(1, 3)
-    z = TorusPoint(eis(third, third), torus.lattice_z)
-    assert VerticalFiber.from_key(torus, z.key).z0 is z.key
+    z = torus.lattice_z.key(eis(third, third))
+    assert VerticalFiber.from_key(torus, z).z0 is z
     fiber = VerticalFiber(torus, eis(1 + third, third))
-    elsewhere = TorusPoint(eis(third, third), base_lattice())
-    assert fiber.z0 == z.key != elsewhere.key
-    assert fiber == VerticalFiber.from_key(torus, z.key)
-    assert torus.lattice_z.contains(value_of(fiber.z0, torus.lattice_z)
-                                    - elsewhere.value) is not None
+    elsewhere = base_lattice().key(eis(third, third))
+    assert fiber.z0 == z != elsewhere
+    assert fiber == VerticalFiber.from_key(torus, z)
+    assert torus.lattice_z.contains(torus.lattice_z.value(fiber.z0)
+                                    - base_lattice().value(elsewhere)) is not None
 
 
 def test_graph_fiber_intersection():
     torus = product_torus(1)
     e1, e2, _ = slope_curves(torus)
     origin = VerticalFiber(torus, 0)
-    (p,) = intersect_graph_fiber(e1, origin).points
-    assert p.w == TorusPoint(eis(0), base_lattice())
-    assert p.z.key == origin.z0
-    (q,) = intersect_graph_fiber(e2, origin).points
-    assert q.w == TorusPoint(ORDER3_SHIFT * -1, base_lattice())
+    (p,) = intersect_graph_fiber(e1, origin).point_keys
+    assert p == base_lattice().key(eis(0)) + origin.z0
+    (q,) = intersect_graph_fiber(e2, origin).point_keys
+    assert q[:3] == base_lattice().key(ORDER3_SHIFT * -1)
     h1 = level_curves(torus)[0]
-    (r,) = intersect_graph_fiber(h1, VerticalFiber(torus, Fraction(1, 5))).points
-    assert r.w == TorusPoint(eis(Fraction(2, 3)), base_lattice())
+    (r,) = intersect_graph_fiber(h1, VerticalFiber(torus, Fraction(1, 5))).point_keys
+    assert r[:3] == base_lattice().key(eis(Fraction(2, 3)))
 
 
 def test_deck_orbit_of_slope_curves():
@@ -397,8 +397,8 @@ def test_automorphism_order():
 def test_automorphism_order_cap():
     torus = product_torus(1)
     shift = TorusAutomorphism(torus, 1, 0, 1, Fraction(1, 97))
-    with pytest.raises(ValueError):
-        automorphism_order(shift, max_order=50)
+    with pytest.raises(ValueError, match=f"order exceeds {MAX_ORDER}"):
+        automorphism_order(shift)
 
 
 def test_deck_action_is_free():
@@ -406,13 +406,18 @@ def test_deck_action_is_free():
         assert is_free(deck_automorphism(product_torus(n)))
 
 
-def test_rotation_is_not_free():
+def test_rotation_is_not_free(monkeypatch):
     torus = product_torus(2)
     rotation = TorusAutomorphism(torus, RHO, 0, 1, 0)
     assert automorphism_order(rotation) == 3
+    # The first power with a fixed point decides: rotation itself fixes
+    # w = 0, so no further power is composed.
+    composed = []
+    compose = TorusAutomorphism.compose
+    monkeypatch.setattr(TorusAutomorphism, "compose",
+                        lambda f, g: composed.append(g) or compose(f, g))
     assert not is_free(rotation)
-    # The first power with a fixed point decides, even past max_order.
-    assert not is_free(rotation, max_order=2)
+    assert composed == []
     # No fixed point itself, but its square fixes w = 0.
     shifted = TorusAutomorphism(torus, eis(0, -1), 0, 1, 1)
     assert automorphism_order(shifted) == 6
@@ -464,8 +469,8 @@ def test_point_orbits_require_stability():
 def test_single_fixed_point_orbit():
     torus = product_torus(1)
     identity = TorusAutomorphism(torus, 1, 0, 1, 0)
-    p = product_point(torus, eis(0), eis(0))
-    assert orbit_of_points(identity, [key_of(p)]) == [[key_of(p)]]
+    p = key_of(torus, (eis(0), eis(0)))
+    assert orbit_of_points(identity, [p]) == [[p]]
 
 
 def test_image_points_land_on_image_curve():
@@ -477,8 +482,7 @@ def test_image_points_land_on_image_curve():
         for _ in range(10):
             z = eis(Fraction(rng.randint(-20, 20), rng.randint(1, 7)),
                     Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
-            offset = value_of(curve.offset, torus.lattice_w)
-            point = product_point(torus, slope_of(curve) * z + offset, z)
+            point = slope_of(curve) * z + torus.lattice_w.value(curve.offset), z
             assert contains_point(image, apply_automorphism(deck, point))
 
 
@@ -489,13 +493,13 @@ def test_intersection_commutes_with_deck():
     direct = intersect_graphs(apply_auto_to_curve(deck, curves[0]),
                               apply_auto_to_curve(deck, curves[1]))
     points = intersect_graphs(curves[0], curves[1]).points
-    moved = {key_of(apply_automorphism(deck, p)) for p in points}
+    moved = {key_of(torus, apply_automorphism(deck, p)) for p in points}
     assert direct.keys() == frozenset(moved)
 
 
 def assert_matches_oracle(c1, c2, slope1, slope2):
-    """The solver's points equal the oracle's, in the same order and with the
-    same printed w and z values; the curves were built from the slopes."""
+    """The solver's point keys equal the oracle's, in the same order; the
+    curves were built from the slopes."""
     got = intersect_graphs(c1, c2)
     expected = brute_force_intersection(c1, c2, slope1, slope2)
     if isinstance(expected, str):
@@ -503,13 +507,11 @@ def assert_matches_oracle(c1, c2, slope1, slope2):
     else:
         assert got.kind == POINTS
         assert got.count == len(expected)
-        assert [key_of(p) for p in got.points] == [key_of(p) for p in expected]
-        assert ([(str(p.w.value), str(p.z.value)) for p in got.points]
-                == [(str(p.w.value), str(p.z.value)) for p in expected])
+        assert list(got.point_keys) == expected
 
 
 def test_points_are_built_from_the_stored_keys_in_order():
-    # The kernel stores keys only; the points built on first read carry
+    # The kernel stores keys only; the values read on first access carry
     # the same keys in the same (coordinate) order.
     for n in (1, 5, 37):
         torus = product_torus(n)
@@ -518,7 +520,7 @@ def test_points_are_built_from_the_stored_keys_in_order():
                        (GraphCurve(torus, ONE - RHO, Fraction(1, 7)), levels[0])):
             result = intersect_graphs(c1, c2)
             assert "points" not in vars(result)
-            assert [key_of(p) for p in result.points] == list(result.point_keys)
+            assert [key_of(torus, p) for p in result.points] == list(result.point_keys)
             assert len(result.point_keys) == result.count > 0
             assert result.points is result.points
 
@@ -587,15 +589,12 @@ def test_count_equals_lattice_index():
 
 
 def test_closed_form_helper_matches_inline():
-    # The helper computes integer keys only, so the printed values of the
-    # points built from them are compared with the Q(rho) transcription.
+    # The helper computes integer keys only; they are the keys of the
+    # Q(rho) transcription's values, in the same order.
     for n in (1, 4, 37, 60):
         torus = product_torus(n)
         helper = closed_form_intersection(torus, n)
-        inline = closed_form_points(torus, n)
-        assert set(helper) == closed_form_keys(torus, n)
-        assert ([point_from_key(torus, key).to_json() for key in helper]
-                == [p.to_json() for p in inline])
+        assert list(helper) == [key_of(torus, p) for p in closed_form_points(n)]
 
 
 def test_orbit_of_curves_cap():
@@ -608,26 +607,24 @@ def test_orbit_of_curves_cap():
 
 def test_records_are_immutable_and_the_basis_free_ones_unhashable():
     """A torus compares through its lattices, which have no hash, so it has
-    none; a point and a fiber, which compare keys in their lattices' stored
-    bases, have none either.  The error names the record."""
+    none; a fiber, which compares keys in its lattices' stored bases, has
+    none either.  The error names the record."""
     torus = product_torus(1)
     e1, e2, _ = slope_curves(torus)
     fiber = VerticalFiber(torus, Fraction(1, 3))
     meet = intersect_graphs(e1, e2)
-    point = meet.points[0]
-    for record, name in ((torus, "lattice_w"), (point, "w"), (e1, "matrix"), (fiber, "z0"),
+    for record, name in ((torus, "lattice_w"), (e1, "matrix"), (fiber, "z0"),
                          (deck_automorphism(torus), "matrices"), (meet, "kind")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
-    for record in (torus, point, fiber):
+    for record in (torus, fiber):
         with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
             hash(record)
 
 
 def test_record_equality():
-    """Tori compare by their lattices, as sets; points by their keys in one
-    basis; fibers by (ambient, z0), so also in one basis; intersections by
-    kind and keys, whatever the ambient."""
+    """Tori compare by their lattices, as sets; fibers by (ambient, z0), so
+    in one basis; intersections by kind and keys, whatever the ambient."""
     torus = product_torus(1)
     hexagonal = ProductTorus(base_lattice(), base_lattice())
     assert torus == hexagonal
@@ -640,12 +637,15 @@ def test_record_equality():
     assert fiber != VerticalFiber(product_torus(2), Fraction(1, 3))
     e1, e2, _ = slope_curves(torus)
     crossing = intersect_graph_fiber(e1, fiber)
-    assert crossing == intersect_graph_fiber(e1, VerticalFiber(torus, crossing.points[0].z.value))
-    assert crossing.points[0] == point_from_key(torus, crossing.point_keys[0])
+    (point,) = crossing.points
+    assert crossing == intersect_graph_fiber(e1, VerticalFiber(torus, point[1]))
+    assert key_of(torus, point) == crossing.point_keys[0]
     meet = intersect_graphs(e1, e2)
     alone = Intersection(meet.kind, meet.point_keys)
     assert alone.ambient is None and alone == meet and hash(alone) == hash(meet)
     assert Intersection(EMPTY) != Intersection(IDENTICAL)
+    # A degenerate result has no ambient, and no points to read.
+    assert intersect_graphs(e1, e1).points == Intersection(EMPTY).points == ()
 
 
 def test_intersection_json_forms():

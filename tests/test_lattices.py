@@ -1,4 +1,5 @@
-"""Lattice membership, multiplier matrices, indices and the Hermite coset grid."""
+"""Lattice membership, multiplier matrices, indices, the Hermite coset grid,
+and torus point keys and their values."""
 
 import random
 from fractions import Fraction
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
-from ballq.lattices import Lattice, TorusPoint, coset_grid
+from ballq.lattices import Lattice, coset_grid, point_key
 
-from conftest import (coordinates, coords, fraction_coordinates, from_coordinates,
-                      random_eisenstein, random_lattice, random_sublattice, scaled)
+from conftest import (coordinates, fraction_coordinates, from_coordinates, random_eisenstein,
+                      random_lattice, random_sublattice, scaled)
 
 entries = st.integers(min_value=-12, max_value=12)
 
@@ -129,20 +130,18 @@ def test_lattice_equality_is_mutual_containment():
     assert proper >= 150
 
 
-def test_lattices_and_torus_points_are_immutable_and_unhashable():
+def test_lattices_are_immutable_and_unhashable():
     """Lattices compare as sets, so a lattice has no hash: hashing the
     stored generators would give equal lattices in other bases different
-    hashes.  A torus point compares its key in its lattice's stored basis
-    and has no hash either; sets of points hold their keys."""
+    hashes.  Sets of torus points hold their keys, which are read in one
+    stored basis."""
     lattice = level_lattice(2)
-    point = TorusPoint(ORDER3_SHIFT, lattice)
-    for record, name in ((lattice, "gen1"), (point, "key")):
-        with pytest.raises(AttributeError):
-            setattr(record, name, getattr(record, name))
-        with pytest.raises(AttributeError):
-            delattr(record, name)
-        with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
-            hash(record)
+    with pytest.raises(AttributeError):
+        lattice.gen1 = lattice.gen1
+    with pytest.raises(AttributeError):
+        del lattice.gen1
+    with pytest.raises(TypeError, match="unhashable type: 'Lattice'"):
+        hash(lattice)
 
 
 def coset_representatives(sub, sup):
@@ -171,7 +170,7 @@ def test_coset_grid_meets_each_class_once(a, b, c, d):
     sub = Lattice(a * sup.gen1 + b * sup.gen2, c * sup.gen1 + d * sup.gen2)
     reps = coset_representatives(sub, sup)
     assert len(reps) == sub.index_in(sup) == abs(a * d - b * c)
-    assert len({TorusPoint(r, sub).key for r in reps}) == len(reps)
+    assert len({sub.key(r) for r in reps}) == len(reps)
 
 
 def test_coset_representatives_trivial():
@@ -207,35 +206,32 @@ def test_coset_representatives_requires_sublattice():
 
 
 def test_reduce_zero():
-    assert coords(TorusPoint(eis(0), base_lattice())) == (0, 0)
+    assert base_lattice().key(eis(0)) == (0, 0, 1)
+    assert base_lattice().value((0, 0, 1)) == eis(0)
 
 
 def test_reduce_shift_identities():
     base = base_lattice()
     two_thirds = eis(Fraction(2, 3))
-    assert (TorusPoint(two_thirds + ORDER3_SHIFT, base)
-            == TorusPoint(RHO * Fraction(2, 3), base))
-    assert (TorusPoint(two_thirds + 2 * ORDER3_SHIFT, base)
-            == TorusPoint(RHO * RHO * Fraction(2, 3), base))
+    assert base.key(two_thirds + ORDER3_SHIFT) == base.key(RHO * Fraction(2, 3))
+    assert base.key(two_thirds + 2 * ORDER3_SHIFT) == base.key(RHO * RHO * Fraction(2, 3))
 
 
 def test_reduction_properties_random():
+    # Lattice.value inverts Lattice.key: the value of x's key is x reduced
+    # into [0, 1)^2 (Cramer's rule), and its key is the key again.
     rng = random.Random(20240)
-    for _ in range(150):
+    for _ in range(1000):
         lattice = random_lattice(rng)
         x = random_eisenstein(rng)
-        point = TorusPoint(x, lattice)
-        s, t = coords(point)
-        assert 0 <= s < 1 and 0 <= t < 1
-        # the reduction differs from the input by a lattice element
-        assert lattice.contains(x - point.value) is not None
-        # idempotence
-        again = TorusPoint(point.value, lattice)
-        assert coords(again) == coords(point)
-        # invariance under adding a period
+        key = lattice.key(x)
+        value = lattice.value(key)
+        assert lattice.key(value) == key
+        assert lattice.contains(value - x) is not None
+        assert all(0 <= c < 1 for c in fraction_coordinates(lattice, value))
         period = from_coordinates(lattice, Fraction(rng.randint(-3, 3)),
                                   Fraction(rng.randint(-3, 3)))
-        assert TorusPoint(x + period, lattice) == point
+        assert lattice.key(x + period) == key
 
 
 def reference_reduction(x, lattice):
@@ -266,8 +262,7 @@ def lattices_and_values(draw):
 @given(lattices_and_values())
 def test_integer_reduction_matches_fraction_reduction(case):
     lattice, x = case
-    point = TorusPoint(x, lattice)
-    assert "value" not in vars(point)  # a point stores its key; value is built on read
+    rs, rt, den = key = lattice.key(x)
     reduced, value = reference_reduction(x, lattice)
     # The coordinate map against Cramer's rule, on x and on the period x - value.
     for y in (x, x - value):
@@ -275,20 +270,15 @@ def test_integer_reduction_matches_fraction_reduction(case):
         assert coordinates(lattice, y) == exact
         integral = all(c.denominator == 1 for c in exact)
         assert lattice.contains(y) == (tuple(map(int, exact)) if integral else None)
-    assert coords(point) == reduced
-    assert point.value == value
-    assert all(0 <= c < 1 for c in coords(point))
-    again = TorusPoint(point.value, lattice)
-    assert (coords(again), again.value) == (coords(point), point.value)
-    # The same point from its reduced numerators, over a multiple of their
+    assert (Fraction(rs, den), Fraction(rt, den)) == reduced
+    assert lattice.value(key) == value
+    assert lattice.key(value) == key
+    # The same key from the reduced numerators, over a multiple of their
     # least common denominator.
     den = lcm(*(c.denominator for c in reduced))
     rs, rt = (c.numerator * (den // c.denominator) for c in reduced)
     scale = 1 + (rs + rt) % 3
-    built = TorusPoint.from_reduced(rs * scale, rt * scale, den * scale, lattice)
-    assert coords(built) == coords(point)
-    assert str(built.value) == str(point.value)
-    assert built.key == point.key
+    assert point_key(rs * scale, rt * scale, den * scale) == key
 
 
 @st.composite
@@ -312,23 +302,14 @@ def family_points(draw):
 @given(family_points())
 def test_integer_key_matches_fraction_coordinates(case):
     lattice, x, y, k = case
-    points = {x: TorusPoint(x, lattice), y: TorusPoint(y, lattice)}
-    for value, point in points.items():
-        rs, rt, den = point.key
+    keys = {x: lattice.key(x), y: lattice.key(y)}
+    for value, key in keys.items():
+        rs, rt, den = key
         assert 0 <= rs < den and 0 <= rt < den and gcd(rs, rt, den) == 1
-        assert coords(point) == reference_reduction(value, lattice)[0]
-        assert TorusPoint.from_reduced(k * rs, k * rt, k * den, lattice).key == point.key
+        assert (Fraction(rs, den), Fraction(rt, den)) == reference_reduction(value, lattice)[0]
+        assert point_key(k * rs, k * rt, k * den) == key
     same_coords = reference_reduction(x, lattice)[0] == reference_reduction(y, lattice)[0]
-    assert (points[x].key == points[y].key) == same_coords
-
-
-def test_from_reduced_rejects_unreduced_numerators():
-    lattice = level_lattice(3)
-    expected = TorusPoint(from_coordinates(lattice, Fraction(5, 6), Fraction(1, 6)), lattice)
-    assert TorusPoint.from_reduced(5, 1, 6, lattice) == expected
-    for rs, rt in ((6, 0), (0, 6), (-1, 0), (0, -1)):
-        with pytest.raises(ValueError):
-            TorusPoint.from_reduced(rs, rt, 6, lattice)
+    assert (keys[x] == keys[y]) == same_coords
 
 
 def test_index_multiplicativity_random():
@@ -347,18 +328,18 @@ def test_coset_size_matches_index_random():
         sub = random_sublattice(rng, sup)
         reps = coset_representatives(sub, sup)
         assert len(reps) == sub.index_in(sup)
-        keys = {TorusPoint(r, sub).key for r in reps}
+        keys = {sub.key(r) for r in reps}
         assert len(keys) == len(reps)
 
 
-def addition_loop_order(point, max_order):
+def addition_loop_order(lattice, value, max_order):
     """Least k <= max_order with k*value in the lattice, by adding the
     value to itself in Q(rho)."""
-    acc = point.value
+    acc = value
     for k in range(1, max_order + 1):
-        if point.lattice.contains(acc) is not None:
+        if lattice.contains(acc) is not None:
             return k
-        acc = acc + point.value
+        acc = acc + value
     raise ValueError(f"order exceeds {max_order}")
 
 
@@ -367,11 +348,13 @@ def test_order_matches_addition_loop_random():
     # as the shift's order.
     rng = random.Random(3141)
     for _ in range(150):
-        point = TorusPoint(random_eisenstein(rng), random_lattice(rng))
+        x = random_eisenstein(rng)
+        lattice = random_lattice(rng)
+        key = lattice.key(x)
         for max_order in (8, 200):
             try:
-                expected = addition_loop_order(point, max_order)
+                expected = addition_loop_order(lattice, lattice.value(key), max_order)
             except ValueError:
-                assert point.key[2] > max_order
+                assert key[2] > max_order
             else:
-                assert point.key[2] == expected
+                assert key[2] == expected

@@ -14,7 +14,7 @@ from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, SurfaceModel
 
-from conftest import orbit_of_curves, value_of
+from conftest import orbit_of_curves
 from recheck import broken_relations
 
 
@@ -232,7 +232,7 @@ def vertical_fiber_over_wrong_z(monkeypatch):
 
     def faulty(core, chk):
         curves, orbits, pairwise, through = spec.upstairs(core, chk)
-        moved = value_of(curves["vert1_0"].z0, core.torus.lattice_z) + ORDER3_SHIFT / 2
+        moved = core.torus.lattice_z.value(curves["vert1_0"].z0) + ORDER3_SHIFT / 2
         return ({**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise,
                 through)
 
