@@ -20,11 +20,11 @@ from . import families
 from .eisenstein import EisensteinNumber
 from .curves import (EMPTY, IDENTICAL, GraphCurve, Intersection, VerticalFiber,
                      graph_difference, intersect_graph_fiber, intersect_graphs)
+from .families import MAX_LEVEL
 from .surfaces import volume_from_chi
 
-# Largest level n one verify or intersect run may build, most points one
-# intersect run may list, and most rows one spectrum run may tabulate.
-MAX_LEVEL = 2_000
+# Most points one intersect run may list, and most rows one spectrum run
+# may tabulate.
 MAX_POINTS = 20_000
 MAX_LEVELS = 10_000
 
@@ -67,8 +67,9 @@ def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
 
 def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
     """(build_family's report document, None) for a level, or (failed
-    report document, error text) when building it raised; the failed report
-    names the step and the error text names the level and the exception."""
+    report document, error text) when one of its stages raised.  The failed
+    report keeps the values and checks of the stages before that one and
+    names it; the error text names the level and the exception."""
     family, n = task
     try:
         return families.build_family(family, n), None

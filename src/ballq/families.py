@@ -8,9 +8,14 @@ to n triple points of an irreducible curve on the bielliptic quotient.
 Blowing the triple points up yields the compactifying surface; the two
 families differ only in the boundary divisor added to the resolved triple
 curve: the n fiber transforms (n+1 cusps) or the single resolved orbit of
-constant graphs (2 cusps).  build_family runs that one pipeline, and a
-small record per family supplies only what differs.  Every numerical claim
-is recomputed exactly and recorded as a check in the level's JSON report.
+constant graphs (2 cusps).  build_family runs that one pipeline as the
+table _STAGES: ten named stages, each a function of one build record (the
+level, its checks and values, and what a stage stores for a later one).
+A small record per family supplies only what differs: two numbers as
+functions of n, and hooks that extend named stages with the same
+signature.  Every numerical claim is recomputed exactly and recorded as a
+check in the level's JSON report; a stage that raises leaves a failed
+report with the values and checks recorded before it.
 A point is its key (see curves): the intersections, the closed-form
 locus, the deck orbits, the incidence table and the fiber rows read sets
 of six-int point keys, and the curves' offsets and the vertical fibers'
@@ -75,12 +80,15 @@ CORE_CURVE = "slope_orbit"
 LEVEL_CURVE = "level_orbit"
 
 
+# Largest level n that one verify or intersect run may build.
+MAX_LEVEL = 2_000
+
 # The lattices are frozen, so each is built once per process and shared by
 # every level that reads it; the tower reads those of all divisors of n.
-# One entry per level up to cli.MAX_LEVEL bounds each cache.  Keys are
-# typed, so that 3.0 reaches the constructor's checks instead of the
-# lattice cached for 3.
-_lattice_cache = lru_cache(maxsize=2_000, typed=True)
+# One entry per level up to MAX_LEVEL bounds each cache.  Keys are typed,
+# so that 3.0 reaches the constructor's checks instead of the lattice
+# cached for 3.
+_lattice_cache = lru_cache(maxsize=MAX_LEVEL, typed=True)
 
 
 @_lattice_cache
@@ -300,45 +308,73 @@ def _plain(value: object) -> object:
     raise TypeError(f"cannot serialize {value!r}")
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.results: list[dict[str, object]] = []
+class _Build:
+    """The record of one level's build, which every stage reads and extends.
 
-    def expect(self, name: str, expected: object, actual: object) -> bool:
-        ok = expected == actual
-        self.results.append({"name": name, "passed": ok,
-                             "expected": _plain(expected), "actual": _plain(actual)})
-        return ok
+    It holds n, the family's record spec, the checks, the report's values
+    and flags, and what a stage stores for a later one: the torus, the
+    slope curves and the deck map; the sorted intersection point keys,
+    their names, their deck orbits and the closed-form key set; every
+    upstairs curve by name, the curve orbits (the boundary components),
+    the pairwise numbers and the key set of the points on each graph curve
+    (see _incidence); the quotient, the blown-up model and the log pair
+    (None until one forms)."""
 
+    def __init__(self, family: str, n: int) -> None:
+        self.family, self.n, self.spec = family, n, _FAMILIES[family]
+        self.checks: list[dict[str, object]] = []
+        self.values: dict[str, object] = {}
+        self.flags = [_TOWER_FLAG]
+        self.pair: LogPair | None = None
 
-def _report(family: str, n: int, passed: bool, values: dict[str, object],
-            checks: list[dict[str, object]], assumptions: list[str],
-            flags: list[str]) -> dict[str, object]:
-    """The JSON document of one level's report, in schema key order: every
-    computed value, every check and the assumptions taken on trust."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": family,
-        "n": n,
-        "passed": passed,
-        "values": values,
-        "checks": checks,
-        "assumptions": assumptions,
-        "flags": flags,
-    }
+    def expect(self, name: str, expected: object, actual: object) -> None:
+        self.checks.append({"name": name, "passed": expected == actual,
+                            "expected": _plain(expected), "actual": _plain(actual)})
+
+    def report(self, passed: bool, assumptions: list[str],
+               flags: list[str]) -> dict[str, object]:
+        """The JSON document of the level's report, in schema key order:
+        every value and check recorded, and the assumptions taken on trust."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "family": self.family,
+            "n": self.n,
+            "passed": passed,
+            "values": self.values,
+            "checks": self.checks,
+            "assumptions": assumptions,
+            "flags": flags,
+        }
+
+    def run(self, stages: tuple) -> None:
+        """Run each (name, stage) of stages in order, each followed by the
+        family's hook of that name.  Every stage after "boundary" reads the
+        log pair, so the run stops there when none formed.  An exception is
+        raised as a BuildError naming the stage."""
+        for name, stage in stages:
+            try:
+                stage(self)
+                if name in self.spec.hooks:
+                    self.spec.hooks[name](self)
+            except Exception as exc:
+                raise BuildError(self, name, exc) from exc
+            if name == "boundary" and self.pair is None:
+                return
 
 
 class BuildError(Exception):
-    """A step of build_family raised; the original exception is the cause."""
+    """A stage of build_family raised; the original exception is the cause
+    and build is the record of what the build had stored until then."""
 
-    def __init__(self, family: str, n: int, stage: str, error: Exception) -> None:
-        super().__init__(f"{family} n={n}: {type(error).__name__}: {error}")
-        self.family, self.n, self.stage, self.error = family, n, stage, error
+    def __init__(self, build: _Build, stage: str, error: Exception) -> None:
+        super().__init__(f"{build.family} n={build.n}: {type(error).__name__}: {error}")
+        self.build, self.stage, self.error = build, stage, error
 
     def to_json_dict(self) -> dict[str, object]:
-        """The failed report of the level: no values or checks, and an
-        error naming the step, the exception type and its message."""
-        return {**_report(self.family, self.n, False, {}, [], [], []), "error": {
+        """The failed report of the level: the values and checks recorded
+        before the raise, and an error naming the stage, the exception
+        type and its message."""
+        return {**self.build.report(False, [], []), "error": {
             "stage": self.stage, "type": type(self.error).__name__, "message": str(self.error)}}
 
 
@@ -394,16 +430,8 @@ def render_markdown(doc: dict[str, object]) -> str:
 
 
 # ----------------------------------------------------------------------
-# shared geometry of both families
+# the stages of build_family, shared by both families
 # ----------------------------------------------------------------------
-
-
-# What _shared_geometry computes for level n: the ProductTorus, the slope
-# GraphCurves and the deck TorusAutomorphism; the sorted intersection keys,
-# their names and deck orbits; the closed-form key set; the points per slope
-# pair; and the key set of each slope curve through slope0.
-_Core = namedtuple("_Core", "n torus slopes deck points point_names orbits closed_keys "
-                            "pair_counts through")
 
 
 def _deck_cycle(deck: TorusAutomorphism, curves: list[GraphCurve]) -> tuple[list[bool], bool]:
@@ -415,125 +443,138 @@ def _deck_cycle(deck: TorusAutomorphism, curves: list[GraphCurve]) -> tuple[list
     return maps, all(maps) and curves[0] not in curves[1:]
 
 
-def _shared_geometry(n: int, chk: _Checks) -> _Core:
-    torus = product_torus(n)
-    slopes = slope_curves(torus)
-    deck = deck_automorphism(torus)
+def _geometry(b: _Build) -> None:
+    """The torus, the slope curves and the deck map; the slope curves'
+    pairwise intersections against the closed form; the intersection
+    points, their names and their deck orbits."""
+    n = b.n
+    b.torus = torus = product_torus(n)
+    b.slopes = slopes = slope_curves(torus)
+    b.deck = deck = deck_automorphism(torus)
 
-    chk.expect("deck_order", 3, automorphism_order(deck))
-    chk.expect("deck_action_free", True, is_free(deck))
+    b.expect("deck_order", 3, automorphism_order(deck))
+    b.expect("deck_action_free", True, is_free(deck))
 
     maps, orbit = _deck_cycle(deck, slopes)
-    chk.expect("deck_orbit_of_slope_curves", True, orbit)
+    b.expect("deck_orbit_of_slope_curves", True, orbit)
     for i in range(3):
-        chk.expect(f"deck_maps_slope{i}_to_slope{(i + 1) % 3}", True, maps[i])
+        b.expect(f"deck_maps_slope{i}_to_slope{(i + 1) % 3}", True, maps[i])
 
-    closed_keys = frozenset(closed_form_intersection(torus, n))
-    chk.expect("closed_form_size", 3 * n, len(closed_keys))
+    b.closed_keys = frozenset(closed_form_intersection(torus, n))
+    b.expect("closed_form_size", 3 * n, len(b.closed_keys))
 
-    base_points: tuple = ()
-    pair_counts: dict[tuple[str, str], int] = {}
-    through: dict[str, frozenset] = {}
+    b.pairwise, b.through = {}, {}
     for i in range(3):
         for j in range(i + 1, 3):
             result = intersect_graphs(slopes[i], slopes[j])
             keys = result.keys()
-            pair_counts[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = result.count
-            chk.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
-            chk.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
-                       True, keys == closed_keys)
+            b.pairwise[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = result.count
+            b.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
+            b.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
+                     True, keys == b.closed_keys)
             if i == 0:
-                through[_SLOPE_NAMES[j]] = keys
+                b.through[_SLOPE_NAMES[j]] = keys
             if (i, j) == (0, 1):
                 base_points = result.point_keys
 
-    chk.expect("branch_slopes_pairwise_distinct", True,
-               len({c.matrix for c in slopes}) == 3)
+    b.expect("branch_slopes_pairwise_distinct", True,
+             len({c.matrix for c in slopes}) == 3)
 
-    points = sorted(base_points)
-    point_names = {key: f"pt{i}" for i, key in enumerate(points)}
-    through[_SLOPE_NAMES[0]] = frozenset(point_names)
-    orbits = orbit_of_points(deck, points)
-    chk.expect("point_orbit_count", n, len(orbits))
-    chk.expect("point_orbit_sizes", [3] * n, [len(o) for o in orbits])
-
-    return _Core(n, torus, slopes, deck, points, point_names, orbits, closed_keys,
-                 pair_counts, through)
+    b.points = sorted(base_points)
+    b.point_names = {key: f"pt{i}" for i, key in enumerate(b.points)}
+    b.through[_SLOPE_NAMES[0]] = frozenset(b.point_names)
+    b.orbits = orbit_of_points(deck, b.points)
+    b.expect("point_orbit_count", n, len(b.orbits))
+    b.expect("point_orbit_sizes", [3] * n, [len(o) for o in b.orbits])
 
 
-def _incidence(core: _Core, curves: dict[str, GraphCurve | VerticalFiber],
-               through: dict[str, frozenset]) -> dict[str, dict[str, int]]:
-    """Multiplicity table {point name: {curve name: 1}} of the given curves
-    through the intersection points, filled per curve from a key set.
+def _upstairs(b: _Build) -> None:
+    """The slope curves, one deck orbit; each family's hook adds its own
+    curves, orbits, pairwise numbers and key sets."""
+    b.curves = dict(zip(_SLOPE_NAMES, b.slopes))
+    b.curve_orbits = {CORE_CURVE: _SLOPE_NAMES}
+
+
+def _incidence(b: _Build) -> dict[str, dict[str, int]]:
+    """Multiplicity table {point name: {curve name: 1}} of the upstairs
+    curves through the intersection points, filled per curve from a key set.
 
     Every point lies on slope0, so a graph curve passes through a point
     exactly when its key is in the curve's intersection with slope0, which
-    intersect_graphs has solved exactly: through[name] is that key set (all
-    points for slope0).  A vertical fiber passes through the points whose z
-    key (the last three ints of the point key) is its z0 (all curves live
-    on core.torus, so keys are coordinates in one z-lattice basis), read
-    off an index of the points by z key.
+    intersect_graphs has solved exactly: b.through[name] is that key set
+    (all points for slope0).  A vertical fiber passes through the points
+    whose z key (the last three ints of the point key) is its z0 (all
+    curves live on b.torus, so keys are coordinates in one z-lattice
+    basis), read off an index of the points by z key.
     """
-    rows: dict[tuple, dict[str, int]] = {key: {} for key in core.points}
+    rows: dict[tuple, dict[str, int]] = {key: {} for key in b.points}
     over_z: dict[tuple, list[tuple]] = {}
-    for key in core.points:
+    for key in b.points:
         over_z.setdefault(key[3:], []).append(key)
-    for name, curve in curves.items():
-        keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else through[name]
+    for name, curve in b.curves.items():
+        keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
         for key in rows.keys() & keys:
             rows[key][name] = 1
-    return {core.point_names[key]: row for key, row in rows.items()}
+    return {b.point_names[key]: row for key, row in rows.items()}
 
 
-def _quotient_and_blowup(core: _Core, upstairs_curves: dict[str, GraphCurve | VerticalFiber],
-                         curve_orbits: dict[str, tuple[str, ...]],
-                         pairwise: dict[tuple[str, str], int],
-                         through: dict[str, frozenset],
-                         chk: _Checks) -> tuple[SurfaceModel, SurfaceModel]:
+def _quotient(b: _Build) -> None:
     """Assemble the upstairs model of all curves, push it through the deck
-    quotient with the given curve orbits and blow up the triple points.
-    through holds the key set of each graph curve (see _incidence).
-    Returns (quotient, blown_up)."""
-    n = core.n
-    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in upstairs_curves}
-    points = _incidence(core, upstairs_curves, through)
-    chk.expect("all_slope_curves_through_every_point", True,
-               all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES)
-                   for m in points.values()))
+    quotient with the curve orbits and blow up the triple points."""
+    n = b.n
+    points = _incidence(b)
+    b.expect("all_slope_curves_through_every_point", True,
+             all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES) for m in points.values()))
 
-    upstairs = SurfaceModel.build(0, 0, curves, pairwise, points)
+    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves}
+    upstairs = SurfaceModel.build(0, 0, curves, b.pairwise, points)
     point_orbits = {
-        f"q{j}": tuple(core.point_names[key] for key in orbit)
-        for j, orbit in enumerate(core.orbits)
+        f"q{j}": tuple(b.point_names[key] for key in orbit)
+        for j, orbit in enumerate(b.orbits)
     }
-    quotient = etale_quotient(upstairs, 3, curve_orbits, point_orbits)
+    b.quotient = quotient = etale_quotient(upstairs, 3, b.curve_orbits, point_orbits)
 
-    chk.expect("quotient_chi", 0, quotient.chi_top)
-    chk.expect("quotient_k2", 0, quotient.k2)
-    chk.expect("quotient_core_self_intersection", 6 * n,
-               quotient.curves[CORE_CURVE].self_int)
-    chk.expect("quotient_core_triple_points", [3] * n,
-               [quotient.point_multiplicity(f"q{j}", CORE_CURVE) for j in range(n)])
+    b.expect("quotient_chi", 0, quotient.chi_top)
+    b.expect("quotient_k2", 0, quotient.k2)
+    b.expect("quotient_core_self_intersection", 6 * n, quotient.curves[CORE_CURVE].self_int)
+    b.expect("quotient_core_triple_points", [3] * n,
+             [quotient.point_multiplicity(f"q{j}", CORE_CURVE) for j in range(n)])
 
-    return quotient, blow_up(quotient, {f"q{j}": f"exc{j + 1}" for j in range(n)})
+    b.blown = blown = blow_up(quotient, {f"q{j}": f"exc{j + 1}" for j in range(n)})
+    b.values.update(chi=blown.chi_top, k2=blown.k2)
+    b.expect("chi", n, b.values["chi"])
+    b.expect("k2", -n, b.values["k2"])
+    b.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC, blown.kind(CORE_CURVE))
 
 
-def _boundary_checks(blown: SurfaceModel, boundary: list[dict[str, object]],
-                     expected_self: dict[str, int], chk: _Checks) -> LogPair | None:
-    """Check the printed boundary fragment and return the log pair of the
-    curves it names, or None when they do not form one."""
-    actual_self = {entry["name"]: entry["self_intersection"] for entry in boundary}
-    chk.expect("boundary_self_intersections", expected_self, actual_self)
-    chk.expect("boundary_self_intersections_negative", True,
-               all(v < 0 for v in actual_self.values()))
-    chk.expect("boundary_pairwise_disjoint", True, not blown.pairs_among(actual_self))
+def _boundary(b: _Build) -> None:
+    """The boundary fragment, made of the resolved triple curve and the
+    images of the extra orbits, and its log pair when its curves form one;
+    the deck action's Bagnera-de Franchis type."""
+    blown = b.blown
+    b.values["boundary"] = [{"name": name, "self_intersection": blown.curves[name].self_int,
+                             "kind": blown.kind(name)} for name in b.curve_orbits]
+    b.values["intersection"] = {
+        "points_per_pair": b.pairwise[(_SLOPE_NAMES[0], _SLOPE_NAMES[1])],
+        "triple_points_downstairs": len(b.orbits),
+    }
+    expected_self = {**dict.fromkeys(b.curve_orbits, b.spec.orbit_self_intersection(b.n)),
+                     CORE_CURVE: -3 * b.n}
+    actual_self = {entry["name"]: entry["self_intersection"] for entry in b.values["boundary"]}
+    b.expect("boundary_self_intersections", expected_self, actual_self)
+    b.expect("boundary_self_intersections_negative", True,
+             all(v < 0 for v in actual_self.values()))
+    b.expect("boundary_pairwise_disjoint", True, not blown.pairs_among(actual_self))
     try:
-        pair = LogPair(blown, tuple(actual_self))
+        b.pair = LogPair(blown, tuple(actual_self))
     except ValueError as exc:
-        chk.expect("boundary_pair_valid", True, f"invalid: {exc}")
-        return None
-    chk.expect("boundary_pair_valid", True, True)
-    return pair
+        b.expect("boundary_pair_valid", True, f"invalid: {exc}")
+    else:
+        b.expect("boundary_pair_valid", True, True)
+
+    bdf = classify_deck_action(b.deck, 3)
+    b.values["bdf_type"] = bdf.index if isinstance(bdf, BdFType) else bdf.to_json()
+    b.expect("bdf_type", 5, b.values["bdf_type"])
 
 
 def _certify_pair(pair: LogPair) -> dict[str, object]:
@@ -545,37 +586,49 @@ def _certify_pair(pair: LogPair) -> dict[str, object]:
             "volume": volume_from_chi(c2)}
 
 
-def _exceptional_ledger(quotient: SurfaceModel, blown: SurfaceModel, n: int,
-                        chk: _Checks) -> None:
+def _certify(b: _Build) -> None:
+    n, values = b.n, b.values
+    values.update(_certify_pair(b.pair))
+    nef = values["nef"]
+    b.expect("nef_numerical_check", True, nef["passed"])
+    b.expect("nef_boundary_pairings_zero", True,
+             all(v == 0 for v in nef["boundary_pairings"].values()))
+    b.expect("log_chern", [3 * n, n], [values["log_c1_squared"], values["log_c2"]])
+    b.expect("bmy", BMYClass.EQUALITY.value, values["bmy"])
+    b.expect("cusps", b.spec.cusps(n), values["cusps"])
+    b.expect("volume_coefficient", str(Fraction(8, 3) * n),
+             values["volume"]["pi_squared_coefficient"])
+
+
+def _ledger(b: _Build) -> None:
     """Each exc{j} is a smooth rational (-1)-curve whose row of nonzero
     intersection numbers is the multiplicity table of the point q{j-1} it
     replaces: it meets each curve through that point once per branch and
     misses every other curve, every other exceptional curve included."""
-    rows: dict[str, dict[str, int]] = {f"exc{j}": {} for j in range(1, n + 1)}
-    for (a, b), value in blown.pairwise.items():
-        if a in rows:
-            rows[a][b] = value
-        if b in rows:
-            rows[b][a] = value
-    ok = all(blown.curves[exc] == CurveRecord(-1, SMOOTH_RATIONAL)
-             and row == quotient.points[f"q{j}"] for j, (exc, row) in enumerate(rows.items()))
-    chk.expect("exceptional_curve_ledger", True, ok)
+    rows: dict[str, dict[str, int]] = {f"exc{j}": {} for j in range(1, b.n + 1)}
+    for (first, second), value in b.blown.pairwise.items():
+        if first in rows:
+            rows[first][second] = value
+        if second in rows:
+            rows[second][first] = value
+    ok = all(b.blown.curves[exc] == CurveRecord(-1, SMOOTH_RATIONAL)
+             and row == b.quotient.points[f"q{j}"] for j, (exc, row) in enumerate(rows.items()))
+    b.expect("exceptional_curve_ledger", True, ok)
 
 
-def _generic_fiber_rows(core: _Core, members: dict[str, list],
-                        chk: _Checks) -> dict[str, int]:
+def _fiber(b: _Build) -> None:
     """Intersection row of a generic Albanese fiber against each image
     curve, computed upstairs (the three generic vertical fibers, by their
     z keys) and divided by the covering degree.  A graph meets each
     vertical fiber once; distinct vertical fibers are disjoint."""
     generic_base = eis(Fraction(1, 2))
-    generic_z = [core.torus.lattice_z.key(generic_base + ORDER3_SHIFT * k) for k in range(3)]
-    singular_z = {key[3:] for key in core.points}
-    chk.expect("generic_fiber_misses_triple_points", True, singular_z.isdisjoint(generic_z))
+    generic_z = [b.torus.lattice_z.key(generic_base + ORDER3_SHIFT * k) for k in range(3)]
+    singular_z = {key[3:] for key in b.points}
+    b.expect("generic_fiber_misses_triple_points", True, singular_z.isdisjoint(generic_z))
     rows: dict[str, int] = {}
-    for image, curve_list in members.items():
+    for image, names in b.curve_orbits.items():
         total = 0
-        for curve in curve_list:
+        for curve in map(b.curves.get, names):
             if not isinstance(curve, VerticalFiber):
                 total += len(generic_z)
             elif curve.z0 in generic_z:
@@ -584,36 +637,62 @@ def _generic_fiber_rows(core: _Core, members: dict[str, list],
         if total % 3:
             raise ValueError("generic fiber row does not push forward integrally")
         rows[image] = total // 3
-    return rows
+    b.values["fiber"] = {"generic_fiber_boundary_rows": rows,
+                         "generic_fiber_punctures": sum(rows.values())}
 
 
-def _homology_section(deck: TorusAutomorphism, chi: int, cusps: int) -> dict[str, object]:
-    """The report's homology fragment: the Betti vector from the deck's
-    action and the certified chi, and the cover tables for the certified
-    cusp count."""
-    betti = homology.betti_from_deck(deck.matrices, chi)
-    u, v = homology.mv_tables(cusps)
-    return {
+def _albanese(b: _Build) -> None:
+    albanese = b.values["albanese"] = albanese_data(b.n)
+    b.expect("albanese_index", 3, albanese["index"])
+
+
+def _homology(b: _Build) -> None:
+    """The Betti vector from the deck's action and the certified chi, and
+    the cover tables for the certified cusp count."""
+    values = b.values
+    betti = homology.betti_from_deck(b.deck.matrices, values["chi"])
+    u, v = homology.mv_tables(values["cusps"])
+    section = values["homology"] = {
         "compactification_betti": list(betti),
         "boundary_neighborhood_ranks": list(u),
         "overlap_ranks": list(v),
-        "open_manifold": homology.betti_of_open(betti, cusps),
+        "open_manifold": homology.betti_of_open(betti, values["cusps"]),
     }
+    opened = section["open_manifold"]
+    b.expect("open_manifold_b1", 2, opened["b1"])
+    b.expect("open_manifold_b3_lower_bound", b.spec.cusps(b.n) - 1, opened["b3_lower_bound"])
+    b.expect("cover_pieces_euler_zero", [0, 0],
+             [homology.BettiVector(*section[key]).euler()
+              for key in ("boundary_neighborhood_ranks", "overlap_ranks")])
 
 
-def _tower_section(n: int) -> dict[str, object]:
-    covers = []
-    for m in range(1, n + 1):
-        if n % m == 0:
-            covers.append({"base_level": m, "degree": covering_report(m, n)["degree"]})
-    return {
-        "covers_levels": covers,
+def _tower(b: _Build) -> None:
+    n = b.n
+    b.values["tower"] = {
+        "covers_levels": [{"base_level": m, "degree": covering_report(m, n)["degree"]}
+                          for m in range(1, n + 1) if n % m == 0],
         "consecutive_cover_exists": n == 1 or n % (n - 1) == 0,
         "note": (
             "level lattice containment holds exactly when the base level divides n;"
             " consecutive members are related through common divisors only"
         ),
     }
+
+
+# build_family runs these in order; each is a function (b) -> None of the
+# build record, and the names are the report's error stages.
+_STAGES = (
+    ("geometry", _geometry),
+    ("upstairs", _upstairs),
+    ("quotient", _quotient),
+    ("boundary", _boundary),
+    ("certify", _certify),
+    ("ledger", _ledger),
+    ("fiber", _fiber),
+    ("albanese", _albanese),
+    ("homology", _homology),
+    ("tower", _tower),
+)
 
 
 _NEATNESS_ASSUMPTION = (
@@ -629,73 +708,68 @@ _TOWER_FLAG = (
 
 
 # ----------------------------------------------------------------------
-# the two families: what each adds to the shared construction
+# the two families: what each adds to the shared stages
 # ----------------------------------------------------------------------
 
 
-class _Family(namedtuple("_Family", "upstairs quotient_checks orbit_self_intersection cusps "
-                                    "pair_checks fiber_section albanese_checks")):
-    """What one family adds to the shared construction.
-    upstairs(core, chk) returns the extra curves, their deck orbits (the
-    extra boundary components), their pairwise entries with the slope
-    curves and the key set of the points each extra graph curve passes
-    through; quotient_checks(quotient, n, chk) checks the quotient model;
-    orbit_self_intersection(n) and cusps(n) are the expected numbers;
-    pair_checks(values, n, chk) reads the report's values;
-    fiber_section(blown, n, fiber, chk) adds the singular-fiber entries to
-    the fiber fragment and returns its flags; albanese_checks names the
-    Albanese checks that apply.  Each callable records its own checks."""
-
-    __slots__ = ()
+# What one family adds to the shared stages: the self-intersection of each
+# extra boundary component and the cusp count, as functions of n, and
+# hooks, {stage name: hook}.  A hook is a function (b) -> None that runs
+# right after the shared stage of its name; it extends the build record and
+# records its own checks.
+_Family = namedtuple("_Family", "orbit_self_intersection cusps hooks")
 
 
-def _gamma_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
+def _gamma_upstairs(b: _Build) -> None:
     """The three vertical fibers vert{j}_k over the members of the j-th point
     orbit, each meeting every slope curve once and built from the point's z
     key, and their deck orbits fiber{j}; the images are the Albanese fibers
     through the triple points."""
-    curves: dict[str, VerticalFiber] = {}
-    orbits: dict[str, tuple[str, ...]] = {}
-    for j, orbit in enumerate(core.orbits, start=1):
+    fibers: dict[str, VerticalFiber] = {}
+    for j, orbit in enumerate(b.orbits, start=1):
         names = tuple(f"vert{j}_{k}" for k in range(3))
         for name, key in zip(names, orbit):
-            curves[name] = VerticalFiber.from_key(core.torus, key[3:])
-        orbits[f"fiber{j}"] = names
-    chk.expect("vertical_fibers_distinct", 3 * core.n,
-               len({curve.z0 for curve in curves.values()}))
-    pairwise = {(slope, name): 1 for name in curves for slope in _SLOPE_NAMES}
-    return curves, orbits, pairwise, {}
+            fibers[name] = VerticalFiber.from_key(b.torus, key[3:])
+        b.curve_orbits[f"fiber{j}"] = names
+    b.expect("vertical_fibers_distinct", 3 * b.n, len({curve.z0 for curve in fibers.values()}))
+    b.curves.update(fibers)
+    b.pairwise.update({(slope, name): 1 for name in fibers for slope in _SLOPE_NAMES})
 
 
-def _gamma_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
-    fibers = [f"fiber{j}" for j in range(1, n + 1)]
-    chk.expect("quotient_fiber_self_intersections", [0] * n,
-               [quotient.curves[f].self_int for f in fibers])
-    chk.expect("quotient_core_meets_each_fiber", [3] * n,
-               [quotient.pairwise_int(CORE_CURVE, f) for f in fibers])
+def _gamma_quotient(b: _Build) -> None:
+    fibers = [f"fiber{j}" for j in range(1, b.n + 1)]
+    b.expect("quotient_fiber_self_intersections", [0] * b.n,
+             [b.quotient.curves[f].self_int for f in fibers])
+    b.expect("quotient_core_meets_each_fiber", [3] * b.n,
+             [b.quotient.pairwise_int(CORE_CURVE, f) for f in fibers])
 
 
-def _gamma_fiber_section(blown: SurfaceModel, n: int, fiber: dict[str, object],
-                         chk: _Checks) -> list[str]:
+def _gamma_fiber(b: _Build) -> None:
     """The singular fibers are the fiber{j} that exc{j} meets once.  A
     puncture count is printed once when every singular fiber has it, and
     as the list of counts otherwise."""
+    n, blown, fiber = b.n, b.blown, b.values["fiber"]
     # Vertical fibers over distinct base points are disjoint, so each
     # image fiber row vanishes and the generic fiber meets the boundary
     # only in the core curve.
-    chk.expect("generic_fiber_punctures", 3, fiber["generic_fiber_punctures"])
+    b.expect("generic_fiber_punctures", 3, fiber["generic_fiber_punctures"])
     meets = [blown.pairwise_int(f"exc{j}", f"fiber{j}") for j in range(1, n + 1)]
     punctures = [blown.pairwise_int(f"exc{j}", CORE_CURVE) + m for j, m in enumerate(meets, 1)]
     fiber["singular_fiber_count"] = meets.count(1)
     fiber["singular_fiber_punctures"] = punctures[0] if punctures == punctures[:1] * n else punctures
-    chk.expect("singular_fiber_count", n, fiber["singular_fiber_count"])
+    b.expect("singular_fiber_count", n, fiber["singular_fiber_count"])
     printed = fiber["singular_fiber_punctures"]
-    chk.expect("singular_fiber_punctures", [4] * n,
-               printed if isinstance(printed, list) else [printed] * n)
-    return []
+    b.expect("singular_fiber_punctures", [4] * n,
+             printed if isinstance(printed, list) else [printed] * n)
 
 
-def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]:
+def _gamma_albanese(b: _Build) -> None:
+    albanese = b.values["albanese"]
+    b.expect("albanese_shift_order", 3, albanese["shift_order"])
+    b.expect("albanese_base_point_count", b.n, len(albanese["base_points"]))
+
+
+def _lambda_upstairs(b: _Build) -> None:
     """The three constant graphs w = 2/3 + l*shift: one deck orbit of
     pairwise disjoint curves whose crossings with the slope curves all lie
     in the closed-form locus, so downstairs the two image curves meet
@@ -703,93 +777,86 @@ def _lambda_upstairs(core: _Core, chk: _Checks) -> tuple[dict, dict, dict, dict]
     2/3 + shift = 2*rho/3 and 2/3 + 2*shift = 2*rho^2/3 modulo the
     hexagonal lattice."""
     base = base_lattice()
-    levels = level_curves(core.torus)
-    chk.expect("shift_identity_first", True,
-               base.key(TWO_THIRDS + ORDER3_SHIFT) == base.key(RHO * TWO_THIRDS))
-    chk.expect("shift_identity_second", True,
-               base.key(TWO_THIRDS + ORDER3_SHIFT * 2) == base.key(RHO * RHO * TWO_THIRDS))
-    maps, orbit = _deck_cycle(core.deck, levels)
+    levels = level_curves(b.torus)
+    b.expect("shift_identity_first", True,
+             base.key(TWO_THIRDS + ORDER3_SHIFT) == base.key(RHO * TWO_THIRDS))
+    b.expect("shift_identity_second", True,
+             base.key(TWO_THIRDS + ORDER3_SHIFT * 2) == base.key(RHO * RHO * TWO_THIRDS))
+    maps, orbit = _deck_cycle(b.deck, levels)
     for i in range(3):
-        chk.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}", True, maps[i])
-    chk.expect("deck_orbit_of_level_curves", True, orbit)
+        b.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}", True, maps[i])
+    b.expect("deck_orbit_of_level_curves", True, orbit)
 
     disjoint = all(
         intersect_graphs(levels[i], levels[j]).kind == EMPTY
         for i in range(3) for j in range(i + 1, 3)
     )
-    chk.expect("level_curves_pairwise_disjoint", True, disjoint)
+    b.expect("level_curves_pairwise_disjoint", True, disjoint)
 
     mixed_keys: set = set()
-    pairwise: dict[tuple[str, str], int] = {}
-    through: dict[str, frozenset] = {}
-    for slope_name, slope_curve in zip(_SLOPE_NAMES, core.slopes):
+    crossings = []
+    for slope_name, slope_curve in zip(_SLOPE_NAMES, b.slopes):
         for level_name, level_curve in zip(_LEVEL_NAMES, levels):
             result = intersect_graphs(slope_curve, level_curve)
             keys = result.keys()
             mixed_keys.update(keys)
-            pairwise[(slope_name, level_name)] = result.count
+            b.pairwise[(slope_name, level_name)] = result.count
+            crossings.append(result.count)
             if slope_name == _SLOPE_NAMES[0]:
-                through[level_name] = keys
-    chk.expect("slope_level_crossing_counts", [core.n] * 9, list(pairwise.values()))
-    chk.expect("mixed_intersections_at_triple_points", True,
-               frozenset(mixed_keys) == core.closed_keys)
-    return dict(zip(_LEVEL_NAMES, levels)), {LEVEL_CURVE: _LEVEL_NAMES}, pairwise, through
+                b.through[level_name] = keys
+    b.expect("slope_level_crossing_counts", [b.n] * 9, crossings)
+    b.expect("mixed_intersections_at_triple_points", True,
+             frozenset(mixed_keys) == b.closed_keys)
+    b.curves.update(zip(_LEVEL_NAMES, levels))
+    b.curve_orbits[LEVEL_CURVE] = _LEVEL_NAMES
 
 
-def _lambda_quotient_checks(quotient: SurfaceModel, n: int, chk: _Checks) -> None:
-    chk.expect("quotient_level_self_intersection", 0,
-               quotient.curves[LEVEL_CURVE].self_int)
-    chk.expect("quotient_core_meets_level", 3 * n,
-               quotient.pairwise_int(CORE_CURVE, LEVEL_CURVE))
-    chk.expect("level_multiplicity_one_at_triple_points", [1] * n,
-               [quotient.point_multiplicity(f"q{j}", LEVEL_CURVE) for j in range(n)])
+def _lambda_quotient(b: _Build) -> None:
+    b.expect("quotient_level_self_intersection", 0, b.quotient.curves[LEVEL_CURVE].self_int)
+    b.expect("quotient_core_meets_level", 3 * b.n,
+             b.quotient.pairwise_int(CORE_CURVE, LEVEL_CURVE))
+    b.expect("level_multiplicity_one_at_triple_points", [1] * b.n,
+             [b.quotient.point_multiplicity(f"q{j}", LEVEL_CURVE) for j in range(b.n)])
 
 
-def _lambda_pair_checks(values: dict[str, object], n: int, chk: _Checks) -> None:
-    chk.expect("same_compactification_numbers_as_other_family",
-               [n, -n], [values["chi"], values["k2"]])
-    chk.expect("cusp_count_differs_from_other_family_for_n_ge_2",
-               True, n == 1 or 2 != n + 1)
+def _lambda_certify(b: _Build) -> None:
+    n = b.n
+    b.expect("same_compactification_numbers_as_other_family",
+             [n, -n], [b.values["chi"], b.values["k2"]])
+    b.expect("cusp_count_differs_from_other_family_for_n_ge_2",
+             True, n == 1 or 2 != n + 1)
 
 
-def _lambda_fiber_section(blown: SurfaceModel, n: int, fiber: dict[str, object],
-                          chk: _Checks) -> list[str]:
+def _lambda_fiber(b: _Build) -> None:
+    n, fiber = b.n, b.values["fiber"]
     fiber.update(singular_fiber_count=n, singular_fiber_punctures=None)
-    flags = [
+    b.flags.append(
         "the generic Albanese fiber meets the boundary in"
         f" {fiber['generic_fiber_punctures']} points by push-pull; the advertised"
         " three-or-four puncture dichotomy does not identify this"
         " fibration, so the computed value is reported without assertion"
-    ]
+    )
     if n == 1:
-        flags.append(
+        b.flags.append(
             "both families have two cusps at n = 1; they are distinguished"
             " by arguments outside this artifact's scope"
         )
-    return flags
 
 
 _FAMILIES = {
     # (n+1)-cusped: the boundary adds the n fiber transforms, each a (-1)-curve.
     GAMMA: _Family(
-        upstairs=_gamma_upstairs,
-        quotient_checks=_gamma_quotient_checks,
         orbit_self_intersection=lambda n: -1,
         cusps=lambda n: n + 1,
-        pair_checks=lambda values, n, chk: None,
-        fiber_section=_gamma_fiber_section,
-        albanese_checks=("albanese_index", "albanese_shift_order",
-                         "albanese_base_point_count"),
+        hooks={"upstairs": _gamma_upstairs, "quotient": _gamma_quotient,
+               "fiber": _gamma_fiber, "albanese": _gamma_albanese},
     ),
     # 2-cusped: the boundary adds the resolved orbit of the constant graphs.
     LAMBDA: _Family(
-        upstairs=_lambda_upstairs,
-        quotient_checks=_lambda_quotient_checks,
         orbit_self_intersection=lambda n: -n,
         cusps=lambda n: 2,
-        pair_checks=_lambda_pair_checks,
-        fiber_section=_lambda_fiber_section,
-        albanese_checks=("albanese_index",),
+        hooks={"upstairs": _lambda_upstairs, "quotient": _lambda_quotient,
+               "certify": _lambda_certify, "fiber": _lambda_fiber},
     ),
 }
 
@@ -797,105 +864,24 @@ _FAMILIES = {
 def build_family(family: str, n: int) -> dict[str, object]:
     """Build and certify the member of a family at level n.
 
-    Pipeline, shared by both families: slope curves and the free order-3
-    deck map, exact pairwise intersections against the closed-form
-    3n-point locus, the family's extra curves, the degree-3 quotient, n
-    blow-ups, and the boundary made of the resolved triple curve plus the
-    images of the extra orbits.  Certifies chi = n, K^2 = -n, the boundary
+    Pipeline, shared by both families and run as the stage table _STAGES
+    over one build record: slope curves and the free order-3 deck map,
+    exact pairwise intersections against the closed-form 3n-point locus,
+    the family's extra curves, the degree-3 quotient, n blow-ups, and the
+    boundary made of the resolved triple curve plus the images of the
+    extra orbits.  Certifies chi = n, K^2 = -n, the boundary
     self-intersections, log-Chern equality 3n = 3*n, the cusp count (n+1
     for gamma, 2 for lambda) and volume coefficient 8n/3.  Returns the
     report document that `ballq verify` prints with json.dumps.  An
-    exception in any step is raised as a BuildError naming that step.
+    exception in any stage is raised as a BuildError naming that stage.
     """
-    spec = _FAMILIES.get(family)
-    if spec is None:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    chk = _Checks()
-    flags = [_TOWER_FLAG]
-    # Each stage writes its fragment here, and every check on a printed
-    # quantity reads its actual value back from it.
-    values: dict[str, object] = {}
-    stage = "geometry"
-    try:
-        core = _shared_geometry(n, chk)
-        stage = "upstairs"
-        extra_curves, extra_orbits, extra_pairwise, extra_through = spec.upstairs(core, chk)
-        curves = {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra_curves}
-        orbits = {CORE_CURVE: _SLOPE_NAMES, **extra_orbits}
-        stage = "quotient"
-        quotient, blown = _quotient_and_blowup(core, curves, orbits,
-                                               {**core.pair_counts, **extra_pairwise},
-                                               {**core.through, **extra_through}, chk)
-        values.update(chi=blown.chi_top, k2=blown.k2)
-        chk.expect("chi", n, values["chi"])
-        chk.expect("k2", -n, values["k2"])
-        chk.expect("core_resolved_to_smooth_elliptic", SMOOTH_ELLIPTIC, blown.kind(CORE_CURVE))
-        spec.quotient_checks(quotient, n, chk)
-
-        stage = "boundary"
-        values["boundary"] = [{"name": name, "self_intersection": blown.curves[name].self_int,
-                               "kind": blown.kind(name)} for name in orbits]
-        values["intersection"] = {
-            "points_per_pair": core.pair_counts[(_SLOPE_NAMES[0], _SLOPE_NAMES[1])],
-            "triple_points_downstairs": len(core.orbits),
-        }
-        expected_self = {CORE_CURVE: -3 * n,
-                         **dict.fromkeys(extra_orbits, spec.orbit_self_intersection(n))}
-        pair = _boundary_checks(blown, values["boundary"], expected_self, chk)
-        bdf = classify_deck_action(core.deck, 3)
-        values["bdf_type"] = bdf.index if isinstance(bdf, BdFType) else bdf.to_json()
-        chk.expect("bdf_type", 5, values["bdf_type"])
-
-        if pair is not None:
-            stage = "certify"
-            values.update(_certify_pair(pair))
-            nef = values["nef"]
-            chk.expect("nef_numerical_check", True, nef["passed"])
-            chk.expect("nef_boundary_pairings_zero", True,
-                       all(v == 0 for v in nef["boundary_pairings"].values()))
-            chk.expect("log_chern", [3 * n, n], [values["log_c1_squared"], values["log_c2"]])
-            chk.expect("bmy", BMYClass.EQUALITY.value, values["bmy"])
-            chk.expect("cusps", spec.cusps(n), values["cusps"])
-            chk.expect("volume_coefficient", str(Fraction(8, 3) * n),
-                       values["volume"]["pi_squared_coefficient"])
-            spec.pair_checks(values, n, chk)
-            stage = "ledger"
-            _exceptional_ledger(quotient, blown, n, chk)
-
-            stage = "fiber"
-            members = {image: [curves[name] for name in names]
-                       for image, names in orbits.items()}
-            rows = _generic_fiber_rows(core, members, chk)
-            values["fiber"] = {"generic_fiber_boundary_rows": rows,
-                               "generic_fiber_punctures": sum(rows.values())}
-            flags += spec.fiber_section(blown, n, values["fiber"], chk)
-
-            stage = "albanese"
-            values["albanese"] = albanese = albanese_data(n)
-            albanese_checks = {
-                "albanese_index": (3, albanese["index"]),
-                "albanese_shift_order": (3, albanese["shift_order"]),
-                "albanese_base_point_count": (n, len(albanese["base_points"])),
-            }
-            for name in spec.albanese_checks:
-                chk.expect(name, *albanese_checks[name])
-            stage = "homology"
-            values["homology"] = _homology_section(core.deck, values["chi"], values["cusps"])
-            opened = values["homology"]["open_manifold"]
-            chk.expect("open_manifold_b1", 2, opened["b1"])
-            chk.expect("open_manifold_b3_lower_bound", spec.cusps(n) - 1, opened["b3_lower_bound"])
-            chk.expect("cover_pieces_euler_zero", [0, 0],
-                       [homology.BettiVector(*values["homology"][key]).euler()
-                        for key in ("boundary_neighborhood_ranks", "overlap_ranks")])
-            stage = "tower"
-            values["tower"] = _tower_section(n)
-    except Exception as exc:
-        raise BuildError(family, n, stage, exc) from exc
-
-    return _report(family, n, all(check["passed"] for check in chk.results), values,
-                   chk.results, [_NEATNESS_ASSUMPTION], flags)
+    b = _Build(family, n)
+    b.run(_STAGES)
+    return b.report(all(check["passed"] for check in b.checks), [_NEATNESS_ASSUMPTION], b.flags)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Shared helpers: an independent coordinate map and brute-force
 intersection oracle, a graph's slope, point membership and the
 automorphism action read in Q(rho), the curve-orbit walk, rational
-coordinate helpers that the library does not need, and random generators
-for property suites.  A point is a six-int key, as in the library, or the
+coordinate helpers that the library does not need, random generators
+for property suites, and patches that wrap or break one stage of
+build_family.  A point is a six-int key, as in the library, or the
 pair (w, z) of its coordinates' values in Q(rho)."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from ballq import families
@@ -110,6 +112,26 @@ def clear_lattice_caches() -> None:
     next build constructs its lattices again."""
     for cached in (families.base_lattice, families.level_lattice, families.albanese_lattice):
         cached.cache_clear()
+
+
+def wrap_stage(monkeypatch, name, wrapper) -> None:
+    """Make build_family run wrapper(stage, b) in place of its stage
+    called name, where stage is the function it replaces."""
+    stage = dict(families._STAGES)[name]
+    monkeypatch.setattr(families, "_STAGES", tuple(
+        (other, partial(wrapper, stage) if other == name else run)
+        for other, run in families._STAGES))
+
+
+def raise_in_stage(monkeypatch, name, when=lambda b: True) -> None:
+    """Make build_family's stage called name raise ValueError("seeded
+    fault") before it runs, on the build records b where when(b)."""
+    def faulty(stage, b):
+        if when(b):
+            raise ValueError("seeded fault")
+        stage(b)
+
+    wrap_stage(monkeypatch, name, faulty)
 
 
 def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> list[str]:

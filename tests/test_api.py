@@ -1,10 +1,11 @@
 """The public API carries no function, class or method that only tests
-call: every function or class that `ballq/__init__.py` exports, and every
-public method and property of an exported class, is referenced by some
-module of the package outside its own definition.  Every name a module
-imports is used there.  A torus point is its key inside the package: a
-key is read back into Q(rho), by Lattice.value, only where a point is
-printed.  The report re-checker in `tests/recheck.py` imports nothing but json and fractions."""
+call: every module-level function or class of the package, private ones
+included, and every public method and property of an exported class, is
+referenced by some module of the package outside its own definition.
+Every name a module imports is used there.  A torus point is its key
+inside the package: a key is read back into Q(rho), by Lattice.value,
+only where a point is printed.  The report re-checker in
+`tests/recheck.py` imports nothing but json and fractions."""
 
 import ast
 import inspect
@@ -55,6 +56,15 @@ def test_every_exported_function_or_class_has_a_caller_in_the_package():
                 or inspect.isclass(getattr(ballq, name))]
     assert "intersect_graphs" in exported and "Lattice" in exported
     assert unreferenced([name for name in exported if name not in EXEMPT]) == []
+
+
+def test_every_module_level_function_or_class_has_a_caller_in_the_package():
+    # Private helpers too: a helper that no stage or command calls any more
+    # is deleted rather than left behind for tests.
+    defined = [node.name for tree in MODULES.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert "_plain" in defined and "build_family" in defined
+    assert unreferenced([name for name in defined if name not in EXEMPT]) == []
 
 
 def test_every_public_method_of_an_exported_class_has_a_caller_in_the_package():

@@ -9,6 +9,8 @@ import pytest
 
 from ballq import cli, families
 
+from conftest import raise_in_stage
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -334,32 +336,31 @@ def test_spectrum_out_file(tmp_path, capsys):
 
 
 def test_build_error_is_reported_with_exit_one(capsys, monkeypatch):
-    def broken(core, members, chk):
-        raise ValueError("seeded fault")
-
-    monkeypatch.setattr(families, "_generic_fiber_rows", broken)
+    # The failed report keeps the values and checks of the stages before
+    # the one that raised: those of a passing build, up to "fiber".
+    passing = families.build_family("gamma", 3)
+    raise_in_stage(monkeypatch, "fiber")
     code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "3")
     assert code == 1
-    assert json.loads(out) == {
+    doc = json.loads(out)
+    values = list(passing["values"])[:list(passing["values"]).index("fiber")]
+    checks = [check["name"] for check in passing["checks"]]
+    assert doc == {
         "schema_version": 1, "family": "gamma", "n": 3, "passed": False,
-        "values": {}, "checks": [], "assumptions": [], "flags": [],
+        "values": {key: passing["values"][key] for key in values},
+        "checks": passing["checks"][:checks.index("generic_fiber_misses_triple_points")],
+        "assumptions": [], "flags": [],
         "error": {"stage": "fiber", "type": "ValueError", "message": "seeded fault"},
     }
+    assert list(doc["values"]) == values
     assert "error: gamma n=3: ValueError: seeded fault" in err
     assert "usage error" not in err
 
 
 def verify_with_fault_at_three(capsys, monkeypatch, jobs):
-    original = families._generic_fiber_rows
-
-    def broken_at_three(core, members, chk):
-        if core.n == 3:
-            raise ValueError("seeded fault")
-        return original(core, members, chk)
-
     # --jobs workers are forked, so they inherit the patched module.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(families, "_generic_fiber_rows", broken_at_three)
+    raise_in_stage(monkeypatch, "fiber", when=lambda b: b.n == 3)
     return run_cli(capsys, "verify", "--family", "gamma", "--n", "2..4", "--jobs", jobs)
 
 
@@ -383,16 +384,16 @@ def test_build_error_output_same_with_jobs(capsys, monkeypatch):
 
 
 def test_failed_level_renders_as_markdown(capsys, monkeypatch):
-    def broken(core, members, chk):
-        raise ValueError("seeded fault")
-
-    monkeypatch.setattr(families, "_generic_fiber_rows", broken)
+    # Values that the stages before the raise recorded are printed, and
+    # the later ones read n/a.
+    raise_in_stage(monkeypatch, "certify")
     code, out, _ = run_cli(capsys, "verify", "--family", "lambda", "--n", "2",
                            "--format", "markdown")
     assert code == 1
     assert "- passed: NO" in out
-    assert "- chi: n/a" in out
-    assert "- fiber: ValueError: seeded fault" in out
+    assert "- chi: 2" in out and "- cusps: n/a" in out
+    assert "| deck_order | 3 | 3 | pass |" in out
+    assert "- certify: ValueError: seeded fault" in out
 
 
 def test_intersect_zero_denominator_is_usage_error(capsys):

@@ -1,7 +1,9 @@
 """End-to-end builders, the Bagnera-de Franchis catalog, and reports."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -26,17 +28,13 @@ from ballq.surfaces import (
 )
 
 from ballq.families import (
-    _FAMILIES,
-    _SLOPE_NAMES,
-    _Checks,
+    _STAGES,
+    _Build,
     _incidence,
-    _quotient_and_blowup,
-    _shared_geometry,
     BDF_CATALOG,
     BdFInvalid,
     BdFType,
     BuildError,
-    CORE_CURVE,
     GAMMA,
     LAMBDA,
     ORDER3_SHIFT,
@@ -52,7 +50,8 @@ from ballq.families import (
     render_markdown,
 )
 
-from conftest import clear_lattice_caches, contains_point, count_eisenstein_operations
+from conftest import (clear_lattice_caches, contains_point, count_eisenstein_operations,
+                      raise_in_stage)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -153,8 +152,28 @@ def test_report_json_schema():
         doc = json.loads(json.dumps(report))
         assert doc == report
         jsonschema.validate(doc, REPORT_SCHEMA)
-    failed = BuildError(GAMMA, 2, "fiber", ValueError("seeded fault")).to_json_dict()
+    failed = BuildError(_Build(GAMMA, 2), "fiber", ValueError("seeded fault")).to_json_dict()
     assert json.loads(json.dumps(failed)) == failed
+
+
+@pytest.mark.parametrize("stage", [name for name, _ in _STAGES])
+def test_every_stage_reports_its_own_name(monkeypatch, stage):
+    # A raise keeps the checks of the stages before it, and their values.
+    passing = build_family(LAMBDA, 2)
+    raise_in_stage(monkeypatch, stage)
+    with pytest.raises(BuildError, match="lambda n=2: ValueError: seeded fault") as info:
+        build_family(LAMBDA, 2)
+    assert info.value.stage == stage
+    failed = info.value.to_json_dict()
+    assert not failed["passed"]
+    assert failed["checks"] == passing["checks"][:len(failed["checks"])]
+    assert failed["values"] == {key: passing["values"][key] for key in failed["values"]}
+
+
+def test_readme_lists_the_stage_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"stage\s+of\s+`build_family`\s+that\s+raised\s+\(([^)]*)\)", readme)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [name for name, _ in _STAGES]
 
 
 def test_report_is_deterministic():
@@ -373,30 +392,26 @@ def test_deck_classification_multiplier_branches():
     assert isinstance(seven, BdFType) and seven.index == 7
 
 
-def _upstairs_inputs(family, n):
-    """What build_family feeds the quotient: the shared core, all upstairs
-    curves, their deck orbits, their pairwise numbers and the key sets of
-    the graph curves."""
-    core = _shared_geometry(n, _Checks())
-    extra, extra_orbits, extra_pairwise, extra_through = _FAMILIES[family].upstairs(
-        core, _Checks())
-    return (core, {**dict(zip(_SLOPE_NAMES, core.slopes)), **extra},
-            {CORE_CURVE: _SLOPE_NAMES, **extra_orbits},
-            {**core.pair_counts, **extra_pairwise}, {**core.through, **extra_through})
+def _built(family, n, last):
+    """The build record of build_family after its stages up to and
+    including the one called last."""
+    b = _Build(family, n)
+    b.run(_STAGES[:[name for name, _ in _STAGES].index(last) + 1])
+    return b
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_keyed_incidence_equals_brute_force(family):
     for n in range(1, 9):
-        core, curves, _, _, through = _upstairs_inputs(family, n)
-        lw, lz = core.torus
-        values = {key: (lw.value(key[:3]), lz.value(key[3:])) for key in core.points}
+        b = _built(family, n, "upstairs")
+        lw, lz = b.torus
+        values = {key: (lw.value(key[:3]), lz.value(key[3:])) for key in b.points}
         brute = {
-            core.point_names[key]: {name: 1 for name, curve in curves.items()
-                                    if contains_point(curve, values[key])}
-            for key in core.points
+            b.point_names[key]: {name: 1 for name, curve in b.curves.items()
+                                 if contains_point(curve, values[key])}
+            for key in b.points
         }
-        assert _incidence(core, curves, through) == brute
+        assert _incidence(b) == brute
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
@@ -429,10 +444,10 @@ def test_no_point_objects_per_point(family):
 
     assert not hasattr(lattices, "TorusPoint") and not hasattr(curves_module, "ProductPoint")
     for n in (40, 80):
-        core, curves, _, _, through = _upstairs_inputs(family, n)
-        point_sets = [core.points, core.closed_keys, *through.values()]
+        b = _built(family, n, "upstairs")
+        point_sets = [b.points, b.closed_keys, *b.through.values()]
         assert all(is_key(key, 6) for keys in point_sets for key in keys)
-        fibers = [curve for curve in curves.values() if isinstance(curve, VerticalFiber)]
+        fibers = [curve for curve in b.curves.values() if isinstance(curve, VerticalFiber)]
         assert all(is_key(fiber.z0, 3) for fiber in fibers)
         assert len(fibers) == (3 * n if family == GAMMA else 0)
 
@@ -474,20 +489,18 @@ def test_both_orders_of_the_calculus_agree(family):
     exceptional curves over the j-th point orbit.  Upstairs, the slope and
     extra curves bound a log pair with three times the downstairs numbers."""
     for n in range(1, 13):
-        core, curves, orbits, pairwise, through = _upstairs_inputs(family, n)
-        _, blown = _quotient_and_blowup(core, curves, orbits, pairwise, through, _Checks())
-
+        b = _built(family, n, "quotient")
         upstairs = SurfaceModel.build(
-            0, 0, {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in curves},
-            pairwise, _incidence(core, curves, through))
+            0, 0, {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves},
+            b.pairwise, _incidence(b))
         exc_orbits = {f"exc{j}": tuple(f"exc{j}_{k}" for k in range(3))
                       for j in range(1, n + 1)}
         blown_upstairs = blow_up(upstairs, {
-            core.point_names[key]: f"exc{j}_{k}"
-            for j, orbit in enumerate(core.orbits, start=1) for k, key in enumerate(orbit)})
-        assert etale_quotient(blown_upstairs, 3, {**orbits, **exc_orbits}, {}) == blown
+            b.point_names[key]: f"exc{j}_{k}"
+            for j, orbit in enumerate(b.orbits, start=1) for k, key in enumerate(orbit)})
+        assert etale_quotient(blown_upstairs, 3, {**b.curve_orbits, **exc_orbits}, {}) == b.blown
 
-        pair = LogPair(blown_upstairs, tuple(curves))
+        pair = LogPair(blown_upstairs, tuple(b.curves))
         assert log_chern(pair) == (9 * n, 3 * n)
         assert bmy_classify(pair) == BMYClass.EQUALITY
         assert cusp_count(pair) == (3 * (n + 1) if family == GAMMA else 6)

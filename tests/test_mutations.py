@@ -14,7 +14,7 @@ from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, SurfaceModel
 
-from conftest import orbit_of_curves
+from conftest import orbit_of_curves, raise_in_stage, wrap_stage
 from recheck import broken_relations
 
 
@@ -110,14 +110,12 @@ def certify_log_chern_swapped(monkeypatch):
 def homology_b2_raised(monkeypatch):
     """The homology fragment prints b2 one higher than the Betti vector it
     was derived from."""
-    original = families._homology_section
+    def faulty(homology_stage, b):
+        homology_stage(b)
+        betti = b.values["homology"]["compactification_betti"]
+        betti[2] += 1
 
-    def faulty(deck, chi, cusps):
-        fragment = original(deck, chi, cusps)
-        b0, b1, b2, b3, b4 = fragment["compactification_betti"]
-        return {**fragment, "compactification_betti": [b0, b1, b2 + 1, b3, b4]}
-
-    monkeypatch.setattr(families, "_homology_section", faulty)
+    wrap_stage(monkeypatch, "homology", faulty)
 
 
 def edit_deck(monkeypatch, edit):
@@ -227,27 +225,33 @@ def blow_up_keeps_a_triple_point(monkeypatch):
     monkeypatch.setattr(families, "blow_up", faulty)
 
 
+def edit_upstairs(monkeypatch, family, edit):
+    """Make the family's upstairs hook call edit(b) on the build record
+    after it has run."""
+    spec = families._FAMILIES[family]
+    upstairs = spec.hooks["upstairs"]
+
+    def faulty(b):
+        upstairs(b)
+        edit(b)
+
+    monkeypatch.setitem(families._FAMILIES, family,
+                        spec._replace(hooks={**spec.hooks, "upstairs": faulty}))
+
+
 def vertical_fiber_over_wrong_z(monkeypatch):
-    spec = families._FAMILIES[GAMMA]
+    def edit(b):
+        moved = b.torus.lattice_z.value(b.curves["vert1_0"].z0) + ORDER3_SHIFT / 2
+        b.curves["vert1_0"] = VerticalFiber(b.torus, moved)
 
-    def faulty(core, chk):
-        curves, orbits, pairwise, through = spec.upstairs(core, chk)
-        moved = core.torus.lattice_z.value(curves["vert1_0"].z0) + ORDER3_SHIFT / 2
-        return ({**curves, "vert1_0": VerticalFiber(core.torus, moved)}, orbits, pairwise,
-                through)
-
-    monkeypatch.setitem(families._FAMILIES, GAMMA, spec._replace(upstairs=faulty))
+    edit_upstairs(monkeypatch, GAMMA, edit)
 
 
 def level_key_set_misses_a_point(monkeypatch):
-    spec = families._FAMILIES[LAMBDA]
+    def edit(b):
+        b.through["level0"] -= {min(b.through["level0"])}
 
-    def faulty(core, chk):
-        curves, orbits, pairwise, through = spec.upstairs(core, chk)
-        level0 = through["level0"]
-        return curves, orbits, pairwise, {**through, "level0": level0 - {min(level0)}}
-
-    monkeypatch.setitem(families._FAMILIES, LAMBDA, spec._replace(upstairs=faulty))
+    edit_upstairs(monkeypatch, LAMBDA, edit)
 
 
 def level_curves_wrong_offset(monkeypatch):
@@ -255,37 +259,98 @@ def level_curves_wrong_offset(monkeypatch):
         GraphCurve(torus, 0, ONE / 3 + ORDER3_SHIFT * l) for l in range(3)])
 
 
-SHARED_FAULTS = [log_chern_off_by_one, coset_representative_dropped, coset_grid_axes_swapped,
-                 multiplier_matrix_transposed, kernel_keys_skip_gcd,
-                 numerators_over_twice_the_denominator, slope2_repeats_slope1, deck_shift_doubled,
-                 deck_w_matrix_transposed, deck_z_translation_off_by_one, deck_b1_lowered,
-                 blow_up_bumps_exceptional, stray_exceptional_crossing,
-                 blow_up_keeps_a_triple_point, certify_log_chern_swapped]
-PROBES = [(family, fault) for fault in SHARED_FAULTS for family in (GAMMA, LAMBDA)] + [
-    (GAMMA, vertical_fiber_over_wrong_z),
-    (GAMMA, exceptional_meets_its_fiber_twice),
-    (LAMBDA, level_curves_wrong_offset),
-    (LAMBDA, exceptional_meets_level_orbit_twice),
-    (LAMBDA, level_key_set_misses_a_point),
-]
+# The kill map: for each probe, the names of the checks that fail in the
+# reports of n = 1..5, up to and including the first level whose build
+# raises (a failed report keeps the checks recorded before the raise), and
+# that raise as (n, stage, exception type, message), or None.  A change
+# that loses a kill fails here, and one that gains a kill updates the table.
+UNSTABLE = (1, "geometry", "ValueError", "point set is not stable under the automorphism")
+SLOPE_ORBIT = {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
+               "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"}
+SLOPE_PAIRS = ("slope0,slope1", "slope0,slope2", "slope1,slope2")
+COUNTS = {f"intersection_count[{pair}]" for pair in SLOPE_PAIRS}
+CLOSED_FORM = {f"intersection_matches_closed_form[{pair}]" for pair in SLOPE_PAIRS}
+SLOPE2_REPEATED = (SLOPE_ORBIT - {"deck_maps_slope0_to_slope1"}) | {
+    "all_slope_curves_through_every_point", "boundary_pair_valid",
+    "boundary_pairwise_disjoint", "boundary_self_intersections",
+    "boundary_self_intersections_negative", "branch_slopes_pairwise_distinct",
+    "intersection_count[slope1,slope2]", "intersection_matches_closed_form[slope0,slope2]",
+    "intersection_matches_closed_form[slope1,slope2]", "quotient_core_self_intersection",
+    "quotient_core_triple_points"}
+SHARED_KILLS = {
+    log_chern_off_by_one: ({"log_chern", "volume_coefficient"}, None),
+    coset_representative_dropped: (COUNTS | CLOSED_FORM, UNSTABLE),
+    coset_grid_axes_swapped: (CLOSED_FORM - {"intersection_matches_closed_form[slope1,slope2]"},
+                              (2, "geometry", "ValueError", "duplicate points in orbit input")),
+    multiplier_matrix_transposed: (SLOPE_ORBIT | CLOSED_FORM, UNSTABLE),
+    kernel_keys_skip_gcd: (CLOSED_FORM, UNSTABLE),
+    numerators_over_twice_the_denominator: (set(), (
+        1, "geometry", "ValueError", "graph with slope 1 is not well defined: multiplication "
+        "by 1 does not carry the lattice into 1, 1ρ")),
+    deck_shift_doubled: (SLOPE_ORBIT, UNSTABLE),
+    deck_w_matrix_transposed: (SLOPE_ORBIT, UNSTABLE),
+    deck_z_translation_off_by_one: (SLOPE_ORBIT, UNSTABLE),
+    deck_b1_lowered: ({"open_manifold_b1"}, None),
+    blow_up_bumps_exceptional: ({"exceptional_curve_ledger"}, None),
+    stray_exceptional_crossing: ({"exceptional_curve_ledger"}, None),
+    blow_up_keeps_a_triple_point: ({"boundary_pair_valid",
+                                    "core_resolved_to_smooth_elliptic"}, None),
+    certify_log_chern_swapped: ({"log_chern"}, None),
+}
+ORBIT_BRANCHES_DIFFER = (1, "quotient", "ValueError",
+                         "branch count at 'q0' differs across the orbit")
+KILL_MAP = {
+    **{(family, fault): kills for fault, kills in SHARED_KILLS.items()
+       for family in (GAMMA, LAMBDA)},
+    (GAMMA, slope2_repeats_slope1): (SLOPE2_REPEATED, None),
+    (LAMBDA, slope2_repeats_slope1): (
+        SLOPE2_REPEATED | {"mixed_intersections_at_triple_points"}, None),
+    (GAMMA, vertical_fiber_over_wrong_z): (set(), ORBIT_BRANCHES_DIFFER),
+    (GAMMA, exceptional_meets_its_fiber_twice): (
+        {"exceptional_curve_ledger", "singular_fiber_count", "singular_fiber_punctures"}, None),
+    (LAMBDA, level_curves_wrong_offset): (
+        {"boundary_pair_valid", "boundary_pairwise_disjoint", "boundary_self_intersections",
+         "boundary_self_intersections_negative", "deck_maps_level0_to_level1",
+         "deck_maps_level1_to_level2", "deck_maps_level2_to_level0",
+         "deck_orbit_of_level_curves", "level_multiplicity_one_at_triple_points",
+         "mixed_intersections_at_triple_points"}, None),
+    (LAMBDA, exceptional_meets_level_orbit_twice): ({"exceptional_curve_ledger"}, None),
+    (LAMBDA, level_key_set_misses_a_point): (set(), ORBIT_BRANCHES_DIFFER),
+}
+PROBES = list(KILL_MAP)
 
 
-def flips(family):
+def kill_map(family):
+    """The failed check names of the reports of n = 1..5, up to the first
+    level whose build raises, and that raise as (n, stage, type, message)."""
+    failed, raised = set(), None
     for n in range(1, 6):
         try:
-            if not build_family(family, n)["passed"]:
-                return True
-        except BuildError:
-            return True
-    return False
+            report = build_family(family, n)
+        except BuildError as exc:
+            report = exc.to_json_dict()
+            raised = (n, exc.stage, type(exc.error).__name__, str(exc.error))
+        failed |= {check["name"] for check in report["checks"] if not check["passed"]}
+        if raised:
+            break
+    return failed, raised
 
 
 @pytest.mark.parametrize("family, fault", PROBES,
                          ids=[f"{family}-{fault.__name__}" for family, fault in PROBES])
 def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
-    assert not flips(family)
+    assert kill_map(family) == (set(), None)
     fault(monkeypatch)
-    assert flips(family)
+    assert kill_map(family) == KILL_MAP[family, fault]
+
+
+def test_kill_map_coverage():
+    """54 of the 104 (family, check name) pairs fail under some probe."""
+    pairs = {(family, check["name"]) for family in (GAMMA, LAMBDA)
+             for check in build_family(family, 2)["checks"]}
+    killed = {(family, name) for (family, _), (failed, _) in KILL_MAP.items() for name in failed}
+    assert killed <= pairs
+    assert (len(killed), len(pairs)) == (54, 104)
 
 
 def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
@@ -294,6 +359,20 @@ def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
         failed = {check["name"] for check in build_family(family, 1)["checks"]
                   if not check["passed"]}
         assert {"core_resolved_to_smooth_elliptic", "boundary_pair_valid"} <= failed
+
+
+def test_build_without_a_log_pair_stops_after_the_boundary(monkeypatch):
+    # Every stage after "boundary" reads the log pair, so none of them runs.
+    blow_up_keeps_a_triple_point(monkeypatch)
+    stages = [name for name, _ in families._STAGES]
+    for stage in stages[stages.index("boundary") + 1:]:
+        raise_in_stage(monkeypatch, stage)
+    for family in (GAMMA, LAMBDA):
+        report = build_family(family, 1)
+        assert not report["passed"]
+        assert list(report["values"]) == ["chi", "k2", "boundary", "intersection", "bdf_type"]
+        assert "log_c1_squared" not in report["values"]
+        assert report["checks"][-1]["name"] == "bdf_type"
 
 
 def test_wrong_cusp_count_fails_the_homology_check(monkeypatch):
@@ -332,12 +411,13 @@ def test_faulty_integer_deck_action_breaks_the_point_orbits(monkeypatch, fault):
 
 def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
     # The curve images read the same integer data as the point images, so
-    # the curve-orbit checks recorded before the build raises fail too.
+    # the curve-orbit checks recorded before the build raises fail too, and
+    # the failed report keeps them.
     deck_w_matrix_transposed(monkeypatch)
-    chk = families._Checks()
-    with pytest.raises(ValueError, match="not stable under the automorphism"):
-        families._shared_geometry(1, chk)
-    failed = {check["name"] for check in chk.results if not check["passed"]}
+    with pytest.raises(BuildError, match="not stable under the automorphism") as info:
+        build_family(GAMMA, 1)
+    failed = {check["name"] for check in info.value.to_json_dict()["checks"]
+              if not check["passed"]}
     assert {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
             "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"} <= failed
 
@@ -366,9 +446,8 @@ def test_deck_cycle_agrees_with_the_curve_orbit_walk(monkeypatch, fault):
 
 def test_repeated_branch_slope_fails_the_distinct_slopes_check(monkeypatch):
     slope2_repeats_slope1(monkeypatch)
-    chk = families._Checks()
-    families._shared_geometry(2, chk)
-    failed = {check["name"] for check in chk.results if not check["passed"]}
+    failed = {check["name"] for check in build_family(GAMMA, 2)["checks"]
+              if not check["passed"]}
     assert "branch_slopes_pairwise_distinct" in failed
 
 
