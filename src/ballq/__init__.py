@@ -28,12 +28,8 @@ from .surfaces import (
     LogPair,
     SurfaceModel,
     blow_up,
-    bmy_classify,
-    cusp_count,
+    certify_pair,
     etale_quotient,
-    k_dot,
-    log_chern,
-    nef_numerical_check,
     volume_from_chi,
 )
 from .homology import (

@@ -56,12 +56,8 @@ from .surfaces import (
     SMOOTH_RATIONAL,
     SurfaceModel,
     blow_up,
-    bmy_classify,
-    cusp_count,
+    certify_pair,
     etale_quotient,
-    log_chern,
-    nef_numerical_check,
-    volume_from_chi,
 )
 
 SCHEMA_VERSION = 1
@@ -577,18 +573,11 @@ def _boundary(b: _Build) -> None:
     b.expect("bdf_type", 5, b.values["bdf_type"])
 
 
-def _certify_pair(pair: LogPair) -> dict[str, object]:
-    """The report's certify fragment: log-Chern numbers, BMY class, nef
-    data, cusps and volume of the pair."""
-    c1, c2 = log_chern(pair)
-    return {"log_c1_squared": c1, "log_c2": c2, "bmy": bmy_classify(pair).value,
-            "nef": nef_numerical_check(pair), "cusps": cusp_count(pair),
-            "volume": volume_from_chi(c2)}
-
-
 def _certify(b: _Build) -> None:
+    """The log pair's certify fragment, written into the values whole, and
+    its checks against the family's numbers, read back from there."""
     n, values = b.n, b.values
-    values.update(_certify_pair(b.pair))
+    values.update(certify_pair(b.pair))
     nef = values["nef"]
     b.expect("nef_numerical_check", True, nef["passed"])
     b.expect("nef_boundary_pairings_zero", True,

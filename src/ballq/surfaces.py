@@ -6,8 +6,11 @@ their pairwise intersection numbers and normalization kinds, and named
 marked points carrying the multiplicity of each curve through them.  A
 curve is singular exactly when some marked point carries it with
 multiplicity >= 2; that is read off the point table, never stored.  Etale
-quotients, blow-ups, log-Chern numbers and the Bogomolov-Miyaoka-Yau
-comparison are all exact integer computations on this data.
+quotients and blow-ups are exact integer computations on this data.  A
+log pair is a model with a boundary of disjoint smooth elliptic curves of
+negative self-intersection, and certify_pair reads its log-Chern numbers,
+nef data, Bogomolov-Miyaoka-Yau class, cusps and volume off it in one
+pass.
 """
 
 from __future__ import annotations
@@ -274,20 +277,10 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
                               new_curves, new_pairwise, new_points)
 
 
-def k_dot(model: SurfaceModel, curve: str) -> int:
-    """Intersection of the canonical class with a smooth curve, from
-    adjunction: -C^2 for elliptic curves, -C^2 - 2 for rational ones."""
-    kind, self_int = model.kind(curve), model.curves[curve].self_int
-    if kind == SMOOTH_ELLIPTIC:
-        return -self_int
-    if kind == SMOOTH_RATIONAL:
-        return -self_int - 2
-    raise ValueError(f"curve {curve!r} is singular; blow up its multiple points first")
-
-
 class LogPair(Frozen):
     """A surface model together with a boundary divisor: a list of disjoint
-    smooth elliptic curves of negative self-intersection."""
+    smooth elliptic curves of negative self-intersection.  The constructor
+    checks all three, and certify_pair relies on them."""
 
     def __init__(self, surface: SurfaceModel, boundary: tuple[str, ...]) -> None:
         if len(set(boundary)) != len(boundary):
@@ -304,63 +297,42 @@ class LogPair(Frozen):
             raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")
         vars(self).update(surface=surface, boundary=boundary)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogPair):
-            return NotImplemented
-        return (self.surface, self.boundary) == (other.surface, other.boundary)
 
+def certify_pair(pair: LogPair) -> dict[str, object]:
+    """The report's certify fragment of the pair, from one pass over its
+    boundary: c1bar^2 and c2bar, the BMY class, the nef data, the cusp
+    count and the volume.
 
-def log_chern(pair: LogPair) -> tuple[int, int]:
-    """Log-Chern numbers (c1bar^2, c2bar) of the pair.
-
-    c2bar is the Euler number of the complement, which equals chi(X) since
-    the boundary components are elliptic; c1bar^2 = (K + D)^2 expands to
-    K^2 + sum(2*K.T + T^2) plus the (vanishing) pairwise boundary terms.
+    The pass relies on LogPair's constructor: every boundary component T
+    is a smooth elliptic curve of negative self-intersection and no two
+    meet.  So adjunction gives K.T = -T^2; c2bar, the Euler number of the
+    complement, is chi; c1bar^2 = (K + D)^2 is K^2 + sum(2*K.T + T^2); and
+    the pairing (K + D).T is K.T + T^2.  K + D passes the necessary
+    numerical nef-and-big conditions when c1bar^2 > 0 and every pairing is
+    >= 0; only then is c1bar^2 compared with 3*c2bar, and the BMY class is
+    NotApplicable otherwise.  One cusp per boundary component.
     """
     surface = pair.surface
-    c2 = surface.chi_top
-    c1 = surface.k2
+    c1, c2 = surface.k2, surface.chi_top
+    pairings: dict[str, int] = {}
     for name in pair.boundary:
-        c1 += 2 * k_dot(surface, name) + surface.curves[name].self_int
-    for _, _, value in surface.pairs_among(pair.boundary):
-        c1 += 2 * value
-    return c1, c2
-
-
-def nef_numerical_check(pair: LogPair) -> dict[str, object]:
-    """Necessary numerical conditions for K + D to be nef and big:
-    (K+D)^2 > 0 and (K+D).T >= 0 for every boundary component.  Returns
-    the report's nef fragment: the two numbers and whether both hold."""
-    surface = pair.surface
-    c1, _ = log_chern(pair)
-    pairings = {name: k_dot(surface, name) + surface.curves[name].self_int
-                for name in pair.boundary}
-    for a, b, value in surface.pairs_among(pair.boundary):
-        pairings[a] += value
-        pairings[b] += value
-    return {
-        "log_canonical_self_int": c1,
-        "boundary_pairings": pairings,
-        "passed": c1 > 0 and all(v >= 0 for v in pairings.values()),
-    }
-
-
-def bmy_classify(pair: LogPair) -> BMYClass:
-    """Compare c1bar^2 with 3*c2bar; only meaningful when the numerical
-    nef check passes, otherwise NotApplicable."""
-    if not nef_numerical_check(pair)["passed"]:
-        return BMYClass.NOT_APPLICABLE
-    c1, c2 = log_chern(pair)
-    if c1 == 3 * c2:
-        return BMYClass.EQUALITY
-    if c1 < 3 * c2:
-        return BMYClass.STRICT_INEQUALITY
-    return BMYClass.VIOLATION
-
-
-def cusp_count(pair: LogPair) -> int:
-    """One cusp per boundary component."""
-    return len(pair.boundary)
+        self_int = surface.curves[name].self_int
+        k_t = -self_int
+        c1 += 2 * k_t + self_int
+        pairings[name] = k_t + self_int
+    nef = c1 > 0 and all(v >= 0 for v in pairings.values())
+    if not nef:
+        bmy = BMYClass.NOT_APPLICABLE
+    elif c1 == 3 * c2:
+        bmy = BMYClass.EQUALITY
+    elif c1 < 3 * c2:
+        bmy = BMYClass.STRICT_INEQUALITY
+    else:
+        bmy = BMYClass.VIOLATION
+    return {"log_c1_squared": c1, "log_c2": c2, "bmy": bmy.value,
+            "nef": {"log_canonical_self_int": c1, "boundary_pairings": pairings,
+                    "passed": nef},
+            "cusps": len(pair.boundary), "volume": volume_from_chi(c2)}
 
 
 def volume_from_chi(chi: int) -> dict[str, object]:

@@ -1,10 +1,10 @@
 """Shared helpers: an independent coordinate map and brute-force
 intersection oracle, a graph's slope, point membership and the
-automorphism action read in Q(rho), the curve-orbit walk, rational
-coordinate helpers that the library does not need, random generators
-for property suites, and patches that wrap or break one stage of
-build_family.  A point is a six-int key, as in the library, or the
-pair (w, z) of its coordinates' values in Q(rho)."""
+automorphism action read in Q(rho), the curve-orbit walk, a reference
+certificate of a log pair, rational coordinate helpers that the library
+does not need, random generators for property suites, and patches that
+wrap or break one stage of build_family.  A point is a six-int key, as in
+the library, or the pair (w, z) of its coordinates' values in Q(rho)."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from ballq.curves import (GraphCurve, ProductTorus, TorusAutomorphism, VerticalF
                           apply_auto_to_curve)
 from ballq.eisenstein import EisensteinNumber, eis
 from ballq.lattices import Lattice
+from ballq.surfaces import (SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, BMYClass, CurveRecord, LogPair,
+                            SurfaceModel, volume_from_chi)
 
 
 def fraction_coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
@@ -101,6 +103,49 @@ def apply_automorphism(f: TorusAutomorphism, point: tuple) -> tuple:
         image.append(from_coordinates(lattice, p * s + r * u, q * s + t * u)
                      + lattice.value(translation))
     return tuple(image)
+
+
+def k_dot(model: SurfaceModel, curve: str) -> int:
+    """K.C for a smooth curve C, by adjunction on its kind: -C^2 for an
+    elliptic curve, -C^2 - 2 for a rational one."""
+    kind, self_int = model.kind(curve), model.curves[curve].self_int
+    if kind == SMOOTH_ELLIPTIC:
+        return -self_int
+    if kind == SMOOTH_RATIONAL:
+        return -self_int - 2
+    raise ValueError(f"curve {curve!r} is singular; blow up its multiple points first")
+
+
+def reference_certificate(pair: LogPair) -> dict[str, object]:
+    """The certify fragment of a pair from the general formulas, which do
+    not use that the boundary is disjoint and elliptic: c1bar^2 = (K + D)^2
+    = K^2 + sum(2*K.T + T^2) + 2*sum(T.T') over boundary pairs, each pairing
+    (K + D).T with the other components' crossings added, the nef test on
+    those numbers, and the BMY class computed only after the nef test has
+    passed.  The oracle of surfaces.certify_pair."""
+    surface, boundary = pair.surface, pair.boundary
+    c1, c2 = surface.k2, surface.chi_top
+    for name in boundary:
+        c1 += 2 * k_dot(surface, name) + surface.curves[name].self_int
+    crossings = surface.pairs_among(boundary)
+    for _, _, value in crossings:
+        c1 += 2 * value
+    pairings = {name: k_dot(surface, name) + surface.curves[name].self_int for name in boundary}
+    for a, b, value in crossings:
+        pairings[a] += value
+        pairings[b] += value
+    nef = {"log_canonical_self_int": c1, "boundary_pairings": pairings,
+           "passed": c1 > 0 and all(v >= 0 for v in pairings.values())}
+    if not nef["passed"]:
+        bmy = BMYClass.NOT_APPLICABLE
+    elif c1 == 3 * c2:
+        bmy = BMYClass.EQUALITY
+    elif c1 < 3 * c2:
+        bmy = BMYClass.STRICT_INEQUALITY
+    else:
+        bmy = BMYClass.VIOLATION
+    return {"log_c1_squared": c1, "log_c2": c2, "bmy": bmy.value, "nef": nef,
+            "cusps": len(boundary), "volume": volume_from_chi(c2)}
 
 
 EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
@@ -263,6 +308,29 @@ def random_sublattice(rng: random.Random, lattice: Lattice) -> Lattice:
         if a * d - b * c != 0:
             return Lattice(a * lattice.gen1 + b * lattice.gen2,
                            c * lattice.gen1 + d * lattice.gen2)
+
+
+def random_log_pair(rng: random.Random) -> LogPair:
+    """A valid log pair with free chi >= 0 and K^2: up to four disjoint
+    smooth elliptic boundary curves of negative self-intersection, and up
+    to three other curves, elliptic or rational and some of them singular,
+    that meet the boundary and each other."""
+    curves = {f"t{i}": CurveRecord(rng.randint(-9, -1), SMOOTH_ELLIPTIC)
+              for i in range(rng.randint(0, 4))}
+    boundary = tuple(curves)
+    others = [f"c{i}" for i in range(rng.randint(0, 3))]
+    for name in others:
+        curves[name] = CurveRecord(rng.randint(-5, 5),
+                                   rng.choice((SMOOTH_ELLIPTIC, SMOOTH_RATIONAL)))
+    pairwise = {(a, b): rng.randint(1, 4) for i, a in enumerate(others)
+                for b in list(boundary) + others[i + 1:] if rng.random() < 0.6}
+    points = {f"p{i}": {rng.choice(others): rng.randint(1, 3)}
+              for i in range(rng.randint(0, len(others)))}
+    for i, mults in enumerate(points.values()):
+        if boundary and i % 2:
+            mults[rng.choice(boundary)] = 1
+    model = SurfaceModel.build(rng.randint(0, 8), rng.randint(-8, 8), curves, pairwise, points)
+    return LogPair(model, boundary)
 
 
 def standard_torus(n: int) -> ProductTorus:

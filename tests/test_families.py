@@ -21,10 +21,8 @@ from ballq.surfaces import (
     LogPair,
     SurfaceModel,
     blow_up,
-    bmy_classify,
-    cusp_count,
+    certify_pair,
     etale_quotient,
-    log_chern,
 )
 
 from ballq.families import (
@@ -433,6 +431,23 @@ def test_build_reads_few_point_values(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_build_scans_the_boundary_pairs_at_most_three_times(monkeypatch, family):
+    """The boundary stage reads the boundary's pairwise entries for its
+    disjointness check and for the log pair's, and the certificate reads
+    none: at most 3 SurfaceModel.pairs_among calls per build, at n = 1 and
+    n = 5.  When five certify functions called one another, a build made
+    8."""
+    scans = []
+    pairs_among = SurfaceModel.pairs_among
+    monkeypatch.setattr(SurfaceModel, "pairs_among",
+                        lambda model, names: scans.append(names) or pairs_among(model, names))
+    for n in (1, 5):
+        scans.clear()
+        assert build_family(family, n)["passed"]
+        assert len(scans) <= 3, len(scans)
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
 def test_no_point_objects_per_point(family):
     """Point sets are keys, not objects: at n = 40 and n = 80 every point the
     upstairs geometry holds (the intersection points, the closed form, the
@@ -500,7 +515,8 @@ def test_both_orders_of_the_calculus_agree(family):
             for j, orbit in enumerate(b.orbits, start=1) for k, key in enumerate(orbit)})
         assert etale_quotient(blown_upstairs, 3, {**b.curve_orbits, **exc_orbits}, {}) == b.blown
 
-        pair = LogPair(blown_upstairs, tuple(b.curves))
-        assert log_chern(pair) == (9 * n, 3 * n)
-        assert bmy_classify(pair) == BMYClass.EQUALITY
-        assert cusp_count(pair) == (3 * (n + 1) if family == GAMMA else 6)
+        fragment = certify_pair(LogPair(blown_upstairs, tuple(b.curves)))
+        assert [fragment["log_c1_squared"], fragment["log_c2"]] == [9 * n, 3 * n]
+        assert fragment["bmy"] == BMYClass.EQUALITY.value
+        assert fragment["cusps"] == (3 * (n + 1) if family == GAMMA else 6)
+        assert fragment["volume"]["pi_squared_coefficient"] == str(8 * n)

@@ -1,4 +1,5 @@
-"""Quotients, blow-ups, log-Chern numbers and volumes on surface models."""
+"""Quotients, blow-ups, the certificate of a log pair and volumes on
+surface models."""
 
 import json
 import random
@@ -15,14 +16,12 @@ from ballq.surfaces import (
     SINGULAR,
     SurfaceModel,
     blow_up,
-    bmy_classify,
-    cusp_count,
+    certify_pair,
     etale_quotient,
-    k_dot,
-    log_chern,
-    nef_numerical_check,
     volume_from_chi,
 )
+
+from conftest import k_dot, random_log_pair, reference_certificate
 
 
 def upstairs_model(n):
@@ -228,6 +227,10 @@ def test_blow_up_level_curve_drops_by_point_count():
 
 
 def test_k_dot_values():
+    # K.C by adjunction, in the oracle: 9 and 0 for the elliptic curves t0
+    # and flat, -1 for a rational (-1)-curve, and no value for a singular
+    # curve.  The certificate reads K.t0 = 9 off its boundary curve t0:
+    # c1bar^2 = K^2 + 2*K.t0 + t0^2 = -3 + 18 - 9.
     curves = {
         "t0": CurveRecord(-9, SMOOTH_ELLIPTIC),
         "e": CurveRecord(-1, SMOOTH_RATIONAL),
@@ -240,6 +243,9 @@ def test_k_dot_values():
     assert k_dot(model, "flat") == 0
     with pytest.raises(ValueError):
         k_dot(model, "node")
+    fragment = certify_pair(LogPair(model, ("t0",)))
+    assert fragment["log_c1_squared"] == 6
+    assert fragment["nef"]["boundary_pairings"] == {"t0": 0}
 
 
 def gamma_pair(n):
@@ -248,14 +254,19 @@ def gamma_pair(n):
     return LogPair(blown, boundary)
 
 
+def chern_numbers(pair):
+    fragment = certify_pair(pair)
+    return fragment["log_c1_squared"], fragment["log_c2"]
+
+
 def test_log_chern_gamma_family():
     pair = gamma_pair(4)
-    assert log_chern(pair) == (12, 4)
+    assert chern_numbers(pair) == (12, 4)
 
 
 def test_log_chern_empty_boundary():
     model = SurfaceModel.build(0, 0, {}, {}, {})
-    assert log_chern(LogPair(model, ())) == (0, 0)
+    assert chern_numbers(LogPair(model, ())) == (0, 0)
 
 
 def test_log_pair_invariants_enforced():
@@ -274,31 +285,31 @@ def test_log_pair_invariants_enforced():
 
 def test_bmy_equality_for_gamma_pairs():
     for n in (1, 2, 5):
-        assert bmy_classify(gamma_pair(n)) == BMYClass.EQUALITY
+        assert certify_pair(gamma_pair(n))["bmy"] == BMYClass.EQUALITY.value
 
 
 def test_bmy_strict_inequality_single_component():
     _, blown = build_blown_gamma(1)
     pair = LogPair(blown, ("core",))
-    assert log_chern(pair) == (2, 1)
-    assert bmy_classify(pair) == BMYClass.STRICT_INEQUALITY
+    assert chern_numbers(pair) == (2, 1)
+    assert certify_pair(pair)["bmy"] == BMYClass.STRICT_INEQUALITY.value
 
 
 def test_bmy_violation():
     model = SurfaceModel.build(1, 2, {"t": CurveRecord(-5, SMOOTH_ELLIPTIC)}, {}, {})
     pair = LogPair(model, ("t",))
-    assert log_chern(pair) == (7, 1)
-    assert bmy_classify(pair) == BMYClass.VIOLATION
+    assert chern_numbers(pair) == (7, 1)
+    assert certify_pair(pair)["bmy"] == BMYClass.VIOLATION.value
 
 
 def test_bmy_not_applicable_without_positivity():
     model = SurfaceModel.build(0, 0, {}, {}, {})
-    assert bmy_classify(LogPair(model, ())) == BMYClass.NOT_APPLICABLE
+    assert certify_pair(LogPair(model, ()))["bmy"] == BMYClass.NOT_APPLICABLE.value
 
 
 def test_nef_numerical_check_gamma():
     for n in (1, 3):
-        report = nef_numerical_check(gamma_pair(n))
+        report = certify_pair(gamma_pair(n))["nef"]
         assert report["log_canonical_self_int"] == 3 * n
         assert set(report["boundary_pairings"].values()) == {0}
         assert report["passed"]
@@ -306,9 +317,29 @@ def test_nef_numerical_check_gamma():
 
 
 def test_cusp_count():
-    assert cusp_count(gamma_pair(4)) == 5
+    assert certify_pair(gamma_pair(4))["cusps"] == 5
     _, blown = build_blown_gamma(1)
-    assert cusp_count(LogPair(blown, ("core",))) == 1
+    assert certify_pair(LogPair(blown, ("core",)))["cusps"] == 1
+
+
+def test_certificate_matches_the_reference_formulas():
+    """The one pass over the boundary gives the fragment, key order
+    included, that the general formulas give on random valid pairs whose
+    other curves, elliptic, rational or singular, meet the boundary, and
+    on the gamma pairs.  Every BMY class occurs."""
+    rng = random.Random(2027)
+    pairs = [random_log_pair(rng) for _ in range(600)] + [gamma_pair(n) for n in range(1, 6)]
+    classes = set()
+    for pair in pairs:
+        fragment, expected = certify_pair(pair), reference_certificate(pair)
+        assert fragment == expected
+        assert list(fragment) == list(expected) == ["log_c1_squared", "log_c2", "bmy", "nef",
+                                                    "cusps", "volume"]
+        assert list(fragment["nef"]) == list(expected["nef"])
+        classes.add(fragment["bmy"])
+    assert classes == {member.value for member in BMYClass}
+    assert any(pair.surface.pairs_among(pair.surface.curves)
+               and pair.surface.singular_curves for pair in pairs)
 
 
 def test_volume_from_chi():
@@ -450,9 +481,10 @@ def test_models_and_pairs_are_immutable_and_compare_by_value():
     pair = LogPair(model, ("a",))
     assert model.kind("a") == SMOOTH_ELLIPTIC  # fills the cached singular_curves
     same = SurfaceModel.build(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)}, {}, {})
-    assert model == same and pair == LogPair(same, ("a",))
+    other = LogPair(same, ("a",))
+    assert model == same and (pair.surface, pair.boundary) == (other.surface, other.boundary)
     assert model != SurfaceModel.build(1, -2, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
-    assert pair != LogPair(model, ())
+    assert pair.boundary != LogPair(model, ()).boundary
     for record, name in ((model, "k2"), (model, "singular_curves"), (pair, "boundary")):
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
