@@ -16,11 +16,13 @@ functions of n, and hooks that extend named stages with the same
 signature.  Every numerical claim is recomputed exactly and recorded as a
 check in the level's JSON report; a stage that raises leaves a failed
 report with the values and checks recorded before it.
-A point is its key (see curves): the intersections, the closed-form
-locus, the deck orbits, the incidence table and the fiber rows read sets
-of six-int point keys, and the curves' offsets and the vertical fibers'
-base points are torus point keys.  Only a printed Albanese base point is
-read back into Q(rho), by Lattice.value.
+A point is its key (see curves): the intersections, the deck orbits, the
+incidence table, the upstairs model's marked points and the fiber rows
+hold six-int point keys, and the curves' offsets and the vertical fibers'
+base points are torus point keys.  The closed-form locus, the Albanese
+base points and the generic fiber keys are arithmetic progressions of
+keys (_key_progression).  Only a printed Albanese base point is read
+back into Q(rho), by Lattice.value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import homology
-from .eisenstein import ONE, RHO, eis
+from .eisenstein import ONE, RHO, EisensteinNumber, eis
 from .lattices import Lattice, point_key
 from .curves import (
     EMPTY,
@@ -128,28 +130,25 @@ def deck_automorphism(torus: ProductTorus) -> TorusAutomorphism:
     return TorusAutomorphism(torus, RHO, 0, ONE, ORDER3_SHIFT)
 
 
-def _numerators(lattice: Lattice, values: tuple) -> tuple[list[tuple[int, int]], int]:
-    """The coordinates of each value in the lattice's basis as integer
-    numerators (s, t), all over one denominator d."""
-    vectors = [lattice.numerators(x) for x in values]
-    d = lcm(*(den for _, _, den in vectors))
-    return [(s * (d // den), t * (d // den)) for s, t, den in vectors], d
+def _key_progression(lattice: Lattice, start: EisensteinNumber, step: EisensteinNumber,
+                     count: int) -> list[tuple[int, int, int]]:
+    """The keys of start + m*step on the torus C/lattice for 0 <= m < count:
+    the numerators of start and step are read once, brought over one
+    denominator and stepped in integers."""
+    (s, t, d0), (u, v, d1) = lattice.numerators(start), lattice.numerators(step)
+    d = lcm(d0, d1)
+    s, t, u, v = s * (d // d0), t * (d // d0), u * (d // d1), v * (d // d1)
+    return [point_key(s + m * u, t + m * v, d) for m in range(count)]
 
 
 def closed_form_intersection(torus: ProductTorus, n: int) -> list[tuple[int, ...]]:
     """The keys of the predicted 3n-point intersection locus of any two
     slope curves: [2/3 + l*shift, 2/3 + l*shift + m] for 0 <= l <= 2,
-    0 <= m <= n-1.  Each key combines the numerators of 2/3, the shift and
-    1, read once per factor, in integers."""
-    values = (TWO_THIRDS, ORDER3_SHIFT, ONE)
-    ((w0, w1), (ws0, ws1), _), dw = _numerators(torus.lattice_w, values)
-    ((z0, z1), (zs0, zs1), (u0, u1)), dz = _numerators(torus.lattice_z, values)
-    keys = []
-    for l in range(3):
-        w = point_key(w0 + l * ws0, w1 + l * ws1, dw)
-        s, t = z0 + l * zs0, z1 + l * zs1
-        keys += [w + point_key(s + m * u0, t + m * u1, dz) for m in range(n)]
-    return keys
+    0 <= m <= n-1, a w progression of three, each joined with a z
+    progression of n."""
+    ws = _key_progression(torus.lattice_w, TWO_THIRDS, ORDER3_SHIFT, 3)
+    return [w + z for l, w in enumerate(ws)
+            for z in _key_progression(torus.lattice_z, TWO_THIRDS + ORDER3_SHIFT * l, ONE, n)]
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +308,11 @@ class _Build:
 
     It holds n, the family's record spec, the checks, the report's values
     and flags, and what a stage stores for a later one: the torus, the
-    slope curves and the deck map; the sorted intersection point keys,
-    their names, their deck orbits and the closed-form key set; every
-    upstairs curve by name, the curve orbits (the boundary components),
-    the pairwise numbers and the key set of the points on each graph curve
-    (see _incidence); the quotient, the blown-up model and the log pair
-    (None until one forms)."""
+    slope curves and the deck map; the intersection point keys, their deck
+    orbits and the closed-form key set; every upstairs curve by name, the
+    curve orbits (the boundary components), the pairwise numbers and the
+    key set of the points on each graph curve (see _incidence); the
+    quotient, the blown-up model and the log pair (None until one forms)."""
 
     def __init__(self, family: str, n: int) -> None:
         self.family, self.n, self.spec = family, n, _FAMILIES[family]
@@ -442,7 +440,7 @@ def _deck_cycle(deck: TorusAutomorphism, curves: list[GraphCurve]) -> tuple[list
 def _geometry(b: _Build) -> None:
     """The torus, the slope curves and the deck map; the slope curves'
     pairwise intersections against the closed form; the intersection
-    points, their names and their deck orbits."""
+    point keys and their deck orbits."""
     n = b.n
     b.torus = torus = product_torus(n)
     b.slopes = slopes = slope_curves(torus)
@@ -471,14 +469,12 @@ def _geometry(b: _Build) -> None:
             if i == 0:
                 b.through[_SLOPE_NAMES[j]] = keys
             if (i, j) == (0, 1):
-                base_points = result.point_keys
+                b.points = result.point_keys
 
     b.expect("branch_slopes_pairwise_distinct", True,
              len({c.matrix for c in slopes}) == 3)
 
-    b.points = sorted(base_points)
-    b.point_names = {key: f"pt{i}" for i, key in enumerate(b.points)}
-    b.through[_SLOPE_NAMES[0]] = frozenset(b.point_names)
+    b.through[_SLOPE_NAMES[0]] = frozenset(b.points)
     b.orbits = orbit_of_points(deck, b.points)
     b.expect("point_orbit_count", n, len(b.orbits))
     b.expect("point_orbit_sizes", [3] * n, [len(o) for o in b.orbits])
@@ -491,9 +487,10 @@ def _upstairs(b: _Build) -> None:
     b.curve_orbits = {CORE_CURVE: _SLOPE_NAMES}
 
 
-def _incidence(b: _Build) -> dict[str, dict[str, int]]:
-    """Multiplicity table {point name: {curve name: 1}} of the upstairs
-    curves through the intersection points, filled per curve from a key set.
+def _incidence(b: _Build) -> dict[tuple, dict[str, int]]:
+    """Multiplicity table {point key: {curve name: 1}} of the upstairs
+    curves through the intersection points, filled per curve from a key set;
+    the point keys are the marked points' names in the upstairs model.
 
     Every point lies on slope0, so a graph curve passes through a point
     exactly when its key is in the curve's intersection with slope0, which
@@ -511,7 +508,7 @@ def _incidence(b: _Build) -> dict[str, dict[str, int]]:
         keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
         for key in rows.keys() & keys:
             rows[key][name] = 1
-    return {b.point_names[key]: row for key, row in rows.items()}
+    return rows
 
 
 def _quotient(b: _Build) -> None:
@@ -524,10 +521,7 @@ def _quotient(b: _Build) -> None:
 
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves}
     upstairs = SurfaceModel.build(0, 0, curves, b.pairwise, points)
-    point_orbits = {
-        f"q{j}": tuple(b.point_names[key] for key in orbit)
-        for j, orbit in enumerate(b.orbits)
-    }
+    point_orbits = {f"q{j}": tuple(orbit) for j, orbit in enumerate(b.orbits)}
     b.quotient = quotient = etale_quotient(upstairs, 3, b.curve_orbits, point_orbits)
 
     b.expect("quotient_chi", 0, quotient.chi_top)
@@ -610,8 +604,7 @@ def _fiber(b: _Build) -> None:
     curve, computed upstairs (the three generic vertical fibers, by their
     z keys) and divided by the covering degree.  A graph meets each
     vertical fiber once; distinct vertical fibers are disjoint."""
-    generic_base = eis(Fraction(1, 2))
-    generic_z = [b.torus.lattice_z.key(generic_base + ORDER3_SHIFT * k) for k in range(3)]
+    generic_z = _key_progression(b.torus.lattice_z, eis(Fraction(1, 2)), ORDER3_SHIFT, 3)
     singular_z = {key[3:] for key in b.points}
     b.expect("generic_fiber_misses_triple_points", True, singular_z.isdisjoint(generic_z))
     rows: dict[str, int] = {}
@@ -899,8 +892,7 @@ def albanese_data(n: int) -> dict[str, object]:
     level = level_lattice(n)
     index = level.index_in(target)
     shift_order = level.key(ORDER3_SHIFT)[2]
-    ((s, t), (u, v)), d = _numerators(target, (TWO_THIRDS, ONE))
-    keys = [point_key(s + m * u, t + m * v, d) for m in range(n)]
+    keys = _key_progression(target, TWO_THIRDS, ONE, n)
     if len(set(keys)) != n:
         raise ValueError("special fiber base points are not distinct")
     return {"n": n, "target_lattice": target.to_json(),

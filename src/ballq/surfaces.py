@@ -62,10 +62,11 @@ class SurfaceModel(Frozen):
 
     pairwise maps sorted name pairs to nonzero intersection numbers
     (absent pairs meet in 0 points); points maps point names to tables of
-    nonzero multiplicities (absent curves pass with multiplicity 0).  build
-    stores no zeros, so two models with the same numbers compare equal.
-    A curve that some marked point carries with multiplicity >= 2 is
-    singular.
+    nonzero multiplicities (absent curves pass with multiplicity 0).  A
+    point's name is any hashable that sorts among the others: a build names
+    the upstairs points by their six-int keys.  build stores no zeros, so
+    two models with the same numbers compare equal.  A curve that some
+    marked point carries with multiplicity >= 2 is singular.
     """
 
     def __init__(self, chi_top: int, k2: int, curves: dict[str, CurveRecord],

@@ -23,6 +23,14 @@ def _euler(betti):
     return sum((-1) ** i * b for i, b in enumerate(betti))
 
 
+def _fraction(text):
+    """The rational number a printed value names, or None if it names none."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        return None
+
+
 # {name: relation(values, n)}: whether the printed values of the report of
 # level n keep the relation.  A relation raises KeyError when the report
 # lacks one of its inputs.
@@ -57,11 +65,25 @@ RELATIONS = {
         values["homology"]["open_manifold"]["b2_minus_b3"]
         == 1 - values["homology"]["compactification_betti"][3]
         + values["homology"]["compactification_betti"][2],
+    "generic fiber punctures = sum of its boundary rows": lambda values, n:
+        values["fiber"]["generic_fiber_punctures"]
+        == sum(values["fiber"]["generic_fiber_boundary_rows"].values()),
     "points_per_pair = 3 x triple_points_downstairs": lambda values, n:
         values["intersection"]["points_per_pair"]
         == 3 * values["intersection"]["triple_points_downstairs"],
     "n Albanese base points": lambda values, n: len(values["albanese"]["base_points"]) == n,
     "albanese.n = n": lambda values, n: values["albanese"]["n"] == n,
+    # The special Albanese fibers sit over 2/3 + j.  The target lattice
+    # Z[n, shift] meets the real line in nZ, so they are distinct modulo it.
+    "Albanese base points are 2/3 + j": lambda values, n:
+        [_fraction(point) for point in values["albanese"]["base_points"]]
+        == [Fraction(2, 3) + j for j in range(n)],
+    "albanese.target_lattice.gen1 = n": lambda values, n:
+        values["albanese"]["target_lattice"]["gen1"] == str(n),
+    # The target lattice is the level lattice with the shift adjoined, so
+    # the quotient of the two is cyclic, generated by the shift.
+    "shift order = index of the level lattice": lambda values, n:
+        values["albanese"]["shift_order"] == values["albanese"]["index"],
     "level lattice contained = index > 0": lambda values, n:
         values["albanese"]["contains_level_lattice"] == (values["albanese"]["index"] > 0),
 }

@@ -1,14 +1,16 @@
 """End-to-end builders, the Bagnera-de Franchis catalog, and reports."""
 
 import json
+import random
 import re
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ballq import cli
+from ballq import cli, families
 from ballq import curves as curves_module
 from ballq import lattices
 from ballq.curves import TorusAutomorphism, VerticalFiber
@@ -29,6 +31,7 @@ from ballq.families import (
     _STAGES,
     _Build,
     _incidence,
+    _key_progression,
     BDF_CATALOG,
     BdFInvalid,
     BdFType,
@@ -49,7 +52,7 @@ from ballq.families import (
 )
 
 from conftest import (clear_lattice_caches, contains_point, count_eisenstein_operations,
-                      raise_in_stage)
+                      raise_in_stage, random_eisenstein, random_lattice)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -405,8 +408,8 @@ def test_keyed_incidence_equals_brute_force(family):
         lw, lz = b.torus
         values = {key: (lw.value(key[:3]), lz.value(key[3:])) for key in b.points}
         brute = {
-            b.point_names[key]: {name: 1 for name, curve in b.curves.items()
-                                 if contains_point(curve, values[key])}
+            key: {name: 1 for name, curve in b.curves.items()
+                  if contains_point(curve, values[key])}
             for key in b.points
         }
         assert _incidence(b) == brute
@@ -448,23 +451,49 @@ def test_build_scans_the_boundary_pairs_at_most_three_times(monkeypatch, family)
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
-def test_no_point_objects_per_point(family):
+def test_no_point_objects_per_point(monkeypatch, family):
     """Point sets are keys, not objects: at n = 40 and n = 80 every point the
     upstairs geometry holds (the intersection points, the closed form, the
     graph curves' point sets and the vertical fibers' z points) is a tuple
     of plain ints, six for a point of the product torus and three for a
-    point of one factor, and the library has no point class to build."""
+    point of one factor, and the library has no point class to build.  The
+    upstairs model handed to the quotient names its marked points by those
+    keys, and the build record keeps no second name for a point."""
     def is_key(key, size):
         return type(key) is tuple and len(key) == size and all(type(x) is int for x in key)
 
+    handed = []
+    quotient = families.etale_quotient
+    monkeypatch.setattr(families, "etale_quotient",
+                        lambda model, *orbits: handed.append(model) or quotient(model, *orbits))
     assert not hasattr(lattices, "TorusPoint") and not hasattr(curves_module, "ProductPoint")
     for n in (40, 80):
-        b = _built(family, n, "upstairs")
+        b = _built(family, n, "quotient")
         point_sets = [b.points, b.closed_keys, *b.through.values()]
         assert all(is_key(key, 6) for keys in point_sets for key in keys)
         fibers = [curve for curve in b.curves.values() if isinstance(curve, VerticalFiber)]
         assert all(is_key(fiber.z0, 3) for fiber in fibers)
         assert len(fibers) == (3 * n if family == GAMMA else 0)
+        marked = handed.pop().points
+        assert set(marked) == set(b.points) and all(is_key(key, 6) for key in marked)
+        assert not hasattr(b, "point_names")
+
+
+def test_key_progression_matches_lattice_key():
+    """The keys of start + m*step for m < count, counts 0..8, on seeded
+    random lattices, starts and steps: equal to Lattice.key of each value,
+    also when the two numerators' denominators have an lcm above both."""
+    rng = random.Random(1512)
+    unequal = 0
+    for _ in range(300):
+        lattice = random_lattice(rng)
+        start, step = random_eisenstein(rng), random_eisenstein(rng)
+        d0, d1 = lattice.numerators(start)[2], lattice.numerators(step)[2]
+        unequal += lcm(d0, d1) > max(d0, d1)
+        for count in range(9):
+            assert _key_progression(lattice, start, step, count) == [
+                lattice.key(start + step * m) for m in range(count)]
+    assert unequal >= 100, unequal
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])
@@ -511,7 +540,7 @@ def test_both_orders_of_the_calculus_agree(family):
         exc_orbits = {f"exc{j}": tuple(f"exc{j}_{k}" for k in range(3))
                       for j in range(1, n + 1)}
         blown_upstairs = blow_up(upstairs, {
-            b.point_names[key]: f"exc{j}_{k}"
+            key: f"exc{j}_{k}"
             for j, orbit in enumerate(b.orbits, start=1) for k, key in enumerate(orbit)})
         assert etale_quotient(blown_upstairs, 3, {**b.curve_orbits, **exc_orbits}, {}) == b.blown
 
