@@ -33,12 +33,9 @@ from .surfaces import (
     volume_from_chi,
 )
 from .homology import (
-    BettiVector,
-    betti_from_deck,
-    betti_of_open,
     fibration_sequence_report,
     free_rank_of_punctured_surface,
-    mv_tables,
+    homology_section,
 )
 from .families import (
     GAMMA,
@@ -49,7 +46,6 @@ from .families import (
     albanese_data,
     bdf_classify,
     build_family,
-    covering_report,
 )
 
 __version__ = "0.1.0"

@@ -629,29 +629,22 @@ def _albanese(b: _Build) -> None:
 
 
 def _homology(b: _Build) -> None:
-    """The Betti vector from the deck's action and the certified chi, and
-    the cover tables for the certified cusp count."""
-    values = b.values
-    betti = homology.betti_from_deck(b.deck.matrices, values["chi"])
-    u, v = homology.mv_tables(values["cusps"])
-    section = values["homology"] = {
-        "compactification_betti": list(betti),
-        "boundary_neighborhood_ranks": list(u),
-        "overlap_ranks": list(v),
-        "open_manifold": homology.betti_of_open(betti, values["cusps"]),
-    }
+    """The homology fragment from the deck's action, the certified chi and
+    the certified cusp count."""
+    section = b.values["homology"] = homology.homology_section(
+        b.deck.matrices, b.values["chi"], b.values["cusps"])
     opened = section["open_manifold"]
     b.expect("open_manifold_b1", 2, opened["b1"])
     b.expect("open_manifold_b3_lower_bound", b.spec.cusps(b.n) - 1, opened["b3_lower_bound"])
     b.expect("cover_pieces_euler_zero", [0, 0],
-             [homology.BettiVector(*section[key]).euler()
+             [sum((-1) ** i * rank for i, rank in enumerate(section[key]))
               for key in ("boundary_neighborhood_ranks", "overlap_ranks")])
 
 
 def _tower(b: _Build) -> None:
-    n = b.n
+    n, level = b.n, level_lattice(b.n)
     b.values["tower"] = {
-        "covers_levels": [{"base_level": m, "degree": covering_report(m, n)["degree"]}
+        "covers_levels": [{"base_level": m, "degree": level.index_in(level_lattice(m))}
                           for m in range(1, n + 1) if n % m == 0],
         "consecutive_cover_exists": n == 1 or n % (n - 1) == 0,
         "note": (
@@ -869,16 +862,6 @@ def build_family(family: str, n: int) -> dict[str, object]:
 # ----------------------------------------------------------------------
 # standalone reports
 # ----------------------------------------------------------------------
-
-
-def covering_report(m: int, n: int) -> dict[str, object]:
-    """Whether the level-n member covers the level-m member, with the
-    covering degree computed as a lattice index (None when it does not)."""
-    if m < 1 or n < 1:
-        raise ValueError("levels must be positive integers")
-    degree = level_lattice(n).index_in(level_lattice(m))
-    return {"base_level": m, "cover_level": n, "contained": degree is not None,
-            "degree": degree}
 
 
 def albanese_data(n: int) -> dict[str, object]:

@@ -9,75 +9,52 @@ gives b1(M) = b1(X) and linear constraints on b2, b3 of the open manifold.
 
 from __future__ import annotations
 
-from collections import namedtuple
 
+def homology_section(matrices: tuple[tuple[int, int, int, int], ...], chi: int,
+                     cusps: int) -> dict[str, object]:
+    """The report's homology fragment of a blown-up bielliptic surface
+    X = (E_w x E_z)/G with Euler number chi and k = cusps boundary curves,
+    for a free cyclic G whose generator acts on the two lattices by the
+    integer matrices M = (p, q, r, t).
 
-class BettiVector(namedtuple("BettiVector", "b0 b1 b2 b3 b4")):
-    """Ranks of rational homology in degrees 0..4."""
-
-    __slots__ = ()
-
-    def __new__(cls, b0: int, b1: int, b2: int, b3: int, b4: int) -> BettiVector:
-        ranks = (b0, b1, b2, b3, b4)
-        if any(b < 0 for b in ranks):
-            raise ValueError("betti numbers are nonnegative")
-        return tuple.__new__(cls, ranks)
-
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
-
-    def euler(self) -> int:
-        return self.b0 - self.b1 + self.b2 - self.b3 + self.b4
-
-
-def mv_tables(k: int) -> tuple[BettiVector, BettiVector]:
-    """Homology ranks of the boundary neighborhood U (k disjoint 2-tori)
-    and of the overlap V (k closed Nil 3-manifolds, each with b1 = b2 = 2).
-    """
+    H1(X; Q) is the G-invariant part of H1 of the torus, so b1 = b3 is the
+    sum of dim ker(M - I) (blow-ups leave it alone), and chi pins
+    b2 = chi - 2 + 2*b1.  U has ranks (k, 2k, k, 0, 0) and V, whose Nil
+    pieces have b1 = b2 = 2, has (k, 2k, 2k, k, 0).  The open manifold M
+    gets b1(M) = b1(X) exactly, b3(M) >= k - 1 and
+    b2(M) - b3(M) = 1 - b3(X) + b2(X), with the derivation's lines."""
+    k = cusps
     if k < 1:
         raise ValueError("at least one cusp is required")
-    u = BettiVector(k, 2 * k, k, 0, 0)
-    v = BettiVector(k, 2 * k, 2 * k, k, 0)
-    return u, v
-
-
-def betti_of_open(b_compact: BettiVector, k: int) -> dict[str, object]:
-    """Exact integer constraints on the betti numbers of the open manifold
-    M in terms of those of its compactification X and the cusp count k,
-    from the cover calculus: b1(M) = b1(X) exactly, a lower bound
-    b3(M) >= k - 1, and b2(M) - b3(M) = 1 - b3(X) + b2(X).  Returns the
-    report's open-manifold fragment, with the derivation's lines."""
-    if k < 1:
-        raise ValueError("at least one cusp is required")
-    # The degree-1 segment of the sequence gives b1(M) + 2k = 2k - l + b1(X)
-    # where l is the rank of the image of H2(X) -> H1(V); since the rank of
-    # H1 can only grow when passing to the open manifold, l = 0.
-    ell = 0
-    return {
-        "b1": b_compact.b1 - ell,
-        "b3_lower_bound": k - 1,
-        "b2_minus_b3": 1 - b_compact.b3 + b_compact.b2,
-        "derivation": [
-            f"b1(M) + 2k = 2k - l + b1(X) with k = {k}",
-            "b1(M) >= b1(X) forces l = 0, hence b1(M) = b1(X)",
-            f"0 -> Q^(k-1) -> H3(M) gives b3(M) >= {k - 1}",
-            "tail of the sequence gives b2(M) - b3(M) = 1 - b3(X) + b2(X)",
-        ],
-    }
-
-
-def betti_from_deck(matrices: tuple[tuple[int, int, int, int], ...], chi: int) -> BettiVector:
-    """Betti vector of a blown-up bielliptic surface (E_w x E_z)/G with Euler
-    number chi, for a free cyclic G whose generator acts on the two lattices
-    by the integer matrices M = (p, q, r, t): H1(X; Q) is the G-invariant
-    part of H1 of the torus, so b1 = b3 is the sum of dim ker(M - I)
-    (blow-ups leave it alone), and chi pins b2 = chi - 2 + 2*b1."""
     b1 = 0
     for p, q, r, t in matrices:
         if (p, q, r, t) == (1, 0, 0, 1):
             b1 += 2
         elif (p - 1) * (t - 1) == q * r:
             b1 += 1
-    return BettiVector(1, b1, chi - 2 + 2 * b1, b1, 1)
+    b2 = chi - 2 + 2 * b1
+    if b2 < 0:
+        raise ValueError("betti numbers are nonnegative")
+    # The degree-1 segment of the sequence gives b1(M) + 2k = 2k - l + b1(X)
+    # where l is the rank of the image of H2(X) -> H1(V); since the rank of
+    # H1 can only grow when passing to the open manifold, l = 0.
+    ell = 0
+    return {
+        "compactification_betti": [1, b1, b2, b1, 1],
+        "boundary_neighborhood_ranks": [k, 2 * k, k, 0, 0],
+        "overlap_ranks": [k, 2 * k, 2 * k, k, 0],
+        "open_manifold": {
+            "b1": b1 - ell,
+            "b3_lower_bound": k - 1,
+            "b2_minus_b3": 1 - b1 + b2,
+            "derivation": [
+                f"b1(M) + 2k = 2k - l + b1(X) with k = {k}",
+                "b1(M) >= b1(X) forces l = 0, hence b1(M) = b1(X)",
+                f"0 -> Q^(k-1) -> H3(M) gives b3(M) >= {k - 1}",
+                "tail of the sequence gives b2(M) - b3(M) = 1 - b3(X) + b2(X)",
+            ],
+        },
+    }
 
 
 def free_rank_of_punctured_surface(genus: int, punctures: int) -> int:

@@ -63,10 +63,10 @@ class SurfaceModel(Frozen):
     pairwise maps sorted name pairs to nonzero intersection numbers
     (absent pairs meet in 0 points); points maps point names to tables of
     nonzero multiplicities (absent curves pass with multiplicity 0).  A
-    point's name is any hashable that sorts among the others: a build names
-    the upstairs points by their six-int keys.  build stores no zeros, so
-    two models with the same numbers compare equal.  A curve that some
-    marked point carries with multiplicity >= 2 is singular.
+    point's name is any hashable: a build names the upstairs points by
+    their six-int keys.  build stores no zeros, so two models with the
+    same numbers compare equal.  A curve that some marked point carries
+    with multiplicity >= 2 is singular.
     """
 
     def __init__(self, chi_top: int, k2: int, curves: dict[str, CurveRecord],
@@ -161,10 +161,10 @@ def etale_quotient(model: SurfaceModel, group_order: int,
         raise ValueError("Euler number and K^2 must divide by the group order")
 
     claimed_curves = [name for orbit in curve_orbits.values() for name in orbit]
-    if sorted(claimed_curves) != sorted(model.curves):
+    if len(claimed_curves) != len(model.curves) or set(claimed_curves) != model.curves.keys():
         raise ValueError("curve orbits must partition the curve set")
     claimed_points = [name for orbit in point_orbits.values() for name in orbit]
-    if sorted(claimed_points) != sorted(model.points):
+    if len(claimed_points) != len(model.points) or set(claimed_points) != model.points.keys():
         raise ValueError("point orbits must partition the marked points")
 
     for image, orbit in curve_orbits.items():

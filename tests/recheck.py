@@ -86,6 +86,19 @@ RELATIONS = {
         values["albanese"]["shift_order"] == values["albanese"]["index"],
     "level lattice contained = index > 0": lambda values, n:
         values["albanese"]["contains_level_lattice"] == (values["albanese"]["index"] > 0),
+    # The shift (1 - rho)/3, which has order three modulo the level lattice.
+    "albanese.target_lattice.gen2 = (1 - rho)/3": lambda values, n:
+        values["albanese"]["target_lattice"]["gen2"] == "1/3-1/3ρ",
+    # Z[n, 1 - rho] lies in Z[m, 1 - rho] exactly when m | n, with index n/m.
+    "tower base levels are the divisors of n": lambda values, n:
+        [entry["base_level"] for entry in values["tower"]["covers_levels"]]
+        == [m for m in range(1, n + 1) if n % m == 0],
+    "tower degree x base level = n": lambda values, n:
+        all(entry["degree"] * entry["base_level"] == n
+            for entry in values["tower"]["covers_levels"]),
+    # n - 1 divides n only for n = 1, 2.
+    "consecutive cover exists = n <= 2": lambda values, n:
+        values["tower"]["consecutive_cover_exists"] == (n <= 2),
 }
 
 

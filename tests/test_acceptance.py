@@ -27,7 +27,7 @@ from ballq.families import (
     product_torus,
     slope_curves,
 )
-from ballq.homology import BettiVector, betti_of_open, mv_tables
+from ballq.homology import homology_section
 from ballq.lattices import coset_grid
 from ballq.surfaces import CurveRecord, SMOOTH_ELLIPTIC, SMOOTH_RATIONAL, SINGULAR, \
     SurfaceModel, blow_up
@@ -161,15 +161,23 @@ def test_criterion_5_boundary_disjointness():
                            for b in report["values"]["boundary"])
 
 
+def euler(ranks):
+    return sum((-1) ** i * rank for i, rank in enumerate(ranks))
+
+
 def test_criterion_6_mayer_vietoris():
     with criterion("6: cover tables, open betti constraints, Euler sums"):
+        deck = deck_automorphism(product_torus(1)).matrices
         for k in range(1, 11):
-            u, v = mv_tables(k)
-            assert tuple(u) == (k, 2 * k, k, 0, 0)
-            assert tuple(v) == (k, 2 * k, 2 * k, k, 0)
-            assert u.euler() == 0 and v.euler() == 0
+            section = homology_section(deck, k, k)
+            u, v = section["boundary_neighborhood_ranks"], section["overlap_ranks"]
+            assert u == [k, 2 * k, k, 0, 0]
+            assert v == [k, 2 * k, 2 * k, k, 0]
+            assert euler(u) == 0 and euler(v) == 0
         for n in range(1, N_MAX + 1):
-            constraints = betti_of_open(BettiVector(1, 2, n + 2, 2, 1), n + 1)
+            section = homology_section(deck, n, n + 1)
+            assert section["compactification_betti"] == [1, 2, n + 2, 2, 1]
+            constraints = section["open_manifold"]
             assert constraints["b1"] == 2
             assert constraints["b3_lower_bound"] == n
             doc = reports("gamma")[n]["values"]["homology"]

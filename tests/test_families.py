@@ -45,7 +45,6 @@ from ballq.families import (
     bdf_classify,
     build_family,
     classify_deck_action,
-    covering_report,
     level_lattice,
     product_torus,
     render_markdown,
@@ -191,19 +190,16 @@ def test_markdown_contains_headline_numbers():
 
 
 def test_covering_reports():
-    all_n = covering_report(1, 5)
-    assert all_n["contained"] and all_n["degree"] == 5
-    nested = covering_report(2, 6)
-    assert nested["contained"] and nested["degree"] == 3
-    blocked = covering_report(2, 3)
-    assert not blocked["contained"] and blocked["degree"] is None
-    for report in (all_n, nested, blocked):
-        assert json.loads(json.dumps(report)) == report
+    # The level-n member covers the level-m member with degree
+    # [level_lattice(m) : level_lattice(n)], and not at all unless m | n.
+    assert level_lattice(5).index_in(level_lattice(1)) == 5
+    assert level_lattice(6).index_in(level_lattice(2)) == 3
+    assert level_lattice(3).index_in(level_lattice(2)) is None
 
 
 def test_covering_report_validates_input():
     with pytest.raises(ValueError):
-        covering_report(0, 3)
+        level_lattice(0)
 
 
 def test_bdf_catalog_shape():

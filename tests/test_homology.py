@@ -5,53 +5,55 @@ import json
 import pytest
 
 from ballq.homology import (
-    BettiVector,
-    betti_from_deck,
-    betti_of_open,
     fibration_sequence_report,
     free_rank_of_punctured_surface,
-    mv_tables,
+    homology_section,
 )
 from ballq.curves import TorusAutomorphism
 from ballq.eisenstein import RHO
 from ballq.families import GAMMA, LAMBDA, build_family, deck_automorphism, product_torus
 
+# The families' deck: rho on Z[rho], a translation on the z-factor.
+DECK = ((0, 1, -1, -1), (1, 0, 0, 1))
+
+
+def euler(ranks):
+    return sum((-1) ** i * rank for i, rank in enumerate(ranks))
+
 
 def test_tables_k1():
-    u, v = mv_tables(1)
-    assert tuple(u) == (1, 2, 1, 0, 0)
-    assert tuple(v) == (1, 2, 2, 1, 0)
+    section = homology_section(DECK, 1, 1)
+    assert section["boundary_neighborhood_ranks"] == [1, 2, 1, 0, 0]
+    assert section["overlap_ranks"] == [1, 2, 2, 1, 0]
 
 
 def test_tables_scale_with_k():
-    u3, v3 = mv_tables(3)
-    assert v3.b1 == 6
-    u2, v2 = mv_tables(2)
-    assert v2.b3 == 2
-    assert tuple(u3) == (3, 6, 3, 0, 0)
+    u3, v3 = (homology_section(DECK, 2, 3)[key]
+              for key in ("boundary_neighborhood_ranks", "overlap_ranks"))
+    assert v3[1] == 6
+    assert homology_section(DECK, 1, 2)["overlap_ranks"][3] == 2
+    assert u3 == [3, 6, 3, 0, 0]
 
 
 def test_tables_require_a_cusp():
     with pytest.raises(ValueError):
-        mv_tables(0)
+        homology_section(DECK, 1, 0)
 
 
 def test_euler_characteristics_vanish():
     for k in range(1, 11):
-        u, v = mv_tables(k)
-        assert u.euler() == 0
-        assert v.euler() == 0
+        section = homology_section(DECK, k - 1, k)
+        assert euler(section["boundary_neighborhood_ranks"]) == 0
+        assert euler(section["overlap_ranks"]) == 0
 
 
 def test_betti_vector_validation():
+    # rho on both factors fixes no line, so b1 = 0 and chi = 0 would need
+    # b2 = -2.
+    both_rho = ((0, 1, -1, -1), (0, 1, -1, -1))
     with pytest.raises(ValueError):
-        BettiVector(1, -1, 0, 0, 0)
-    b = BettiVector(1, 0, 1, 0, 1)
-    with pytest.raises(ValueError):
-        b._replace(b1=-1)  # a copy is validated too
-    assert b._replace(b2=1) == b == BettiVector(1, 0, 1, 0, 1) != BettiVector(1, 0, 2, 0, 1)
-    with pytest.raises(AttributeError):
-        b.b1 = 2
+        homology_section(both_rho, 0, 1)
+    assert homology_section(both_rho, 2, 1)["compactification_betti"] == [1, 0, 0, 0, 1]
 
 
 def test_betti_from_the_family_deck():
@@ -59,41 +61,48 @@ def test_betti_from_the_family_deck():
     # translated: b1 = 0 + 2.
     for n in (1, 2, 4, 7, 9):
         deck = deck_automorphism(product_torus(n))
-        assert deck.matrices == ((0, 1, -1, -1), (1, 0, 0, 1))
-        b = betti_from_deck(deck.matrices, n)
-        assert b == BettiVector(1, 2, n + 2, 2, 1)
-        assert b.euler() == n
+        assert deck.matrices == DECK
+        betti = homology_section(deck.matrices, n, n + 1)["compactification_betti"]
+        assert betti == [1, 2, n + 2, 2, 1]
+        assert euler(betti) == n
 
 
 def test_betti_from_deck_counts_invariant_lines():
+    def betti(matrices, chi):
+        return homology_section(matrices, chi, 1)["compactification_betti"]
+
     torus = product_torus(3)
     flip = TorusAutomorphism(torus, RHO, 0, -1, 0)
     assert flip.matrices[1] == (-1, 0, 0, -1)
-    assert betti_from_deck(flip.matrices, 3) == BettiVector(1, 0, 1, 0, 1)
+    assert betti(flip.matrices, 3) == [1, 0, 1, 0, 1]
     identity = TorusAutomorphism(torus, 1, 0, 1, 0).matrices
-    assert betti_from_deck(identity, 0) == BettiVector(1, 4, 6, 4, 1)
+    assert betti(identity, 0) == [1, 4, 6, 4, 1]
     # a shear fixes one line
-    assert betti_from_deck(((1, 1, 0, 1), (-1, 0, 0, -1)), 0).b1 == 1
+    assert betti(((1, 1, 0, 1), (-1, 0, 0, -1)), 0)[1] == 1
 
 
 def test_open_constraints():
-    b = BettiVector(1, 2, 6, 2, 1)
-    constraints = betti_of_open(b, 5)
+    section = homology_section(DECK, 4, 5)
+    assert section["compactification_betti"] == [1, 2, 6, 2, 1]
+    constraints = section["open_manifold"]
     assert constraints["b1"] == 2
     assert constraints["b3_lower_bound"] == 4
     assert constraints["b2_minus_b3"] == 1 - 2 + 6
-    assert json.loads(json.dumps(constraints)) == constraints
+    assert json.loads(json.dumps(section)) == section
 
 
 def test_open_constraints_vacuous_bound():
-    constraints = betti_of_open(BettiVector(1, 2, 3, 2, 1), 1)
+    section = homology_section(DECK, 1, 1)
+    assert section["compactification_betti"] == [1, 2, 3, 2, 1]
+    constraints = section["open_manifold"]
     assert constraints["b3_lower_bound"] == 0
     assert json.loads(json.dumps(constraints)) == constraints
 
 
 def test_b2_b3_relation_independent_of_k():
-    b = BettiVector(1, 2, 5, 2, 1)
-    values = {betti_of_open(b, k)["b2_minus_b3"] for k in range(1, 8)}
+    assert homology_section(DECK, 3, 1)["compactification_betti"] == [1, 2, 5, 2, 1]
+    values = {homology_section(DECK, 3, k)["open_manifold"]["b2_minus_b3"]
+              for k in range(1, 8)}
     assert len(values) == 1
 
 

@@ -88,14 +88,16 @@ def numerators_over_twice_the_denominator(monkeypatch):
 
 def deck_b1_lowered(monkeypatch):
     """The Betti vector read off the deck's action loses one invariant
-    line."""
-    original = homology.betti_from_deck
+    line, which the open manifold's b1 inherits."""
+    original = homology.homology_section
 
-    def faulty(matrices, chi):
-        betti = original(matrices, chi)
-        return betti._replace(b1=betti.b1 - 1)
+    def faulty(matrices, chi, cusps):
+        section = original(matrices, chi, cusps)
+        section["compactification_betti"][1] -= 1
+        section["open_manifold"]["b1"] -= 1
+        return section
 
-    monkeypatch.setattr(homology, "betti_from_deck", faulty)
+    monkeypatch.setattr(homology, "homology_section", faulty)
 
 
 def certify_log_chern_swapped(monkeypatch):

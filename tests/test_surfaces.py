@@ -85,6 +85,20 @@ def test_quotient_rejects_partial_partition():
         etale_quotient(model, 3, {"core": ("s0", "s1")}, quotient_orbits(1)[1])
 
 
+def test_quotient_accepts_point_names_of_mixed_types():
+    # Point names need only be hashable: a string and an int tuple can
+    # share an orbit, and a bad partition of them is still caught.
+    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in ("a", "b")}
+    model = SurfaceModel.build(0, 0, curves, {}, {"p": {"a": 1}, (1, 2): {"b": 1}})
+    curve_orbits = {"ab": ("a", "b")}
+    image = etale_quotient(model, 2, curve_orbits, {"q": ("p", (1, 2))})
+    assert image.point_multiplicity("q", "ab") == 1
+    for bad in ({"q": ("p", "p")}, {"q": ("p", (1, 2)), "r": ("p", (1, 2))},
+                {"q": ("p", (2, 1))}):
+        with pytest.raises(ValueError, match="point orbits must partition"):
+            etale_quotient(model, 2, curve_orbits, bad)
+
+
 def dense_quotient_numbers(model, g, curve_orbits, point_orbits):
     """Reference for etale_quotient: every orbit pair and every point
     orbit against every curve orbit, through pairwise_int and
