@@ -42,7 +42,6 @@ from .families import (
     LAMBDA,
     BdFInvalid,
     BdFType,
-    BuildError,
     albanese_data,
     bdf_classify,
     build_family,

@@ -65,16 +65,10 @@ def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
     return min(args.jobs, levels, _usable_cpus())
 
 
-def _report_dict(task: tuple[str, int]) -> tuple[dict[str, object], str | None]:
-    """(build_family's report document, None) for a level, or (failed
-    report document, error text) when one of its stages raised.  The failed
-    report keeps the values and checks of the stages before that one and
-    names it; the error text names the level and the exception."""
-    family, n = task
-    try:
-        return families.build_family(family, n), None
-    except families.BuildError as exc:
-        return exc.to_json_dict(), str(exc)
+def _report_dict(task: tuple[str, int]) -> dict[str, object]:
+    """build_family's report document for a (family, n) task, passed or
+    failed: the one per-level function, which the worker pool maps."""
+    return families.build_family(*task)
 
 
 @contextmanager
@@ -99,9 +93,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
     with (_output(args.out) as out,
           ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
-        for doc, error in (pool.map if jobs > 1 else map)(_report_dict, tasks):
-            if error is not None:
-                print(f"error: {error}", file=sys.stderr)
+        for doc in (pool.map if jobs > 1 else map)(_report_dict, tasks):
+            if "error" in doc:
+                error = doc["error"]
+                print(f"error: {doc['family']} n={doc['n']}: {error['type']}: "
+                      f"{error['message']}", file=sys.stderr)
             out.write(render(doc) + "\n")
             out.flush()
             passed = passed and doc["passed"]

@@ -195,20 +195,11 @@ EMPTY = "empty"
 class Intersection(Frozen):
     """Result of intersecting two curves: the keys of a finite point set in
     coordinate order, or the degenerate outcomes for parallel graphs.  The
-    points' (w, z) values are read from the keys in ambient when first read.
-    Results compare and hash by kind and keys; ambient is left out."""
+    points' (w, z) values are read from the keys in ambient when first read."""
 
     def __init__(self, kind: str, point_keys: tuple[tuple[int, ...], ...] = (),
                  ambient: ProductTorus | None = None) -> None:
         vars(self).update(kind=kind, point_keys=point_keys, ambient=ambient)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Intersection):
-            return NotImplemented
-        return (self.kind, self.point_keys) == (other.kind, other.point_keys)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.point_keys))
 
     @property
     def count(self) -> int:

@@ -14,8 +14,9 @@ level, its checks and values, and what a stage stores for a later one).
 A small record per family supplies only what differs: two numbers as
 functions of n, and hooks that extend named stages with the same
 signature.  Every numerical claim is recomputed exactly and recorded as a
-check in the level's JSON report; a stage that raises leaves a failed
-report with the values and checks recorded before it.
+check in the level's JSON report; a stage that raises gives the failed
+report, with the values and checks recorded before it and the stage's
+error, which build_family returns like a finished one.
 A point is its key (see curves): the intersections, the deck orbits, the
 incidence table, the upstairs model's marked points and the fiber rows
 hold six-int point keys, and the curves' offsets and the vertical fibers'
@@ -340,36 +341,25 @@ class _Build:
             "flags": flags,
         }
 
-    def run(self, stages: tuple) -> None:
+    def run(self, stages: tuple) -> dict[str, object]:
         """Run each (name, stage) of stages in order, each followed by the
-        family's hook of that name.  Every stage after "boundary" reads the
-        log pair, so the run stops there when none formed.  An exception is
-        raised as a BuildError naming the stage."""
+        family's hook of that name, and return the level's report.  Every
+        stage after "boundary" reads the log pair, so the run stops there
+        when none formed.  When a stage raises, the report is the failed
+        one: the values and checks recorded before the raise, and an error
+        naming the stage, the exception type and its message."""
         for name, stage in stages:
             try:
                 stage(self)
                 if name in self.spec.hooks:
                     self.spec.hooks[name](self)
             except Exception as exc:
-                raise BuildError(self, name, exc) from exc
+                return {**self.report(False, [], []), "error": {
+                    "stage": name, "type": type(exc).__name__, "message": str(exc)}}
             if name == "boundary" and self.pair is None:
-                return
-
-
-class BuildError(Exception):
-    """A stage of build_family raised; the original exception is the cause
-    and build is the record of what the build had stored until then."""
-
-    def __init__(self, build: _Build, stage: str, error: Exception) -> None:
-        super().__init__(f"{build.family} n={build.n}: {type(error).__name__}: {error}")
-        self.build, self.stage, self.error = build, stage, error
-
-    def to_json_dict(self) -> dict[str, object]:
-        """The failed report of the level: the values and checks recorded
-        before the raise, and an error naming the stage, the exception
-        type and its message."""
-        return {**self.build.report(False, [], []), "error": {
-            "stage": self.stage, "type": type(self.error).__name__, "message": str(self.error)}}
+                break
+        return self.report(all(check["passed"] for check in self.checks),
+                           [_NEATNESS_ASSUMPTION], self.flags)
 
 
 def render_markdown(doc: dict[str, object]) -> str:
@@ -847,16 +837,15 @@ def build_family(family: str, n: int) -> dict[str, object]:
     extra orbits.  Certifies chi = n, K^2 = -n, the boundary
     self-intersections, log-Chern equality 3n = 3*n, the cusp count (n+1
     for gamma, 2 for lambda) and volume coefficient 8n/3.  Returns the
-    report document that `ballq verify` prints with json.dumps.  An
-    exception in any stage is raised as a BuildError naming that stage.
+    report document that `ballq verify` prints with json.dumps, passed
+    or failed: a stage that raises gives the failed report, which names
+    that stage.  An unknown family or a level below 1 raises ValueError.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    b = _Build(family, n)
-    b.run(_STAGES)
-    return b.report(all(check["passed"] for check in b.checks), [_NEATNESS_ASSUMPTION], b.flags)
+    return _Build(family, n).run(_STAGES)
 
 
 # ----------------------------------------------------------------------

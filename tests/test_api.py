@@ -2,12 +2,15 @@
 call: every module-level function or class of the package, private ones
 included, and every public method and property of an exported class, is
 referenced by some module of the package outside its own definition.
-Every name a module imports is used there.  A torus point is its key
+Every name a module imports is used there.  The one exception class is
+the CLI's usage error: a level's build reports a failure in its returned
+report, not through an exception of its own.  A torus point is its key
 inside the package: a key is read back into Q(rho), by Lattice.value,
 only where a point is printed.  The report re-checker in
 `tests/recheck.py` imports nothing but json and fractions."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -76,6 +79,17 @@ def test_every_public_method_of_an_exported_class_has_a_caller_in_the_package():
                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
     assert methods["from_matrix"] == "GraphCurve" and methods["value"] == "Lattice"
     assert [f"{methods[name]}.{name}" for name in unreferenced(methods)] == []
+
+
+def test_the_only_exception_class_is_the_usage_error():
+    # __main__ defines nothing, and importing it would run the CLI.
+    defined = []
+    for file_name in sorted(MODULES.keys() - {"__main__.py"}):
+        module = importlib.import_module(f"ballq.{file_name[:-3]}")
+        defined += [f"{file_name[:-3]}.{name}" for name, value in vars(module).items()
+                    if inspect.isclass(value) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__]
+    assert defined == ["cli.UsageError"]
 
 
 def test_every_imported_name_is_used_in_its_module():

@@ -624,7 +624,11 @@ def test_records_are_immutable_and_the_basis_free_ones_unhashable():
 
 def test_record_equality():
     """Tori compare by their lattices, as sets; fibers by (ambient, z0), so
-    in one basis; intersections by kind and keys, whatever the ambient."""
+    in one basis.  An intersection's outcome is its kind and keys, whatever
+    the ambient."""
+    def outcome(result):
+        return result.kind, result.point_keys
+
     torus = product_torus(1)
     hexagonal = ProductTorus(base_lattice(), base_lattice())
     assert torus == hexagonal
@@ -638,12 +642,12 @@ def test_record_equality():
     e1, e2, _ = slope_curves(torus)
     crossing = intersect_graph_fiber(e1, fiber)
     (point,) = crossing.points
-    assert crossing == intersect_graph_fiber(e1, VerticalFiber(torus, point[1]))
+    assert outcome(crossing) == outcome(intersect_graph_fiber(e1, VerticalFiber(torus, point[1])))
     assert key_of(torus, point) == crossing.point_keys[0]
     meet = intersect_graphs(e1, e2)
     alone = Intersection(meet.kind, meet.point_keys)
-    assert alone.ambient is None and alone == meet and hash(alone) == hash(meet)
-    assert Intersection(EMPTY) != Intersection(IDENTICAL)
+    assert alone.ambient is None and outcome(alone) == outcome(meet)
+    assert outcome(Intersection(EMPTY)) != outcome(Intersection(IDENTICAL))
     # A degenerate result has no ambient, and no points to read.
     assert intersect_graphs(e1, e1).points == Intersection(EMPTY).points == ()
 

@@ -35,7 +35,6 @@ from ballq.families import (
     BDF_CATALOG,
     BdFInvalid,
     BdFType,
-    BuildError,
     GAMMA,
     LAMBDA,
     ORDER3_SHIFT,
@@ -147,27 +146,35 @@ def test_invalid_level_rejected():
         build_family("nope", 1)
 
 
-def test_report_json_schema():
+def test_report_json_schema(monkeypatch):
     for report in (build_family(GAMMA, 2), build_family(LAMBDA, 3)):
         doc = json.loads(json.dumps(report))
         assert doc == report
         jsonschema.validate(doc, REPORT_SCHEMA)
-    failed = BuildError(_Build(GAMMA, 2), "fiber", ValueError("seeded fault")).to_json_dict()
+    raise_in_stage(monkeypatch, "fiber")
+    failed = build_family(GAMMA, 2)
     assert json.loads(json.dumps(failed)) == failed
 
 
 @pytest.mark.parametrize("stage", [name for name, _ in _STAGES])
-def test_every_stage_reports_its_own_name(monkeypatch, stage):
+def test_every_stage_reports_its_own_name(monkeypatch, capsys, stage):
     # A raise keeps the checks of the stages before it, and their values.
-    passing = build_family(LAMBDA, 2)
+    # build_family returns that failed report, and verify prints it as it is.
+    passing = {family: build_family(family, 2) for family in (GAMMA, LAMBDA)}
     raise_in_stage(monkeypatch, stage)
-    with pytest.raises(BuildError, match="lambda n=2: ValueError: seeded fault") as info:
-        build_family(LAMBDA, 2)
-    assert info.value.stage == stage
-    failed = info.value.to_json_dict()
-    assert not failed["passed"]
-    assert failed["checks"] == passing["checks"][:len(failed["checks"])]
-    assert failed["values"] == {key: passing["values"][key] for key in failed["values"]}
+    for family in (GAMMA, LAMBDA):
+        failed = build_family(family, 2)
+        assert failed["error"] == {"stage": stage, "type": "ValueError",
+                                   "message": "seeded fault"}
+        assert not failed["passed"]
+        assert failed["assumptions"] == failed["flags"] == []
+        checks, values = passing[family]["checks"], passing[family]["values"]
+        assert failed["checks"] == checks[:len(failed["checks"])]
+        assert failed["values"] == {key: values[key] for key in failed["values"]}
+        assert cli.main(["verify", "--family", family, "--n", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out) == failed
+        assert err == f"error: {family} n=2: ValueError: seeded fault\n"
 
 
 def test_readme_lists_the_stage_table():

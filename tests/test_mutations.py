@@ -1,5 +1,5 @@
 """Mutation probes: a fault seeded into one layer must flip `passed` to
-false, or make the build raise, for some level n <= 5 of each family.  The
+false, or make a stage raise, for some level n <= 5 of each family.  The
 family-only probes show that each family's record is wired into the
 pipeline.  The value-assembly probes edit a fragment after it is computed,
 so they show that the checks and the re-checker read the printed values."""
@@ -9,8 +9,7 @@ import pytest
 from ballq import curves, families, homology
 from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO
-from ballq.families import (GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, BuildError,
-                            build_family)
+from ballq.families import GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, build_family
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, LogPair, SurfaceModel
 
@@ -173,6 +172,46 @@ def deck_shift_doubled(monkeypatch):
         torus, RHO, 0, ONE, ORDER3_SHIFT * 2))
 
 
+def power_walk_skips_the_first_power(monkeypatch):
+    """The walk over an automorphism's nontrivial powers starts at f**2, so
+    the deck's order comes out one too low."""
+    original = curves._nontrivial_powers
+
+    def faulty(f):
+        powers = original(f)
+        next(powers, None)
+        yield from powers
+
+    monkeypatch.setattr(curves, "_nontrivial_powers", faulty)
+
+
+def trace_map_rotated(monkeypatch):
+    """The deck classification's map from trace to multiplier is rotated,
+    so the catalog is asked about zeta where the deck multiplies by rho."""
+    original = families.bdf_classify
+    rotated = {"-1": "rho", "rho": "zeta", "zeta": "-1"}
+    monkeypatch.setattr(families, "bdf_classify", lambda order, multiplier, *rest: original(
+        order, rotated[multiplier], *rest))
+
+
+def edit_point_orbits(monkeypatch, edit):
+    """Make the pipeline's orbit_of_points hand on edit(orbits) of the
+    orbits it found."""
+    original = families.orbit_of_points
+    monkeypatch.setattr(families, "orbit_of_points", lambda f, keys: edit(original(f, keys)))
+
+
+def point_orbits_stop_at_their_first_point(monkeypatch):
+    """The orbit walk closes each orbit at its first point, so every
+    intersection point is an orbit of its own."""
+    edit_point_orbits(monkeypatch, lambda orbits: sorted(
+        [key] for orbit in orbits for key in orbit))
+
+
+def point_orbits_lose_their_last_point(monkeypatch):
+    edit_point_orbits(monkeypatch, lambda orbits: [orbit[:-1] for orbit in orbits])
+
+
 def edit_blown_model(monkeypatch, edit):
     """Make the pipeline's blow_up hand on its model after edit(curves,
     pairwise) has changed the two tables in place."""
@@ -185,6 +224,27 @@ def edit_blown_model(monkeypatch, edit):
         return SurfaceModel.build(blown.chi_top, blown.k2, curves, pairwise, blown.points)
 
     monkeypatch.setattr(families, "blow_up", faulty)
+
+
+def edit_blown_numbers(monkeypatch, numbers):
+    """Make the pipeline's blow_up hand on its model with the Euler number
+    and K^2 that numbers(model, blown) returns for the model it blew up."""
+    original = families.blow_up
+
+    def faulty(model, exceptional):
+        blown = original(model, exceptional)
+        chi, k2 = numbers(model, blown)
+        return SurfaceModel.build(chi, k2, blown.curves, blown.pairwise, blown.points)
+
+    monkeypatch.setattr(families, "blow_up", faulty)
+
+
+def blow_up_adds_no_euler_number(monkeypatch):
+    edit_blown_numbers(monkeypatch, lambda model, blown: (model.chi_top, blown.k2))
+
+
+def blow_up_drops_no_k2(monkeypatch):
+    edit_blown_numbers(monkeypatch, lambda model, blown: (blown.chi_top, model.k2))
 
 
 def blow_up_bumps_exceptional(monkeypatch):
@@ -302,9 +362,16 @@ SHARED_KILLS = {
     blow_up_keeps_a_triple_point: ({"boundary_pair_valid",
                                     "core_resolved_to_smooth_elliptic"}, None),
     certify_log_chern_swapped: ({"log_chern"}, None),
+    power_walk_skips_the_first_power: ({"deck_order"}, None),
+    trace_map_rotated: ({"bdf_type"}, None),
 }
 ORBIT_BRANCHES_DIFFER = (1, "quotient", "ValueError",
                          "branch count at 'q0' differs across the orbit")
+NO_EULER_NUMBER = {"bmy", "chi", "log_chern", "volume_coefficient"}
+NO_K2 = {"bmy", "k2", "log_chern"}
+OTHER_FAMILY = "same_compactification_numbers_as_other_family"
+ORBIT_COUNTS = {"point_orbit_count", "point_orbit_sizes"}
+CURVE_ORBITS_OVERLAP = (1, "quotient", "ValueError", "curve orbits must partition the curve set")
 KILL_MAP = {
     **{(family, fault): kills for fault, kills in SHARED_KILLS.items()
        for family in (GAMMA, LAMBDA)},
@@ -322,6 +389,17 @@ KILL_MAP = {
          "mixed_intersections_at_triple_points"}, None),
     (LAMBDA, exceptional_meets_level_orbit_twice): ({"exceptional_curve_ledger"}, None),
     (LAMBDA, level_key_set_misses_a_point): (set(), ORBIT_BRANCHES_DIFFER),
+    (GAMMA, blow_up_adds_no_euler_number): (NO_EULER_NUMBER, None),
+    (LAMBDA, blow_up_adds_no_euler_number): (NO_EULER_NUMBER | {OTHER_FAMILY}, None),
+    (GAMMA, blow_up_drops_no_k2): (NO_K2, None),
+    (LAMBDA, blow_up_drops_no_k2): (NO_K2 | {OTHER_FAMILY}, None),
+    (GAMMA, point_orbits_stop_at_their_first_point): (ORBIT_COUNTS, CURVE_ORBITS_OVERLAP),
+    (LAMBDA, point_orbits_stop_at_their_first_point): (ORBIT_COUNTS, (
+        1, "quotient", "ValueError", "point orbit 'q0' has size 1, so the action is not free")),
+    (GAMMA, point_orbits_lose_their_last_point): (
+        {"point_orbit_sizes", "vertical_fibers_distinct"}, CURVE_ORBITS_OVERLAP),
+    (LAMBDA, point_orbits_lose_their_last_point): ({"point_orbit_sizes"}, (
+        1, "quotient", "ValueError", "point orbits must partition the marked points")),
 }
 PROBES = list(KILL_MAP)
 
@@ -331,11 +409,10 @@ def kill_map(family):
     level whose build raises, and that raise as (n, stage, type, message)."""
     failed, raised = set(), None
     for n in range(1, 6):
-        try:
-            report = build_family(family, n)
-        except BuildError as exc:
-            report = exc.to_json_dict()
-            raised = (n, exc.stage, type(exc.error).__name__, str(exc.error))
+        report = build_family(family, n)
+        if "error" in report:
+            error = report["error"]
+            raised = (n, error["stage"], error["type"], error["message"])
         failed |= {check["name"] for check in report["checks"] if not check["passed"]}
         if raised:
             break
@@ -351,12 +428,16 @@ def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
 
 
 def test_kill_map_coverage():
-    """56 of the 104 (family, check name) pairs fail under some probe."""
+    """70 of the 104 (family, check name) pairs fail under some probe,
+    among them the compactification's numbers, the deck's order and type
+    and the point orbits in both families."""
     pairs = {(family, check["name"]) for family in (GAMMA, LAMBDA)
              for check in build_family(family, 2)["checks"]}
     killed = {(family, name) for (family, _), (failed, _) in KILL_MAP.items() for name in failed}
     assert killed <= pairs
-    assert (len(killed), len(pairs)) == (56, 104)
+    assert (len(killed), len(pairs)) == (70, 104)
+    assert {(family, name) for family in (GAMMA, LAMBDA)
+            for name in ("chi", "k2", "deck_order", "bdf_type", *ORBIT_COUNTS)} <= killed
 
 
 def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
@@ -406,18 +487,16 @@ def test_lowered_b1_fails_only_the_b1_check(monkeypatch):
 def test_transposed_multiplier_matrix_raises_in_geometry(monkeypatch):
     multiplier_matrix_transposed(monkeypatch)
     for family in (GAMMA, LAMBDA):
-        with pytest.raises(BuildError) as info:
-            build_family(family, 1)
-        assert info.value.stage == "geometry"
+        assert build_family(family, 1)["error"]["stage"] == "geometry"
 
 
 @pytest.mark.parametrize("fault", [deck_w_matrix_transposed, deck_z_translation_off_by_one])
 def test_faulty_integer_deck_action_breaks_the_point_orbits(monkeypatch, fault):
     fault(monkeypatch)
     for family in (GAMMA, LAMBDA):
-        with pytest.raises(BuildError, match="not stable under the automorphism") as info:
-            build_family(family, 1)
-        assert info.value.stage == "geometry"
+        error = build_family(family, 1)["error"]
+        assert error["stage"] == "geometry"
+        assert "not stable under the automorphism" in error["message"]
 
 
 def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
@@ -425,10 +504,9 @@ def test_transposed_deck_w_matrix_fails_the_curve_orbit_checks(monkeypatch):
     # the curve-orbit checks recorded before the build raises fail too, and
     # the failed report keeps them.
     deck_w_matrix_transposed(monkeypatch)
-    with pytest.raises(BuildError, match="not stable under the automorphism") as info:
-        build_family(GAMMA, 1)
-    failed = {check["name"] for check in info.value.to_json_dict()["checks"]
-              if not check["passed"]}
+    report = build_family(GAMMA, 1)
+    assert "not stable under the automorphism" in report["error"]["message"]
+    failed = {check["name"] for check in report["checks"] if not check["passed"]}
     assert {"deck_orbit_of_slope_curves", "deck_maps_slope0_to_slope1",
             "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0"} <= failed
 
