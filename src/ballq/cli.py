@@ -2,18 +2,22 @@
 
 Exit codes: 0 all checks passed, 1 at least one certification check
 failed or a level could not be built, 2 usage error, 3 I/O error.  Range
-verification may fan out over worker processes; each report line is written
-as its level finishes, ordered by n and byte-identical regardless of the
-parallelism.
+verification may fan out over forked processes: the range's i-th level,
+counting from 0, is built by process i % jobs, the CLI process being
+process 0, and each forked worker streams its rendered lines back over a
+pipe.  Each report line is written as its level finishes, ordered by n and
+byte-identical regardless of the parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import marshal
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import families
@@ -58,17 +62,55 @@ def _usable_cpus() -> int:
 
 
 def _resolve_jobs(args: argparse.Namespace, levels: int) -> int:
-    """Worker count: the requested one, capped by the number of levels and
-    the number of usable CPUs."""
+    """Process count: the requested one, capped by the number of levels and
+    the number of usable CPUs, and at 1 where the platform cannot fork."""
     if args.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    return min(args.jobs, levels, _usable_cpus())
+    return min(args.jobs, levels, _usable_cpus() if hasattr(os, "fork") else 1)
 
 
 def _report_dict(task: tuple[str, int]) -> dict[str, object]:
     """build_family's report document for a (family, n) task, passed or
-    failed: the one per-level function, which the worker pool maps."""
+    failed: the one per-level function, called in every process."""
     return families.build_family(*task)
+
+
+def _level_line(task: tuple[str, int], render) -> tuple[bool, str | None, str]:
+    """A level as (passed, its stderr line or None, its report line)."""
+    doc = _report_dict(task)
+    error = doc.get("error")
+    note = None if error is None else (f"error: {doc['family']} n={doc['n']}: "
+                                       f"{error['type']}: {error['message']}")
+    return doc["passed"], note, render(doc) + "\n"
+
+
+def _fork_worker(tasks: list[tuple[str, int]], render,
+                 workers: list[tuple[int, io.BufferedReader]]
+                 ) -> tuple[int, io.BufferedReader]:
+    """Fork a process that builds tasks in order and writes each one's
+    _level_line to a pipe as one marshal record; return (pid, read end).
+    The child closes the read ends of the earlier workers it inherits, so
+    that only the parent holds each pipe open for reading.  The CLI starts
+    no threads, so a forked copy of it holds no lock another thread took."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        for _, pipe in workers:
+            pipe.close()
+        with open(write_fd, "wb") as pipe:
+            for task in tasks:
+                marshal.dump(_level_line(task, render), pipe)
+                pipe.flush()
+        code = 0
+    finally:
+        # Never flush inherited buffers, run exit hooks or return into the
+        # caller.
+        os._exit(code)
 
 
 @contextmanager
@@ -87,20 +129,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args, len(tasks))
     render = json.dumps if args.format == "json" else families.render_markdown
     passed = True
-    if jobs > 1:
-        # Imported only here, so that serial runs load no multiprocessing,
-        # pickle or socket modules.
-        from concurrent.futures import ProcessPoolExecutor
-    with (_output(args.out) as out,
-          ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool):
-        for doc in (pool.map if jobs > 1 else map)(_report_dict, tasks):
-            if "error" in doc:
-                error = doc["error"]
-                print(f"error: {doc['family']} n={doc['n']}: {error['type']}: "
-                      f"{error['message']}", file=sys.stderr)
-            out.write(render(doc) + "\n")
-            out.flush()
-            passed = passed and doc["passed"]
+    with _output(args.out) as out:
+        workers: list[tuple[int, io.BufferedReader]] = []
+        try:
+            for k in range(1, jobs):
+                workers.append(_fork_worker(tasks[k::jobs], render, workers))
+            for i, task in enumerate(tasks):
+                if i % jobs == 0:
+                    ok, note, text = _level_line(task, render)
+                else:
+                    try:
+                        ok, note, text = marshal.load(workers[i % jobs - 1][1])
+                    except EOFError:
+                        print(f"error: {task[0]} n={task[1]}: the worker process "
+                              "building it ended without a report", file=sys.stderr)
+                        return 1
+                if note:
+                    print(note, file=sys.stderr)
+                out.write(text)
+                out.flush()
+                passed = passed and ok
+        finally:
+            # On an early return or an error, a worker still building ends at
+            # its next write into its closed pipe, so waitpid returns.  Every
+            # pipe is closed before the first wait: a worker blocked on a full
+            # pipe must not wait for a reader that is itself waiting.
+            for _, pipe in workers:
+                pipe.close()
+            for pid, _ in workers:
+                os.waitpid(pid, 0)
     return 0 if passed else 1
 
 
@@ -198,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="a single level or an inclusive range a..b")
     verify.add_argument("--format", choices=("json", "markdown"), default="json")
     verify.add_argument("--out", default=None, help="output path (default stdout)")
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+    verify.add_argument("--jobs", type=int, default=1,
+                        help="processes that build levels, this one included")
     verify.set_defaults(handler=_cmd_verify)
 
     spectrum = sub.add_parser("spectrum", help="tabulate exact volumes up to a cutoff")

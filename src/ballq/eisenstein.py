@@ -86,9 +86,6 @@ class EisensteinNumber(Frozen):
         object.__setattr__(number, "triple", (a // g, b // g, d // g))
         return number
 
-    def __reduce__(self) -> tuple:
-        return EisensteinNumber.from_triple, self.triple
-
     @property
     def re_part(self) -> Fraction:
         return Fraction(self.triple[0], self.triple[2])

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -272,12 +275,22 @@ def test_parallel_output_matches_serial():
 
 def test_import_loads_no_process_pool():
     """Start-up stays cheap: importing the CLI loads no process pool, and no
-    dataclasses machinery (which pulls in inspect, ast and dis)."""
+    dataclasses machinery (which pulls in inspect, ast and dis).  A --jobs
+    run forks and sends marshal records, so it loads no pool,
+    multiprocessing or pickle module either."""
     probe = ("import sys, ballq.cli; print([name in sys.modules for name in"
              " ('concurrent.futures.process', 'dataclasses', 'inspect')])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
                             text=True)
     assert result.stdout.strip() == "[False, False, False]"
+    probe = ("import sys; from ballq import cli; cli._usable_cpus = lambda: 2;"
+             " code = cli.main(['verify', '--family', 'gamma', '--n', '1..4', '--jobs', '2']);"
+             " print(code, [name in sys.modules for name in"
+             " ('concurrent.futures', 'multiprocessing', 'pickle')], file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
+                            text=True)
+    assert len(result.stdout.splitlines()) == 4
+    assert result.stderr.strip() == "0 [False, False, False]"
 
 
 def test_intersect_two_fibers(capsys):
@@ -436,17 +449,113 @@ def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
 
 def test_one_cpu_affinity_runs_serially(capsys, monkeypatch):
     # A large host whose affinity leaves the process one CPU: --jobs 8
-    # starts no pool and prints the serial bytes.
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    # forks no worker and prints the serial bytes.
+    def no_fork():
+        raise AssertionError("a worker process was forked")
 
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
     assert cli._usable_cpus() == 1
     parallel = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3", "--jobs", "8")
     serial = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3")
     assert parallel == serial
     assert parallel[0] == 0 and len(parallel[1].splitlines()) == 3
+
+
+def test_no_fork_runs_serially(capsys, monkeypatch):
+    # A platform without os.fork counts as one CPU: --jobs is capped at 1.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    serial = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3")
+    monkeypatch.delattr(cli.os, "fork")
+    args = cli.build_parser().parse_args(["verify", "--family", "gamma", "--n", "1..3",
+                                          "--jobs", "2"])
+    assert cli._resolve_jobs(args, 3) == 1
+    assert run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3", "--jobs", "2") == serial
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_jobs_bytes_equal_serial_on_stdout_and_out_file(tmp_path, capsys, monkeypatch, fmt):
+    # Three processes: the round robin reads from two workers' pipes.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        target = tmp_path / f"reports-{jobs}.txt"
+        argv = ["verify", "--family", "gamma", "--n", "1..5", "--format", fmt, "--jobs", jobs]
+        code, out, err = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", err)
+        outputs.append((code, out, err, target.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    code, out, err, written = outputs[0]
+    assert code == 0 and err == "" and written == out.encode()
+    assert out.count("- passed: yes" if fmt == "markdown" else '"passed": true, "values"') == 5
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block, where a wait for a worker would
+    otherwise hang the test run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_dead_worker_is_an_error_naming_its_level(capsys, monkeypatch):
+    # n = 4 is the range's level 3 (counting from 0), so process 3 % 2 = 1,
+    # the one forked worker, builds it; the CLI process is process 0.
+    parent = os.getpid()
+    report_dict = cli._report_dict
+
+    def die_at_four(task):
+        if task[1] == 4 and os.getpid() != parent:
+            os._exit(9)
+        return report_dict(task)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_report_dict", die_at_four)
+    with deadline(60):
+        code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..5",
+                                 "--jobs", "2")
+    assert code == 1
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [1, 2, 3]
+    assert err.startswith("error: gamma n=4: ")
+    assert len(err.splitlines()) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class ClosedAfterOneLine:
+    """A stdout whose reader goes away after the first line, as under
+    `| head -1`."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, text):
+        if self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.lines.append(text)
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_reaps_every_worker(capsys, monkeypatch):
+    # Each worker's 20 report lines (over 200 KB) overfill its pipe, so both
+    # workers are blocked on a write by the time the CLI stops reading.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    stdout = ClosedAfterOneLine()
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    with deadline(60):
+        code = cli.main(["verify", "--family", "gamma", "--n", "1..60", "--jobs", "3"])
+    assert code == 3 and len(stdout.lines) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
