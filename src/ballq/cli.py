@@ -1,7 +1,8 @@
 """Command-line interface: batch certification and the exact solvers.
 
 Exit codes: 0 all checks passed, 1 at least one certification check
-failed or a level could not be built, 2 usage error, 3 I/O error.  Range
+failed or a level could not be built, 2 usage error, 3 I/O or OS error
+(an output that cannot be written, a worker that cannot be started).  Range
 verification may fan out over forked processes: the range's i-th level,
 counting from 0, is built by process i % jobs, the CLI process being
 process 0, and each forked worker streams its rendered lines back over a
@@ -93,7 +94,12 @@ def _fork_worker(tasks: list[tuple[str, int]], render,
     that only the parent holds each pipe open for reading.  The CLI starts
     no threads, so a forked copy of it holds no lock another thread took."""
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid:
         os.close(write_fd)
         return pid, open(read_fd, "rb")
@@ -132,8 +138,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with _output(args.out) as out:
         workers: list[tuple[int, io.BufferedReader]] = []
         try:
-            for k in range(1, jobs):
-                workers.append(_fork_worker(tasks[k::jobs], render, workers))
+            try:
+                for k in range(1, jobs):
+                    workers.append(_fork_worker(tasks[k::jobs], render, workers))
+            except OSError as exc:
+                print(f"error: cannot start a worker process: {exc}", file=sys.stderr)
+                return 3
             for i, task in enumerate(tasks):
                 if i % jobs == 0:
                     ok, note, text = _level_line(task, render)

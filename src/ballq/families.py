@@ -70,7 +70,7 @@ LAMBDA = "lambda"
 
 # Translation of order three on every level torus: three times it is the
 # period 1 - rho shared by all level lattices.
-ORDER3_SHIFT = (ONE - RHO) / 3
+ORDER3_SHIFT = EisensteinNumber.from_triple(1, -1, 3)  # (1 - rho)/3
 TWO_THIRDS = eis(Fraction(2, 3))
 
 _SLOPE_NAMES = ("slope0", "slope1", "slope2")
@@ -292,18 +292,6 @@ def classify_deck_action(deck: TorusAutomorphism, order: int) -> BdFType | BdFIn
 # ----------------------------------------------------------------------
 
 
-def _plain(value: object) -> object:
-    """Copy a check value into JSON data: tuples become lists and dict keys
-    strings.  Exact values arrive already written as strings."""
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialize {value!r}")
-
-
 class _Build:
     """The record of one level's build, which every stage reads and extends.
 
@@ -324,7 +312,7 @@ class _Build:
 
     def expect(self, name: str, expected: object, actual: object) -> None:
         self.checks.append({"name": name, "passed": expected == actual,
-                            "expected": _plain(expected), "actual": _plain(actual)})
+                            "expected": expected, "actual": actual})
 
     def report(self, passed: bool, assumptions: list[str],
                flags: list[str]) -> dict[str, object]:
@@ -606,8 +594,7 @@ def _fiber(b: _Build) -> None:
             elif curve.z0 in generic_z:
                 raise ValueError("generic fiber is not generic: it hits "
                                  "a special vertical fiber")
-        if total % 3:
-            raise ValueError("generic fiber row does not push forward integrally")
+        # Each graph curve adds len(generic_z) = 3, so total divides by 3.
         rows[image] = total // 3
     b.values["fiber"] = {"generic_fiber_boundary_rows": rows,
                          "generic_fiber_punctures": sum(rows.values())}
@@ -857,9 +844,7 @@ def albanese_data(n: int) -> dict[str, object]:
     """The Albanese target C/Z[n, shift]: the level lattice sits inside it
     with index three (the shift has order three on the level torus) and the
     n special fiber base points are [2/3 + j - 1] for j = 1..n.  Returns
-    the report's Albanese fragment."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    the report's Albanese fragment; albanese_lattice rejects n < 1."""
     target = albanese_lattice(n)
     level = level_lattice(n)
     index = level.index_in(target)

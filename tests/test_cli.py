@@ -507,19 +507,23 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_dead_worker_is_an_error_naming_its_level(capsys, monkeypatch):
-    # n = 4 is the range's level 3 (counting from 0), so process 3 % 2 = 1,
-    # the one forked worker, builds it; the CLI process is process 0.
-    parent = os.getpid()
-    report_dict = cli._report_dict
+def worker_dies_at_four(monkeypatch):
+    """A forked worker ends before it sends its report of level 4."""
+    parent, report_dict = os.getpid(), cli._report_dict
 
     def die_at_four(task):
         if task[1] == 4 and os.getpid() != parent:
             os._exit(9)
         return report_dict(task)
 
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_report_dict", die_at_four)
+
+
+def test_dead_worker_is_an_error_naming_its_level(capsys, monkeypatch):
+    # n = 4 is the range's level 3 (counting from 0), so process 3 % 2 = 1,
+    # the one forked worker, builds it; the CLI process is process 0.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    worker_dies_at_four(monkeypatch)
     with deadline(60):
         code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..5",
                                  "--jobs", "2")
@@ -559,3 +563,42 @@ def test_closed_stdout_reaps_every_worker(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def open_fd_count():
+    """The number of this process's open file descriptors, or None where
+    /proc is absent."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def fork_fails_at(monkeypatch, number):
+    """os.fork's call of that number raises, as at the process limit; return
+    the list that each call appends to."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == number:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(cli.os, "fork", fork)
+    return forks
+
+
+def test_failed_worker_start_is_an_os_error(capsys, monkeypatch):
+    # The first worker starts and the second fork fails: the run ends with
+    # exit code 3 before any level is reported, the started worker is
+    # reaped, and the failed fork's pipe is closed.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    forks = fork_fails_at(monkeypatch, 2)
+    before = open_fd_count()
+    with deadline(60):
+        code, out, err = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3",
+                                 "--jobs", "3")
+    assert code == 3 and out == "" and len(forks) == 2
+    assert err == ("error: cannot start a worker process: "
+                   "[Errno 11] Resource temporarily unavailable\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fd_count() == before

@@ -268,6 +268,9 @@ def test_albanese_data():
         assert report["shift_order"] == 3
         assert len(report["base_points"]) == n
         assert json.loads(json.dumps(report)) == report
+    # The Albanese lattice rejects the level before any point is built.
+    with pytest.raises(ValueError, match="positive integer"):
+        albanese_data(0)
 
 
 def test_albanese_lattice_contains_level():

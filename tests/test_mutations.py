@@ -8,13 +8,19 @@ import pytest
 
 from ballq import curves, families, homology
 from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
-from ballq.eisenstein import ONE, RHO
+from ballq.eisenstein import ONE, RHO, EisensteinNumber
 from ballq.families import GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, build_family
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, LogPair, SurfaceModel
 
 from conftest import orbit_of_curves, raise_in_stage, wrap_stage
 from recheck import broken_relations
+
+# Half the order-3 shift, and 1/3, written as triples so that no probe
+# divides in Q(rho): tests/test_reach.py counts what the probes run, and
+# pins division as code that only the tests' oracles use.
+HALF_SHIFT = EisensteinNumber.from_triple(1, -1, 6)
+ONE_THIRD = EisensteinNumber.from_triple(1, 0, 3)
 
 
 def log_chern_off_by_one(monkeypatch):
@@ -185,6 +191,22 @@ def power_walk_skips_the_first_power(monkeypatch):
     monkeypatch.setattr(curves, "_nontrivial_powers", faulty)
 
 
+def power_walk_yields_the_identity(monkeypatch):
+    """The walk over an automorphism's powers yields each power before it
+    tests it for the identity, so it also yields the identity that ends the
+    walk: the deck's order comes out one too high, and the identity fixes
+    every point."""
+    def faulty(f):
+        g = f
+        for _ in range(curves.MAX_ORDER):
+            yield g
+            if g.is_identity():
+                return
+            g = f.compose(g)
+
+    monkeypatch.setattr(curves, "_nontrivial_powers", faulty)
+
+
 def trace_map_rotated(monkeypatch):
     """The deck classification's map from trace to multiplier is rotated,
     so the catalog is asked about zeta where the deck multiplies by rho."""
@@ -192,6 +214,26 @@ def trace_map_rotated(monkeypatch):
     rotated = {"-1": "rho", "rho": "zeta", "zeta": "-1"}
     monkeypatch.setattr(families, "bdf_classify", lambda order, multiplier, *rest: original(
         order, rotated[multiplier], *rest))
+
+
+def quotient_euler_number_raised(monkeypatch):
+    """The quotient's Euler number carries a Riemann-Hurwitz term of 3 for
+    fixed points, which a free action does not have."""
+    original = families.etale_quotient
+
+    def faulty(model, group_order, curve_orbits, point_orbits):
+        quotient = original(model, group_order, curve_orbits, point_orbits)
+        return SurfaceModel.build(quotient.chi_top + 3, quotient.k2, quotient.curves,
+                                  quotient.pairwise, quotient.points)
+
+    monkeypatch.setattr(families, "etale_quotient", faulty)
+
+
+def boundary_drops_its_last_orbit(monkeypatch):
+    """The log pair is formed on the boundary without its last component."""
+    original = families.LogPair
+    monkeypatch.setattr(families, "LogPair",
+                        lambda surface, boundary: original(surface, boundary[:-1]))
 
 
 def edit_point_orbits(monkeypatch, edit):
@@ -307,7 +349,7 @@ def edit_upstairs(monkeypatch, family, edit):
 
 def vertical_fiber_over_wrong_z(monkeypatch):
     def edit(b):
-        moved = b.torus.lattice_z.value(b.curves["vert1_0"].z0) + ORDER3_SHIFT / 2
+        moved = b.torus.lattice_z.value(b.curves["vert1_0"].z0) + HALF_SHIFT
         b.curves["vert1_0"] = VerticalFiber(b.torus, moved)
 
     edit_upstairs(monkeypatch, GAMMA, edit)
@@ -322,7 +364,7 @@ def level_key_set_misses_a_point(monkeypatch):
 
 def level_curves_wrong_offset(monkeypatch):
     monkeypatch.setattr(families, "level_curves", lambda torus: [
-        GraphCurve(torus, 0, ONE / 3 + ORDER3_SHIFT * l) for l in range(3)])
+        GraphCurve(torus, 0, ONE_THIRD + ORDER3_SHIFT * l) for l in range(3)])
 
 
 # The kill map: for each probe, the names of the checks that fail in the
@@ -363,12 +405,16 @@ SHARED_KILLS = {
                                     "core_resolved_to_smooth_elliptic"}, None),
     certify_log_chern_swapped: ({"log_chern"}, None),
     power_walk_skips_the_first_power: ({"deck_order"}, None),
+    power_walk_yields_the_identity: ({"deck_action_free", "deck_order"}, None),
+    boundary_drops_its_last_orbit: ({"bmy", "cusps", "log_chern",
+                                     "open_manifold_b3_lower_bound"}, None),
     trace_map_rotated: ({"bdf_type"}, None),
 }
 ORBIT_BRANCHES_DIFFER = (1, "quotient", "ValueError",
                          "branch count at 'q0' differs across the orbit")
 NO_EULER_NUMBER = {"bmy", "chi", "log_chern", "volume_coefficient"}
 NO_K2 = {"bmy", "k2", "log_chern"}
+RAISED_EULER_NUMBER = {"bmy", "chi", "log_chern", "quotient_chi", "volume_coefficient"}
 OTHER_FAMILY = "same_compactification_numbers_as_other_family"
 ORBIT_COUNTS = {"point_orbit_count", "point_orbit_sizes"}
 CURVE_ORBITS_OVERLAP = (1, "quotient", "ValueError", "curve orbits must partition the curve set")
@@ -393,6 +439,8 @@ KILL_MAP = {
     (LAMBDA, blow_up_adds_no_euler_number): (NO_EULER_NUMBER | {OTHER_FAMILY}, None),
     (GAMMA, blow_up_drops_no_k2): (NO_K2, None),
     (LAMBDA, blow_up_drops_no_k2): (NO_K2 | {OTHER_FAMILY}, None),
+    (GAMMA, quotient_euler_number_raised): (RAISED_EULER_NUMBER, None),
+    (LAMBDA, quotient_euler_number_raised): (RAISED_EULER_NUMBER | {OTHER_FAMILY}, None),
     (GAMMA, point_orbits_stop_at_their_first_point): (ORBIT_COUNTS, CURVE_ORBITS_OVERLAP),
     (LAMBDA, point_orbits_stop_at_their_first_point): (ORBIT_COUNTS, (
         1, "quotient", "ValueError", "point orbit 'q0' has size 1, so the action is not free")),
@@ -428,16 +476,17 @@ def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
 
 
 def test_kill_map_coverage():
-    """70 of the 104 (family, check name) pairs fail under some probe,
-    among them the compactification's numbers, the deck's order and type
-    and the point orbits in both families."""
+    """78 of the 104 (family, check name) pairs fail under some probe,
+    among them the compactification's numbers, the deck's order, freeness
+    and type, the cusps and the point orbits in both families."""
     pairs = {(family, check["name"]) for family in (GAMMA, LAMBDA)
              for check in build_family(family, 2)["checks"]}
     killed = {(family, name) for (family, _), (failed, _) in KILL_MAP.items() for name in failed}
     assert killed <= pairs
-    assert (len(killed), len(pairs)) == (70, 104)
+    assert (len(killed), len(pairs)) == (78, 104)
     assert {(family, name) for family in (GAMMA, LAMBDA)
-            for name in ("chi", "k2", "deck_order", "bdf_type", *ORBIT_COUNTS)} <= killed
+            for name in ("chi", "k2", "quotient_chi", "deck_order", "deck_action_free",
+                         "bdf_type", "cusps", *ORBIT_COUNTS)} <= killed
 
 
 def test_kept_triple_point_fails_the_resolution_check(monkeypatch):
