@@ -216,6 +216,9 @@ BDF_CATALOG = (
     BdFType(7, (6,), "zeta", None, LAMBDA_RHO_WITH_ZETA,
             "Z/6 acting by x -> zeta*x, lambda = rho, zeta = exp(pi*i/3)"),
 )
+_BDF_INDEX = {(entry.multiplier, entry.translation_order): entry for entry in BDF_CATALOG}
+# The lattice multiplier that each lambda constraint but LAMBDA_ANY needs.
+_LAMBDA_NEEDS = {LAMBDA_I: "i", LAMBDA_RHO: "rho", LAMBDA_RHO_WITH_ZETA: "rho"}
 
 
 def bdf_classify(group_order: int, multiplier: str,
@@ -230,8 +233,7 @@ def bdf_classify(group_order: int, multiplier: str,
     against the entry's lambda constraint.
     """
     # The cyclic entry of a multiplier gives its order and lambda constraint.
-    cyclic = next((entry for entry in BDF_CATALOG if entry.multiplier == multiplier
-                   and entry.translation_order is None), None)
+    cyclic = _BDF_INDEX.get((multiplier, None))
     if cyclic is None:
         return BdFInvalid("multiplier", f"unknown multiplicative action {multiplier!r}")
     if translation_order is not None and translation_order < 2:
@@ -245,20 +247,17 @@ def bdf_classify(group_order: int, multiplier: str,
             f"with translation factor {translation_order or 1} the group order must be "
             f"{expected_order}, not {group_order}",
         )
-    required = cyclic.lambda_constraint
-    if lattice_multiplier is not None and required != LAMBDA_ANY:
-        needed = "rho" if required == LAMBDA_RHO_WITH_ZETA else required
-        if lattice_multiplier != needed:
-            return BdFInvalid(
-                "lambda-constraint",
-                f"multiplication by {multiplier} requires lambda = {needed}, "
-                f"got {lattice_multiplier}",
-            )
-    for entry in BDF_CATALOG:
-        if (entry.multiplier == multiplier
-                and entry.translation_order == translation_order
-                and entry.group_order == group_order):
-            return entry
+    needed = _LAMBDA_NEEDS.get(cyclic.lambda_constraint)
+    if lattice_multiplier is not None and needed is not None and lattice_multiplier != needed:
+        return BdFInvalid(
+            "lambda-constraint",
+            f"multiplication by {multiplier} requires lambda = {needed}, "
+            f"got {lattice_multiplier}",
+        )
+    # An entry's group order is its cyclic order times its translation order.
+    entry = _BDF_INDEX.get((multiplier, translation_order))
+    if entry is not None:
+        return entry
     return BdFInvalid(
         "group-structure",
         f"no catalog entry has multiplier {multiplier} with an extra translation "
@@ -498,7 +497,7 @@ def _quotient(b: _Build) -> None:
              all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES) for m in points.values()))
 
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves}
-    upstairs = SurfaceModel.build(0, 0, curves, b.pairwise, points)
+    upstairs = SurfaceModel(0, 0, curves, b.pairwise, points)
     point_orbits = {f"q{j}": tuple(orbit) for j, orbit in enumerate(b.orbits)}
     b.quotient = quotient = etale_quotient(upstairs, 3, b.curve_orbits, point_orbits)
 

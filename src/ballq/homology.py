@@ -38,13 +38,12 @@ def homology_section(matrices: tuple[tuple[int, int, int, int], ...], chi: int,
     # The degree-1 segment of the sequence gives b1(M) + 2k = 2k - l + b1(X)
     # where l is the rank of the image of H2(X) -> H1(V); since the rank of
     # H1 can only grow when passing to the open manifold, l = 0.
-    ell = 0
     return {
         "compactification_betti": [1, b1, b2, b1, 1],
         "boundary_neighborhood_ranks": [k, 2 * k, k, 0, 0],
         "overlap_ranks": [k, 2 * k, 2 * k, k, 0],
         "open_manifold": {
-            "b1": b1 - ell,
+            "b1": b1,
             "b3_lower_bound": k - 1,
             "b2_minus_b3": 1 - b1 + b2,
             "derivation": [

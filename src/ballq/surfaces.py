@@ -64,26 +64,14 @@ class SurfaceModel(Frozen):
     (absent pairs meet in 0 points); points maps point names to tables of
     nonzero multiplicities (absent curves pass with multiplicity 0).  A
     point's name is any hashable: a build names the upstairs points by
-    their six-int keys.  build stores no zeros, so two models with the
-    same numbers compare equal.  A curve that some marked point carries
-    with multiplicity >= 2 is singular.
+    their six-int keys.  The constructor checks both tables and stores no
+    zeros, so two models with the same numbers compare equal.  A curve
+    that some marked point carries with multiplicity >= 2 is singular.
     """
 
     def __init__(self, chi_top: int, k2: int, curves: dict[str, CurveRecord],
-                 pairwise: dict[tuple[str, str], int], points: dict[str, dict[str, int]]) -> None:
-        vars(self).update(chi_top=chi_top, k2=k2, curves=curves, pairwise=pairwise,
-                          points=points)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SurfaceModel):
-            return NotImplemented
-        return ((self.chi_top, self.k2, self.curves, self.pairwise, self.points)
-                == (other.chi_top, other.k2, other.curves, other.pairwise, other.points))
-
-    @staticmethod
-    def build(chi_top: int, k2: int, curves: dict[str, CurveRecord],
-              pairwise: dict[tuple[str, str], int] | None = None,
-              points: dict[str, dict[str, int]] | None = None) -> "SurfaceModel":
+                 pairwise: dict[tuple[str, str], int] | None = None,
+                 points: dict[str, dict[str, int]] | None = None) -> None:
         pairwise = pairwise or {}
         points = points or {}
         table: dict[tuple[str, str], int] = {}
@@ -102,10 +90,16 @@ class SurfaceModel(Frozen):
                     raise ValueError(f"point {point!r} references unknown curve {name!r}")
                 if mult < 0:
                     raise ValueError("multiplicities must be nonnegative")
-        return SurfaceModel(chi_top, k2, dict(curves),
-                            {key: value for key, value in table.items() if value},
-                            {p: {name: m for name, m in mults.items() if m}
-                             for p, mults in points.items()})
+        vars(self).update(chi_top=chi_top, k2=k2, curves=dict(curves),
+                          pairwise={key: value for key, value in table.items() if value},
+                          points={p: {name: m for name, m in mults.items() if m}
+                                  for p, mults in points.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SurfaceModel):
+            return NotImplemented
+        return ((self.chi_top, self.k2, self.curves, self.pairwise, self.points)
+                == (other.chi_top, other.k2, other.curves, other.pairwise, other.points))
 
     @cached_property
     def singular_curves(self) -> frozenset[str]:
@@ -228,8 +222,7 @@ def etale_quotient(model: SurfaceModel, group_order: int,
             raise ValueError(f"branch count at {image_point!r} differs across the orbit")
         new_points[image_point] = per_member[0]
 
-    return SurfaceModel.build(model.chi_top // g, model.k2 // g,
-                              new_curves, new_pairwise, new_points)
+    return SurfaceModel(model.chi_top // g, model.k2 // g, new_curves, new_pairwise, new_points)
 
 
 def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
@@ -274,8 +267,8 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
         new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
 
     new_points = {p: mults for p, mults in model.points.items() if p not in exceptional}
-    return SurfaceModel.build(model.chi_top + len(exceptional), model.k2 - len(exceptional),
-                              new_curves, new_pairwise, new_points)
+    return SurfaceModel(model.chi_top + len(exceptional), model.k2 - len(exceptional),
+                        new_curves, new_pairwise, new_points)
 
 
 class LogPair(Frozen):

@@ -329,7 +329,7 @@ def random_log_pair(rng: random.Random) -> LogPair:
     for i, mults in enumerate(points.values()):
         if boundary and i % 2:
             mults[rng.choice(boundary)] = 1
-    model = SurfaceModel.build(rng.randint(0, 8), rng.randint(-8, 8), curves, pairwise, points)
+    model = SurfaceModel(rng.randint(0, 8), rng.randint(-8, 8), curves, pairwise, points)
     return LogPair(model, boundary)
 
 

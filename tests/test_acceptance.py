@@ -259,8 +259,8 @@ def test_criterion_8_property_suites():
             mults = {name: rng.randint(0, 3) for name in names}
             pairwise = {(a, b): rng.randint(0, 4)
                         for i, a in enumerate(names) for b in names[i + 1:]}
-            model = SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
-                                       curves, pairwise, {"p": mults})
+            model = SurfaceModel(rng.randint(-3, 3), rng.randint(-3, 3),
+                                 curves, pairwise, {"p": mults})
             blown = blow_up(model, {"p": "exc"})
             assert blown.chi_top == model.chi_top + 1
             assert blown.k2 == model.k2 - 1

@@ -41,7 +41,7 @@ def hirzebruch_pair(with_fiber=True, blow=blow_up):
             meet(a, f, intersect_graph_fiber(graphs[a], fiber))
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in [*graphs, *fibers]}
     assert set(pairwise.values()) == {1} and len(rows) == 1
-    model = SurfaceModel.build(0, 0, curves, pairwise, rows)
+    model = SurfaceModel(0, 0, curves, pairwise, rows)
     quotient = etale_quotient(model, 1, {name: (name,) for name in curves},
                               {"origin": tuple(rows)})
     blown = blow(quotient, {"origin": "exc"})
@@ -72,8 +72,7 @@ def test_a_blow_up_that_drops_the_m2_term_does_not_certify():
                                           for point in exceptional), record.kind)
                   if name in model.curves else record
                   for name, record in blown.curves.items()}
-        return SurfaceModel.build(blown.chi_top, blown.k2, curves, blown.pairwise,
-                                  blown.points)
+        return SurfaceModel(blown.chi_top, blown.k2, curves, blown.pairwise, blown.points)
 
     with pytest.raises(ValueError, match="nonnegative self-intersection"):
         hirzebruch_pair(blow=blow_up_without_m2)

@@ -1,5 +1,7 @@
 """End-to-end builders, the Bagnera-de Franchis catalog, and reports."""
 
+import hashlib
+import itertools
 import json
 import random
 import re
@@ -252,6 +254,20 @@ def test_bdf_classify_invalid_cases():
     bad_lattice = bdf_classify(3, "rho", lattice_multiplier="i")
     assert isinstance(bad_lattice, BdFInvalid)
     assert bad_lattice.constraint == "lambda-constraint"
+
+
+def test_bdf_classify_answers_are_pinned():
+    # Every answer of a grid of 1,560 queries, invalid ones with the
+    # constraint and reason that `ballq classify` prints, hashed: group
+    # orders 0..12, the four catalog multipliers and an unknown one, no
+    # extra translation or one of order 0..4, and no lattice multiplier or
+    # one of three.
+    lines = [json.dumps(bdf_classify(order, multiplier, translation, lattice).to_json())
+             for order, multiplier, translation, lattice in itertools.product(
+                 range(13), ("-1", "i", "rho", "zeta", "tau"), (None, 0, 1, 2, 3, 4),
+                 (None, "rho", "i", "zeta"))]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1db613c536347c5bb07f19822a41bf9ffb2ce423bceaec291450a3cbb0ed9259"
 
 
 def test_every_quotient_is_type_five():
@@ -540,7 +556,7 @@ def test_both_orders_of_the_calculus_agree(family):
     extra curves bound a log pair with three times the downstairs numbers."""
     for n in range(1, 13):
         b = _built(family, n, "quotient")
-        upstairs = SurfaceModel.build(
+        upstairs = SurfaceModel(
             0, 0, {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves},
             b.pairwise, _incidence(b))
         exc_orbits = {f"exc{j}": tuple(f"exc{j}_{k}" for k in range(3))

@@ -9,18 +9,21 @@ import pytest
 from ballq import curves, families, homology
 from ballq.curves import GraphCurve, TorusAutomorphism, VerticalFiber
 from ballq.eisenstein import ONE, RHO, EisensteinNumber
-from ballq.families import GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, build_family
+from ballq.families import (CORE_CURVE, GAMMA, LAMBDA, LEVEL_CURVE, ORDER3_SHIFT, TWO_THIRDS,
+                            build_family)
 from ballq.lattices import Lattice
 from ballq.surfaces import CurveRecord, LogPair, SurfaceModel
 
 from conftest import orbit_of_curves, raise_in_stage, wrap_stage
 from recheck import broken_relations
 
-# Half the order-3 shift, and 1/3, written as triples so that no probe
+# Half the order-3 shift, 1/3 and 1/2, written as triples so that no probe
 # divides in Q(rho): tests/test_reach.py counts what the probes run, and
-# pins division as code that only the tests' oracles use.
+# pins division as code that only the tests' oracles use.  Probes compare
+# numbers by their triples for the same reason.
 HALF_SHIFT = EisensteinNumber.from_triple(1, -1, 6)
 ONE_THIRD = EisensteinNumber.from_triple(1, 0, 3)
+HALF = EisensteinNumber.from_triple(1, 0, 2)
 
 
 def log_chern_off_by_one(monkeypatch):
@@ -223,8 +226,8 @@ def quotient_euler_number_raised(monkeypatch):
 
     def faulty(model, group_order, curve_orbits, point_orbits):
         quotient = original(model, group_order, curve_orbits, point_orbits)
-        return SurfaceModel.build(quotient.chi_top + 3, quotient.k2, quotient.curves,
-                                  quotient.pairwise, quotient.points)
+        return SurfaceModel(quotient.chi_top + 3, quotient.k2, quotient.curves,
+                            quotient.pairwise, quotient.points)
 
     monkeypatch.setattr(families, "etale_quotient", faulty)
 
@@ -263,7 +266,7 @@ def edit_blown_model(monkeypatch, edit):
         blown = original(model, exceptional)
         curves, pairwise = dict(blown.curves), dict(blown.pairwise)
         edit(curves, pairwise)
-        return SurfaceModel.build(blown.chi_top, blown.k2, curves, pairwise, blown.points)
+        return SurfaceModel(blown.chi_top, blown.k2, curves, pairwise, blown.points)
 
     monkeypatch.setattr(families, "blow_up", faulty)
 
@@ -276,7 +279,7 @@ def edit_blown_numbers(monkeypatch, numbers):
     def faulty(model, exceptional):
         blown = original(model, exceptional)
         chi, k2 = numbers(model, blown)
-        return SurfaceModel.build(chi, k2, blown.curves, blown.pairwise, blown.points)
+        return SurfaceModel(chi, k2, blown.curves, blown.pairwise, blown.points)
 
     monkeypatch.setattr(families, "blow_up", faulty)
 
@@ -287,6 +290,13 @@ def blow_up_adds_no_euler_number(monkeypatch):
 
 def blow_up_drops_no_k2(monkeypatch):
     edit_blown_numbers(monkeypatch, lambda model, blown: (blown.chi_top, model.k2))
+
+
+def blow_up_drops_k2_four_per_point(monkeypatch):
+    """Each blow-up lowers K^2 by 4, so c1bar^2 comes out 0 and K + D is
+    not nef."""
+    edit_blown_numbers(monkeypatch, lambda model, blown: (
+        blown.chi_top, model.k2 - 4 * (blown.chi_top - model.chi_top)))
 
 
 def blow_up_bumps_exceptional(monkeypatch):
@@ -300,6 +310,15 @@ def stray_exceptional_crossing(monkeypatch):
     def edit(curves, pairwise):
         if "exc2" in curves:
             pairwise[("exc1", "exc2")] = 1
+
+    edit_blown_model(monkeypatch, edit)
+
+
+def stray_boundary_crossing(monkeypatch):
+    """The blown-up core curve meets the first other boundary curve (fiber1
+    or level_orbit, next in curve order) once, where they are disjoint."""
+    def edit(curves, pairwise):
+        pairwise[tuple(sorted((CORE_CURVE, list(curves)[1])))] = 1
 
     edit_blown_model(monkeypatch, edit)
 
@@ -327,8 +346,8 @@ def blow_up_keeps_a_triple_point(monkeypatch):
     def faulty(model, exceptional):
         blown = original(model, exceptional)
         last = list(exceptional)[-1]
-        return SurfaceModel.build(blown.chi_top, blown.k2, blown.curves, blown.pairwise,
-                                  {**blown.points, last: model.points[last]})
+        return SurfaceModel(blown.chi_top, blown.k2, blown.curves, blown.pairwise,
+                            {**blown.points, last: model.points[last]})
 
     monkeypatch.setattr(families, "blow_up", faulty)
 
@@ -365,6 +384,43 @@ def level_key_set_misses_a_point(monkeypatch):
 def level_curves_wrong_offset(monkeypatch):
     monkeypatch.setattr(families, "level_curves", lambda torus: [
         GraphCurve(torus, 0, ONE_THIRD + ORDER3_SHIFT * l) for l in range(3)])
+
+
+def upstairs_pair_number_raised(monkeypatch):
+    """The upstairs model's slope0.slope1 is one higher than the
+    intersection count, so the slope orbit's (sum O)^2 does not divide by
+    3."""
+    def faulty(upstairs_stage, b):
+        upstairs_stage(b)
+        b.pairwise["slope0", "slope1"] += 1
+
+    wrap_stage(monkeypatch, "upstairs", faulty)
+
+
+def edit_key_progression(monkeypatch, edit):
+    """Make the pipeline's _key_progression step through the progression
+    edit(lattice, start, step) returns as (start, step)."""
+    original = families._key_progression
+
+    def faulty(lattice, start, step, count):
+        return original(lattice, *edit(lattice, start, step), count)
+
+    monkeypatch.setattr(families, "_key_progression", faulty)
+
+
+def generic_fiber_starts_at_a_triple_point(monkeypatch):
+    """The generic fiber's z progression starts at 2/3, the z of a triple
+    point, instead of 1/2."""
+    edit_key_progression(monkeypatch, lambda lattice, start, step: (
+        TWO_THIRDS if start.triple == HALF.triple else start, step))
+
+
+def albanese_base_points_step_by_a_period(monkeypatch):
+    """The Albanese base points step by the target lattice's first
+    generator n, a period, instead of by 1; the target is the one lattice
+    with the order-3 shift as its second generator."""
+    edit_key_progression(monkeypatch, lambda lattice, start, step: (
+        start, lattice.gen1 if lattice.gen2.triple == ORDER3_SHIFT.triple else step))
 
 
 # The kill map: for each probe, the names of the checks that fail in the
@@ -409,11 +465,19 @@ SHARED_KILLS = {
     boundary_drops_its_last_orbit: ({"bmy", "cusps", "log_chern",
                                      "open_manifold_b3_lower_bound"}, None),
     trace_map_rotated: ({"bdf_type"}, None),
+    albanese_base_points_step_by_a_period: (set(), (
+        2, "albanese", "ValueError", "special fiber base points are not distinct")),
+    upstairs_pair_number_raised: (set(), (
+        1, "quotient", "ValueError",
+        "(sum of orbit 'slope_orbit')^2 does not divide by the group order")),
+    stray_boundary_crossing: ({"boundary_pairwise_disjoint", "boundary_pair_valid"}, None),
 }
 ORBIT_BRANCHES_DIFFER = (1, "quotient", "ValueError",
                          "branch count at 'q0' differs across the orbit")
 NO_EULER_NUMBER = {"bmy", "chi", "log_chern", "volume_coefficient"}
 NO_K2 = {"bmy", "k2", "log_chern"}
+NOT_NEF = NO_K2 | {"nef_numerical_check"}
+TRIPLE_POINT_FIBER = "generic_fiber_misses_triple_points"
 RAISED_EULER_NUMBER = {"bmy", "chi", "log_chern", "quotient_chi", "volume_coefficient"}
 OTHER_FAMILY = "same_compactification_numbers_as_other_family"
 ORBIT_COUNTS = {"point_orbit_count", "point_orbit_sizes"}
@@ -439,6 +503,12 @@ KILL_MAP = {
     (LAMBDA, blow_up_adds_no_euler_number): (NO_EULER_NUMBER | {OTHER_FAMILY}, None),
     (GAMMA, blow_up_drops_no_k2): (NO_K2, None),
     (LAMBDA, blow_up_drops_no_k2): (NO_K2 | {OTHER_FAMILY}, None),
+    (GAMMA, blow_up_drops_k2_four_per_point): (NOT_NEF, None),
+    (LAMBDA, blow_up_drops_k2_four_per_point): (NOT_NEF | {OTHER_FAMILY}, None),
+    (GAMMA, generic_fiber_starts_at_a_triple_point): ({TRIPLE_POINT_FIBER}, (
+        1, "fiber", "ValueError",
+        "generic fiber is not generic: it hits a special vertical fiber")),
+    (LAMBDA, generic_fiber_starts_at_a_triple_point): ({TRIPLE_POINT_FIBER}, None),
     (GAMMA, quotient_euler_number_raised): (RAISED_EULER_NUMBER, None),
     (LAMBDA, quotient_euler_number_raised): (RAISED_EULER_NUMBER | {OTHER_FAMILY}, None),
     (GAMMA, point_orbits_stop_at_their_first_point): (ORBIT_COUNTS, CURVE_ORBITS_OVERLAP),
@@ -476,14 +546,14 @@ def test_seeded_fault_flips_the_report(monkeypatch, family, fault):
 
 
 def test_kill_map_coverage():
-    """78 of the 104 (family, check name) pairs fail under some probe,
+    """82 of the 104 (family, check name) pairs fail under some probe,
     among them the compactification's numbers, the deck's order, freeness
     and type, the cusps and the point orbits in both families."""
     pairs = {(family, check["name"]) for family in (GAMMA, LAMBDA)
              for check in build_family(family, 2)["checks"]}
     killed = {(family, name) for (family, _), (failed, _) in KILL_MAP.items() for name in failed}
     assert killed <= pairs
-    assert (len(killed), len(pairs)) == (78, 104)
+    assert (len(killed), len(pairs)) == (82, 104)
     assert {(family, name) for family in (GAMMA, LAMBDA)
             for name in ("chi", "k2", "quotient_chi", "deck_order", "deck_action_free",
                          "bdf_type", "cusps", *ORBIT_COUNTS)} <= killed

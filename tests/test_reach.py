@@ -252,18 +252,6 @@ UNREACHED = {
         ("lattices", "Lattice.index_in", "return None"),
         ("surfaces", "SurfaceModel.pairwise_int", "return self.curves[a].self_int"),
     ],
-    # A fault in the pipeline that looks like a real bug reaches each of
-    # these; a KILL_MAP probe for it takes it out of this table.
-    "a guard that a seeded pipeline fault could reach": [
-        ("families", "_fiber", 'raise ValueError("generic fiber is not generic: it hits "'),
-        ("families", "albanese_data",
-         'raise ValueError("special fiber base points are not distinct")'),
-        ("surfaces", "certify_pair", "bmy = BMYClass.NOT_APPLICABLE"),
-        ("surfaces", "etale_quotient.pushed",
-         'raise ValueError(f"{what} does not divide by the group order")'),
-        ("surfaces", "LogPair.__init__",
-         'raise ValueError(f"boundary curves {a!r} and {b!r} are not disjoint")'),
-    ],
     "a guard on input that no caller in the package passes": [
         ("curves", "_require_same_bases",
          'raise ValueError("lattices are not stored in the same bases")'),
@@ -288,7 +276,7 @@ UNREACHED = {
         ("lattices", "Lattice.__init__",
          'raise ValueError("lattice generators are R-linearly dependent")'),
         ("surfaces", "CurveRecord.__new__", 'raise ValueError(f"unknown curve kind {kind!r}")'),
-        *[("surfaces", "SurfaceModel.build", line) for line in (
+        *[("surfaces", "SurfaceModel.__init__", line) for line in (
             'raise ValueError(f"self-pair {a!r} belongs in the curve record")',
             'raise ValueError(f"pairwise entry for unknown curve in ({a!r}, {b!r})")',
             'raise ValueError(f"conflicting intersection numbers for {key}")',

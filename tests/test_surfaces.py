@@ -32,7 +32,7 @@ def upstairs_model(n):
     pairwise = {(a, b): 3 * n for i, a in enumerate(names) for b in names[i + 1:]}
     points = {f"p{k}_{m}": {name: 1 for name in names}
               for k in range(3) for m in range(n)}
-    return SurfaceModel.build(0, 0, curves, pairwise, points)
+    return SurfaceModel(0, 0, curves, pairwise, points)
 
 
 def quotient_orbits(n):
@@ -57,7 +57,7 @@ def test_quotient_of_slope_orbit():
 def test_quotient_of_disjoint_orbit_keeps_smoothness():
     names = ("h0", "h1", "h2")
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in names}
-    model = SurfaceModel.build(0, 0, curves, {}, {})
+    model = SurfaceModel(0, 0, curves, {}, {})
     image = etale_quotient(model, 3, {"level": names}, {})
     assert image.curves["level"].self_int == 0
     assert image.curves["level"].kind == SMOOTH_ELLIPTIC
@@ -89,7 +89,7 @@ def test_quotient_accepts_point_names_of_mixed_types():
     # Point names need only be hashable: a string and an int tuple can
     # share an orbit, and a bad partition of them is still caught.
     curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in ("a", "b")}
-    model = SurfaceModel.build(0, 0, curves, {}, {"p": {"a": 1}, (1, 2): {"b": 1}})
+    model = SurfaceModel(0, 0, curves, {}, {"p": {"a": 1}, (1, 2): {"b": 1}})
     curve_orbits = {"ab": ("a", "b")}
     image = etale_quotient(model, 2, curve_orbits, {"q": ("p", (1, 2))})
     assert image.point_multiplicity("q", "ab") == 1
@@ -159,7 +159,7 @@ def random_orbit_model(rng):
                 flip = rng.choice(names)
                 mults[flip] = 1 - mults[flip]
             points[member] = mults
-    model = SurfaceModel.build(0, 0, curves, pairwise, points)
+    model = SurfaceModel(0, 0, curves, pairwise, points)
     return model, curve_orbits, point_orbits
 
 
@@ -196,7 +196,7 @@ def build_blown_gamma(n):
             curves[fiber] = CurveRecord(0, SMOOTH_ELLIPTIC)
             pairwise.update({(name, fiber): 1 for name in names})
             points[f"p{k}_{m}"] = {**{name: 1 for name in names}, fiber: 1}
-    model = SurfaceModel.build(0, 0, curves, pairwise, points)
+    model = SurfaceModel(0, 0, curves, pairwise, points)
     curve_orbits = {"core": names, **{f"fiber{m + 1}": tuple(f"v{m}_{k}" for k in range(3))
                                       for m in range(n)}}
     point_orbits = {f"q{m}": tuple(f"p{k}_{m}" for k in range(3)) for m in range(n)}
@@ -234,7 +234,7 @@ def test_blow_up_level_curve_drops_by_point_count():
     for n in (1, 4):
         curves = {"level": CurveRecord(0, SMOOTH_ELLIPTIC)}
         points = {f"q{m}": {"level": 1} for m in range(n)}
-        model = SurfaceModel.build(0, 0, curves, {}, points)
+        model = SurfaceModel(0, 0, curves, {}, points)
         for m in range(n):
             model = blow_up(model, {f"q{m}": f"e{m}"})
         assert model.curves["level"].self_int == -n
@@ -251,7 +251,7 @@ def test_k_dot_values():
         "flat": CurveRecord(0, SMOOTH_ELLIPTIC),
         "node": CurveRecord(6, SMOOTH_ELLIPTIC),
     }
-    model = SurfaceModel.build(3, -3, curves, {}, {"double": {"node": 2, "flat": 1}})
+    model = SurfaceModel(3, -3, curves, {}, {"double": {"node": 2, "flat": 1}})
     assert k_dot(model, "t0") == 9
     assert k_dot(model, "e") == -1
     assert k_dot(model, "flat") == 0
@@ -279,7 +279,7 @@ def test_log_chern_gamma_family():
 
 
 def test_log_chern_empty_boundary():
-    model = SurfaceModel.build(0, 0, {}, {}, {})
+    model = SurfaceModel(0, 0, {}, {}, {})
     assert chern_numbers(LogPair(model, ())) == (0, 0)
 
 
@@ -289,7 +289,7 @@ def test_log_pair_invariants_enforced():
         LogPair(blown, ("core", "e1"))  # rational boundary component
     with pytest.raises(ValueError):
         LogPair(blown, ("core", "core"))  # repeated name
-    crossing = SurfaceModel.build(1, -1, {
+    crossing = SurfaceModel(1, -1, {
         "a": CurveRecord(-1, SMOOTH_ELLIPTIC),
         "b": CurveRecord(-1, SMOOTH_ELLIPTIC),
     }, {("a", "b"): 2}, {})
@@ -310,14 +310,14 @@ def test_bmy_strict_inequality_single_component():
 
 
 def test_bmy_violation():
-    model = SurfaceModel.build(1, 2, {"t": CurveRecord(-5, SMOOTH_ELLIPTIC)}, {}, {})
+    model = SurfaceModel(1, 2, {"t": CurveRecord(-5, SMOOTH_ELLIPTIC)}, {}, {})
     pair = LogPair(model, ("t",))
     assert chern_numbers(pair) == (7, 1)
     assert certify_pair(pair)["bmy"] == BMYClass.VIOLATION.value
 
 
 def test_bmy_not_applicable_without_positivity():
-    model = SurfaceModel.build(0, 0, {}, {}, {})
+    model = SurfaceModel(0, 0, {}, {}, {})
     assert certify_pair(LogPair(model, ()))["bmy"] == BMYClass.NOT_APPLICABLE.value
 
 
@@ -405,8 +405,7 @@ def random_blowup_model(rng, point_names=("p",)):
         points[point] = mults
     pairwise = {(a, b): rng.randint(0, 4)
                 for i, a in enumerate(names) for b in names[i + 1:]}
-    return SurfaceModel.build(rng.randint(-3, 3), rng.randint(-3, 3),
-                              curves, pairwise, points)
+    return SurfaceModel(rng.randint(-3, 3), rng.randint(-3, 3), curves, pairwise, points)
 
 
 def test_blow_up_deltas_random_models():
@@ -491,13 +490,13 @@ def test_curve_record_validation():
 
 
 def test_models_and_pairs_are_immutable_and_compare_by_value():
-    model = SurfaceModel.build(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
+    model = SurfaceModel(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
     pair = LogPair(model, ("a",))
     assert model.kind("a") == SMOOTH_ELLIPTIC  # fills the cached singular_curves
-    same = SurfaceModel.build(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)}, {}, {})
+    same = SurfaceModel(1, -1, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)}, {}, {})
     other = LogPair(same, ("a",))
     assert model == same and (pair.surface, pair.boundary) == (other.surface, other.boundary)
-    assert model != SurfaceModel.build(1, -2, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
+    assert model != SurfaceModel(1, -2, {"a": CurveRecord(-1, SMOOTH_ELLIPTIC)})
     assert pair.boundary != LogPair(model, ()).boundary
     for record, name in ((model, "k2"), (model, "singular_curves"), (pair, "boundary")):
         with pytest.raises(AttributeError):
@@ -507,38 +506,38 @@ def test_models_and_pairs_are_immutable_and_compare_by_value():
 def test_surface_model_validation():
     curves = {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}
     with pytest.raises(ValueError):
-        SurfaceModel.build(0, 0, curves, {("a", "a"): 1}, {})
+        SurfaceModel(0, 0, curves, {("a", "a"): 1}, {})
     with pytest.raises(ValueError):
-        SurfaceModel.build(0, 0, curves, {("a", "b"): 1}, {})
+        SurfaceModel(0, 0, curves, {("a", "b"): 1}, {})
     with pytest.raises(ValueError):
-        SurfaceModel.build(0, 0, curves, {}, {"p": {"b": 1}})
+        SurfaceModel(0, 0, curves, {}, {"p": {"b": 1}})
     with pytest.raises(ValueError):
-        SurfaceModel.build(0, 0, curves, {}, {"p": {"a": -1}})
+        SurfaceModel(0, 0, curves, {}, {"p": {"a": -1}})
     # Zero entries are not stored, yet still read as 0; a zero conflicting
     # with a nonzero entry for the same pair is still rejected.
     pair = {**curves, "b": CurveRecord(0, SMOOTH_ELLIPTIC)}
-    model = SurfaceModel.build(0, 0, pair, {("a", "b"): 0}, {"p": {"a": 0, "b": 1}})
+    model = SurfaceModel(0, 0, pair, {("a", "b"): 0}, {"p": {"a": 0, "b": 1}})
     assert model.pairwise == {} and model.points == {"p": {"b": 1}}
     assert model.pairwise_int("a", "b") == 0
     assert model.point_multiplicity("p", "a") == 0
-    assert model == SurfaceModel.build(0, 0, pair, {}, {"p": {"b": 1}})
+    assert model == SurfaceModel(0, 0, pair, {}, {"p": {"b": 1}})
     with pytest.raises(ValueError, match="conflicting"):
-        SurfaceModel.build(0, 0, pair, {("a", "b"): 0, ("b", "a"): 2}, {})
+        SurfaceModel(0, 0, pair, {("a", "b"): 0, ("b", "a"): 2}, {})
 
 
 def test_quotient_divisibility_errors():
     curves = {"a": CurveRecord(1, SMOOTH_ELLIPTIC)}
-    model = SurfaceModel.build(0, 0, curves, {}, {})
+    model = SurfaceModel(0, 0, curves, {}, {})
     with pytest.raises(ValueError):
         etale_quotient(model, 3, {"img": ("a",)}, {})  # self-intersection 1 not divisible
-    lopsided = SurfaceModel.build(1, 0, {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}, {}, {})
+    lopsided = SurfaceModel(1, 0, {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}, {}, {})
     with pytest.raises(ValueError):
         etale_quotient(lopsided, 3, {"img": ("a",)}, {})  # chi not divisible
 
 
 def test_blow_up_of_double_point_resolves_the_curve():
     curves = {"a": CurveRecord(0, SMOOTH_ELLIPTIC)}
-    model = SurfaceModel.build(0, 0, curves, {}, {"p": {"a": 2}})
+    model = SurfaceModel(0, 0, curves, {}, {"p": {"a": 2}})
     assert model.kind("a") == SINGULAR
     with pytest.raises(ValueError):
         LogPair(model, ("a",))
