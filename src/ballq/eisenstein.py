@@ -123,14 +123,6 @@ class EisensteinNumber(Frozen):
         y = _operand(other)
         return NotImplemented if y is None else _product(self.triple, _reciprocal(y))
 
-    def __pow__(self, exponent: int) -> EisensteinNumber:
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        if exponent < 2:
-            return self if exponent else ONE
-        half = self ** (exponent >> 1)  # square and multiply
-        return half * half * self if exponent & 1 else half * half
-
     def __bool__(self) -> bool:
         return bool(self.triple[0] or self.triple[1])
 

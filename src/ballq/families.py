@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import homology
-from .eisenstein import ONE, RHO, EisensteinNumber, eis
+from .eisenstein import ONE, RHO, RHO2, EisensteinNumber, eis
 from .lattices import Lattice, point_key
 from .curves import (
     EMPTY,
@@ -117,8 +117,8 @@ def product_torus(n: int) -> ProductTorus:
 
 
 def slope_curves(torus: ProductTorus) -> list[GraphCurve]:
-    """The three graphs w = rho**l * z - l*shift, a single deck orbit."""
-    return [GraphCurve(torus, RHO ** l, ORDER3_SHIFT * (-l)) for l in range(3)]
+    """The graphs w = rho^l * z - l*shift, slopes the units 1, rho, rho^2: one deck orbit."""
+    return [GraphCurve(torus, unit, ORDER3_SHIFT * -l) for l, unit in enumerate((ONE, RHO, RHO2))]
 
 
 def level_curves(torus: ProductTorus) -> list[GraphCurve]:
@@ -618,7 +618,7 @@ def _homology(b: _Build) -> None:
 
 
 def _tower(b: _Build) -> None:
-    n, level = b.n, level_lattice(b.n)
+    n, level = b.n, b.torus.lattice_z
     b.values["tower"] = {
         "covers_levels": [{"base_level": m, "degree": level.index_in(level_lattice(m))}
                           for m in range(1, n + 1) if n % m == 0],
@@ -709,9 +709,7 @@ def _gamma_fiber(b: _Build) -> None:
     fiber["singular_fiber_count"] = meets.count(1)
     fiber["singular_fiber_punctures"] = punctures[0] if punctures == punctures[:1] * n else punctures
     b.expect("singular_fiber_count", n, fiber["singular_fiber_count"])
-    printed = fiber["singular_fiber_punctures"]
-    b.expect("singular_fiber_punctures", [4] * n,
-             printed if isinstance(printed, list) else [printed] * n)
+    b.expect("singular_fiber_punctures", [4] * n, punctures)
 
 
 def _gamma_albanese(b: _Build) -> None:
@@ -732,7 +730,7 @@ def _lambda_upstairs(b: _Build) -> None:
     b.expect("shift_identity_first", True,
              base.key(TWO_THIRDS + ORDER3_SHIFT) == base.key(RHO * TWO_THIRDS))
     b.expect("shift_identity_second", True,
-             base.key(TWO_THIRDS + ORDER3_SHIFT * 2) == base.key(RHO * RHO * TWO_THIRDS))
+             base.key(TWO_THIRDS + ORDER3_SHIFT * 2) == base.key(RHO2 * TWO_THIRDS))
     maps, orbit = _deck_cycle(b.deck, levels)
     for i in range(3):
         b.expect(f"deck_maps_level{i}_to_level{(i + 1) % 3}", True, maps[i])

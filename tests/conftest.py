@@ -149,7 +149,7 @@ def reference_certificate(pair: LogPair) -> dict[str, object]:
 
 
 EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
-                         "__pow__", "from_triple")
+                         "from_triple")
 
 
 def clear_lattice_caches() -> None:

@@ -576,12 +576,13 @@ def test_intersect_graphs_does_no_eisenstein_arithmetic(monkeypatch):
 
 def test_count_equals_lattice_index():
     # |intersection| = index of (slope difference)*(z-lattice) in the w-lattice
+    slopes = (ONE, RHO, RHO2)  # the slopes of slope_curves
     for n in (1, 2, 4):
         torus = product_torus(n)
         curves = slope_curves(torus)
         for i in range(3):
             for j in range(i + 1, 3):
-                m = RHO ** i - RHO ** j  # the slopes of slope_curves
+                m = slopes[i] - slopes[j]
                 index = scaled(torus.lattice_z, m).index_in(torus.lattice_w)
                 p, q, r, t = (x - y for x, y in zip(curves[i].matrix, curves[j].matrix))
                 assert intersect_graphs(curves[i], curves[j]).count == index == 3 * n

@@ -61,15 +61,6 @@ def test_division():
     assert eis(0, 2) / eis(0, 1) == eis(2)
 
 
-def test_pow():
-    assert RHO ** 0 == ONE
-    assert RHO ** 2 == RHO2
-    assert RHO ** 3 == ONE
-    # Negative powers are not defined: x ** -1 must not pass for x.
-    with pytest.raises(TypeError):
-        RHO ** -1
-
-
 def test_scalar_mixing():
     assert 2 * RHO == eis(0, 2)
     assert Fraction(1, 3) * (ONE - RHO) == eis(Fraction(1, 3), Fraction(-1, 3))

@@ -536,12 +536,14 @@ def test_no_eisenstein_arithmetic_per_point(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family, constructions, products",
-                         [(GAMMA, 26, 17), (LAMBDA, 47, 30)])
+                         [(GAMMA, 25, 16), (LAMBDA, 45, 28)], ids=[GAMMA, LAMBDA])
 def test_eisenstein_work_at_level_one(monkeypatch, family, constructions, products):
     """The fixed Q(rho) cost of a level, with the lattice caches empty:
     every number built (from_triple) and every product.  When an element
     was a pair of Fractions, gamma made 45 constructions and 21 products
-    and lambda 70 and 34."""
+    and lambda 70 and 34.  When the slopes were computed as powers of rho,
+    and lambda's second shift identity multiplied by rho twice, gamma made
+    26 and 17 and lambda 47 and 30."""
     calls = count_eisenstein_operations(monkeypatch)
     assert build_family(family, 1)["passed"]
     made = calls.count("from_triple")

@@ -221,7 +221,6 @@ UNREACHED = {
     "an operand of another type": [
         ("curves", "GraphCurve.__eq__", "return NotImplemented"),
         ("curves", "VerticalFiber.__eq__", "return NotImplemented"),
-        ("eisenstein", "EisensteinNumber.__pow__", "return NotImplemented"),
         ("lattices", "Lattice.__eq__", "return NotImplemented"),
     ],
     # ROADMAP item 4 puts the fibration record into the gamma report.
