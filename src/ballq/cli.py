@@ -25,11 +25,11 @@ from . import families
 from .eisenstein import EisensteinNumber
 from .curves import (EMPTY, IDENTICAL, GraphCurve, Intersection, VerticalFiber,
                      graph_difference, intersect_graph_fiber, intersect_graphs)
-from .families import MAX_LEVEL
 from .surfaces import volume_from_chi
 
-# Most points one intersect run may list, and most rows one spectrum run
-# may tabulate.
+# Largest level n that one verify or intersect run may build, most points
+# one intersect run may list, and most rows one spectrum run may tabulate.
+MAX_LEVEL = 2_000
 MAX_POINTS = 20_000
 MAX_LEVELS = 10_000
 

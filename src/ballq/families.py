@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import homology
@@ -79,24 +78,11 @@ CORE_CURVE = "slope_orbit"
 LEVEL_CURVE = "level_orbit"
 
 
-# Largest level n that one verify or intersect run may build.
-MAX_LEVEL = 2_000
-
-# The lattices are frozen, so each is built once per process and shared by
-# every level that reads it; the tower reads those of all divisors of n.
-# One entry per level up to MAX_LEVEL bounds each cache.  Keys are typed,
-# so that 3.0 reaches the constructor's checks instead of the lattice
-# cached for 3.
-_lattice_cache = lru_cache(maxsize=MAX_LEVEL, typed=True)
-
-
-@_lattice_cache
 def base_lattice() -> Lattice:
     """The hexagonal lattice Z[rho] with stored basis (1, rho)."""
     return Lattice(ONE, RHO)
 
 
-@_lattice_cache
 def level_lattice(n: int) -> Lattice:
     """The index-n sublattice Z[n, 1-rho] of the hexagonal lattice."""
     if n < 1:
@@ -104,7 +90,6 @@ def level_lattice(n: int) -> Lattice:
     return Lattice(eis(n), ONE - RHO)
 
 
-@_lattice_cache
 def albanese_lattice(n: int) -> Lattice:
     """The Albanese target lattice Z[n, shift]."""
     if n < 1:

@@ -152,13 +152,6 @@ EISENSTEIN_OPERATIONS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"
                          "from_triple")
 
 
-def clear_lattice_caches() -> None:
-    """Empty the per-process caches of the family lattices, so that the
-    next build constructs its lattices again."""
-    for cached in (families.base_lattice, families.level_lattice, families.albanese_lattice):
-        cached.cache_clear()
-
-
 def wrap_stage(monkeypatch, name, wrapper) -> None:
     """Make build_family run wrapper(stage, b) in place of its stage
     called name, where stage is the function it replaces."""
@@ -182,10 +175,7 @@ def raise_in_stage(monkeypatch, name, when=lambda b: True) -> None:
 def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> list[str]:
     """Patch the named EisensteinNumber methods (by default every Q(rho)
     operator and from_triple, which builds every number) so
-    that each call appends its name to the returned list.  The lattice
-    caches are cleared first, so a count does not depend on which builds
-    ran before it in the process."""
-    clear_lattice_caches()
+    that each call appends its name to the returned list."""
     calls: list[str] = []
     for name in names:
         original = getattr(EisensteinNumber, name)
