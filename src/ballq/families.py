@@ -710,7 +710,7 @@ def _lambda_upstairs(b: _Build) -> None:
     exactly in the n triple points.  Also verifies the reduction identities
     2/3 + shift = 2*rho/3 and 2/3 + 2*shift = 2*rho^2/3 modulo the
     hexagonal lattice."""
-    base = base_lattice()
+    base = b.torus.lattice_w
     levels = level_curves(b.torus)
     b.expect("shift_identity_first", True,
              base.key(TWO_THIRDS + ORDER3_SHIFT) == base.key(RHO * TWO_THIRDS))

@@ -147,6 +147,10 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     image curve with two or more branches there is singular downstairs,
     and its record keeps the orbit members' smooth kind as its
     normalization.
+
+    When several numbers fail to divide by the degree, the error names
+    the first failing self-intersection in image order, else the first
+    failing image pair (a, b), a < b, in sorted name order.
     """
     g = group_order
     if g < 1:
@@ -179,34 +183,25 @@ def etale_quotient(model: SurfaceModel, group_order: int,
 
     # One pass over the sparse pairwise table: an entry inside an orbit
     # counts twice towards (sum O)^2, an entry across two orbits once
-    # towards their image pair, recorded as (later image, earlier image).
-    image_names = list(curve_orbits)
-    position = {image: i for i, image in enumerate(image_names)}
+    # towards their image pair.
     image_of = {name: image for image, orbit in curve_orbits.items()
                 for name in orbit}
     self_totals = {image: sum(model.curves[name].self_int for name in orbit)
                    for image, orbit in curve_orbits.items()}
-    cross_totals: dict[str, dict[str, int]] = {image: {} for image in image_names}
+    cross_totals: dict[tuple[str, str], int] = {}
     for (a, b), value in model.pairwise.items():
         ia, ib = image_of[a], image_of[b]
         if ia == ib:
             self_totals[ia] += 2 * value
-            continue
-        if position[ia] < position[ib]:
-            ia, ib = ib, ia
-        row = cross_totals[ia]
-        row[ib] = row.get(ib, 0) + value
+        else:
+            key = _pair_key(ia, ib)
+            cross_totals[key] = cross_totals.get(key, 0) + value
 
-    new_curves: dict[str, CurveRecord] = {}
-    new_pairwise: dict[tuple[str, str], int] = {}
-    for image in image_names:
-        orbit = curve_orbits[image]
-        self_int = pushed(self_totals[image], f"(sum of orbit {image!r})^2")
-        row = cross_totals[image]
-        for other in sorted(row, key=position.__getitem__):
-            new_pairwise[_pair_key(image, other)] = pushed(
-                row[other], f"intersection of orbits {image!r} and {other!r}")
-        new_curves[image] = CurveRecord(self_int, model.curves[orbit[0]].kind)
+    new_curves = {image: CurveRecord(pushed(self_totals[image], f"(sum of orbit {image!r})^2"),
+                                     model.curves[orbit[0]].kind)
+                  for image, orbit in curve_orbits.items()}
+    new_pairwise = {(a, b): pushed(total, f"intersection of orbits {a!r} and {b!r}")
+                    for (a, b), total in sorted(cross_totals.items())}
 
     # Branch counts per orbit member; every member of an orbit must agree.
     new_points: dict[str, dict[str, int]] = {}

@@ -23,6 +23,15 @@ def _euler(betti):
     return sum((-1) ** i * b for i, b in enumerate(betti))
 
 
+# math.pi ** 2, written out so that this module imports no math.
+PI_SQUARED = 9.869604401089358
+
+
+def _close(value, exact):
+    """Whether value agrees with exact to a relative 1e-12."""
+    return abs(value - exact) <= 1e-12 * abs(exact)
+
+
 def _fraction(text):
     """The rational number a printed value names, or None if it names none."""
     try:
@@ -44,6 +53,9 @@ RELATIONS = {
     "3 c2bar = c1bar^2": lambda values, n: 3 * values["log_c2"] == values["log_c1_squared"],
     "volume = (8/3) c2bar": lambda values, n:
         Fraction(values["volume"]["pi_squared_coefficient"]) == Fraction(8, 3) * values["log_c2"],
+    "volume decimal = coefficient x pi^2": lambda values, n:
+        _close(values["volume"]["approx_display_only"],
+               float(Fraction(values["volume"]["pi_squared_coefficient"])) * PI_SQUARED),
     "cusps = boundary components": lambda values, n: values["cusps"] == len(values["boundary"]),
     # The log pair's boundary is smooth elliptic, which the first two
     # relations and the certificate's one pass over it rely on.

@@ -474,14 +474,16 @@ def test_no_fork_runs_serially(capsys, monkeypatch):
     assert run_cli(capsys, "verify", "--family", "gamma", "--n", "1..3", "--jobs", "2") == serial
 
 
+@pytest.mark.parametrize("family", ["gamma", "lambda"])
 @pytest.mark.parametrize("fmt", ["json", "markdown"])
-def test_jobs_bytes_equal_serial_on_stdout_and_out_file(tmp_path, capsys, monkeypatch, fmt):
+def test_jobs_bytes_equal_serial_on_stdout_and_out_file(tmp_path, capsys, monkeypatch, fmt,
+                                                        family):
     # Three processes: the round robin reads from two workers' pipes.
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     outputs = []
     for jobs in ("1", "2", "3"):
         target = tmp_path / f"reports-{jobs}.txt"
-        argv = ["verify", "--family", "gamma", "--n", "1..5", "--format", fmt, "--jobs", jobs]
+        argv = ["verify", "--family", family, "--n", "1..5", "--format", fmt, "--jobs", jobs]
         code, out, err = run_cli(capsys, *argv)
         assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", err)
         outputs.append((code, out, err, target.read_bytes()))

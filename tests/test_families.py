@@ -148,6 +148,53 @@ def test_invalid_level_rejected():
         build_family("nope", 1)
 
 
+_CHECKS_BEFORE_UPSTAIRS = [
+    "deck_order", "deck_action_free", "deck_orbit_of_slope_curves",
+    "deck_maps_slope0_to_slope1", "deck_maps_slope1_to_slope2", "deck_maps_slope2_to_slope0",
+    "closed_form_size",
+    "intersection_count[slope0,slope1]", "intersection_matches_closed_form[slope0,slope1]",
+    "intersection_count[slope0,slope2]", "intersection_matches_closed_form[slope0,slope2]",
+    "intersection_count[slope1,slope2]", "intersection_matches_closed_form[slope1,slope2]",
+    "branch_slopes_pairwise_distinct", "point_orbit_count", "point_orbit_sizes"]
+_QUOTIENT_CHECKS = [
+    "all_slope_curves_through_every_point", "quotient_chi", "quotient_k2",
+    "quotient_core_self_intersection", "quotient_core_triple_points", "chi", "k2",
+    "core_resolved_to_smooth_elliptic"]
+_CERTIFY_CHECKS = [
+    "boundary_self_intersections", "boundary_self_intersections_negative",
+    "boundary_pairwise_disjoint", "boundary_pair_valid", "bdf_type", "nef_numerical_check",
+    "nef_boundary_pairings_zero", "log_chern", "bmy", "cusps", "volume_coefficient"]
+CHECK_NAMES = {
+    GAMMA: [*_CHECKS_BEFORE_UPSTAIRS, "vertical_fibers_distinct", *_QUOTIENT_CHECKS,
+            "quotient_fiber_self_intersections", "quotient_core_meets_each_fiber",
+            *_CERTIFY_CHECKS, "exceptional_curve_ledger", "generic_fiber_misses_triple_points",
+            "generic_fiber_punctures", "singular_fiber_count", "singular_fiber_punctures",
+            "albanese_index", "albanese_shift_order", "albanese_base_point_count",
+            "open_manifold_b1", "open_manifold_b3_lower_bound", "cover_pieces_euler_zero"],
+    LAMBDA: [*_CHECKS_BEFORE_UPSTAIRS, "shift_identity_first", "shift_identity_second",
+             "deck_maps_level0_to_level1", "deck_maps_level1_to_level2",
+             "deck_maps_level2_to_level0", "deck_orbit_of_level_curves",
+             "level_curves_pairwise_disjoint", "slope_level_crossing_counts",
+             "mixed_intersections_at_triple_points", *_QUOTIENT_CHECKS,
+             "quotient_level_self_intersection", "quotient_core_meets_level",
+             "level_multiplicity_one_at_triple_points", *_CERTIFY_CHECKS,
+             "same_compactification_numbers_as_other_family",
+             "cusp_count_differs_from_other_family_for_n_ge_2", "exceptional_curve_ledger",
+             "generic_fiber_misses_triple_points", "albanese_index", "open_manifold_b1",
+             "open_manifold_b3_lower_bound", "cover_pieces_euler_zero"],
+}
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_check_names_are_pinned_and_do_not_depend_on_n(family):
+    # A renamed, dropped or reordered check fails here by name, not only
+    # through the golden digests.
+    assert len(CHECK_NAMES[family]) == {GAMMA: 49, LAMBDA: 55}[family]
+    for n in range(1, 6):
+        names = [check["name"] for check in build_family(family, n)["checks"]]
+        assert names == CHECK_NAMES[family], n
+
+
 def test_report_json_schema(monkeypatch):
     for report in (build_family(GAMMA, 2), build_family(LAMBDA, 3)):
         doc = json.loads(json.dumps(report))

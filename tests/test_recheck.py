@@ -5,8 +5,10 @@ it carries.  Every printed value has a reader: a named check, a relation,
 or a person, for display-only text."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from ballq.families import build_family
 
 from conftest import raise_in_stage
-from recheck import RELATIONS, broken_relations
+from recheck import PI_SQUARED, RELATIONS, broken_relations
 
 from test_acceptance import N_MAX, reports
 
@@ -112,6 +114,18 @@ def test_generic_fiber_rows_must_add_up_to_its_punctures():
     assert broken_relations(bad) == ["generic fiber punctures = sum of its boundary rows"]
 
 
+def test_a_volume_decimal_with_pi_cubed_breaks_the_decimal_relation():
+    good = reports("gamma")[3]
+    volume = good["values"]["volume"]
+    coefficient = float(Fraction(volume["pi_squared_coefficient"]))
+    assert PI_SQUARED == math.pi ** 2
+    assert volume["approx_display_only"] == coefficient * math.pi ** 2
+    for approx in (coefficient * math.pi ** 3, volume["approx_display_only"] * (1 + 1e-9)):
+        bad = {**good, "values": {**good["values"], "volume": {**volume,
+                                                               "approx_display_only": approx}}}
+        assert broken_relations(bad) == ["volume decimal = coefficient x pi^2"]
+
+
 def test_nef_pairings_must_be_keyed_by_the_boundary_names():
     good = reports("gamma")[2]
     nef = good["values"]["nef"]
@@ -197,8 +211,7 @@ class LoggedList(list):
 
 
 # Text for people, which no check or relation reads.
-DISPLAY_ONLY = {"volume.text", "volume.approx_display_only",
-                "homology.open_manifold.derivation[]", "tower.note"}
+DISPLAY_ONLY = {"volume.text", "homology.open_manifold.derivation[]", "tower.note"}
 # {value path: the check that reads it}.  A path counts as read by its
 # check in a family whose reports carry that check.
 READ_BY_CHECK = {

@@ -102,25 +102,27 @@ def test_quotient_accepts_point_names_of_mixed_types():
 def dense_quotient_numbers(model, g, curve_orbits, point_orbits):
     """Reference for etale_quotient: every orbit pair and every point
     orbit against every curve orbit, through pairwise_int and
-    point_multiplicity.  Returns (self-intersections, pairwise, points)."""
+    point_multiplicity, the self-intersections in image order, then the
+    image pairs (a, b), a < b, in sorted order.  Returns
+    (self-intersections, pairwise, points)."""
     def pushed(total, what):
         if total % g:
             raise ValueError(f"{what} does not divide by the group order")
         return total // g
 
-    images = list(curve_orbits)
     self_ints, pairwise = {}, {}
-    for i, image in enumerate(images):
-        orbit = curve_orbits[image]
+    for image, orbit in curve_orbits.items():
         self_ints[image] = pushed(sum(model.pairwise_int(a, b)
                                       for a in orbit for b in orbit),
                                   f"(sum of orbit {image!r})^2")
-        for other in images[:i]:
+    images = sorted(curve_orbits)
+    for i, image in enumerate(images):
+        for other in images[i + 1:]:
             cross = sum(model.pairwise_int(a, b)
-                        for a in orbit for b in curve_orbits[other])
+                        for a in curve_orbits[image] for b in curve_orbits[other])
             value = pushed(cross, f"intersection of orbits {image!r} and {other!r}")
             if value:
-                pairwise[tuple(sorted((image, other)))] = value
+                pairwise[(image, other)] = value
     points = {}
     for q, orbit in point_orbits.items():
         counts = {}
@@ -137,11 +139,13 @@ def dense_quotient_numbers(model, g, curve_orbits, point_orbits):
 
 def random_orbit_model(rng):
     """Curve orbits of size 1 or 3 and point orbits of size 3 with sparse
-    random numbers, so that some quotients exist and some must fail."""
+    random numbers, so that some quotients exist and some must fail.  The
+    images are named in descending order, so that image order and sorted
+    name order differ."""
     curve_orbits, curves = {}, {}
     for i in range(rng.randint(1, 4)):
         names = tuple(f"c{i}_{k}" for k in range(rng.choice((1, 3))))
-        curve_orbits[f"img{i}"] = names
+        curve_orbits[f"img{9 - i}"] = names
         self_int = rng.choice((0, 0, 0, 3, -3, 1))
         for name in names:
             curves[name] = CurveRecord(self_int, SMOOTH_ELLIPTIC)
@@ -165,7 +169,9 @@ def random_orbit_model(rng):
 
 def test_quotient_matches_dense_reference():
     rng = random.Random(2024)
-    outcomes = {"quotient": 0, "error": 0}
+    kinds = {"(sum of orbit": "self-intersection", "intersection of orbits": "image pair",
+             "branch count": "branch count"}
+    outcomes = dict.fromkeys(("quotient", *kinds.values()), 0)
     for _ in range(400):
         model, *orbits = random_orbit_model(rng)
         try:
@@ -174,14 +180,15 @@ def test_quotient_matches_dense_reference():
             with pytest.raises(ValueError) as raised:
                 etale_quotient(model, 3, *orbits)
             assert str(raised.value) == str(exc)
-            outcomes["error"] += 1
+            (kind,) = [kind for prefix, kind in kinds.items() if str(exc).startswith(prefix)]
+            outcomes[kind] += 1
             continue
         image = etale_quotient(model, 3, *orbits)
         got = ({name: rec.self_int for name, rec in image.curves.items()},
                image.pairwise, image.points)
         assert got == expected
         outcomes["quotient"] += 1
-    assert min(outcomes.values()) >= 50, outcomes
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def build_blown_gamma(n):
