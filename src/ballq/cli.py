@@ -32,6 +32,9 @@ from .surfaces import volume_from_chi
 MAX_LEVEL = 2_000
 MAX_POINTS = 20_000
 MAX_LEVELS = 10_000
+# Reports are trees, so the encoder skips the check for reference cycles;
+# the bytes are json.dumps's.
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 class UsageError(Exception):
@@ -133,7 +136,7 @@ def _output(out_path: str | None):
 def _cmd_verify(args: argparse.Namespace) -> int:
     tasks = [(args.family, n) for n in _parse_n_range(args.n)]
     jobs = _resolve_jobs(args, len(tasks))
-    render = json.dumps if args.format == "json" else families.render_markdown
+    render = _ENCODER.encode if args.format == "json" else families.render_markdown
     passed = True
     with _output(args.out) as out:
         workers: list[tuple[int, io.BufferedReader]] = []

@@ -226,7 +226,8 @@ class Intersection(Frozen):
 def graph_difference(c1: GraphCurve, c2: GraphCurve) -> tuple[tuple[int, ...], int]:
     """The integer matrix of z -> (slope1 - slope2)*z from z- to w-lattice
     coordinates, and its determinant: the graphs meet in |det| points."""
-    p, q, r, t = (x - y for x, y in zip(c1.matrix, c2.matrix))
+    (a, b, c, d), (p, q, r, t) = c1.matrix, c2.matrix
+    p, q, r, t = a - p, b - q, c - r, d - t
     return (p, q, r, t), p * t - q * r
 
 
@@ -255,22 +256,25 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     steps = (sign * e * t, -sign * e * q), (-sign * e * r, sign * e * p)
     d1, d2, axis = coset_grid(p, q, r, t)
     (s1, t1), (s2, t2) = steps[::-1] if axis else steps
-    # w = slope1*z + offset1, its numerators over dz too (e1 divides e).
+    # w = slope1*z + offset1, its numerators over dz too (e1 divides e),
+    # and w's step along k2: slope1's image of z's step.
     ws0, wt0 = rs1 * (dz // e1), rt1 * (dz // e1)
-    # Each solution is kept with its integer numerators: sorting by them
-    # gives coordinate order, since every coordinate has one fixed
-    # denominator.  The key divides out one gcd per coordinate.
+    ws2, wt2 = (a * s2 + b * t2) % dz, (c * s2 + d * t2) % dz
+    # Each solution is sorted by its numerators packed into one integer:
+    # every coordinate is a numerator in [0, dz) over dz, so the packed
+    # order is coordinate order.  The key divides out one gcd per
+    # coordinate.  Solutions are not merged: a wrong grid shows as repeats.
     solutions = []
     for k1 in range(d1):
-        zs1, zt1 = zs0 + k1 * s1, zt0 + k1 * t1
-        for k2 in range(d2):
-            zs, zt = (zs1 + k2 * s2) % dz, (zt1 + k2 * t2) % dz
-            ws, wt = (a * zs + b * zt + ws0) % dz, (c * zs + d * zt + wt0) % dz
+        zs, zt = (zs0 + k1 * s1) % dz, (zt0 + k1 * t1) % dz
+        ws, wt = (a * zs + b * zt + ws0) % dz, (c * zs + d * zt + wt0) % dz
+        for _ in range(d2):
             g, h = gcd(ws, wt, dz), gcd(zs, zt, dz)
-            solutions.append(((ws, wt, zs, zt),
+            solutions.append((((ws * dz + wt) * dz + zs) * dz + zt,
                               (ws // g, wt // g, dz // g, zs // h, zt // h, dz // h)))
+            zs, zt, ws, wt = (zs + s2) % dz, (zt + t2) % dz, (ws + ws2) % dz, (wt + wt2) % dz
     solutions.sort()
-    return Intersection(POINTS, tuple(key for _, key in solutions), c1.ambient)
+    return Intersection(POINTS, tuple([key for _, key in solutions]), c1.ambient)
 
 
 def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> Intersection:

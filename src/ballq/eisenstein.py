@@ -86,14 +86,6 @@ class EisensteinNumber(Frozen):
         object.__setattr__(number, "triple", (a // g, b // g, d // g))
         return number
 
-    @property
-    def re_part(self) -> Fraction:
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def rho_part(self) -> Fraction:
-        return Fraction(self.triple[1], self.triple[2])
-
     def __eq__(self, other: object) -> bool:
         return self.triple == other.triple if type(other) is EisensteinNumber else NotImplemented
 
@@ -101,7 +93,8 @@ class EisensteinNumber(Frozen):
         return hash(self.triple)
 
     def __repr__(self) -> str:
-        return f"EisensteinNumber(re_part={self.re_part!r}, rho_part={self.rho_part!r})"
+        return (f"EisensteinNumber(re_part={Fraction(self.triple[0], self.triple[2])!r}, "
+                f"rho_part={Fraction(self.triple[1], self.triple[2])!r})")
 
     def __add__(self, other: object) -> EisensteinNumber:
         y = _operand(other)
@@ -127,9 +120,16 @@ class EisensteinNumber(Frozen):
         return bool(self.triple[0] or self.triple[1])
 
     def __str__(self) -> str:
-        re_part, rho_part = self.re_part, self.rho_part
-        sign = "+" if re_part and rho_part > 0 else ""
-        return f"{re_part or ''}{sign}{rho_part}ρ" if rho_part else str(re_part)
+        # Each part a/d in lowest terms, printed as Fraction prints it:
+        # "p", or "p/q" for q > 1.
+        a, b, d = self.triple
+        g = gcd(a, d)
+        re_text = f"{a // g}/{d // g}" if g < d else str(a // g)
+        if not b:
+            return re_text
+        g = gcd(b, d)
+        rho_text = f"{b // g}/{d // g}" if g < d else str(b // g)
+        return f"{re_text if a else ''}{'+' if a and b > 0 else ''}{rho_text}ρ"
 
     @classmethod
     def from_string(cls, text: str) -> EisensteinNumber:

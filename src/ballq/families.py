@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from itertools import product
 from fractions import Fraction
 from math import lcm
 
@@ -468,8 +469,9 @@ def _incidence(b: _Build) -> dict[tuple, dict[str, int]]:
         over_z.setdefault(key[3:], []).append(key)
     for name, curve in b.curves.items():
         keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
-        for key in rows.keys() & keys:
-            rows[key][name] = 1
+        for key in keys:
+            if key in rows:
+                rows[key][name] = 1
     return rows
 
 
@@ -479,10 +481,11 @@ def _quotient(b: _Build) -> None:
     n = b.n
     points = _incidence(b)
     b.expect("all_slope_curves_through_every_point", True,
-             all(all(m.get(name, 0) == 1 for name in _SLOPE_NAMES) for m in points.values()))
+             [m.get(name, 0) for m in points.values() for name in _SLOPE_NAMES]
+             == [1] * (3 * len(points)))
 
-    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in b.curves}
-    upstairs = SurfaceModel(0, 0, curves, b.pairwise, points)
+    upstairs = SurfaceModel(0, 0, dict.fromkeys(b.curves, CurveRecord(0, SMOOTH_ELLIPTIC)),
+                            b.pairwise, points)
     point_orbits = {f"q{j}": tuple(orbit) for j, orbit in enumerate(b.orbits)}
     b.quotient = quotient = etale_quotient(upstairs, 3, b.curve_orbits, point_orbits)
 
@@ -556,8 +559,9 @@ def _ledger(b: _Build) -> None:
             rows[first][second] = value
         if second in rows:
             rows[second][first] = value
-    ok = all(b.blown.curves[exc] == CurveRecord(-1, SMOOTH_RATIONAL)
-             and row == b.quotient.points[f"q{j}"] for j, (exc, row) in enumerate(rows.items()))
+    exceptional, points = CurveRecord(-1, SMOOTH_RATIONAL), b.quotient.points
+    ok = all(b.blown.curves[exc] == exceptional and row == points[f"q{j}"]
+             for j, (exc, row) in enumerate(rows.items()))
     b.expect("exceptional_curve_ledger", True, ok)
 
 
@@ -662,14 +666,15 @@ def _gamma_upstairs(b: _Build) -> None:
     key, and their deck orbits fiber{j}; the images are the Albanese fibers
     through the triple points."""
     fibers: dict[str, VerticalFiber] = {}
+    torus = b.torus
     for j, orbit in enumerate(b.orbits, start=1):
-        names = tuple(f"vert{j}_{k}" for k in range(3))
+        names = f"vert{j}_0", f"vert{j}_1", f"vert{j}_2"
         for name, key in zip(names, orbit):
-            fibers[name] = VerticalFiber.from_key(b.torus, key[3:])
+            fibers[name] = VerticalFiber.from_key(torus, key[3:])
         b.curve_orbits[f"fiber{j}"] = names
     b.expect("vertical_fibers_distinct", 3 * b.n, len({curve.z0 for curve in fibers.values()}))
     b.curves.update(fibers)
-    b.pairwise.update({(slope, name): 1 for name in fibers for slope in _SLOPE_NAMES})
+    b.pairwise.update(dict.fromkeys(product(_SLOPE_NAMES, fibers), 1))
 
 
 def _gamma_quotient(b: _Build) -> None:
@@ -689,8 +694,10 @@ def _gamma_fiber(b: _Build) -> None:
     # image fiber row vanishes and the generic fiber meets the boundary
     # only in the core curve.
     b.expect("generic_fiber_punctures", 3, fiber["generic_fiber_punctures"])
-    meets = [blown.pairwise_int(f"exc{j}", f"fiber{j}") for j in range(1, n + 1)]
-    punctures = [blown.pairwise_int(f"exc{j}", CORE_CURVE) + m for j, m in enumerate(meets, 1)]
+    # The sparse table's pair keys are sorted: "exc" < "fiber" < "slope_orbit".
+    pairwise = blown.pairwise
+    meets = [pairwise.get((f"exc{j}", f"fiber{j}"), 0) for j in range(1, n + 1)]
+    punctures = [pairwise.get((f"exc{j}", CORE_CURVE), 0) + m for j, m in enumerate(meets, 1)]
     fiber["singular_fiber_count"] = meets.count(1)
     fiber["singular_fiber_punctures"] = punctures[0] if punctures == punctures[:1] * n else punctures
     b.expect("singular_fiber_count", n, fiber["singular_fiber_count"])

@@ -20,6 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 
 from .eisenstein import Frozen
@@ -80,20 +81,23 @@ class SurfaceModel(Frozen):
                 raise ValueError(f"self-pair {a!r} belongs in the curve record")
             if a not in curves or b not in curves:
                 raise ValueError(f"pairwise entry for unknown curve in ({a!r}, {b!r})")
-            key = _pair_key(a, b)
-            if table.get(key, value) != value:
+            key = (a, b) if a <= b else (b, a)
+            if table.setdefault(key, value) != value:
                 raise ValueError(f"conflicting intersection numbers for {key}")
-            table[key] = value
-        for point, mults in points.items():
-            for name, mult in mults.items():
-                if name not in curves:
-                    raise ValueError(f"point {point!r} references unknown curve {name!r}")
-                if mult < 0:
-                    raise ValueError("multiplicities must be nonnegative")
+        # The point table is checked whole; only a failed check looks for
+        # the first offending entry, in table order.
+        rows = points.values()
+        least = min(chain.from_iterable(map(dict.values, rows)), default=1)
+        if least < 0 or not set().union(*rows) <= curves.keys():
+            point, name = next((point, name) for point, mults in points.items()
+                               for name, m in mults.items() if name not in curves or m < 0)
+            raise ValueError(f"point {point!r} references unknown curve {name!r}"
+                             if name not in curves else "multiplicities must be nonnegative")
         vars(self).update(chi_top=chi_top, k2=k2, curves=dict(curves),
                           pairwise={key: value for key, value in table.items() if value},
-                          points={p: {name: m for name, m in mults.items() if m}
-                                  for p, mults in points.items()})
+                          points=dict(zip(points, map(dict, rows))) if least else
+                          {p: {name: m for name, m in mults.items() if m}
+                           for p, mults in points.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SurfaceModel):
@@ -105,8 +109,8 @@ class SurfaceModel(Frozen):
     def singular_curves(self) -> frozenset[str]:
         """The curves with a multiple point: one scan of the point table
         per model, however often kind is asked."""
-        return frozenset(name for mults in self.points.values()
-                         for name, m in mults.items() if m >= 2)
+        return frozenset({name for mults in self.points.values()
+                          for name, m in mults.items() if m >= 2})
 
     def kind(self, name: str) -> str:
         """SINGULAR for a curve with a multiple point, else the kind of its
@@ -165,21 +169,26 @@ def etale_quotient(model: SurfaceModel, group_order: int,
     if len(claimed_points) != len(model.points) or set(claimed_points) != model.points.keys():
         raise ValueError("point orbits must partition the marked points")
 
+    singular = model.singular_curves
     for image, orbit in curve_orbits.items():
         if g % len(orbit):
             raise ValueError(f"curve orbit {image!r} has size not dividing {g}")
-        kinds = {model.kind(name) for name in orbit}
-        if len(kinds) != 1 or SINGULAR in kinds:
+        if len({model.curves[name].kind for name in orbit}) != 1 or not singular.isdisjoint(orbit):
             raise ValueError(f"curve orbit {image!r} must consist of smooth curves of one kind")
     for image, orbit in point_orbits.items():
         if len(orbit) != g:
             raise ValueError(f"point orbit {image!r} has size {len(orbit)}, "
                              f"so the action is not free")
 
-    def pushed(total: int, what: str) -> int:
-        if total % g:
-            raise ValueError(f"{what} does not divide by the group order")
-        return total // g
+    def pushed(totals: dict, what: str) -> dict:
+        """Each total divided by g; the error names the first total in order
+        that g does not divide, as what.format(its key)."""
+        quotients = {}
+        for key, total in totals.items():
+            if total % g:
+                raise ValueError(f"{what.format(key)} does not divide by the group order")
+            quotients[key] = total // g
+        return quotients
 
     # One pass over the sparse pairwise table: an entry inside an orbit
     # counts twice towards (sum O)^2, an entry across two orbits once
@@ -194,28 +203,28 @@ def etale_quotient(model: SurfaceModel, group_order: int,
         if ia == ib:
             self_totals[ia] += 2 * value
         else:
-            key = _pair_key(ia, ib)
+            key = (ia, ib) if ia <= ib else (ib, ia)
             cross_totals[key] = cross_totals.get(key, 0) + value
 
-    new_curves = {image: CurveRecord(pushed(self_totals[image], f"(sum of orbit {image!r})^2"),
-                                     model.curves[orbit[0]].kind)
-                  for image, orbit in curve_orbits.items()}
-    new_pairwise = {(a, b): pushed(total, f"intersection of orbits {a!r} and {b!r}")
-                    for (a, b), total in sorted(cross_totals.items())}
+    new_curves = {image: CurveRecord(value, model.curves[curve_orbits[image][0]].kind)
+                  for image, value in pushed(self_totals, "(sum of orbit {!r})^2").items()}
+    new_pairwise = pushed(dict(sorted(cross_totals.items())),
+                          "intersection of orbits {0[0]!r} and {0[1]!r}")
 
-    # Branch counts per orbit member; every member of an orbit must agree.
+    # Branch counts per orbit member, each compared with the first member's
+    # as it is computed.
     new_points: dict[str, dict[str, int]] = {}
     for image_point, orbit in point_orbits.items():
-        per_member = []
+        first = None
         for p in orbit:
             counts: dict[str, int] = {}
             for curve, mult in model.points[p].items():
                 image = image_of[curve]
                 counts[image] = counts.get(image, 0) + mult
-            per_member.append(counts)
-        if any(counts != per_member[0] for counts in per_member[1:]):
-            raise ValueError(f"branch count at {image_point!r} differs across the orbit")
-        new_points[image_point] = per_member[0]
+            if first is None:
+                first = new_points[image_point] = counts
+            elif counts != first:
+                raise ValueError(f"branch count at {image_point!r} differs across the orbit")
 
     return SurfaceModel(model.chi_top // g, model.k2 // g, new_curves, new_pairwise, new_points)
 
@@ -246,20 +255,17 @@ def blow_up(model: SurfaceModel, exceptional: dict[str, str]) -> SurfaceModel:
     drops: dict[str, int] = {}
     new_pairwise = dict(model.pairwise)
     for point, exc in exceptional.items():
-        mults = model.points[point]
-        through = list(mults)
-        for i, a in enumerate(through):
-            m = mults[a]
+        through = list(model.points[point].items())
+        for i, (a, m) in enumerate(through):
             drops[a] = drops.get(a, 0) + m * m
-            for b in through[i + 1:]:
-                key = _pair_key(a, b)
-                new_pairwise[key] = new_pairwise.get(key, 0) - m * mults[b]
-            new_pairwise[_pair_key(a, exc)] = m
+            for b, mb in through[i + 1:]:
+                key = (a, b) if a <= b else (b, a)
+                new_pairwise[key] = new_pairwise.get(key, 0) - m * mb
+            new_pairwise[(a, exc) if a <= exc else (exc, a)] = m
 
     new_curves = {name: CurveRecord(rec.self_int - drops.get(name, 0), rec.kind)
                   for name, rec in model.curves.items()}
-    for exc in exceptional.values():
-        new_curves[exc] = CurveRecord(-1, SMOOTH_RATIONAL)
+    new_curves.update(dict.fromkeys(exceptional.values(), CurveRecord(-1, SMOOTH_RATIONAL)))
 
     new_points = {p: mults for p, mults in model.points.items() if p not in exceptional}
     return SurfaceModel(model.chi_top + len(exceptional), model.k2 - len(exceptional),

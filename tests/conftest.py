@@ -26,10 +26,9 @@ def fraction_coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fractio
     """(s, t) with x = s*gen1 + t*gen2, by Cramer's rule on the real and rho
     parts of the generators in Fraction arithmetic; independent of
     Lattice.numerators."""
-    g1, g2 = lattice.gen1, lattice.gen2
-    det = g1.re_part * g2.rho_part - g2.re_part * g1.rho_part
-    return ((x.re_part * g2.rho_part - g2.re_part * x.rho_part) / det,
-            (g1.re_part * x.rho_part - x.re_part * g1.rho_part) / det)
+    (g1a, g1b), (g2a, g2b), (xa, xb) = pair_of(lattice.gen1), pair_of(lattice.gen2), pair_of(x)
+    det = g1a * g2b - g2a * g1b
+    return (xa * g2b - g2a * xb) / det, (g1a * xb - xa * g1b) / det
 
 
 def coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fraction]:
@@ -40,8 +39,8 @@ def coordinates(lattice: Lattice, x: EisensteinNumber) -> tuple[Fraction, Fracti
 
 def from_coordinates(lattice: Lattice, s: Fraction, t: Fraction) -> EisensteinNumber:
     """s*gen1 + t*gen2."""
-    g1, g2 = lattice.gen1, lattice.gen2
-    return EisensteinNumber(s * g1.re_part + t * g2.re_part, s * g1.rho_part + t * g2.rho_part)
+    (g1a, g1b), (g2a, g2b) = pair_of(lattice.gen1), pair_of(lattice.gen2)
+    return EisensteinNumber(s * g1a + t * g2a, s * g1b + t * g2b)
 
 
 def scaled(lattice: Lattice, factor: EisensteinNumber) -> Lattice:
@@ -194,7 +193,9 @@ def count_eisenstein_operations(monkeypatch, names=EISENSTEIN_OPERATIONS) -> lis
 # (a, b) stands for a + b*rho.
 
 def pair_of(x: EisensteinNumber) -> tuple[Fraction, Fraction]:
-    return x.re_part, x.rho_part
+    """x = a + b*rho as the Fractions (a, b), read off its triple."""
+    a, b, d = x.triple
+    return Fraction(a, d), Fraction(b, d)
 
 
 def pair_add(p, q):

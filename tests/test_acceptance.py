@@ -208,9 +208,8 @@ def test_criterion_7_bagnera_de_franchis():
 
 def real_matrix(lattice):
     """The generators' (re, rho) parts as the columns of a sympy matrix."""
-    gens = (lattice.gen1, lattice.gen2)
-    return Matrix([[Rational(g.re_part.numerator, g.re_part.denominator) for g in gens],
-                   [Rational(g.rho_part.numerator, g.rho_part.denominator) for g in gens]])
+    parts = [pair_of(lattice.gen1), pair_of(lattice.gen2)]
+    return Matrix([[Rational(p[k].numerator, p[k].denominator) for p in parts] for k in (0, 1)])
 
 
 def test_criterion_8_property_suites():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ballq import curves as curves_module
 from ballq.curves import (
     EMPTY,
     GraphCurve,
@@ -572,6 +573,45 @@ def test_intersect_graphs_does_no_eisenstein_arithmetic(monkeypatch):
               for i in range(3) for other in slopes[i + 1:] + levels]
     assert counts == [120, 120] + [40] * 3 + [120] + [40] * 3 + [40] * 3
     assert calls == []
+
+
+def fraction_coordinates_of_key(key):
+    """A point key's four coordinates as Fractions, w's then z's."""
+    return (Fraction(key[0], key[2]), Fraction(key[1], key[2]),
+            Fraction(key[3], key[5]), Fraction(key[4], key[5]))
+
+
+def test_points_are_listed_in_fraction_coordinate_order():
+    # The kernel sorts by packed integer numerators; the order must be the
+    # one that the keys' rational coordinates give, w before z.
+    torus = product_torus(400)
+    slopes, levels = slope_curves(torus), level_curves(torus)
+    results = [intersect_graphs(slopes[i], other)
+               for i in range(3) for other in slopes[i + 1:] + levels]
+    assert [result.count for result in results] == (
+        [1200, 1200] + [400] * 3 + [1200] + [400] * 3 + [400] * 3)
+    for result in results:
+        keys = list(result.point_keys)
+        assert keys == sorted(keys, key=fraction_coordinates_of_key)
+
+
+def test_solver_keeps_the_repeats_of_a_doubled_grid(monkeypatch):
+    # A grid that runs twice along k2 meets every class twice.  The solver
+    # lists each solution as often as the grid meets it: merging repeats
+    # would hide a wrong grid.
+    torus = product_torus(5)
+    slopes, levels = slope_curves(torus), level_curves(torus)
+    pairs = [(slopes[0], slopes[1]), (slopes[1], levels[2])]
+    once = [intersect_graphs(c1, c2).point_keys for c1, c2 in pairs]
+    original = curves_module.coset_grid
+
+    def doubled(p, q, r, t):
+        d1, d2, axis = original(p, q, r, t)
+        return d1, 2 * d2, axis
+
+    monkeypatch.setattr(curves_module, "coset_grid", doubled)
+    twice = [intersect_graphs(c1, c2).point_keys for c1, c2 in pairs]
+    assert twice == [tuple(key for key in keys for _ in range(2)) for keys in once]
 
 
 def test_count_equals_lattice_index():

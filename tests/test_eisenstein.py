@@ -76,6 +76,26 @@ def test_string_forms():
     assert str(ZERO) == "0"
 
 
+def fraction_str(x):
+    """The printing formula of a number as a pair of Fractions: each part
+    prints as Fraction prints it, the real part is left out when it is 0,
+    and a positive rho part after a real part takes a "+"."""
+    a, b, d = x.triple
+    re_part, rho_part = Fraction(a, d), Fraction(b, d)
+    sign = "+" if re_part and rho_part > 0 else ""
+    return f"{re_part or ''}{sign}{rho_part}ρ" if rho_part else str(re_part)
+
+
+def test_string_matches_the_fraction_formula():
+    # Zero parts, negative parts, denominators that reduce differently in
+    # each part, and d = 1.
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            for d in range(1, 13):
+                x = EisensteinNumber.from_triple(a, b, d)
+                assert str(x) == fraction_str(x), (a, b, d)
+
+
 def test_parse_ascii_and_unicode():
     assert EisensteinNumber.from_string("-1/3+2/3r") == eis(Fraction(-1, 3), Fraction(2, 3))
     assert EisensteinNumber.from_string("2/3") == eis(Fraction(2, 3))
@@ -134,10 +154,11 @@ def test_conjugate_gives_norm(x):
 def test_canonical_form_is_stable(x):
     # Rebuilding from the stored coefficients is a no-op: Fraction keeps
     # gcd(num, den) == 1 and den > 0 by construction.
-    rebuilt = EisensteinNumber(Fraction(x.re_part.numerator, x.re_part.denominator),
-                               Fraction(x.rho_part.numerator, x.rho_part.denominator))
+    re_part, rho_part = pair_of(x)
+    rebuilt = EisensteinNumber(Fraction(re_part.numerator, re_part.denominator),
+                               Fraction(rho_part.numerator, rho_part.denominator))
     assert rebuilt == x
-    assert x.re_part.denominator > 0 and x.rho_part.denominator > 0
+    assert re_part.denominator > 0 and rho_part.denominator > 0
 
 
 def test_construction_rejects_floats():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -572,6 +573,40 @@ def test_eisenstein_work_at_level_one(monkeypatch, family, constructions, produc
     assert build_family(family, 1)["passed"]
     made = calls.count("from_triple")
     assert (made, calls.count("__mul__") + calls.count("__rmul__")) == (constructions, products)
+
+
+def count_package_fractions(monkeypatch) -> list[str]:
+    """Patch Fraction construction so that each Fraction(...) written in
+    the package's own code appends its module to the returned list.  The
+    standard library's own constructions (arithmetic results, operands)
+    differ between Python versions and are not counted."""
+    calls: list[str] = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("ballq."):
+            calls.append(caller)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return calls
+
+
+def test_fraction_work_is_per_level(monkeypatch):
+    """A build makes three Fractions: the generic fiber's start 1/2, and
+    8/3 once for the expected and once for the certified volume.  When
+    printing a number built a Fraction per part, gamma at n = 1000 made
+    2,007, one pair per printed Albanese base point, and levels 1..50 of
+    both families 5,800."""
+    calls = count_package_fractions(monkeypatch)
+    assert build_family(GAMMA, 1000)["passed"]
+    assert len(calls) == 3
+    calls.clear()
+    for family in (GAMMA, LAMBDA):
+        for n in range(1, 51):
+            build_family(family, n)
+    assert len(calls) == 300
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

@@ -13,8 +13,8 @@ from ballq.eisenstein import ONE, RHO, eis
 from ballq.families import ORDER3_SHIFT, albanese_lattice, base_lattice, level_lattice
 from ballq.lattices import Lattice, coset_grid, point_key
 
-from conftest import (coordinates, fraction_coordinates, from_coordinates, random_eisenstein,
-                      random_lattice, random_sublattice, scaled)
+from conftest import (coordinates, fraction_coordinates, from_coordinates, pair_of,
+                      random_eisenstein, random_lattice, random_sublattice, scaled)
 
 entries = st.integers(min_value=-12, max_value=12)
 
@@ -80,7 +80,8 @@ def multiplier_cases(draw):
     target = draw(st.sampled_from([base_lattice(), level_lattice(n), albanese_lattice(n)]))
     if draw(st.booleans()):
         gens = (draw(eisensteins), draw(eisensteins))
-        assume(gens[0].re_part * gens[1].rho_part != gens[0].rho_part * gens[1].re_part)
+        (a0, b0), (a1, b1) = map(pair_of, gens)
+        assume(a0 * b1 != b0 * a1)
         target = Lattice(*gens)
     a, b, c, d = (draw(st.integers(min_value=-3, max_value=3)) for _ in range(4))
     assume(a * d - b * c != 0)

@@ -214,8 +214,8 @@ UNREACHED = {
         ("eisenstein", "Frozen.__repr__", 'fields = ", ".join(f"{name}={value!r}" '
          'for name, value in vars(self).items()'),
         ("eisenstein", "Frozen.__repr__", 'return f"{type(self).__name__}({fields})"'),
-        ("eisenstein", "EisensteinNumber.__repr__", 'return f"EisensteinNumber('
-         're_part={self.re_part!r}, rho_part={self.rho_part!r})"'),
+        ("eisenstein", "EisensteinNumber.__repr__",
+         'return (f"EisensteinNumber(re_part={Fraction(self.triple[0], self.triple[2])!r}, "'),
     ],
     "an operand of another type": [
         ("curves", "GraphCurve.__eq__", "return NotImplemented"),
@@ -278,8 +278,8 @@ UNREACHED = {
             'raise ValueError(f"self-pair {a!r} belongs in the curve record")',
             'raise ValueError(f"pairwise entry for unknown curve in ({a!r}, {b!r})")',
             'raise ValueError(f"conflicting intersection numbers for {key}")',
-            'raise ValueError(f"point {point!r} references unknown curve {name!r}")',
-            'raise ValueError("multiplicities must be nonnegative")')],
+            "point, name = next((point, name) for point, mults in points.items()",
+            'raise ValueError(f"point {point!r} references unknown curve {name!r}"')],
         *[("surfaces", "etale_quotient", line) for line in (
             'raise ValueError("group order must be positive")',
             'raise ValueError("Euler number and K^2 must divide by the group order")',

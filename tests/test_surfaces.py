@@ -532,6 +532,45 @@ def test_surface_model_validation():
         SurfaceModel(0, 0, pair, {("a", "b"): 0, ("b", "a"): 2}, {})
 
 
+def first_point_table_error(curves, points):
+    """Reference for the point-table check: entry by entry in table order,
+    the message of the first entry that names an unknown curve or carries
+    a negative multiplicity; None for a valid table."""
+    for point, mults in points.items():
+        for name, mult in mults.items():
+            if name not in curves:
+                return f"point {point!r} references unknown curve {name!r}"
+            if mult < 0:
+                return "multiplicities must be nonnegative"
+    return None
+
+
+def test_point_table_errors_name_the_first_offending_entry():
+    # The table is checked whole and searched only on failure; the error
+    # must still be the one an entry-by-entry check meets first, also when
+    # a row holds both kinds of fault, and a valid table keeps its nonzero
+    # entries.
+    rng = random.Random(37)
+    curves = {name: CurveRecord(0, SMOOTH_ELLIPTIC) for name in "abc"}
+    outcomes = {"valid": 0, "unknown": 0, "negative": 0}
+    for _ in range(400):
+        points = {f"p{i}": {rng.choice("abcd"): rng.choice((-1, 0, 1, 1, 2, 2))
+                            for _ in range(rng.randint(0, 3))}
+                  for i in range(rng.randint(0, 3))}
+        expected = first_point_table_error(curves, points)
+        if expected is None:
+            model = SurfaceModel(0, 0, curves, {}, points)
+            assert model.points == {p: {name: m for name, m in mults.items() if m}
+                                    for p, mults in points.items()}
+            outcomes["valid"] += 1
+            continue
+        with pytest.raises(ValueError) as raised:
+            SurfaceModel(0, 0, curves, {}, points)
+        assert str(raised.value) == expected
+        outcomes["unknown" if "unknown" in expected else "negative"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_quotient_divisibility_errors():
     curves = {"a": CurveRecord(1, SMOOTH_ELLIPTIC)}
     model = SurfaceModel(0, 0, curves, {}, {})
