@@ -18,7 +18,7 @@ import json
 import marshal
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from . import families
@@ -124,13 +124,22 @@ def _fork_worker(tasks: list[tuple[str, int]], render,
 
 @contextmanager
 def _output(out_path: str | None):
-    """The stream a subcommand writes to: stdout, or out_path opened for
-    writing (an OSError here is reported by main with exit code 3)."""
-    if out_path is None:
-        yield sys.stdout
-    else:
+    """The stream a subcommand writes to: out_path opened for writing (an
+    OSError here is reported by main with exit code 3), or stdout, which
+    carries the UTF-8 bytes that out_path would hold whatever the locale's
+    encoding, unless it is a text-only stream."""
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             yield handle
+    elif getattr(sys.stdout, "buffer", None) is None:
+        yield sys.stdout
+    else:
+        sys.stdout.flush()
+        handle = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8")
+        try:
+            yield handle
+        finally:
+            handle.detach()
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -169,8 +178,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             # pipe must not wait for a reader that is itself waiting.
             for _, pipe in workers:
                 pipe.close()
+            # With SIGCHLD ignored, the system reaps a worker as it ends.
             for pid, _ in workers:
-                os.waitpid(pid, 0)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
     return 0 if passed else 1
 
 

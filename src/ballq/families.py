@@ -42,6 +42,7 @@ from .curves import (
     IDENTITY_MATRIX,
     ZERO_KEY,
     GraphCurve,
+    Intersection,
     ProductTorus,
     TorusAutomorphism,
     VerticalFiber,
@@ -281,12 +282,13 @@ class _Build:
     """The record of one level's build, which every stage reads and extends.
 
     It holds n, the family's record spec, the checks, the report's values
-    and flags, and what a stage stores for a later one: the torus, the
-    slope curves and the deck map; the intersection point keys, their deck
-    orbits and the closed-form key set; every upstairs curve by name, the
-    curve orbits (the boundary components), the pairwise numbers and the
-    key set of the points on each graph curve (see _incidence); the
-    quotient, the blown-up model and the log pair (None until one forms)."""
+    and flags, and what a stage stores for a later one: the torus and the
+    deck map; the intersection point keys, their index by z key, their
+    deck orbits and the closed-form key set; every upstairs curve by name,
+    the curve orbits (the boundary components), the pairwise numbers and
+    the key set of the points on each graph curve (see _cross); the
+    quotient, the blown-up model, the exceptional rows and the log pair
+    (None until one forms)."""
 
     def __init__(self, family: str, n: int) -> None:
         self.family, self.n, self.spec = family, n, _FAMILIES[family]
@@ -400,13 +402,25 @@ def _deck_cycle(deck: TorusAutomorphism, curves: list[GraphCurve]) -> tuple[list
     return maps, all(maps) and curves[0] not in curves[1:]
 
 
+def _cross(b: _Build, first: str, second: str) -> Intersection:
+    """Intersect the upstairs graphs named first and second: record the
+    count in b.pairwise and, when first is slope0, the crossing's key set
+    in b.through[second] (see _incidence); return the intersection."""
+    result = intersect_graphs(b.curves[first], b.curves[second])
+    b.pairwise[first, second] = result.count
+    if first == _SLOPE_NAMES[0]:
+        b.through[second] = result.keys()
+    return result
+
+
 def _geometry(b: _Build) -> None:
     """The torus, the slope curves and the deck map; the slope curves'
     pairwise intersections against the closed form; the intersection
-    point keys and their deck orbits."""
+    point keys, their index by z key and their deck orbits."""
     n = b.n
     b.torus = torus = product_torus(n)
-    b.slopes = slopes = slope_curves(torus)
+    slopes = slope_curves(torus)
+    b.curves = dict(zip(_SLOPE_NAMES, slopes))
     b.deck = deck = deck_automorphism(torus)
 
     b.expect("deck_order", 3, automorphism_order(deck))
@@ -421,32 +435,30 @@ def _geometry(b: _Build) -> None:
     b.expect("closed_form_size", 3 * n, len(b.closed_keys))
 
     b.pairwise, b.through = {}, {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            result = intersect_graphs(slopes[i], slopes[j])
-            keys = result.keys()
-            b.pairwise[(_SLOPE_NAMES[i], _SLOPE_NAMES[j])] = result.count
-            b.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
-            b.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
-                     True, keys == b.closed_keys)
-            if i == 0:
-                b.through[_SLOPE_NAMES[j]] = keys
-            if (i, j) == (0, 1):
-                b.points = result.point_keys
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        result = _cross(b, _SLOPE_NAMES[i], _SLOPE_NAMES[j])
+        keys = b.through[_SLOPE_NAMES[j]] if i == 0 else result.keys()
+        b.expect(f"intersection_count[slope{i},slope{j}]", 3 * n, result.count)
+        b.expect(f"intersection_matches_closed_form[slope{i},slope{j}]",
+                 True, keys == b.closed_keys)
+        if (i, j) == (0, 1):
+            b.points = result.point_keys
 
     b.expect("branch_slopes_pairwise_distinct", True,
              len({c.matrix for c in slopes}) == 3)
 
     b.through[_SLOPE_NAMES[0]] = frozenset(b.points)
+    b.over_z = {}
+    for key in b.points:
+        b.over_z.setdefault(key[3:], []).append(key)
     b.orbits = orbit_of_points(deck, b.points)
     b.expect("point_orbit_count", n, len(b.orbits))
     b.expect("point_orbit_sizes", [3] * n, [len(o) for o in b.orbits])
 
 
 def _upstairs(b: _Build) -> None:
-    """The slope curves, one deck orbit; each family's hook adds its own
+    """The slope curves as one deck orbit; each family's hook adds its own
     curves, orbits, pairwise numbers and key sets."""
-    b.curves = dict(zip(_SLOPE_NAMES, b.slopes))
     b.curve_orbits = {CORE_CURVE: _SLOPE_NAMES}
 
 
@@ -461,14 +473,11 @@ def _incidence(b: _Build) -> dict[tuple, dict[str, int]]:
     (all points for slope0).  A vertical fiber passes through the points
     whose z key (the last three ints of the point key) is its z0 (all
     curves live on b.torus, so keys are coordinates in one z-lattice
-    basis), read off an index of the points by z key.
+    basis), read off the points' z index b.over_z that _geometry built.
     """
     rows: dict[tuple, dict[str, int]] = {key: {} for key in b.points}
-    over_z: dict[tuple, list[tuple]] = {}
-    for key in b.points:
-        over_z.setdefault(key[3:], []).append(key)
     for name, curve in b.curves.items():
-        keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
+        keys = b.over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
         for key in keys:
             if key in rows:
                 rows[key][name] = 1
@@ -552,8 +561,9 @@ def _ledger(b: _Build) -> None:
     """Each exc{j} is a smooth rational (-1)-curve whose row of nonzero
     intersection numbers is the multiplicity table of the point q{j-1} it
     replaces: it meets each curve through that point once per branch and
-    misses every other curve, every other exceptional curve included."""
-    rows: dict[str, dict[str, int]] = {f"exc{j}": {} for j in range(1, b.n + 1)}
+    misses every other curve, every other exceptional curve included.
+    The rows stay on the record as b.exceptional."""
+    b.exceptional = rows = {f"exc{j}": {} for j in range(1, b.n + 1)}
     for (first, second), value in b.blown.pairwise.items():
         if first in rows:
             rows[first][second] = value
@@ -568,11 +578,11 @@ def _ledger(b: _Build) -> None:
 def _fiber(b: _Build) -> None:
     """Intersection row of a generic Albanese fiber against each image
     curve, computed upstairs (the three generic vertical fibers, by their
-    z keys) and divided by the covering degree.  A graph meets each
-    vertical fiber once; distinct vertical fibers are disjoint."""
+    z keys) and divided by the covering degree; their z keys miss those
+    of the points' z index b.over_z.  A graph meets each vertical fiber
+    once; distinct vertical fibers are disjoint."""
     generic_z = _key_progression(b.torus.lattice_z, eis(Fraction(1, 2)), ORDER3_SHIFT, 3)
-    singular_z = {key[3:] for key in b.points}
-    b.expect("generic_fiber_misses_triple_points", True, singular_z.isdisjoint(generic_z))
+    b.expect("generic_fiber_misses_triple_points", True, b.over_z.keys().isdisjoint(generic_z))
     rows: dict[str, int] = {}
     for image, names in b.curve_orbits.items():
         total = 0
@@ -686,18 +696,17 @@ def _gamma_quotient(b: _Build) -> None:
 
 
 def _gamma_fiber(b: _Build) -> None:
-    """The singular fibers are the fiber{j} that exc{j} meets once.  A
-    puncture count is printed once when every singular fiber has it, and
-    as the list of counts otherwise."""
-    n, blown, fiber = b.n, b.blown, b.values["fiber"]
+    """The singular fibers are the fiber{j} that exc{j} meets once, read
+    off the exceptional rows of _ledger.  A puncture count is printed once
+    when every singular fiber has it, and as the list of counts otherwise."""
+    n, fiber = b.n, b.values["fiber"]
     # Vertical fibers over distinct base points are disjoint, so each
     # image fiber row vanishes and the generic fiber meets the boundary
     # only in the core curve.
     b.expect("generic_fiber_punctures", 3, fiber["generic_fiber_punctures"])
-    # The sparse table's pair keys are sorted: "exc" < "fiber" < "slope_orbit".
-    pairwise = blown.pairwise
-    meets = [pairwise.get((f"exc{j}", f"fiber{j}"), 0) for j in range(1, n + 1)]
-    punctures = [pairwise.get((f"exc{j}", CORE_CURVE), 0) + m for j, m in enumerate(meets, 1)]
+    rows = [b.exceptional[f"exc{j}"] for j in range(1, n + 1)]
+    meets = [row.get(f"fiber{j}", 0) for j, row in enumerate(rows, 1)]
+    punctures = [row.get(CORE_CURVE, 0) + m for row, m in zip(rows, meets)]
     fiber["singular_fiber_count"] = meets.count(1)
     fiber["singular_fiber_punctures"] = punctures[0] if punctures == punctures[:1] * n else punctures
     b.expect("singular_fiber_count", n, fiber["singular_fiber_count"])
@@ -734,22 +743,12 @@ def _lambda_upstairs(b: _Build) -> None:
     )
     b.expect("level_curves_pairwise_disjoint", True, disjoint)
 
-    mixed_keys: set = set()
-    crossings = []
-    for slope_name, slope_curve in zip(_SLOPE_NAMES, b.slopes):
-        for level_name, level_curve in zip(_LEVEL_NAMES, levels):
-            result = intersect_graphs(slope_curve, level_curve)
-            keys = result.keys()
-            mixed_keys.update(keys)
-            b.pairwise[(slope_name, level_name)] = result.count
-            crossings.append(result.count)
-            if slope_name == _SLOPE_NAMES[0]:
-                b.through[level_name] = keys
-    b.expect("slope_level_crossing_counts", [b.n] * 9, crossings)
-    b.expect("mixed_intersections_at_triple_points", True,
-             frozenset(mixed_keys) == b.closed_keys)
     b.curves.update(zip(_LEVEL_NAMES, levels))
     b.curve_orbits[LEVEL_CURVE] = _LEVEL_NAMES
+    crossings = [_cross(b, *pair) for pair in product(_SLOPE_NAMES, _LEVEL_NAMES)]
+    b.expect("slope_level_crossing_counts", [b.n] * 9, [result.count for result in crossings])
+    mixed = frozenset().union(*(result.point_keys for result in crossings))
+    b.expect("mixed_intersections_at_triple_points", True, mixed == b.closed_keys)
 
 
 def _lambda_quotient(b: _Build) -> None:

@@ -604,3 +604,57 @@ def test_failed_worker_start_is_an_os_error(capsys, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert open_fd_count() == before
+
+
+def worker_reaped_before_the_wait(monkeypatch):
+    """os.waitpid reaps the worker, then raises ChildProcessError, as it
+    does when SIGCHLD is ignored and the system has reaped the worker
+    already."""
+    waitpid = os.waitpid
+
+    def reaped(pid, options):
+        waitpid(pid, options)
+        raise ChildProcessError(10, "No child processes")
+
+    monkeypatch.setattr(cli.os, "waitpid", reaped)
+
+
+def test_worker_reaped_by_the_system_counts_as_reaped(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    serial = run_cli(capsys, "verify", "--family", "gamma", "--n", "1..5")
+    worker_reaped_before_the_wait(monkeypatch)
+    with deadline(60):
+        assert run_cli(capsys, "verify", "--family", "gamma", "--n", "1..5",
+                       "--jobs", "3") == serial
+    assert serial[0] == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_run_with_sigchld_ignored_exits_zero():
+    # SIGCHLD set to SIG_IGN is inherited across exec, and then the kernel
+    # reaps the forked workers itself.
+    probe = ("import sys; from ballq import cli; cli._usable_cpus = lambda: 2;"
+             " sys.exit(cli.main(['verify', '--family', 'gamma', '--n', '1..6'] + sys.argv[1:]))")
+    serial = subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=120)
+    parallel = subprocess.run([sys.executable, "-c", probe, "--jobs", "2"], capture_output=True,
+                              timeout=120,
+                              preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+    assert (parallel.returncode, parallel.stderr) == (0, b"")
+    assert parallel.stdout == serial.stdout and len(serial.stdout.splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "gamma", "--n", "1", "--format", "markdown"),
+    ("spectrum", "--count", "2"),
+], ids=" ".join)
+def test_stdout_carries_the_out_file_bytes_under_an_ascii_locale(tmp_path, argv):
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    command = [sys.executable, "-m", "ballq", *argv]
+    target = tmp_path / "out.txt"
+    printed = subprocess.run(command, capture_output=True, env=env, timeout=120)
+    written = subprocess.run([*command, "--out", str(target)], capture_output=True, env=env,
+                             timeout=120)
+    assert (printed.returncode, printed.stderr, written.returncode) == (0, b"", 0)
+    assert printed.stdout == target.read_bytes()
+    assert "·π²".encode() in printed.stdout

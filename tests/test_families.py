@@ -52,8 +52,8 @@ from ballq.families import (
     render_markdown,
 )
 
-from conftest import (contains_point, count_eisenstein_operations,
-                      raise_in_stage, random_eisenstein, random_lattice)
+from conftest import (brute_force_intersection, contains_point, count_eisenstein_operations,
+                      raise_in_stage, random_eisenstein, random_lattice, slope_of)
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -459,6 +459,34 @@ def test_keyed_incidence_equals_brute_force(family):
             for key in b.points
         }
         assert _incidence(b) == brute
+
+
+@pytest.mark.parametrize("family", [GAMMA, LAMBDA])
+def test_upstairs_tables_match_the_grid_oracle(family):
+    """After the upstairs stage, at n = 1..6: the pairwise numbers hold every
+    slope pair and every (slope, extra curve) pair; two graphs' number is the
+    grid oracle's point count, and a slope meets each vertical fiber once;
+    b.through holds every graph, with the oracle's key set of its crossing
+    with slope0, and every point for slope0 itself."""
+    slopes = ("slope0", "slope1", "slope2")
+    for n in range(1, 7):
+        b = _built(family, n, "upstairs")
+        extras = [name for name in b.curves if name not in slopes]
+        assert list(b.pairwise) == [*itertools.combinations(slopes, 2),
+                                    *itertools.product(slopes, extras)]
+        crossings = {}
+        for (first, second), number in b.pairwise.items():
+            c1, c2 = b.curves[first], b.curves[second]
+            if isinstance(c2, VerticalFiber):
+                assert number == 1
+            else:
+                keys = brute_force_intersection(c1, c2, slope_of(c1), slope_of(c2))
+                crossings[first, second] = frozenset(keys)
+                assert number == len(keys), (first, second)
+        graphs = {name for name, curve in b.curves.items() if not isinstance(curve, VerticalFiber)}
+        assert b.through.keys() == graphs
+        assert b.through["slope0"] == frozenset(b.points) and len(b.points) == 3 * n
+        assert all(b.through[name] == crossings["slope0", name] for name in graphs - {"slope0"})
 
 
 @pytest.mark.parametrize("family", [GAMMA, LAMBDA])

@@ -18,6 +18,7 @@ new entry needs a reason.
 from __future__ import annotations
 
 import ast
+import io
 import os
 import sys
 from collections import Counter
@@ -29,7 +30,7 @@ import ballq
 from ballq import cli, families
 
 from conftest import raise_in_stage
-from test_cli import fork_fails_at, worker_dies_at_four
+from test_cli import fork_fails_at, worker_dies_at_four, worker_reaped_before_the_wait
 from test_mutations import KILL_MAP, kill_map
 
 PACKAGE = Path(ballq.__file__).resolve().parent
@@ -124,6 +125,11 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
 
 
+def text_only_stdout(monkeypatch):
+    """A stdout with no byte buffer under it, such as io.StringIO."""
+    monkeypatch.setattr(cli.sys, "stdout", io.StringIO())
+
+
 # (argv, exit code, patches) of each CLI call; "OUT" stands for a file in
 # the test's temporary directory, and "MISSING" for one in a directory
 # that does not exist.
@@ -138,10 +144,12 @@ CLI_CALLS = [
      (lambda monkeypatch: raise_in_stage(monkeypatch, "certify"),)),
     (("verify", "--family", "gamma", "--n", "1..5", "--jobs", "2"), 1,
      (two_cpus, worker_dies_at_four)),
+    ((*VERIFY, "--family", "gamma", "--jobs", "2"), 0, (two_cpus, worker_reaped_before_the_wait)),
     ((*VERIFY, "--family", "gamma", "--jobs", "2"), 3,
      (two_cpus, lambda monkeypatch: fork_fails_at(monkeypatch, 1))),
     (("verify", "--family", "gamma", "--n", "1", "--out", "MISSING"), 3, ()),
     (("spectrum", "--count", "3"), 0, ()),
+    (("spectrum", "--count", "3"), 0, (text_only_stdout,)),
     (("spectrum", "--count", "3", "--format", "json", "--out", "OUT"), 0, ()),
     (("intersect", "graph:1,0", "graph:r,-1/3+1/3r", "--n", "1"), 0, ()),
     (("intersect", "graph:1,0", "graph:1,0", "--n", "2"), 0, ()),

@@ -1,8 +1,8 @@
 """The import-free re-checker finds every audited relation intact in the
-reports of levels 1..50 of both families, flags a report whose printed
-values contradict each other, and re-checks a failed report on the values
-it carries.  Every printed value has a reader: a named check, a relation,
-or a person, for display-only text."""
+reports of levels 1..50 and of the golden large levels of both families,
+flags a report whose printed values contradict each other, and re-checks a
+failed report on the values it carries.  Every printed value has a reader:
+a named check, a relation, or a person, for display-only text."""
 
 import json
 import math
@@ -19,6 +19,7 @@ from conftest import raise_in_stage
 from recheck import PI_SQUARED, RELATIONS, broken_relations
 
 from test_acceptance import N_MAX, reports
+from test_golden import LARGE_LEVELS
 
 RECHECK = Path(__file__).resolve().parent / "recheck.py"
 
@@ -27,6 +28,12 @@ RECHECK = Path(__file__).resolve().parent / "recheck.py"
 def test_recheck_passes_on_levels_1_to_50(family):
     built = reports(family)
     broken = {n: broken_relations(built[n]) for n in range(1, N_MAX + 1)}
+    assert {n: names for n, names in broken.items() if names} == {}
+
+
+@pytest.mark.parametrize("family", ["gamma", "lambda"])
+def test_recheck_passes_on_the_golden_large_levels(family):
+    broken = {n: broken_relations(build_family(family, n)) for n in LARGE_LEVELS}
     assert {n: names for n, names in broken.items() if names} == {}
 
 
