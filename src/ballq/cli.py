@@ -19,10 +19,9 @@ import marshal
 import os
 import sys
 from contextlib import contextmanager, suppress
-from fractions import Fraction
 
 from . import families
-from .eisenstein import EisensteinNumber
+from .eisenstein import EisensteinNumber, fraction_text
 from .curves import (EMPTY, IDENTICAL, GraphCurve, Intersection, VerticalFiber,
                      graph_difference, intersect_graph_fiber, intersect_graphs)
 from .surfaces import volume_from_chi
@@ -190,7 +189,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         raise UsageError(f"count must be between 1 and {MAX_LEVELS}")
     rows = [{"n": n, **volume_from_chi(n)} for n in range(1, args.count + 1)]
     coefficients = {row["pi_squared_coefficient"] for row in rows}
-    expected = {str(Fraction(8, 3) * k) for k in range(1, args.count + 1)}
+    expected = {fraction_text(8 * k, 3) for k in range(1, args.count + 1)}
     saturated = coefficients == expected
     if args.format == "json":
         doc = {

@@ -5,8 +5,9 @@ w = slope*z + offset (including constant graphs, slope = 0) and vertical
 fibers z = z0.  A graph stores z -> slope*z as an integer matrix in the
 lattices' bases (Lattice.multiplier_matrix), and an automorphism is one
 such matrix per factor and its translations' keys, so every map works on
-keys through one formula (_affine_image): images of points, curves and
-fibers, composition and powers.  A point is its key:
+keys through one formula (_affine_image): images of curves and fibers,
+composition and powers, and, inlined into one integer kernel, the deck
+orbits of a point set (orbit_of_points).  A point is its key:
 a graph's offset and a fiber's base point are torus point keys, and a
 point set is a list of keys, six ints per point.  Points are read back
 into Q(rho) (Lattice.value) only to print, on the first read of
@@ -142,12 +143,6 @@ class TorusAutomorphism(Frozen):
                              for c, lattice in zip((trans_w, trans_z), lattices))
         vars(self).update(ambient=ambient, matrices=matrices, translations=translations)
 
-    def map_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        """The key of the image of the point with six-int key `key`, read
-        as coordinates in the ambient lattices' bases."""
-        (m_w, m_z), (c_w, c_z) = self.matrices, self.translations
-        return _affine_image(key[:3], m_w, c_w) + _affine_image(key[3:], m_z, c_z)
-
     def compose(self, other: "TorusAutomorphism") -> "TorusAutomorphism":
         """self after other: x -> M(Nx + d) + c = MN*x + (Md + c) per factor."""
         _require_same_bases(self.ambient, other.ambient)
@@ -236,26 +231,32 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     coordinates; equal slopes give "identical" or "empty".
     Both curves must be given in the same stored lattice bases, since the
     solver reads their matrices and offset keys as coordinates."""
-    _require_same_bases(c1.ambient, c2.ambient)
-    rs1, rt1, e1 = c1.offset
-    rs2, rt2, e2 = c2.offset
-    if c1.matrix == c2.matrix:
-        return Intersection(IDENTICAL if (rs1, rt1, e1) == (rs2, rt2, e2) else EMPTY)
-    # In lattice coordinates the slope difference maps z = (x, y) to
-    # w = (p*x + r*y, q*x + t*y), and the offsets differ by (ds, dt)/e.  So
-    # the solutions are z = A^-1 ((ds, dt) + e*k)/e for k in Z^2 modulo
-    # A*Z^2, with A^-1 = adj(A)/det: integer numerators over D = |det|*e.
-    a, c, b, d = c1.matrix
-    (p, q, r, t), det = graph_difference(c1, c2)
+    ambient = c1.ambient
+    _require_same_bases(ambient, c2.ambient)
+    (a, c, b, d), (p, q, r, t) = c1.matrix, c2.matrix
+    if a == p and c == q and b == r and d == t:
+        return Intersection(IDENTICAL if c1.offset == c2.offset else EMPTY)
+    # In lattice coordinates the slope difference (graph_difference) maps
+    # z = (x, y) to w = (p*x + r*y, q*x + t*y), and the offsets differ by
+    # (ds, dt)/e.  So the solutions are z = A^-1 ((ds, dt) + e*k)/e for k in
+    # Z^2 modulo A*Z^2, with A^-1 = adj(A)/det: integer numerators over
+    # D = |det|*e.
+    p, q, r, t = a - p, c - q, b - r, d - t
+    det = p * t - q * r
+    (rs1, rt1, e1), (rs2, rt2, e2) = c1.offset, c2.offset
     e = lcm(e1, e2)
     ds, dt = rs2 * (e // e2) - rs1 * (e // e1), rt2 * (e // e2) - rt1 * (e // e1)
     sign = 1 if det > 0 else -1
     dz = sign * det * e
     zs0, zt0 = sign * (t * ds - r * dt), sign * (p * dt - q * ds)
-    # The adjugate's columns times e: the z steps for k along each w axis.
-    steps = (sign * e * t, -sign * e * q), (-sign * e * r, sign * e * p)
+    # The adjugate's columns times e: the z steps for k along each w axis,
+    # in the grid's order.
     d1, d2, axis = coset_grid(p, q, r, t)
-    (s1, t1), (s2, t2) = steps[::-1] if axis else steps
+    se = sign * e
+    if axis:
+        s1, t1, s2, t2 = -se * r, se * p, se * t, -se * q
+    else:
+        s1, t1, s2, t2 = se * t, -se * q, -se * r, se * p
     # w = slope1*z + offset1, its numerators over dz too (e1 divides e),
     # and w's step along k2: slope1's image of z's step.
     ws0, wt0 = rs1 * (dz // e1), rt1 * (dz // e1)
@@ -263,18 +264,36 @@ def intersect_graphs(c1: GraphCurve, c2: GraphCurve) -> Intersection:
     # Each solution is sorted by its numerators packed into one integer:
     # every coordinate is a numerator in [0, dz) over dz, so the packed
     # order is coordinate order.  The key divides out one gcd per
-    # coordinate.  Solutions are not merged: a wrong grid shows as repeats.
+    # coordinate; the few distinct w coordinates are reduced once each, and
+    # a line along which w does not move (a constant graph's crossings)
+    # reads its one w once.  Solutions are not merged: a wrong grid shows
+    # as repeats.
     solutions = []
+    append = solutions.append
+    w_keys = {}
     for k1 in range(d1):
         zs, zt = (zs0 + k1 * s1) % dz, (zt0 + k1 * t1) % dz
         ws, wt = (a * zs + b * zt + ws0) % dz, (c * zs + d * zt + wt0) % dz
-        for _ in range(d2):
-            g, h = gcd(ws, wt, dz), gcd(zs, zt, dz)
-            solutions.append((((ws * dz + wt) * dz + zs) * dz + zt,
-                              (ws // g, wt // g, dz // g, zs // h, zt // h, dz // h)))
-            zs, zt, ws, wt = (zs + s2) % dz, (zt + t2) % dz, (ws + ws2) % dz, (wt + wt2) % dz
+        if ws2 or wt2:
+            for _ in range(d2):
+                w = ws * dz + wt
+                w_key = w_keys.get(w)
+                if w_key is None:
+                    g = gcd(ws, wt, dz)
+                    w_key = w_keys[w] = ws // g, wt // g, dz // g
+                h = gcd(zs, zt, dz)
+                append(((w * dz + zs) * dz + zt, w_key + (zs // h, zt // h, dz // h)))
+                zs, zt = (zs + s2) % dz, (zt + t2) % dz
+                ws, wt = (ws + ws2) % dz, (wt + wt2) % dz
+        else:
+            g = gcd(ws, wt, dz)
+            w, w_key = (ws * dz + wt) * dz, (ws // g, wt // g, dz // g)
+            for _ in range(d2):
+                h = gcd(zs, zt, dz)
+                append(((w + zs) * dz + zt, w_key + (zs // h, zt // h, dz // h)))
+                zs, zt = (zs + s2) % dz, (zt + t2) % dz
     solutions.sort()
-    return Intersection(POINTS, tuple([key for _, key in solutions]), c1.ambient)
+    return Intersection(POINTS, tuple([key for _, key in solutions]), ambient)
 
 
 def intersect_graph_fiber(c: GraphCurve, f: VerticalFiber) -> Intersection:
@@ -339,12 +358,15 @@ def orbit_of_points(f: TorusAutomorphism, keys: list[tuple]) -> list[list[tuple]
     """Partition a stable set of point keys into orbits.
 
     Each orbit is listed starting from its least key and orbits are sorted
-    by that representative.  f.map_key maps keys to keys, so no point is
-    built; the keys must be coordinates in f's lattice bases.
+    by that representative.  Keys map to keys through _affine_image's
+    formula on each factor, written out once here over f's matrices and
+    translations, so no point is built and no helper is called per point;
+    the keys must be coordinates in f's lattice bases.
     """
     index = set(keys)
     if len(index) != len(keys):
         raise ValueError("duplicate points in orbit input")
+    ((p, q, r, t), (p2, q2, r2, t2)), ((us, ut, ud), (vs, vt, vd)) = f.matrices, f.translations
     remaining = set(index)
     orbits = []
     for key in sorted(keys):
@@ -352,14 +374,22 @@ def orbit_of_points(f: TorusAutomorphism, keys: list[tuple]) -> list[list[tuple]
             continue
         remaining.discard(key)
         orbit = [key]
-        image = f.map_key(key)
-        while image != key:
+        image = key
+        while True:
+            ws, wt, wd, zs, zt, zd = image
+            ws, wt = (p * ws + r * wt) * ud + us * wd, (q * ws + t * wt) * ud + ut * wd
+            zs, zt = (p2 * zs + r2 * zt) * vd + vs * zd, (q2 * zs + t2 * zt) * vd + vt * zd
+            wd, zd = wd * ud, zd * vd
+            ws, wt, zs, zt = ws % wd, wt % wd, zs % zd, zt % zd
+            g, h = gcd(ws, wt, wd), gcd(zs, zt, zd)
+            image = ws // g, wt // g, wd // g, zs // h, zt // h, zd // h
+            if image == key:
+                break
             if image not in index:
                 raise ValueError("point set is not stable under the automorphism")
             if len(orbit) > len(keys):
                 raise ValueError("orbit does not close up inside the point set")
             remaining.discard(image)
             orbit.append(image)
-            image = f.map_key(image)
         orbits.append(orbit)
     return orbits

@@ -3,26 +3,44 @@
 An element is stored uniquely as its reduced integer triple (a, b, d),
 meaning (a + b*rho)/d with d > 0 and gcd(a, b, d) = 1 (Cohen, GTM 138,
 section 2.4).  Each field operation builds its result's triple with one gcd.
-Frozen, the base of the package's immutable classes, lives here, at the
-bottom of the package's imports.
+Frozen, the base of the package's immutable classes, and fraction_text,
+the package's one printer of a rational, live here, at the bottom of the
+package's imports.  The module imports neither fractions nor re when it
+loads: only from_string parses, and it imports both when called.
 """
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
+import sys
 from math import gcd
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
 _RHO_SUFFIXES = ("ρ", "r")
 Triple = tuple[int, int, int]
 
 
 def _operand(value: object) -> Triple | None:
-    """The triple of an Eisenstein number, int or Fraction; else None."""
+    """The triple of an Eisenstein number, int or Fraction; else None.  A
+    Fraction exists only once its module is loaded, so the module is looked
+    up here, never imported."""
     if isinstance(value, EisensteinNumber):
         return value.triple
-    return (value.numerator, 0, value.denominator) if isinstance(value, (int, Fraction)) else None
+    if isinstance(value, int):
+        return value.numerator, 0, 1
+    fractions = sys.modules.get("fractions")
+    return ((value.numerator, 0, value.denominator)
+            if fractions and isinstance(value, fractions.Fraction) else None)
+
+
+def _lowest_terms(a: int, d: int) -> tuple[int, int]:
+    g = gcd(a, d)
+    return a // g, d // g
+
+
+def fraction_text(a: int, d: int) -> str:
+    """The rational a/d, d > 0, as Fraction prints it: "p" or "p/q" in
+    lowest terms."""
+    p, q = _lowest_terms(a, d)
+    return f"{p}/{q}" if q > 1 else str(p)
 
 
 def _sum(x: Triple, y: Triple, sign: int = 1) -> EisensteinNumber:
@@ -93,8 +111,9 @@ class EisensteinNumber(Frozen):
         return hash(self.triple)
 
     def __repr__(self) -> str:
-        return (f"EisensteinNumber(re_part={Fraction(self.triple[0], self.triple[2])!r}, "
-                f"rho_part={Fraction(self.triple[1], self.triple[2])!r})")
+        # Each part as Fraction's repr writes it.
+        return "EisensteinNumber(re_part=Fraction({}, {}), rho_part=Fraction({}, {}))".format(
+            *_lowest_terms(*self.triple[::2]), *_lowest_terms(*self.triple[1:]))
 
     def __add__(self, other: object) -> EisensteinNumber:
         y = _operand(other)
@@ -120,22 +139,20 @@ class EisensteinNumber(Frozen):
         return bool(self.triple[0] or self.triple[1])
 
     def __str__(self) -> str:
-        # Each part a/d in lowest terms, printed as Fraction prints it:
-        # "p", or "p/q" for q > 1.
         a, b, d = self.triple
-        g = gcd(a, d)
-        re_text = f"{a // g}/{d // g}" if g < d else str(a // g)
         if not b:
-            return re_text
-        g = gcd(b, d)
-        rho_text = f"{b // g}/{d // g}" if g < d else str(b // g)
-        return f"{re_text if a else ''}{'+' if a and b > 0 else ''}{rho_text}ρ"
+            return fraction_text(a, d)
+        return (f"{fraction_text(a, d) if a else ''}{'+' if a and b > 0 else ''}"
+                f"{fraction_text(b, d)}ρ")
 
     @classmethod
     def from_string(cls, text: str) -> EisensteinNumber:
         """Parse "a/b+c/dρ" (ASCII "r" is accepted in place of "ρ")."""
+        import re
+        from fractions import Fraction
+
         compact = text.strip().replace(" ", "").replace("*", "")
-        terms = _TERM_RE.findall(compact)
+        terms = re.findall(r"[+-]?[^+-]+", compact)
         # Fraction would accept exponent notation and compute 10**exp in full.
         if not terms or "".join(terms) != compact or "e" in compact.lower():
             raise ValueError(f"malformed Eisenstein literal: {text!r}")

@@ -31,11 +31,10 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from itertools import product
-from fractions import Fraction
 from math import lcm
 
 from . import homology
-from .eisenstein import ONE, RHO, RHO2, EisensteinNumber, eis
+from .eisenstein import ONE, RHO, RHO2, EisensteinNumber, eis, fraction_text
 from .lattices import Lattice, point_key
 from .curves import (
     EMPTY,
@@ -72,7 +71,7 @@ LAMBDA = "lambda"
 # Translation of order three on every level torus: three times it is the
 # period 1 - rho shared by all level lattices.
 ORDER3_SHIFT = EisensteinNumber.from_triple(1, -1, 3)  # (1 - rho)/3
-TWO_THIRDS = eis(Fraction(2, 3))
+TWO_THIRDS = EisensteinNumber.from_triple(2, 0, 3)
 
 _SLOPE_NAMES = ("slope0", "slope1", "slope2")
 _LEVEL_NAMES = ("level0", "level1", "level2")
@@ -447,7 +446,8 @@ def _geometry(b: _Build) -> None:
     b.expect("branch_slopes_pairwise_distinct", True,
              len({c.matrix for c in slopes}) == 3)
 
-    b.through[_SLOPE_NAMES[0]] = frozenset(b.points)
+    # slope0 passes through every point: the key set of its crossing with slope1.
+    b.through[_SLOPE_NAMES[0]] = b.through[_SLOPE_NAMES[1]]
     b.over_z = {}
     for key in b.points:
         b.over_z.setdefault(key[3:], []).append(key)
@@ -476,11 +476,13 @@ def _incidence(b: _Build) -> dict[tuple, dict[str, int]]:
     basis), read off the points' z index b.over_z that _geometry built.
     """
     rows: dict[tuple, dict[str, int]] = {key: {} for key in b.points}
+    row_of, over_z, through = rows.get, b.over_z, b.through
     for name, curve in b.curves.items():
-        keys = b.over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else b.through[name]
+        keys = over_z.get(curve.z0, ()) if isinstance(curve, VerticalFiber) else through[name]
         for key in keys:
-            if key in rows:
-                rows[key][name] = 1
+            row = row_of(key)
+            if row is not None:
+                row[name] = 1
     return rows
 
 
@@ -553,7 +555,7 @@ def _certify(b: _Build) -> None:
     b.expect("log_chern", [3 * n, n], [values["log_c1_squared"], values["log_c2"]])
     b.expect("bmy", BMYClass.EQUALITY.value, values["bmy"])
     b.expect("cusps", b.spec.cusps(n), values["cusps"])
-    b.expect("volume_coefficient", str(Fraction(8, 3) * n),
+    b.expect("volume_coefficient", fraction_text(8 * n, 3),
              values["volume"]["pi_squared_coefficient"])
 
 
@@ -581,7 +583,8 @@ def _fiber(b: _Build) -> None:
     z keys) and divided by the covering degree; their z keys miss those
     of the points' z index b.over_z.  A graph meets each vertical fiber
     once; distinct vertical fibers are disjoint."""
-    generic_z = _key_progression(b.torus.lattice_z, eis(Fraction(1, 2)), ORDER3_SHIFT, 3)
+    half = EisensteinNumber.from_triple(1, 0, 2)
+    generic_z = _key_progression(b.torus.lattice_z, half, ORDER3_SHIFT, 3)
     b.expect("generic_fiber_misses_triple_points", True, b.over_z.keys().isdisjoint(generic_z))
     rows: dict[str, int] = {}
     for image, names in b.curve_orbits.items():

@@ -21,9 +21,8 @@ from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from fractions import Fraction
 
-from .eisenstein import Frozen
+from .eisenstein import Frozen, fraction_text
 
 SMOOTH_ELLIPTIC = "smooth-elliptic"
 SMOOTH_RATIONAL = "smooth-rational"
@@ -94,7 +93,8 @@ class SurfaceModel(Frozen):
             raise ValueError(f"point {point!r} references unknown curve {name!r}"
                              if name not in curves else "multiplicities must be nonnegative")
         vars(self).update(chi_top=chi_top, k2=k2, curves=dict(curves),
-                          pairwise={key: value for key, value in table.items() if value},
+                          pairwise=table if all(table.values()) else
+                          {key: value for key, value in table.items() if value},
                           points=dict(zip(points, map(dict, rows))) if least else
                           {p: {name: m for name, m in mults.items() if m}
                            for p, mults in points.items()})
@@ -334,12 +334,14 @@ def volume_from_chi(chi: int) -> dict[str, object]:
     """Volume (8/3) * pi^2 * chi of a curvature -1 ball quotient with the
     given Euler number (generalized Gauss-Bonnet), as the report's volume
     fragment.  The volume is recorded exactly, as the rational coefficient
-    of pi^2; the decimal is for display only and never used in any check."""
+    8*chi/3 of pi^2 in lowest terms; the decimal is for display only and
+    never used in any check.  It is the correctly rounded quotient 8*chi/3
+    times pi^2, the float of the coefficient as a Fraction would give it."""
     if chi < 0:
         raise ValueError("Euler number of a ball quotient is nonnegative")
-    coefficient = Fraction(8, 3) * chi
+    coefficient = fraction_text(8 * chi, 3)
     return {
-        "pi_squared_coefficient": str(coefficient),
+        "pi_squared_coefficient": coefficient,
         "text": f"({coefficient})·π²",
-        "approx_display_only": float(coefficient) * math.pi ** 2,
+        "approx_display_only": 8 * chi / 3 * math.pi ** 2,
     }

@@ -94,7 +94,8 @@ def orbit_of_curves(f: TorusAutomorphism, c: GraphCurve,
 def apply_automorphism(f: TorusAutomorphism, point: tuple) -> tuple:
     """The values of the image under f of the point with values (w, z):
     per factor, f's matrix applied to the Cramer's-rule coordinates, plus
-    the translation's value.  Independent of f.map_key."""
+    the translation's value.  Independent of the package's integer maps
+    (_affine_image and the orbit kernel)."""
     image = []
     for x, lattice, (p, q, r, t), translation in zip(point, f.ambient, f.matrices,
                                                       f.translations):

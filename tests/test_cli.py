@@ -274,23 +274,27 @@ def test_parallel_output_matches_serial():
 
 
 def test_import_loads_no_process_pool():
-    """Start-up stays cheap: importing the CLI loads no process pool, and no
-    dataclasses machinery (which pulls in inspect, ast and dis).  A --jobs
-    run forks and sends marshal records, so it loads no pool,
-    multiprocessing or pickle module either."""
+    """Start-up stays cheap: importing the CLI loads no process pool, no
+    dataclasses machinery (which pulls in inspect, ast and dis), and no
+    fractions, which pulls in decimal.  A --jobs run forks and sends
+    marshal records, so it loads no pool, multiprocessing or pickle module
+    either, and its builds print every rational from integers, so it loads
+    no fractions or decimal."""
     probe = ("import sys, ballq.cli; print([name in sys.modules for name in"
-             " ('concurrent.futures.process', 'dataclasses', 'inspect')])")
+             " ('concurrent.futures.process', 'dataclasses', 'inspect', 'fractions',"
+             " 'decimal')])")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
                             text=True)
-    assert result.stdout.strip() == "[False, False, False]"
+    assert result.stdout.strip() == "[False, False, False, False, False]"
     probe = ("import sys; from ballq import cli; cli._usable_cpus = lambda: 2;"
              " code = cli.main(['verify', '--family', 'gamma', '--n', '1..4', '--jobs', '2']);"
              " print(code, [name in sys.modules for name in"
-             " ('concurrent.futures', 'multiprocessing', 'pickle')], file=sys.stderr)")
+             " ('concurrent.futures', 'multiprocessing', 'pickle', 'fractions', 'decimal')],"
+             " file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True,
                             text=True)
     assert len(result.stdout.splitlines()) == 4
-    assert result.stderr.strip() == "0 [False, False, False]"
+    assert result.stderr.strip() == "0 [False, False, False, False, False]"
 
 
 def test_intersect_two_fibers(capsys):

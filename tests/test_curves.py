@@ -28,7 +28,11 @@ from ballq.curves import (
 )
 from ballq.eisenstein import ONE, RHO, RHO2, eis
 from ballq.families import (
+    GAMMA,
+    LAMBDA,
     ORDER3_SHIFT,
+    _STAGES,
+    _Build,
     albanese_lattice,
     base_lattice,
     classify_deck_action,
@@ -48,6 +52,15 @@ from conftest import (apply_automorphism, brute_force_intersection, closed_form_
 def key_of(torus, point):
     """The six-int key of the point of torus with values (w, z)."""
     return torus.lattice_w.key(point[0]) + torus.lattice_z.key(point[1])
+
+
+def image_key(f, key):
+    """The key of f's image of the point with six-int key `key`: the
+    package's integer affine map (_affine_image) on each factor, which
+    orbit_of_points writes out in its kernel."""
+    (m_w, m_z), (c_w, c_z) = f.matrices, f.translations
+    return (curves_module._affine_image(key[:3], m_w, c_w)
+            + curves_module._affine_image(key[3:], m_z, c_z))
 
 
 def test_graph_well_definedness_enforced():
@@ -184,7 +197,7 @@ def automorphisms_and_points(draw):
 def test_integer_apply_matches_the_eisenstein_formula(case):
     f, inputs, w, z = case
     expected = key_of(f.ambient, reference_apply(inputs, w, z))
-    assert f.map_key(key_of(f.ambient, (w, z))) == expected
+    assert image_key(f, key_of(f.ambient, (w, z))) == expected
     assert key_of(f.ambient, apply_automorphism(f, (w, z))) == expected
 
 
@@ -313,7 +326,7 @@ def test_torus_maps_do_no_eisenstein_arithmetic(monkeypatch):
     calls = count_eisenstein_operations(monkeypatch)
     assert deck.compose(deck).compose(deck).is_identity()
     assert automorphism_order(deck) == 3 and is_free(deck)
-    assert {deck.map_key(key) for key in keys} == set(keys)
+    assert {image_key(deck, key) for key in keys} == set(keys)
     assert len(orbit_of_points(deck, keys)) == 40
     assert classify_deck_action(deck, 3).index == 5
     assert len({intersect_graph_fiber(c, fiber).point_keys for c in curves}) == 6
@@ -331,8 +344,8 @@ def test_apply_requires_the_ambient_bases():
     point = eis(Fraction(1, 3)), eis(0, Fraction(1, 2))
     elsewhere = key_of(ProductTorus(base_lattice(), base_lattice()), point)
     assert elsewhere != key_of(torus, point)
-    assert f.map_key(key_of(torus, point)) == key_of(torus, apply_automorphism(f, point))
-    assert f.map_key(elsewhere) != key_of(torus, apply_automorphism(f, point))
+    assert image_key(f, key_of(torus, point)) == key_of(torus, apply_automorphism(f, point))
+    assert image_key(f, elsewhere) != key_of(torus, apply_automorphism(f, point))
 
 
 def test_vertical_fiber_keeps_a_point_stored_in_its_basis():
@@ -440,6 +453,25 @@ def test_unit_scaling_enforced():
         TorusAutomorphism(torus, 0, 0, 1, 0)
 
 
+def oracle_orbits(f, torus, points):
+    """The orbits of f through the points with values (w, z), each walked
+    in Q(rho) with conftest.apply_automorphism from its least key and
+    sorted by that key: the oracle of orbit_of_points."""
+    cycles = {}
+    for point in points:
+        start = key_of(torus, point)
+        if any(start in cycle for cycle in cycles.values()):
+            continue
+        cycle = [start]
+        point = apply_automorphism(f, point)
+        while key_of(torus, point) != start:
+            cycle.append(key_of(torus, point))
+            point = apply_automorphism(f, point)
+        least = cycle.index(min(cycle))
+        cycles[min(cycle)] = cycle[least:] + cycle[:least]
+    return [cycles[key] for key in sorted(cycles)]
+
+
 def test_point_orbits_partition():
     for n in (1, 2, 3):
         torus = product_torus(n)
@@ -456,6 +488,25 @@ def test_point_orbits_partition():
         assert reps == sorted(reps)
         for orbit in orbits:
             assert orbit[0] == min(orbit)
+    # Each family's deck at a seeded level n <= 400 partitions its
+    # intersection points and the orbits of seeded random points, given in
+    # shuffled order, exactly as the walk in Q(rho) does.
+    rng = random.Random(4001)
+    for family in (GAMMA, LAMBDA):
+        b = _Build(family, rng.randint(1, 400))
+        b.run(_STAGES[:1])
+        lw, lz = b.torus
+        points = [(lw.value(key[:3]), lz.value(key[3:])) for key in b.points]
+        for _ in range(20):
+            q = rng.randint(1, 12 * b.n)
+            points.append(tuple(eis(Fraction(rng.randint(-2 * q, 2 * q), q),
+                                    Fraction(rng.randint(-2 * q, 2 * q), q))
+                                for _ in range(2)))
+        expected = oracle_orbits(b.deck, b.torus, points)
+        keys = [key for orbit in expected for key in orbit]
+        rng.shuffle(keys)
+        assert orbit_of_points(b.deck, keys) == expected
+        assert len(expected) > b.n
 
 
 def test_point_orbits_require_stability():
@@ -527,8 +578,10 @@ def test_points_are_built_from_the_stored_keys_in_order():
 
 
 def test_solver_matches_oracle_small():
+    # Against slope 1, slope -1 moves w along its second coordinate only,
+    # and 1 - rho against rho^2 along its first only; slope 0 keeps w fixed.
     torus = product_torus(2)
-    slopes = [ONE, RHO, RHO * RHO, ONE - RHO, eis(2)]
+    slopes = [ONE, RHO, RHO * RHO, ONE - RHO, eis(2), eis(-1), eis(0)]
     offsets = [eis(0), eis(Fraction(1, 2)), eis(Fraction(1, 3), Fraction(1, 2))]
     for s1 in slopes[:3]:
         for s2 in slopes:

@@ -222,8 +222,8 @@ UNREACHED = {
         ("eisenstein", "Frozen.__repr__", 'fields = ", ".join(f"{name}={value!r}" '
          'for name, value in vars(self).items()'),
         ("eisenstein", "Frozen.__repr__", 'return f"{type(self).__name__}({fields})"'),
-        ("eisenstein", "EisensteinNumber.__repr__",
-         'return (f"EisensteinNumber(re_part={Fraction(self.triple[0], self.triple[2])!r}, "'),
+        ("eisenstein", "EisensteinNumber.__repr__", 'return "EisensteinNumber(re_part='
+         'Fraction({}, {}), rho_part=Fraction({}, {}))".format('),
     ],
     "an operand of another type": [
         ("curves", "GraphCurve.__eq__", "return NotImplemented"),

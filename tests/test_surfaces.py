@@ -2,11 +2,13 @@
 surface models."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from ballq import cli
 from ballq.surfaces import (
     BMYClass,
     CurveRecord,
@@ -364,6 +366,15 @@ def test_certificate_matches_the_reference_formulas():
 
 
 def test_volume_from_chi():
+    # The integer printer against the Fraction formula at every chi that
+    # `ballq spectrum` can tabulate, and the display float bit for bit.
+    for chi in range(cli.MAX_LEVELS + 1):
+        coefficient = Fraction(8, 3) * chi
+        doc = volume_from_chi(chi)
+        assert (doc["pi_squared_coefficient"], doc["text"]) == (str(coefficient),
+                                                                f"({coefficient})·π²")
+        assert doc["approx_display_only"].hex() == (float(coefficient) * math.pi ** 2).hex()
+        assert list(doc) == ["pi_squared_coefficient", "text", "approx_display_only"]
     assert Fraction(volume_from_chi(1)["pi_squared_coefficient"]) == Fraction(8, 3)
     assert Fraction(volume_from_chi(0)["pi_squared_coefficient"]) == 0
     assert Fraction(volume_from_chi(7)["pi_squared_coefficient"]) == Fraction(56, 3)
